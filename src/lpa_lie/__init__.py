@@ -29,11 +29,13 @@ from .cohn import (
     CommutatorWitnessReport,
     PathWord,
     PreconditionError,
+    VertexWitness,
     commutator,
     path_bracket_witness,
     n_generator,
     trace_vector,
     verify_witness,
+    vertex_witness,
 )
 from .graph import (
     EdgeId,
@@ -59,7 +61,6 @@ from .linalg import (
     cokernel,
     is_p_divisible,
     is_prime,
-    rank_over_field,
     smith_normal_form,
     span_membership,
 )
@@ -67,6 +68,7 @@ from .verdict import (
     INAPPLICABLE,
     NOT_SIMPLE,
     SIMPLE,
+    GraphInvariants,
     KpReport,
     LieVerdict,
     kp_consistency,
@@ -90,14 +92,15 @@ __all__ = [
     "is_simple_lpa", "is_purely_infinite_simple", "is_trivial_lpa",
     # linalg
     "FieldSpec", "GFElement", "K0Presentation", "SmithDecomposition",
-    "span_membership", "rank_over_field", "smith_normal_form", "cokernel",
+    "span_membership", "smith_normal_form", "cokernel",
     "class_order", "is_p_divisible", "is_prime",
     # cohn
     "PathWord", "CohnTerm", "CohnElement", "PreconditionError",
     "commutator", "trace_vector", "n_generator", "verify_witness",
+    "VertexWitness", "vertex_witness",
     "CommutatorIdentity", "CommutatorWitnessReport", "path_bracket_witness",
     # verdict
-    "SIMPLE", "NOT_SIMPLE", "INAPPLICABLE", "LieVerdict", "KpReport",
+    "SIMPLE", "NOT_SIMPLE", "INAPPLICABLE", "GraphInvariants", "LieVerdict", "KpReport",
     "lie_simplicity", "matrix_lie_simplicity", "leavitt_closed_form",
     "lie_simplicity_via_k0", "vertex_combination_in_commutator",
     "pointed_iso_decision", "kp_consistency",

@@ -18,8 +18,7 @@ import json
 import sys
 
 from . import __version__
-from .analysis import is_purely_infinite_simple, is_simple_lpa
-from .cohn import CohnElement, commutator, n_generator, verify_witness
+from .cohn import verify_witness, vertex_witness
 from .graph import (
     Graph,
     GraphError,
@@ -28,22 +27,20 @@ from .graph import (
     family,
     family_names,
     graph_from_adjacency,
-    m_matrix,
     parse_graph,
     serialize_graph,
 )
 from .linalg import (
     FieldSpec,
+    K0Presentation,
     class_order,
-    cokernel,
     is_p_divisible,
     is_prime,
-    rank_over_field,
-    smith_normal_form,
 )
 from .verdict import (
     INAPPLICABLE,
     SIMPLE,
+    GraphInvariants,
     kp_consistency,
     leavitt_closed_form,
     lie_simplicity,
@@ -86,8 +83,11 @@ def _load_graph(spec: str) -> Graph:
             raise _CliError(f"bad JSON graph: {exc}") from exc
         if not isinstance(data, dict) or "vertices" not in data or "adjacency" not in data:
             raise _CliError("JSON graph needs 'vertices' and 'adjacency' fields")
+        labels = data["vertices"]
+        if not isinstance(labels, list) or not all(isinstance(v, str) for v in labels):
+            raise _CliError("JSON graph 'vertices' must be a list of strings")
         try:
-            return graph_from_adjacency(list(data["vertices"]), data["adjacency"])
+            return graph_from_adjacency(labels, data["adjacency"])
         except (GraphError, TypeError) as exc:
             raise _CliError(f"bad structured graph: {exc}") from exc
     try:
@@ -155,12 +155,10 @@ def _simplicity_dict(report) -> dict:
     }
 
 
-def _k0_dict(g: Graph) -> dict:
-    dec = smith_normal_form(m_matrix(g))
-    pres = cokernel(m_matrix(g))
+def _k0_dict(pres: K0Presentation) -> dict:
     order = class_order(pres)
     return {
-        "snf_diagonal": list(dec.diagonal),
+        "snf_diagonal": list(pres.invariant_factors),
         "invariant_factors": list(pres.invariant_factors),
         "nontrivial_factors": list(pres.nontrivial_factors),
         "group": pres.group_description(),
@@ -184,17 +182,18 @@ def _emit(args, payload: dict, human: str) -> None:
 def _cmd_analyze(args) -> int:
     g = _load_graph(args.graph)
     chars = _parse_chars(args.char)
-    simple = is_simple_lpa(g)
-    pis = is_purely_infinite_simple(g)
-    bvecs = b_vectors(g)
+    inv = GraphInvariants(g)
+    simple = inv.simplicity
+    pis = inv.pure_infinite_simplicity
+    bvecs = inv.b_vectors
 
     rows = []
     for c in chars:
         field = FieldSpec(c)
-        span = lie_simplicity(g, field)
+        span = lie_simplicity(inv, field)
         entry = {"characteristic": c, "span": _verdict_dict(span), "k0": None, "agreement": None}
         if pis.verdict:
-            k0v = lie_simplicity_via_k0(g, field)
+            k0v = lie_simplicity_via_k0(inv, field)
             entry["k0"] = _verdict_dict(k0v)
             entry["agreement"] = "AGREE" if k0v.status == span.status else "DISAGREE"
         rows.append(entry)
@@ -206,7 +205,7 @@ def _cmd_analyze(args) -> int:
         "b_vectors": bvecs,
         "algebra_simple": _simplicity_dict(simple),
         "purely_infinite_simple": _simplicity_dict(pis),
-        "k0": _k0_dict(g),
+        "k0": _k0_dict(inv.k0),
         "verdicts": rows,
     }
 
@@ -280,8 +279,8 @@ def _cmd_k0(args) -> int:
                 raise _CliError(f"--primes entries must be prime, got {p}")
             extra.append(p)
     primes = sorted(set(SMALL_PRIMES) | set(extra))
-    pres = cokernel(m_matrix(g))
-    info = _k0_dict(g)
+    pres = GraphInvariants(g).k0
+    info = _k0_dict(pres)
     divisibility = {str(p): is_p_divisible(pres, p) for p in primes}
     payload = {
         "schema": SCHEMA,
@@ -325,69 +324,49 @@ def _cmd_witness(args) -> int:
     except ValueError as exc:
         raise _CliError(str(exc)) from exc
 
-    t = vertex_combination_in_commutator(g, coeffs, field)
-    if t is None:
-        bvecs = b_vectors(g)
-        cols = list(zip(*bvecs)) if bvecs else []
-        rank_b = rank_over_field(cols, field)
-        augmented = [list(row) + [k] for row, k in zip(cols, coeffs)]
-        rank_aug = rank_over_field(augmented, field)
-        payload = {
-            "schema": SCHEMA,
-            "command": "witness",
-            "characteristic": field.characteristic,
-            "coefficients": [str(c) for c in coeffs],
-            "membership": False,
-            "certificate": {"rank_b": rank_b, "rank_augmented": rank_aug},
-        }
-        human = (
-            "the vertex combination is NOT a sum of brackets over "
-            f"{field.name}\n"
-            f"certificate: rank of the B-vector matrix is {rank_b}, rank with the "
-            f"target adjoined is {rank_aug}\n"
-        )
-        _emit(args, payload, human)
-        return 2
-
-    brackets = []
-    w = CohnElement.zero(g, field)
-    for i, v in enumerate(g.vertices):
-        if not t[i]:
-            continue
-        for e in g.out_edges(v):
-            brackets.append({"coefficient": str(-t[i]), "edge": e.label})
-            w = w + commutator(
-                CohnElement.edge(g, field, e), CohnElement.ghost_edge(g, field, e)
-            ).scale(-t[i])
-    correction = CohnElement.zero(g, field)
-    for i, v in enumerate(g.vertices):
-        if t[i]:
-            correction = correction + n_generator(g, field, v).scale(t[i])
-    ok = verify_witness(g, coeffs, t, field)
+    inv = GraphInvariants(g)
+    t = vertex_combination_in_commutator(inv, coeffs, field)
     payload = {
         "schema": SCHEMA,
         "command": "witness",
         "characteristic": field.characteristic,
         "coefficients": [str(c) for c in coeffs],
-        "membership": True,
-        "t": [str(x) for x in t],
-        "commutators": brackets,
-        "commutator_sum": str(w),
-        "n_correction": str(correction),
-        "verification": "VERIFIED" if ok else "FAILED",
+        "membership": t is not None,
     }
+    if t is None:
+        # a target outside the column space raises the rank by exactly one
+        rank_b = inv.b_smith.rank(field)
+        payload["certificate"] = {"rank_b": rank_b, "rank_augmented": rank_b + 1}
+        human = (
+            "the vertex combination is NOT a sum of brackets over "
+            f"{field.name}\n"
+            f"certificate: rank of the B-vector matrix is {rank_b}, rank with the "
+            f"target adjoined is {rank_b + 1}\n"
+        )
+        _emit(args, payload, human)
+        return 2
+
+    wit = vertex_witness(g, coeffs, t, field)
+    brackets = [{"coefficient": str(c), "edge": e.label} for c, e in wit.brackets]
+    payload.update(
+        t=[str(x) for x in t],
+        commutators=brackets,
+        commutator_sum=str(wit.commutator_sum),
+        n_correction=str(wit.correction),
+        verification="VERIFIED" if wit.verified else "FAILED",
+    )
     mod = "" if field.characteristic == 0 else f" (mod {field.characteristic})"
     lines = [
         f"membership holds over {field.name}",
         f"t = {_fmt_vec(t)}{mod}",
         "commutator expression: "
         + " + ".join(f"{b['coefficient']} * [{b['edge']}, {b['edge']}^*]" for b in brackets),
-        f"  = {w}",
-        f"quotient correction (sum of t_i * y_i): {correction}",
+        f"  = {wit.commutator_sum}",
+        f"quotient correction (sum of t_i * y_i): {wit.correction}",
         f"symbolic verification: {payload['verification']}",
     ]
     _emit(args, payload, "\n".join(lines) + "\n")
-    return 0 if ok else 3
+    return 0 if wit.verified else 3
 
 
 # ---------------------------------------------------------------------------
@@ -409,6 +388,10 @@ def _cmd_family(args) -> int:
 
 
 def _cmd_kp_check(args) -> int:
+    if args.graph_a == args.graph_b == "-":
+        raise _CliError("standard input can supply only one graph")
+    if args.max_group_order < 1:
+        raise _CliError(f"--max-group-order must be at least 1, got {args.max_group_order}")
     ga = _load_graph(args.graph_a)
     gb = _load_graph(args.graph_b)
     chars = _parse_chars(args.char)
@@ -433,16 +416,12 @@ def _cmd_kp_check(args) -> int:
         "contradiction": report.contradiction,
     }
     if report.applicable:
-        payload["k0_a"] = {
-            "group": report.presentation_a.group_description(),
-            "invariant_factors": list(report.presentation_a.invariant_factors),
-            "unit_class": list(report.presentation_a.unit_class),
-        }
-        payload["k0_b"] = {
-            "group": report.presentation_b.group_description(),
-            "invariant_factors": list(report.presentation_b.invariant_factors),
-            "unit_class": list(report.presentation_b.unit_class),
-        }
+        for key, pres in (("k0_a", report.presentation_a), ("k0_b", report.presentation_b)):
+            payload[key] = {
+                "group": pres.group_description(),
+                "invariant_factors": list(pres.invariant_factors),
+                "unit_class": list(pres.unit_class),
+            }
     if not report.applicable:
         human = f"inapplicable: {report.reason}\n"
     else:
@@ -486,7 +465,7 @@ def _selftest_checks():
     tv = family("two_vertex", [2, 2, 2])
     yield (
         "two-vertex family (2,2,2): snf diagonal (2, 4)",
-        smith_normal_form(m_matrix(tv)).diagonal == (2, 4),
+        GraphInvariants(tv).k0.invariant_factors == (2, 4),
     )
     yield (
         "two-vertex family (2,2,2): simple at char 2 on both routes",

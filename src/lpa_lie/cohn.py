@@ -27,6 +27,8 @@ __all__ = [
     "trace_vector",
     "n_generator",
     "verify_witness",
+    "VertexWitness",
+    "vertex_witness",
     "CommutatorIdentity",
     "CommutatorWitnessReport",
     "path_bracket_witness",
@@ -303,15 +305,31 @@ def n_generator(g: Graph, field: FieldSpec, v: VertexId) -> CohnElement:
     return acc
 
 
-def verify_witness(g: Graph, k_coeffs, t_coeffs, field: FieldSpec) -> bool:
-    """Certify symbolically that a vertex combination is a sum of brackets.
+@dataclass(frozen=True)
+class VertexWitness:
+    """The bracket sum for a vertex combination and its exact check.
+
+    ``commutator_sum`` is the sum of ``coefficient * [e, e*]`` over the pairs
+    in ``brackets``, ``correction`` is ``sum_i t_i y_i``, and ``verified``
+    says whether ``commutator_sum == sum_i k_i v_i + correction`` holds
+    term by term.
+    """
+
+    brackets: tuple[tuple[object, EdgeId], ...]
+    commutator_sum: CohnElement
+    correction: CohnElement
+    verified: bool
+
+
+def vertex_witness(g: Graph, k_coeffs, t_coeffs, field: FieldSpec) -> VertexWitness:
+    """Build and certify symbolically that a vertex combination is a sum of brackets.
 
     Given k with ``k = sum_i t_i B_i`` (t vanishing at non-regular vertices),
     the element ``W = -sum_i t_i sum_{s(e)=v_i} [e, e*]`` must equal
     ``sum_i k_i v_i + sum_i t_i y_i`` exactly, where the y_i absorb the
-    difference between the Cohn algebra and its quotient.  Returns the result
-    of that exact basis-level comparison; hypothesis violations raise
-    ``PreconditionError`` instead.
+    difference between the Cohn algebra and its quotient.  The result holds
+    W, the correction and that exact basis-level comparison; hypothesis
+    violations raise ``PreconditionError`` instead.
     """
     m = g.num_vertices
     k = [field.coerce(c) for c in k_coeffs]
@@ -332,23 +350,30 @@ def verify_witness(g: Graph, k_coeffs, t_coeffs, field: FieldSpec) -> bool:
         if total != k[j]:
             raise PreconditionError("k is not the claimed combination of the B-vectors")
 
+    brackets = []
     w = CohnElement.zero(g, field)
+    correction = CohnElement.zero(g, field)
     for i, v in enumerate(g.vertices):
         if not t[i]:
             continue
         for e in g.out_edges(v):
+            brackets.append((-t[i], e))
             bracket = commutator(
                 CohnElement.edge(g, field, e), CohnElement.ghost_edge(g, field, e)
             )
             w = w + bracket.scale(-t[i])
+        correction = correction + n_generator(g, field, v).scale(t[i])
 
-    rhs = CohnElement.zero(g, field)
+    rhs = correction
     for i, v in enumerate(g.vertices):
         if k[i]:
             rhs = rhs + CohnElement.vertex(g, field, v).scale(k[i])
-        if t[i]:
-            rhs = rhs + n_generator(g, field, v).scale(t[i])
-    return w == rhs
+    return VertexWitness(tuple(brackets), w, correction, w == rhs)
+
+
+def verify_witness(g: Graph, k_coeffs, t_coeffs, field: FieldSpec) -> bool:
+    """Whether ``vertex_witness`` certifies ``k = sum_i t_i B_i`` as a sum of brackets."""
+    return vertex_witness(g, k_coeffs, t_coeffs, field).verified
 
 
 @dataclass(frozen=True)

@@ -2,10 +2,11 @@
 
 Everything here is computed with arbitrary-precision integers, ``Fraction``
 rationals, or residues modulo a prime; no floating point is ever involved.
-The three pillars are
+One elimination routine, the Smith normal form over Z with unimodular
+certificates U, V, backs everything else:
 
-* span membership / linear solving over Q or GF(p),
-* Smith normal form over Z with unimodular certificates U, V, and
+* linear solving and rank over Q or GF(p), read off the certificate of the
+  integer matrix (``SmithDecomposition.solve`` and ``rank``), and
 * cokernel presentations of square integer matrices (invariant factors and
   the class of the all-ones vector), with element order and p-divisibility.
 """
@@ -22,7 +23,6 @@ __all__ = [
     "GFElement",
     "FieldSpec",
     "span_membership",
-    "rank_over_field",
     "SmithDecomposition",
     "smith_normal_form",
     "K0Presentation",
@@ -30,8 +30,6 @@ __all__ = [
     "class_order",
     "is_p_divisible",
     "identity_matrix",
-    "mat_mul",
-    "int_det",
 ]
 
 
@@ -155,9 +153,6 @@ class FieldSpec:
     def zero(self):
         return self.coerce(0)
 
-    def one(self):
-        return self.coerce(1)
-
     def coerce(self, value):
         """Map an int, Fraction, or matching field element into this field."""
         p = self.characteristic
@@ -188,77 +183,6 @@ class FieldSpec:
             raise ValueError(f"cannot parse {text!r} as an element of {self.name}: {exc}") from None
 
 
-def _coerce_vector(vec, field: FieldSpec) -> list:
-    return [field.coerce(x) for x in vec]
-
-
-def span_membership(vectors, target, field: FieldSpec):
-    """Exact coefficients expressing ``target`` in the span of ``vectors``.
-
-    Solves ``sum_j c_j * vectors[j] = target`` over the prime subfield by
-    Gauss-Jordan elimination and returns the coefficient list (free
-    coefficients set to zero), or ``None`` when the system is inconsistent.
-
-    >>> span_membership([[2]], [1], FieldSpec(0))
-    [Fraction(1, 2)]
-    >>> span_membership([[2]], [1], FieldSpec(2)) is None
-    True
-    """
-    tgt = _coerce_vector(target, field)
-    vecs = [_coerce_vector(v, field) for v in vectors]
-    m = len(tgt)
-    for v in vecs:
-        if len(v) != m:
-            raise ValueError(f"dimension mismatch: vector of length {len(v)}, target {m}")
-    n = len(vecs)
-    # columns are the candidate vectors, last column is the target
-    aug = [[vecs[j][i] for j in range(n)] + [tgt[i]] for i in range(m)]
-    pivots: list[tuple[int, int]] = []
-    row = 0
-    for col in range(n):
-        sel = next((r for r in range(row, m) if aug[r][col]), None)
-        if sel is None:
-            continue
-        aug[row], aug[sel] = aug[sel], aug[row]
-        inv = field.one() / aug[row][col]
-        aug[row] = [x * inv for x in aug[row]]
-        for r in range(m):
-            if r != row and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[row])]
-        pivots.append((row, col))
-        row += 1
-    for r in range(row, m):
-        if aug[r][n]:
-            return None
-    solution = [field.zero()] * n
-    for r, c in pivots:
-        solution[c] = aug[r][n]
-    return solution
-
-
-def rank_over_field(rows, field: FieldSpec) -> int:
-    """Rank of a matrix (given as a list of rows) over the prime subfield."""
-    mat = [_coerce_vector(r, field) for r in rows]
-    if not mat:
-        return 0
-    ncols = len(mat[0])
-    rank = 0
-    for col in range(ncols):
-        sel = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
-        if sel is None:
-            continue
-        mat[rank], mat[sel] = mat[sel], mat[rank]
-        inv = field.one() / mat[rank][col]
-        mat[rank] = [x * inv for x in mat[rank]]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col]:
-                f = mat[r][col]
-                mat[r] = [a - f * b for a, b in zip(mat[r], mat[rank])]
-        rank += 1
-    return rank
-
-
 # ---------------------------------------------------------------------------
 # Smith normal form
 # ---------------------------------------------------------------------------
@@ -280,46 +204,52 @@ class SmithDecomposition:
     def diagonal(self) -> tuple[int, ...]:
         return tuple(self.d[i][i] for i in range(min(len(self.d), len(self.d[0]))))
 
+    def rank(self, field: FieldSpec) -> int:
+        """Rank of the original matrix over ``field``: the factors nonzero there."""
+        p = field.characteristic
+        return sum(1 for a in self.diagonal if (a % p if p else a))
+
+    def solve(self, target, field: FieldSpec):
+        """Coefficients x with ``original @ x == target`` over ``field``, or None.
+
+        With ``c = u @ target`` and ``x = v @ y`` the system reads
+        ``d_i y_i = c_i``, so it is solvable exactly when ``c_i`` vanishes in
+        the field wherever ``d_i`` does, rows past the diagonal included.
+        Free coordinates of y are set to zero.
+        """
+        p = field.characteristic
+        b = [field.coerce(x) for x in target]
+        if len(b) != len(self.u):
+            raise ValueError(
+                f"dimension mismatch: target of length {len(b)}, matrix with {len(self.u)} rows"
+            )
+        diag = self.diagonal
+        if p:
+            b = [x.residue for x in b]
+        else:
+            # every nonzero factor divides the last one, so y_i = c_i / d_i
+            # is an integer over the common denominator top * scale
+            scale = lcm(*(x.denominator for x in b))
+            b = [x.numerator * (scale // x.denominator) for x in b]
+            top = next((a for a in reversed(diag) if a), 1)
+        y = [0] * len(self.v)
+        for i, row in enumerate(self.u):
+            c = sum(a * x for a, x in zip(row, b))
+            d = diag[i] if i < len(diag) else 0
+            if p:
+                c, d = c % p, d % p
+            if d:
+                y[i] = c * pow(d, -1, p) % p if p else c * (top // d)
+            elif c:
+                return None
+        x = [sum(a * yi for a, yi in zip(row, y)) for row in self.v]
+        if p:
+            return [field.coerce(xi) for xi in x]
+        return [Fraction(xi, top * scale) for xi in x]
+
 
 def identity_matrix(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def mat_mul(a, b) -> list[list[int]]:
-    rows, inner, cols = len(a), len(b), len(b[0])
-    out = [[0] * cols for _ in range(rows)]
-    for i in range(rows):
-        ai = a[i]
-        for k in range(inner):
-            f = ai[k]
-            if f:
-                bk = b[k]
-                oi = out[i]
-                for j in range(cols):
-                    oi[j] += f * bk[j]
-    return out
-
-
-def int_det(mat) -> int:
-    """Exact determinant of a square integer matrix (fraction-free not needed)."""
-    n = len(mat)
-    a = [[Fraction(x) for x in row] for row in mat]
-    det = Fraction(1)
-    for col in range(n):
-        sel = next((r for r in range(col, n) if a[r][col]), None)
-        if sel is None:
-            return 0
-        if sel != col:
-            a[col], a[sel] = a[sel], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = 1 / a[col][col]
-        for r in range(col + 1, n):
-            if a[r][col]:
-                f = a[r][col] * inv
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    assert det.denominator == 1
-    return det.numerator
 
 
 def _min_abs_position(a, t: int, rows: int, cols: int) -> tuple[int, int] | None:
@@ -428,6 +358,28 @@ def smith_normal_form(mat) -> SmithDecomposition:
 
     freeze = lambda m: tuple(tuple(r) for r in m)
     return SmithDecomposition(freeze(u), freeze(a), freeze(v))
+
+
+def span_membership(vectors, target, field: FieldSpec):
+    """Exact coefficients expressing ``target`` in the span of ``vectors``.
+
+    Solves ``sum_j c_j * vectors[j] = target`` over the prime subfield from
+    the Smith form of the matrix whose columns are ``vectors`` and returns
+    the coefficient list, or ``None`` when the system is inconsistent.
+
+    >>> span_membership([[2]], [1], FieldSpec(0))
+    [Fraction(1, 2)]
+    >>> span_membership([[2]], [1], FieldSpec(2)) is None
+    True
+    """
+    target = list(target)
+    vectors = [list(v) for v in vectors]
+    for v in vectors:
+        if len(v) != len(target):
+            raise ValueError(f"dimension mismatch: vector of length {len(v)}, target {len(target)}")
+    if not vectors:
+        return [] if not any(field.coerce(x) for x in target) else None
+    return smith_normal_form([list(col) for col in zip(*vectors)]).solve(target, field)
 
 
 # ---------------------------------------------------------------------------

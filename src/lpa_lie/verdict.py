@@ -16,7 +16,8 @@ inapplicable rather than extrapolated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 from itertools import product
 from math import gcd
 
@@ -25,17 +26,19 @@ from .graph import Graph, b_vectors, m_matrix
 from .linalg import (
     FieldSpec,
     K0Presentation,
+    SmithDecomposition,
     class_order,
     cokernel,
     is_p_divisible,
     prime_factorization,
-    span_membership,
+    smith_normal_form,
 )
 
 __all__ = [
     "SIMPLE",
     "NOT_SIMPLE",
     "INAPPLICABLE",
+    "GraphInvariants",
     "LieVerdict",
     "lie_simplicity",
     "matrix_lie_simplicity",
@@ -50,6 +53,45 @@ __all__ = [
 SIMPLE = "simple"
 NOT_SIMPLE = "not-simple"
 INAPPLICABLE = "inapplicable"
+
+
+@dataclass(frozen=True)
+class GraphInvariants:
+    """The per-graph data every verdict reads, each computed at most once.
+
+    Each field is computed on first use and kept as an immutable value, so
+    deciding further characteristics costs one back-substitution through
+    ``b_smith``.  The verdict functions accept either a ``Graph`` or one of
+    these; pass the same object to share the work between calls.
+    """
+
+    graph: Graph
+
+    @cached_property
+    def simplicity(self) -> analysis.SimplicityReport:
+        return analysis.is_simple_lpa(self.graph)
+
+    @cached_property
+    def pure_infinite_simplicity(self) -> analysis.SimplicityReport:
+        return analysis.is_purely_infinite_simple(self.graph)
+
+    @cached_property
+    def b_vectors(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(tuple(b) for b in b_vectors(self.graph))
+
+    @cached_property
+    def b_smith(self) -> SmithDecomposition:
+        """Smith form of the matrix whose columns are the B-vectors."""
+        return smith_normal_form([list(col) for col in zip(*self.b_vectors)])
+
+    @cached_property
+    def k0(self) -> K0Presentation:
+        """Cokernel of I - A^t with the unit class."""
+        return cokernel(m_matrix(self.graph))
+
+
+def _invariants(g: Graph | GraphInvariants) -> GraphInvariants:
+    return g if isinstance(g, GraphInvariants) else GraphInvariants(g)
 
 
 @dataclass(frozen=True)
@@ -79,19 +121,20 @@ def _inapplicable(route: str, witness) -> LieVerdict:
     )
 
 
-def lie_simplicity(g: Graph, field: FieldSpec) -> LieVerdict:
+def lie_simplicity(g: Graph | GraphInvariants, field: FieldSpec) -> LieVerdict:
     """Span-route verdict for the Lie algebra of the path algebra of ``g``."""
-    report = analysis.is_simple_lpa(g)
+    inv = _invariants(g)
+    report = inv.simplicity
     if not report.verdict:
         return _inapplicable("span", report.first_witness())
-    if analysis.is_trivial_lpa(g):
+    if analysis.is_trivial_lpa(inv.graph):
         return LieVerdict(
             NOT_SIMPLE,
             "span",
             field.characteristic,
             "the algebra is the coefficient field itself, so all brackets vanish",
         )
-    coeffs = span_membership(b_vectors(g), [1] * g.num_vertices, field)
+    coeffs = inv.b_smith.solve([1] * inv.graph.num_vertices, field)
     if coeffs is None:
         return LieVerdict(
             SIMPLE,
@@ -108,46 +151,33 @@ def lie_simplicity(g: Graph, field: FieldSpec) -> LieVerdict:
     )
 
 
-def matrix_lie_simplicity(g: Graph, d: int, field: FieldSpec) -> LieVerdict:
-    """Verdict for d x d matrices over the path algebra of ``g``."""
+def matrix_lie_simplicity(g: Graph | GraphInvariants, d: int, field: FieldSpec) -> LieVerdict:
+    """Verdict for d x d matrices over the path algebra of ``g``.
+
+    The span verdict for ``g`` itself, except that a trivial graph is outside
+    the matrix criterion and a characteristic dividing d makes it not simple.
+    """
     if d < 1:
         raise ValueError(f"matrix size d must be >= 1, got {d}")
-    if d == 1:
-        return lie_simplicity(g, field)
-    report = analysis.is_simple_lpa(g)
-    if not report.verdict:
-        return _inapplicable("span", report.first_witness())
-    if analysis.is_trivial_lpa(g):
+    inv = _invariants(g)
+    verdict = lie_simplicity(inv, field)
+    if d == 1 or verdict.status == INAPPLICABLE:
+        return verdict
+    if analysis.is_trivial_lpa(inv.graph):
         return LieVerdict(
             INAPPLICABLE,
             "span",
             None,
             "the matrix criterion requires a nontrivial simple path algebra",
         )
+    if verdict.status != SIMPLE:
+        return verdict
     p = field.characteristic
-    coeffs = span_membership(b_vectors(g), [1] * g.num_vertices, field)
-    if coeffs is not None:
-        return LieVerdict(
-            NOT_SIMPLE,
-            "span",
-            p,
-            "(1, ..., 1) is a combination of the B-vectors over " + field.name,
-            certificate=tuple(coeffs),
-        )
     if p != 0 and d % p == 0:
         return LieVerdict(
-            NOT_SIMPLE,
-            "span",
-            p,
-            f"the characteristic {p} divides the matrix size {d}",
+            NOT_SIMPLE, "span", p, f"the characteristic {p} divides the matrix size {d}"
         )
-    return LieVerdict(
-        SIMPLE,
-        "span",
-        p,
-        "(1, ..., 1) is not a combination of the B-vectors and "
-        f"the characteristic does not divide {d}",
-    )
+    return replace(verdict, reason=f"{verdict.reason}, and the characteristic does not divide {d}")
 
 
 def leavitt_closed_form(n: int, d: int, field: FieldSpec) -> LieVerdict:
@@ -173,12 +203,13 @@ def leavitt_closed_form(n: int, d: int, field: FieldSpec) -> LieVerdict:
     return LieVerdict(NOT_SIMPLE, "closed-form", p, reason)
 
 
-def lie_simplicity_via_k0(g: Graph, field: FieldSpec) -> LieVerdict:
+def lie_simplicity_via_k0(g: Graph | GraphInvariants, field: FieldSpec) -> LieVerdict:
     """K-theory-route verdict; applicable only to purely infinite simple graphs."""
-    report = analysis.is_purely_infinite_simple(g)
+    inv = _invariants(g)
+    report = inv.pure_infinite_simplicity
     if not report.verdict:
         return _inapplicable("k0", report.first_witness())
-    pres = cokernel(m_matrix(g))
+    pres = inv.k0
     p = field.characteristic
     if p == 0:
         order = class_order(pres)
@@ -202,26 +233,20 @@ def lie_simplicity_via_k0(g: Graph, field: FieldSpec) -> LieVerdict:
     )
 
 
-def vertex_combination_in_commutator(g: Graph, coeffs, field: FieldSpec):
+def vertex_combination_in_commutator(g: Graph | GraphInvariants, coeffs, field: FieldSpec):
     """Coefficients t with ``k = sum t_i B_i`` and t zero off regular vertices.
 
     Returns the length-m vector t over the prime subfield when the vertex
     combination with coefficients ``coeffs`` is a sum of brackets, and None
-    otherwise.  The returned t feeds the symbolic witness construction.
+    otherwise.  The returned t feeds the symbolic witness construction.  A
+    sink's B-vector is a zero column, which the Smith form never mixes into
+    another, so t at a sink is a free coordinate and is set to zero.
     """
-    m = g.num_vertices
-    k = [field.coerce(c) for c in coeffs]
-    if len(k) != m:
-        raise ValueError(f"expected {m} coefficients, got {len(k)}")
-    bvecs = b_vectors(g)
-    regular = [i for i, v in enumerate(g.vertices) if g.is_regular(v)]
-    solution = span_membership([bvecs[i] for i in regular], k, field)
-    if solution is None:
-        return None
-    t = [field.zero()] * m
-    for idx, i in enumerate(regular):
-        t[i] = solution[idx]
-    return t
+    inv = _invariants(g)
+    m = inv.graph.num_vertices
+    if len(coeffs) != m:
+        raise ValueError(f"expected {m} coefficients, got {len(coeffs)}")
+    return inv.b_smith.solve(coeffs, field)
 
 
 # ---------------------------------------------------------------------------
@@ -367,8 +392,8 @@ class KpReport:
 
 
 def kp_consistency(
-    gA: Graph,
-    gB: Graph,
+    gA: Graph | GraphInvariants,
+    gB: Graph | GraphInvariants,
     chars,
     max_group_order: int = 10**6,
 ) -> KpReport:
@@ -377,8 +402,9 @@ def kp_consistency(
     When a pointed isomorphism exists, the two Lie algebras must receive the
     same status at every characteristic.
     """
-    repA = analysis.is_purely_infinite_simple(gA)
-    repB = analysis.is_purely_infinite_simple(gB)
+    invA, invB = _invariants(gA), _invariants(gB)
+    repA = invA.pure_infinite_simplicity
+    repB = invB.pure_infinite_simplicity
     if not repA.verdict or not repB.verdict:
         bad = "first" if not repA.verdict else "second"
         witness = (repA if not repA.verdict else repB).first_witness()
@@ -391,15 +417,14 @@ def kp_consistency(
             (),
             False,
         )
-    pa = cokernel(m_matrix(gA))
-    pb = cokernel(m_matrix(gB))
+    pa, pb = invA.k0, invB.k0
     iso = pointed_iso_decision(pa, pb, max_group_order)
     rows = []
     contradiction = False
     for c in chars:
         field = FieldSpec(c)
-        va = lie_simplicity(gA, field)
-        vb = lie_simplicity(gB, field)
+        va = lie_simplicity(invA, field)
+        vb = lie_simplicity(invB, field)
         rows.append((c, va, vb))
         if iso == "exists" and va.status != vb.status:
             contradiction = True

@@ -1,8 +1,14 @@
-"""Seeded random generators shared by the test modules."""
+"""Seeded random generators and reference algorithms shared by the test modules.
+
+The package decides every span and rank question from one Smith normal form;
+the Gauss-Jordan elimination and Fraction determinant here are an independent
+reference for it.
+"""
 
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 from lpa_lie import (
     CohnElement,
@@ -100,3 +106,69 @@ def random_cohn_element(
         coeff = rng.randint(-4, 4)
         acc = acc + CohnElement.term(g, field, t.p, t.q, coeff)
     return acc
+
+
+# -- reference linear algebra -------------------------------------------------
+
+
+def gauss_jordan(rows, field: FieldSpec):
+    """Reduced row echelon form over the prime subfield, and its pivot columns."""
+    mat = [[field.coerce(x) for x in r] for r in rows]
+    pivots: list[int] = []
+    ncols = len(mat[0]) if mat else 0
+    for col in range(ncols):
+        rank = len(pivots)
+        sel = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
+        if sel is None:
+            continue
+        mat[rank], mat[sel] = mat[sel], mat[rank]
+        inv = field.coerce(1) / mat[rank][col]
+        mat[rank] = [x * inv for x in mat[rank]]
+        for r in range(len(mat)):
+            if r != rank and mat[r][col]:
+                f = mat[r][col]
+                mat[r] = [a - f * b for a, b in zip(mat[r], mat[rank])]
+        pivots.append(col)
+    return mat, pivots
+
+
+def reference_rank(rows, field: FieldSpec) -> int:
+    return len(gauss_jordan(rows, field)[1])
+
+
+def reference_span(vectors, target, field: FieldSpec):
+    """Coefficients c with ``sum_j c_j vectors[j] == target`` (free ones zero), or None."""
+    n = len(vectors)
+    aug = [[v[i] for v in vectors] + [t] for i, t in enumerate(target)]
+    reduced, pivots = gauss_jordan(aug, field)
+    if n in pivots:
+        return None
+    solution = [field.zero()] * n
+    for r, c in enumerate(pivots):
+        solution[c] = reduced[r][n]
+    return solution
+
+
+def mat_mul(a, b) -> list[list[int]]:
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def int_det(mat) -> int:
+    """Exact determinant of a square integer matrix by Fraction elimination."""
+    n = len(mat)
+    a = [[Fraction(x) for x in row] for row in mat]
+    det = Fraction(1)
+    for col in range(n):
+        sel = next((r for r in range(col, n) if a[r][col]), None)
+        if sel is None:
+            return 0
+        if sel != col:
+            a[col], a[sel] = a[sel], a[col]
+            det = -det
+        det *= a[col][col]
+        for r in range(col + 1, n):
+            if a[r][col]:
+                f = a[r][col] / a[col][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    assert det.denominator == 1
+    return det.numerator

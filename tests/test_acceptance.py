@@ -8,6 +8,8 @@ import random
 from itertools import product
 
 from _gen import (
+    int_det,
+    mat_mul,
     random_basis_term,
     random_cohn_element,
     random_graph,
@@ -15,6 +17,7 @@ from _gen import (
     random_path,
     random_pis_graphs,
     random_simple_graphs,
+    reference_span,
 )
 
 from lpa_lie import (
@@ -42,7 +45,6 @@ from lpa_lie import (
     verify_witness,
     vertex_combination_in_commutator,
 )
-from lpa_lie.linalg import int_det, mat_mul
 
 CHARS = (0, 2, 3, 5, 7)
 
@@ -117,13 +119,11 @@ def test_criterion_05_dual_route_agreement():
         cols = [[mat[i][j] for i in range(n)] for j in range(n)]
         ones = [1] * n
         pres = cokernel(mat)
-        assert (span_membership(cols, ones, FieldSpec(0)) is not None) == (
-            class_order(pres) is not None
-        )
-        for p in (2, 3, 5):
-            assert (span_membership(cols, ones, FieldSpec(p)) is not None) == is_p_divisible(
-                pres, p
-            )
+        for p in (0, 2, 3, 5):
+            field = FieldSpec(p)
+            solvable = reference_span(cols, ones, field) is not None
+            assert (span_membership(cols, ones, field) is not None) == solvable
+            assert solvable == (is_p_divisible(pres, p) if p else class_order(pres) is not None)
     done(5, "span and K0 routes agree on 500 PIS graphs and 500 random matrices")
 
 

@@ -1,8 +1,22 @@
+import io
 import json
+import random
+from fractions import Fraction
 
 import pytest
 
-from lpa_lie import family, parse_graph, serialize_graph
+from _gen import random_graphs_where, reference_rank, reference_span
+
+import lpa_lie
+from lpa_lie import (
+    FieldSpec,
+    b_vectors,
+    family,
+    is_simple_lpa,
+    is_trivial_lpa,
+    parse_graph,
+    serialize_graph,
+)
 from lpa_lie.cli import main
 
 
@@ -249,6 +263,101 @@ def test_kp_check_inapplicable(tmp_path, capsys):
     assert "inapplicable" in out
 
 
+def test_kp_check_rejects_reading_stdin_twice(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO(serialize_graph(family("rose", [2]))))
+    code, _, err = run(capsys, "kp-check", "-", "-")
+    assert code == 1
+    assert "standard input can supply only one graph" in err
+
+
+def test_kp_check_rejects_max_group_order_below_one(tmp_path, capsys):
+    a = write_family(tmp_path, "rose", [2])
+    for bound in ("0", "-5"):
+        code, _, err = run(capsys, "kp-check", a, a, f"--max-group-order={bound}")
+        assert code == 1
+        assert "--max-group-order must be at least 1" in err
+
+
+# -- agreement with the reference and work done per graph ---------------------------
+
+PRIMES_BELOW_100 = [p for p in range(2, 100) if all(p % q for q in range(2, p))]
+
+
+def _field_value(text: str, p: int):
+    x = Fraction(text)
+    return x if p == 0 else x.numerator % p
+
+
+def test_random_simple_graphs_match_reference(tmp_path, capsys):
+    rng = random.Random(301)
+    graphs = random_graphs_where(
+        rng, 30, lambda g: is_simple_lpa(g).verdict and not is_trivial_lpa(g)
+    )
+    chars = [0] + PRIMES_BELOW_100
+    non_members = 0
+    for n, g in enumerate(graphs):
+        path = tmp_path / f"g{n}.graph"
+        path.write_text(serialize_graph(g), encoding="utf-8")
+        bvecs = b_vectors(g)
+        m = g.num_vertices
+        sinks = [i for i, v in enumerate(g.vertices) if g.is_sink(v)]
+        code, out, _ = run(capsys, "analyze", str(path), "--json", "--char", ",".join(map(str, chars)))
+        assert code == 0
+        simple_at = []
+        for row in json.loads(out)["verdicts"]:
+            p = row["characteristic"]
+            member = reference_span(bvecs, [1] * m, FieldSpec(p)) is not None
+            assert row["span"]["status"] == ("not-simple" if member else "simple"), (n, p)
+            if not member:
+                simple_at.append(p)
+                continue
+            c = [_field_value(x, p) for x in row["span"]["certificate"]]
+            assert all(c[i] == 0 for i in sinks)
+            for j in range(m):
+                total = sum(c[i] * bvecs[i][j] for i in range(m))
+                assert (total - 1) % p == 0 if p else total == 1
+        trials = [([1] * m, p) for p in simple_at[:2]]
+        trials += [([rng.randint(-3, 3) for _ in range(m)], rng.choice(chars)) for _ in range(2)]
+        for k, p in trials:
+            field = FieldSpec(p)
+            coeffs = ",".join(map(str, k))
+            code, out, _ = run(capsys, "witness", str(path), f"--coeffs={coeffs}", "--char", str(p), "--json")
+            data = json.loads(out)
+            if reference_span(bvecs, k, field) is None:
+                non_members += 1
+                assert code == 2 and data["membership"] is False
+                assert data["certificate"] == {
+                    "rank_b": reference_rank(bvecs, field),
+                    "rank_augmented": reference_rank(bvecs + [k], field),
+                }
+            else:
+                assert code == 0 and data["verification"] == "VERIFIED"
+    assert non_members >= 30
+
+
+def test_analyze_computes_each_invariant_once(tmp_path, capsys, monkeypatch):
+    modules = [lpa_lie] + [getattr(lpa_lie, name) for name in ("analysis", "linalg", "verdict", "cli")]
+    counts = {}
+    for name in ("is_simple_lpa", "is_purely_infinite_simple", "smith_normal_form"):
+        original = getattr(lpa_lie, name)
+        counts[name] = 0
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        for mod in modules:
+            if getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, counted)
+    path = write_family(tmp_path, "prime_set", [6])
+    code, out, _ = run(capsys, "analyze", path, "--char", "0,2,3,5,7,11,13,17,19,23,29,31")
+    assert code == 0
+    assert out.count("-- AGREE") == 12
+    assert counts["is_simple_lpa"] <= 1
+    assert counts["is_purely_infinite_simple"] <= 1
+    assert counts["smith_normal_form"] <= 2
+
+
 # -- selftest and misc ----------------------------------------------------------------
 
 
@@ -267,8 +376,6 @@ def test_selftest_json(capsys):
 
 
 def test_stdin_input(capsys, monkeypatch):
-    import io
-
     monkeypatch.setattr("sys.stdin", io.StringIO(serialize_graph(family("rose", [3]))))
     code, out, _ = run(capsys, "k0", "-")
     assert code == 0
@@ -303,6 +410,7 @@ MALFORMED_INPUTS = [
     '{"vertices": ["a"], "adjacency": [[1, 2]]}',
     '{"vertices": ["a"], "adjacency": [["x"]]}',
     '{"vertices": "a"}',
+    '{"vertices": "abc", "adjacency": [[0,0,0],[0,0,0],[0,0,0]]}',
     '{"vertices": ["a"], "adjacency": [[true]]}',
     "{not json",
     '{"vertices": ["a"], "adjacency": "nope"}',

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _gen import random_int_matrix
+from _gen import int_det, mat_mul, random_int_matrix, reference_rank, reference_span
 
 from lpa_lie import (
     FieldSpec,
@@ -20,11 +20,9 @@ from lpa_lie import (
     is_p_divisible,
     is_prime,
     m_matrix,
-    rank_over_field,
     smith_normal_form,
     span_membership,
 )
-from lpa_lie.linalg import int_det, mat_mul
 
 int_matrices = st.integers(min_value=1, max_value=5).flatmap(
     lambda n: st.lists(
@@ -238,8 +236,11 @@ def test_rank_equals_nonzero_diagonal():
     for _ in range(150):
         mat = random_int_matrix(rng)
         dec = smith_normal_form(mat)
-        expected = sum(1 for a in dec.diagonal if a)
-        assert rank_over_field(mat, FieldSpec(0)) == expected
+        for c in (0, 2, 3, 5):
+            field = FieldSpec(c)
+            expected = sum(1 for a in dec.diagonal if (a % c if c else a))
+            assert reference_rank(mat, field) == expected
+            assert dec.rank(field) == expected
 
 
 # -- cokernel presentations --------------------------------------------------
@@ -365,8 +366,10 @@ def test_dual_route_identity_random_matrices():
         cols = [[mat[i][j] for i in range(n)] for j in range(n)]
         ones = [1] * n
         pres = cokernel(mat)
-        solvable_q = span_membership(cols, ones, FieldSpec(0)) is not None
+        solvable_q = reference_span(cols, ones, FieldSpec(0)) is not None
         assert solvable_q == (class_order(pres) is not None)
+        assert solvable_q == (span_membership(cols, ones, FieldSpec(0)) is not None)
         for p in (2, 3, 5):
-            solvable_p = span_membership(cols, ones, FieldSpec(p)) is not None
+            solvable_p = reference_span(cols, ones, FieldSpec(p)) is not None
             assert solvable_p == is_p_divisible(pres, p)
+            assert solvable_p == (span_membership(cols, ones, FieldSpec(p)) is not None)
