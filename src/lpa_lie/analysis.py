@@ -68,17 +68,10 @@ class SimplicityReport:
         return self.witnesses[0] if self.witnesses else None
 
 
-def _out_adjacency(g: Graph) -> list[list[int]]:
-    adj: list[set[int]] = [set() for _ in range(g.num_vertices)]
-    for e in g.edges:
-        adj[e.source.index].add(e.target.index)
-    return [sorted(s) for s in adj]
-
-
 def reachability(g: Graph) -> list[list[bool]]:
     """Reflexive-transitive closure of the edge relation, as a boolean grid."""
     m = g.num_vertices
-    adj = _out_adjacency(g)
+    adj = g.successors
     closure = [[False] * m for _ in range(m)]
     for s in range(m):
         seen = {s}
@@ -97,7 +90,7 @@ def reachability(g: Graph) -> list[list[bool]]:
 def _scc_assignment(g: Graph) -> list[int]:
     """Component index per vertex (Kosaraju, iterative)."""
     m = g.num_vertices
-    out_adj = _out_adjacency(g)
+    out_adj = g.successors
     in_adj: list[list[int]] = [[] for _ in range(m)]
     for v in range(m):
         for w in out_adj[v]:
@@ -146,10 +139,7 @@ def cycle_vertices(g: Graph) -> set[VertexId]:
     contains an edge (a loop for singleton components).
     """
     comp = _scc_assignment(g)
-    live: set[int] = set()
-    for e in g.edges:
-        if comp[e.source.index] == comp[e.target.index]:
-            live.add(comp[e.source.index])
+    live = {comp[v] for v, succ in enumerate(g.successors) for w in succ if comp[w] == comp[v]}
     return {v for v in g.vertices if comp[v.index] in live}
 
 
@@ -160,28 +150,26 @@ def find_cycle_without_exit(g: Graph) -> tuple[EdgeId, ...] | None:
     its cycle edge, so it suffices to chase the functional subgraph spanned by
     out-degree-1 vertices.  The returned cycle starts at its smallest vertex.
     """
-    step: dict[int, EdgeId] = {}
-    for v in g.vertices:
-        out = g.out_edges(v)
-        if len(out) == 1:
-            step[v.index] = out[0]
+    step = {
+        v.index: g.successors[v.index][0] for v in g.vertices if g.out_degree(v) == 1
+    }
 
     finished: set[int] = set()
     for start in sorted(step):
         if start in finished:
             continue
         position: dict[int, int] = {}
-        path: list[EdgeId] = []
+        path: list[int] = []
         cur = start
         while cur in step and cur not in finished and cur not in position:
             position[cur] = len(path)
-            path.append(step[cur])
-            cur = step[cur].target.index
+            path.append(cur)
+            cur = step[cur]
         if cur in position:
             cycle = path[position[cur]:]
-            lowest = min(range(len(cycle)), key=lambda k: cycle[k].source.index)
+            lowest = cycle.index(min(cycle))
             cycle = cycle[lowest:] + cycle[:lowest]
-            return tuple(cycle)
+            return tuple(g.out_edges(g.vertices[i])[0] for i in cycle)
         finished.update(position)
     return None
 

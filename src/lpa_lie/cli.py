@@ -79,7 +79,7 @@ def _load_graph(spec: str) -> Graph:
     if stripped.startswith("{"):
         try:
             data = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise _CliError(f"bad JSON graph: {exc}") from exc
         if not isinstance(data, dict) or "vertices" not in data or "adjacency" not in data:
             raise _CliError("JSON graph needs 'vertices' and 'adjacency' fields")
@@ -169,7 +169,9 @@ def _k0_dict(pres: K0Presentation) -> dict:
 
 def _emit(args, payload: dict, human: str) -> None:
     if args.json:
-        print(json.dumps(payload, indent=2))
+        # a Graph in the payload becomes its summary only here, so a text
+        # report never builds the edge list
+        print(json.dumps(payload, indent=2, default=_graph_summary))
     else:
         print(human, end="")
 
@@ -201,7 +203,7 @@ def _cmd_analyze(args) -> int:
     payload = {
         "schema": SCHEMA,
         "command": "analyze",
-        "graph": _graph_summary(g),
+        "graph": g,
         "b_vectors": bvecs,
         "algebra_simple": _simplicity_dict(simple),
         "purely_infinite_simple": _simplicity_dict(pis),
@@ -210,18 +212,15 @@ def _cmd_analyze(args) -> int:
     }
 
     lines = []
-    gs = payload["graph"]
+    lines.append(f"graph: {g.num_vertices} vertices, {g.num_edges} edges")
+    lines.append("vertices: " + " ".join(v.label for v in g.vertices))
     lines.append(
-        f"graph: {len(gs['vertices'])} vertices, {gs['edge_count']} edges"
-    )
-    lines.append("vertices: " + " ".join(gs["vertices"]))
-    lines.append(
-        "sinks: " + (" ".join(gs["sinks"]) or "(none)")
-        + "   regular: " + (" ".join(gs["regular"]) or "(none)")
+        "sinks: " + (" ".join(v.label for v in g.sinks()) or "(none)")
+        + "   regular: " + (" ".join(v.label for v in g.regular_vertices()) or "(none)")
     )
     lines.append("B-vectors:")
-    for v, b in zip(gs["vertices"], bvecs):
-        lines.append(f"  B[{v}] = {_fmt_vec(b)}")
+    for v, b in zip(g.vertices, bvecs):
+        lines.append(f"  B[{v.label}] = {_fmt_vec(b)}")
     if simple.verdict:
         lines.append("path algebra: simple (for every coefficient field)")
     else:
@@ -285,7 +284,7 @@ def _cmd_k0(args) -> int:
     payload = {
         "schema": SCHEMA,
         "command": "k0",
-        "graph": _graph_summary(g),
+        "graph": g,
         "k0": info,
         "p_divisibility": divisibility,
     }

@@ -1,4 +1,4 @@
-"""Finite directed multigraphs with individually named edges.
+"""Finite directed multigraphs stored as runs of parallel edges.
 
 This module owns the graph data model, the line-oriented text format used by
 the command line tool, the adjacency/B-vector/presentation-matrix invariants,
@@ -7,11 +7,23 @@ the two- and four-vertex families used throughout the test suite).
 
 Vertex declaration order is significant: it fixes the row/column order of
 every matrix and vector derived from a graph.
+
+A graph keeps its edges as runs in declaration order.  An auto run
+``(src, dst, first_k, multiplicity)`` stands for the parallel edges named
+``<src>_<dst>_<k>`` for ``k = first_k, ..., first_k + multiplicity - 1``; a
+labelled run ``(label, src, dst)`` is one individually named edge.  Every
+criterion the package decides depends only on the adjacency counts, which are
+derived once from the runs, so a multiplicity costs O(1): building, parsing,
+serialising and every count-based invariant take O(V^2 + runs) time.
+``EdgeId`` objects are built only where an edge is named (``Graph.edges`` and
+``Graph.out_edges``).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 
 __all__ = [
     "VertexId",
@@ -67,16 +79,125 @@ class EdgeId:
     target: VertexId
 
 
+def _split_auto(label: str) -> tuple[str, int] | None:
+    """``(prefix, k)`` when ``label`` reads ``<prefix>_<k>`` with k a positive decimal."""
+    prefix, sep, digits = label.rpartition("_")
+    if not (sep and digits.isascii() and digits.isdigit() and digits[0] != "0"):
+        return None
+    try:
+        return prefix, int(digits)
+    except ValueError:  # more digits than int() converts; no auto run reaches such a k
+        return None
+
+
+class _EdgeLabels:
+    """The edge labels claimed so far.
+
+    A label of the auto shape ``<prefix>_<k>`` is kept as part of a range of
+    k under its prefix, so claiming a whole auto run costs O(log runs).
+    Auto runs are grouped by the prefix ``<src>_<dst>``, not by the vertex
+    pair: ``a_b -> c`` and ``a -> b_c`` name the same labels.
+    """
+
+    def __init__(self):
+        self.plain: set[str] = set()
+        self.ranges: dict[str, tuple[list[int], list[int]]] = {}
+
+    def claim_range(self, prefix: str, lo: int, hi: int) -> int | None:
+        """Claim ``<prefix>_<k>`` for ``lo <= k <= hi``; the smallest k already taken, or None."""
+        starts, ends = self.ranges.setdefault(prefix, ([], []))
+        i = bisect_left(ends, lo)
+        if i < len(ends) and starts[i] <= hi:
+            return max(starts[i], lo)
+        if i and ends[i - 1] == lo - 1:
+            ends[i - 1] = hi
+        else:
+            starts.insert(i, lo)
+            ends.insert(i, hi)
+        return None
+
+    def claim(self, label: str) -> bool:
+        """Claim one label; False when it is already taken."""
+        auto = _split_auto(label)
+        if auto is not None:
+            return self.claim_range(auto[0], auto[1], auto[1]) is None
+        if label in self.plain:
+            return False
+        self.plain.add(label)
+        return True
+
+
+def _run_ends(run: tuple) -> tuple[int, int, int]:
+    """``(src, dst, multiplicity)`` of a run."""
+    if len(run) == 4:
+        return run[0], run[1], run[3]
+    return run[1], run[2], 1
+
+
+def _canonical_runs(vertices: tuple[VertexId, ...], runs) -> tuple[tuple, ...]:
+    """Validate runs (vertex indices) and put them in canonical form.
+
+    A labelled run whose label is its own edge's auto label becomes an auto
+    run, and adjacent auto runs continuing each other merge, so two graphs
+    are equal exactly when their edge sequences are.
+    """
+    m = len(vertices)
+    labels = _EdgeLabels()
+    out: list[tuple] = []
+    for run in runs:
+        if not isinstance(run, tuple) or len(run) not in (3, 4):
+            raise GraphError(f"bad edge run {run!r}")
+        if len(run) == 3:
+            label, s, d = run
+        else:
+            s, d, k, n = run
+            label = f"{s}_{d}_{k}"
+        for end in (s, d):
+            if not isinstance(end, int) or isinstance(end, bool) or not 0 <= end < m:
+                raise GraphError(f"edge {label!r} references unknown vertex {end!r}")
+        prefix = f"{vertices[s].label}_{vertices[d].label}"
+        if len(run) == 3:
+            if not isinstance(label, str) or not label or any(ch.isspace() for ch in label):
+                raise GraphError(f"bad edge label {label!r}")
+            auto = _split_auto(label)
+            if auto is not None and auto[0] == prefix:
+                run = (s, d, auto[1], 1)
+            elif not labels.claim(label):
+                raise GraphError(f"duplicate edge label {label!r}")
+        if len(run) == 4:
+            s, d, k, n = run
+            for x in (k, n):
+                if not isinstance(x, int) or isinstance(x, bool) or x < 1:
+                    raise GraphError(
+                        f"auto run {run!r} needs a positive integer first_k and multiplicity"
+                    )
+            clash = labels.claim_range(prefix, k, k + n - 1)
+            if clash is not None:
+                raise GraphError(f"duplicate edge label {f'{prefix}_{clash}'!r}")
+            last = out[-1] if out else ()
+            if len(last) == 4 and last[:2] == (s, d) and last[2] + last[3] == k:
+                run = (s, d, last[2], last[3] + n)
+                out.pop()
+        out.append(run)
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class Graph:
     """A finite directed multigraph.
 
-    Vertices and edges are kept in declaration order; that order is the
-    canonical index order used by every derived matrix and vector.
+    Vertices and edge runs are kept in declaration order; that order is the
+    canonical index order used by every derived matrix and vector, and the
+    order of ``edges``.  ``runs`` holds vertex indices: ``(src, dst, first_k,
+    multiplicity)`` for auto-named parallel edges, ``(label, src, dst)`` for
+    one named edge.  It is canonical, so equality of graphs is equality of
+    their edge sequences.  The count matrix ``counts``, the per-vertex
+    ``successors`` and the out-degrees are derived once from the runs;
+    ``EdgeId`` objects are built only by ``edges`` and ``out_edges``.
     """
 
     vertices: tuple[VertexId, ...]
-    edges: tuple[EdgeId, ...]
+    runs: tuple[tuple, ...]
 
     def __post_init__(self):
         if not self.vertices:
@@ -90,38 +211,87 @@ class Graph:
             if v.label in seen:
                 raise GraphError(f"duplicate vertex label {v.label!r}")
             seen.add(v.label)
-        eseen: set[str] = set()
-        for i, e in enumerate(self.edges):
-            if e.index != i:
-                raise GraphError(f"edge {e.label!r} has index {e.index}, expected {i}")
-            if not e.label or any(ch.isspace() for ch in e.label):
-                raise GraphError(f"bad edge label {e.label!r}")
-            if e.label in eseen:
-                raise GraphError(f"duplicate edge label {e.label!r}")
-            eseen.add(e.label)
-            for end in (e.source, e.target):
-                if not (0 <= end.index < len(self.vertices)) or self.vertices[end.index] != end:
-                    raise GraphError(f"edge {e.label!r} references unknown vertex {end.label!r}")
+        object.__setattr__(self, "runs", _canonical_runs(self.vertices, self.runs))
 
     @classmethod
     def build(
         cls,
         vertex_labels: list[str] | tuple[str, ...],
-        edge_specs: list[tuple[str, str, str]] | tuple[tuple[str, str, str], ...] = (),
+        edge_specs: list[tuple] | tuple[tuple, ...] = (),
     ) -> "Graph":
-        """Construct a graph from labels and (edge_label, src, dst) triples."""
+        """Construct a graph from labels and edge runs named by vertex label.
+
+        Each spec is ``(edge_label, src, dst)`` for one named edge or
+        ``(src, dst, first_k, multiplicity)`` for auto-named parallel edges.
+        """
         vertices = tuple(VertexId(i, lbl) for i, lbl in enumerate(vertex_labels))
-        by_label = {v.label: v for v in vertices}
-        if len(by_label) != len(vertices):
+        index = {v.label: v.index for v in vertices}
+        if len(index) != len(vertices):
             raise GraphError("duplicate vertex label")
-        edges = []
-        for i, (lbl, src, dst) in enumerate(edge_specs):
-            if src not in by_label:
-                raise GraphError(f"edge {lbl!r} references undeclared vertex {src!r}")
-            if dst not in by_label:
-                raise GraphError(f"edge {lbl!r} references undeclared vertex {dst!r}")
-            edges.append(EdgeId(i, lbl, by_label[src], by_label[dst]))
-        return cls(vertices, tuple(edges))
+        runs = []
+        for spec in edge_specs:
+            if len(spec) == 3:
+                lbl, src, dst = spec
+            elif len(spec) == 4:
+                src, dst = spec[0], spec[1]
+                lbl = f"{src}_{dst}_{spec[2]}"
+            else:
+                raise GraphError(f"bad edge spec {spec!r}")
+            for name in (src, dst):
+                if name not in index:
+                    raise GraphError(f"edge {lbl!r} references undeclared vertex {name!r}")
+            if len(spec) == 3:
+                runs.append((lbl, index[src], index[dst]))
+            else:
+                runs.append((index[src], index[dst], *spec[2:]))
+        return cls(vertices, tuple(runs))
+
+    @cached_property
+    def counts(self) -> tuple[tuple[int, ...], ...]:
+        """The adjacency counts: entry (i, j) is the number of edges from v_i to v_j."""
+        m = len(self.vertices)
+        a = [[0] * m for _ in range(m)]
+        for run in self.runs:
+            s, d, n = _run_ends(run)
+            a[s][d] += n
+        return tuple(tuple(row) for row in a)
+
+    @cached_property
+    def successors(self) -> tuple[tuple[int, ...], ...]:
+        """Per vertex index, the sorted indices of the vertices it has an edge to."""
+        return tuple(tuple(j for j, c in enumerate(row) if c) for row in self.counts)
+
+    @cached_property
+    def _out_degrees(self) -> tuple[int, ...]:
+        return tuple(sum(row) for row in self.counts)
+
+    @cached_property
+    def _runs_from(self) -> tuple[tuple[tuple[int, tuple], ...], ...]:
+        """Per vertex index, ``(index of its first edge, run)`` for each run it emits."""
+        out: list[list] = [[] for _ in self.vertices]
+        start = 0
+        for run in self.runs:
+            s, _, n = _run_ends(run)
+            out[s].append((start, run))
+            start += n
+        return tuple(tuple(x) for x in out)
+
+    def _named_edges(self, start: int, run: tuple) -> list[EdgeId]:
+        src, dst, _ = _run_ends(run)
+        src, dst = self.vertices[src], self.vertices[dst]
+        if len(run) == 3:
+            return [EdgeId(start, run[0], src, dst)]
+        k, n = run[2], run[3]
+        prefix = f"{src.label}_{dst.label}_"
+        return [EdgeId(start + i, f"{prefix}{k + i}", src, dst) for i in range(n)]
+
+    @cached_property
+    def edges(self) -> tuple[EdgeId, ...]:
+        """Every edge, named, in declaration order; costs O(E) on first use."""
+        out: list[EdgeId] = []
+        for run in self.runs:
+            out += self._named_edges(len(out), run)
+        return tuple(out)
 
     @property
     def num_vertices(self) -> int:
@@ -129,7 +299,7 @@ class Graph:
 
     @property
     def num_edges(self) -> int:
-        return len(self.edges)
+        return sum(self._out_degrees)
 
     def vertex(self, label: str) -> VertexId:
         for v in self.vertices:
@@ -137,33 +307,42 @@ class Graph:
                 return v
         raise GraphError(f"no vertex labeled {label!r}")
 
+    @cached_property
+    def _named_out(self) -> dict[int, tuple[EdgeId, ...]]:
+        # out_edges built so far: repeated calls return the same EdgeId
+        # objects, so the Cohn algebra's term dicts match them by identity
+        return {}
+
     def out_edges(self, v: VertexId) -> tuple[EdgeId, ...]:
-        return tuple(e for e in self.edges if e.source == v)
+        """The named edges leaving ``v``; O(out-degree of v) on the first call."""
+        named = self._named_out.get(v.index)
+        if named is None:
+            out: list[EdgeId] = []
+            for start, run in self._runs_from[v.index]:
+                out += self._named_edges(start, run)
+            named = self._named_out[v.index] = tuple(out)
+        return named
 
     def out_degree(self, v: VertexId) -> int:
-        return sum(1 for e in self.edges if e.source == v)
+        return self._out_degrees[v.index]
 
     def is_sink(self, v: VertexId) -> bool:
-        return self.out_degree(v) == 0
+        return self._out_degrees[v.index] == 0
 
     def is_regular(self, v: VertexId) -> bool:
         """A regular vertex emits at least one edge (out-degree is always finite here)."""
-        return not self.is_sink(v)
+        return self._out_degrees[v.index] != 0
 
     def sinks(self) -> tuple[VertexId, ...]:
-        return tuple(v for v in self.vertices if self.is_sink(v))
+        return tuple(v for v, deg in zip(self.vertices, self._out_degrees) if not deg)
 
     def regular_vertices(self) -> tuple[VertexId, ...]:
-        return tuple(v for v in self.vertices if self.is_regular(v))
+        return tuple(v for v, deg in zip(self.vertices, self._out_degrees) if deg)
 
 
 def adjacency_matrix(g: Graph) -> list[list[int]]:
     """The m x m matrix whose (i, j) entry counts edges from v_i to v_j."""
-    m = g.num_vertices
-    a = [[0] * m for _ in range(m)]
-    for e in g.edges:
-        a[e.source.index][e.target.index] += 1
-    return a
+    return [list(row) for row in g.counts]
 
 
 def b_vectors(g: Graph) -> list[list[int]]:
@@ -177,21 +356,18 @@ def b_vectors(g: Graph) -> list[list[int]]:
     >>> b_vectors(family("line", [2]))
     [[-1, 1], [0, 0]]
     """
-    a = adjacency_matrix(g)
     out = []
-    for i, v in enumerate(g.vertices):
-        if g.is_regular(v):
-            row = list(a[i])
-            row[i] -= 1
-            out.append(row)
-        else:
-            out.append([0] * g.num_vertices)
+    for i, row in enumerate(g.counts):
+        b = list(row)
+        if any(b):
+            b[i] -= 1
+        out.append(b)
     return out
 
 
 def m_matrix(g: Graph) -> list[list[int]]:
     """The presentation matrix I - A^t (A the adjacency matrix)."""
-    a = adjacency_matrix(g)
+    a = g.counts
     m = g.num_vertices
     return [[(1 if i == j else 0) - a[j][i] for j in range(m)] for i in range(m)]
 
@@ -202,17 +378,21 @@ def graph_from_adjacency(labels: list[str], adjacency: list[list[int]]) -> Graph
     Edges are created in row-major order and auto-named ``<src>_<dst>_<k>``.
     """
     m = len(labels)
-    if len(adjacency) != m or any(len(row) != m for row in adjacency):
+    if (
+        not isinstance(adjacency, (list, tuple))
+        or len(adjacency) != m
+        or any(not isinstance(row, (list, tuple)) or len(row) != m for row in adjacency)
+    ):
         raise GraphError("adjacency matrix must be square and match the vertex count")
-    specs = []
+    runs = []
     for i in range(m):
         for j in range(m):
             count = adjacency[i][j]
             if not isinstance(count, int) or isinstance(count, bool) or count < 0:
                 raise GraphError(f"adjacency entry ({i}, {j}) must be a non-negative integer")
-            for k in range(1, count + 1):
-                specs.append((f"{labels[i]}_{labels[j]}_{k}", labels[i], labels[j]))
-    return Graph.build(labels, specs)
+            if count:
+                runs.append((labels[i], labels[j], 1, count))
+    return Graph.build(labels, runs)
 
 
 def parse_graph(text: str) -> Graph:
@@ -227,8 +407,8 @@ def parse_graph(text: str) -> Graph:
     """
     vertex_labels: list[str] = []
     declared: set[str] = set()
-    edge_specs: list[tuple[str, str, str]] = []
-    edge_labels: set[str] = set()
+    runs: list[tuple] = []
+    labels = _EdgeLabels()
     counters: dict[tuple[str, str], int] = {}
 
     def column_of(line: str, token: str, occurrence: int = 0) -> int:
@@ -277,12 +457,10 @@ def parse_graph(text: str) -> Graph:
                         f"multiplicity must be >= 1, got {mult}", lineno, column_of(raw, tokens[3])
                     )
             base = counters.get((src, dst), 0)
-            for k in range(1, mult + 1):
-                label = f"{src}_{dst}_{base + k}"
-                if label in edge_labels:
-                    raise GraphParseError(f"duplicate edge label {label!r}", lineno)
-                edge_labels.add(label)
-                edge_specs.append((label, src, dst))
+            clash = labels.claim_range(f"{src}_{dst}", base + 1, base + mult)
+            if clash is not None:
+                raise GraphParseError(f"duplicate edge label {f'{src}_{dst}_{clash}'!r}", lineno)
+            runs.append((src, dst, base + 1, mult))
             counters[(src, dst)] = base + mult
         elif directive == "edge-label":
             if len(tokens) != 4:
@@ -293,12 +471,11 @@ def parse_graph(text: str) -> Graph:
                     raise GraphParseError(
                         f"undeclared vertex {name!r}", lineno, column_of(raw, name)
                     )
-            if label in edge_labels:
+            if not labels.claim(label):
                 raise GraphParseError(
                     f"duplicate edge label {label!r}", lineno, column_of(raw, label)
                 )
-            edge_labels.add(label)
-            edge_specs.append((label, src, dst))
+            runs.append((label, src, dst))
         else:
             raise GraphParseError(
                 f"unknown directive {directive!r}", lineno, column_of(raw, directive)
@@ -306,34 +483,38 @@ def parse_graph(text: str) -> Graph:
 
     if not vertex_labels:
         raise GraphParseError("no vertices declared")
-    return Graph.build(vertex_labels, edge_specs)
+    return Graph.build(vertex_labels, runs)
 
 
 def serialize_graph(g: Graph) -> str:
     """Canonical text for a graph; ``parse_graph`` round-trips it exactly.
 
-    Consecutive parallel edges whose labels match the auto-naming scheme are
-    collapsed into a single ``edge`` line with a multiplicity; any other edge
-    is written as an explicit ``edge-label`` line.
+    Consecutive parallel edges whose labels continue the auto-naming count of
+    their vertex pair are collapsed into a single ``edge`` line with a
+    multiplicity; any other edge is written as an explicit ``edge-label``
+    line, together with the rest of its group of consecutive parallel edges.
     """
-    lines = [f"vertex {v.label}" for v in g.vertices]
-    counters: dict[tuple[str, str], int] = {}
+    names = [v.label for v in g.vertices]
+    lines = [f"vertex {name}" for name in names]
+    counters: dict[tuple[int, int], int] = {}
+    runs = g.runs
     i = 0
-    edges = g.edges
-    while i < len(edges):
-        key = (edges[i].source.label, edges[i].target.label)
-        j = i
-        while j < len(edges) and (edges[j].source.label, edges[j].target.label) == key:
+    while i < len(runs):
+        key = _run_ends(runs[i])[:2]
+        j = i + 1
+        while j < len(runs) and _run_ends(runs[j])[:2] == key:
             j += 1
-        run = edges[i:j]
+        src, dst = names[key[0]], names[key[1]]
+        # canonical runs merge continuing auto runs, so a group that reads
+        # as one multiplicity line is a single auto run
+        run = runs[i]
         base = counters.get(key, 0)
-        expected = [f"{key[0]}_{key[1]}_{base + k}" for k in range(1, len(run) + 1)]
-        if [e.label for e in run] == expected:
-            lines.append(f"edge {key[0]} {key[1]} {len(run)}")
-            counters[key] = base + len(run)
+        if j == i + 1 and len(run) == 4 and run[2] == base + 1:
+            lines.append(f"edge {src} {dst} {run[3]}")
+            counters[key] = base + run[3]
         else:
-            for e in run:
-                lines.append(f"edge-label {e.label} {e.source.label} {e.target.label}")
+            for r in runs[i:j]:
+                lines += (f"edge-label {e.label} {src} {dst}" for e in g._named_edges(0, r))
         i = j
     return "\n".join(lines) + "\n"
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 __all__ = [
     "is_prime",
@@ -33,18 +33,99 @@ __all__ = [
 ]
 
 
+# Strong probable-prime tests to these bases decide primality of every n
+# below _MR_BOUND (Sorenson and Webster, Math. Comp. 86, 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
-    """Deterministic trial-division primality test; fine at desk scale."""
+    """Primality by Miller-Rabin, deterministic below 3.3e24.
+
+    Below ``_MR_BOUND`` the strong tests to the first 13 prime bases are
+    exact.  Above it this is the Baillie-PSW test (a strong test to base 2
+    and a strong Lucas test), for which no composite that passes is known.
+    """
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    if n < _MR_BOUND:
+        return all(_strong_probable_prime(n, a) for a in _MR_BASES)
+    return _strong_probable_prime(n, 2) and _strong_lucas_probable_prime(n)
+
+
+def _strong_probable_prime(n: int, a: int) -> bool:
+    """The Miller-Rabin test of odd ``n > a`` to base ``a``."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    x = pow(a, d, n)
+    if x == 1 or x == n - 1:
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def _jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a / n) for odd ``n > 0``."""
+    a %= n
+    result = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                result = -result
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            result = -result
+        a %= n
+    return result if n == 1 else 0
+
+
+def _strong_lucas_probable_prime(n: int) -> bool:
+    """The strong Lucas test of odd ``n`` with Selfridge's parameters.
+
+    D is the first of 5, -7, 9, -11, ... with (D / n) = -1, P = 1 and
+    Q = (1 - D) / 4.  Writing n + 1 = d 2^s, n passes when U_d = 0 or
+    V_{d 2^r} = 0 (mod n) for some 0 <= r < s.
+    """
+    if isqrt(n) ** 2 == n:
+        return False  # no D with (D / n) = -1 exists
+    D = 5
+    while True:
+        j = _jacobi(D, n)
+        if j == -1:
+            break
+        if j == 0 and abs(D) != n:
             return False
-        f += 2
-    return True
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4
+    d, s = n + 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    # left-to-right binary ladder for U_k, V_k and Q^k, starting at k = 1
+    U, V, Qk = 1, 1, Q % n
+    for bit in bin(d)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            U, V = U + V, D * U + V
+            U = (U + n if U % 2 else U) // 2 % n
+            V = (V + n if V % 2 else V) // 2 % n
+            Qk = Qk * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+        if V == 0:
+            return True
+    return False
 
 
 def prime_factorization(n: int) -> dict[int, int]:

@@ -2,12 +2,16 @@
 
 The package decides every span and rank question from one Smith normal form;
 the Gauss-Jordan elimination and Fraction determinant here are an independent
-reference for it.
+reference for it.  The package stores edges as runs of parallel edges; the
+per-edge parser and serialiser here are the reference for its text format,
+and trial division is the reference for its Miller-Rabin primality test.
 """
 
 from __future__ import annotations
 
 import random
+import signal
+from contextlib import contextmanager
 from fractions import Fraction
 
 from lpa_lie import (
@@ -15,11 +19,28 @@ from lpa_lie import (
     CohnTerm,
     FieldSpec,
     Graph,
+    GraphParseError,
     PathWord,
     graph_from_adjacency,
     is_purely_infinite_simple,
     is_simple_lpa,
 )
+
+
+@contextmanager
+def time_limit(seconds: int):
+    """Raise ``TimeoutError`` in the block once it has run for ``seconds``."""
+
+    def fire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, fire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def random_graph(rng: random.Random, max_vertices: int = 6, max_mult: int = 3) -> Graph:
@@ -172,3 +193,138 @@ def int_det(mat) -> int:
                 a[r] = [x - f * y for x, y in zip(a[r], a[col])]
     assert det.denominator == 1
     return det.numerator
+
+
+# -- reference number theory ----------------------------------------------------
+
+
+def reference_is_prime(n: int) -> bool:
+    """Trial division."""
+    if n < 2:
+        return False
+    if n % 2 == 0:
+        return n == 2
+    f = 3
+    while f * f <= n:
+        if n % f == 0:
+            return False
+        f += 2
+    return True
+
+
+# -- reference graph text format -------------------------------------------------
+
+
+def reference_parse(text: str) -> tuple[list[str], list[tuple[str, str, str]]]:
+    """The per-edge parser: vertex labels and one ``(label, src, dst)`` per edge."""
+    vertex_labels: list[str] = []
+    declared: set[str] = set()
+    edge_specs: list[tuple[str, str, str]] = []
+    edge_labels: set[str] = set()
+    counters: dict[tuple[str, str], int] = {}
+
+    def column_of(line: str, token: str, occurrence: int = 0) -> int:
+        pos = -1
+        for _ in range(occurrence + 1):
+            pos = line.find(token, pos + 1)
+        return pos + 1 if pos >= 0 else 1
+
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        tokens = line.split()
+        directive = tokens[0]
+        if directive == "vertex":
+            if len(tokens) != 2:
+                raise GraphParseError("expected: vertex <label>", lineno)
+            label = tokens[1]
+            if label in declared:
+                raise GraphParseError(
+                    f"duplicate vertex label {label!r}", lineno, column_of(raw, label)
+                )
+            declared.add(label)
+            vertex_labels.append(label)
+        elif directive == "edge":
+            if len(tokens) not in (3, 4):
+                raise GraphParseError("expected: edge <src> <dst> [<multiplicity>]", lineno)
+            src, dst = tokens[1], tokens[2]
+            for name in (src, dst):
+                if name not in declared:
+                    raise GraphParseError(
+                        f"undeclared vertex {name!r}", lineno, column_of(raw, name)
+                    )
+            mult = 1
+            if len(tokens) == 4:
+                try:
+                    mult = int(tokens[3])
+                except ValueError:
+                    raise GraphParseError(
+                        f"multiplicity must be an integer, got {tokens[3]!r}",
+                        lineno,
+                        column_of(raw, tokens[3]),
+                    ) from None
+                if mult < 1:
+                    raise GraphParseError(
+                        f"multiplicity must be >= 1, got {mult}", lineno, column_of(raw, tokens[3])
+                    )
+            base = counters.get((src, dst), 0)
+            for k in range(1, mult + 1):
+                label = f"{src}_{dst}_{base + k}"
+                if label in edge_labels:
+                    raise GraphParseError(f"duplicate edge label {label!r}", lineno)
+                edge_labels.add(label)
+                edge_specs.append((label, src, dst))
+            counters[(src, dst)] = base + mult
+        elif directive == "edge-label":
+            if len(tokens) != 4:
+                raise GraphParseError("expected: edge-label <name> <src> <dst>", lineno)
+            label, src, dst = tokens[1], tokens[2], tokens[3]
+            for name in (src, dst):
+                if name not in declared:
+                    raise GraphParseError(
+                        f"undeclared vertex {name!r}", lineno, column_of(raw, name)
+                    )
+            if label in edge_labels:
+                raise GraphParseError(
+                    f"duplicate edge label {label!r}", lineno, column_of(raw, label)
+                )
+            edge_labels.add(label)
+            edge_specs.append((label, src, dst))
+        else:
+            raise GraphParseError(
+                f"unknown directive {directive!r}", lineno, column_of(raw, directive)
+            )
+
+    if not vertex_labels:
+        raise GraphParseError("no vertices declared")
+    return vertex_labels, edge_specs
+
+
+def reference_serialize(g: Graph) -> str:
+    """The per-edge serialiser, over the named edges of ``g``.
+
+    Consecutive parallel edges whose labels match the auto-naming scheme are
+    collapsed into a single ``edge`` line with a multiplicity; any other edge
+    is written as an explicit ``edge-label`` line.
+    """
+    lines = [f"vertex {v.label}" for v in g.vertices]
+    counters: dict[tuple[str, str], int] = {}
+    i = 0
+    edges = g.edges
+    while i < len(edges):
+        key = (edges[i].source.label, edges[i].target.label)
+        j = i
+        while j < len(edges) and (edges[j].source.label, edges[j].target.label) == key:
+            j += 1
+        run = edges[i:j]
+        base = counters.get(key, 0)
+        expected = [f"{key[0]}_{key[1]}_{base + k}" for k in range(1, len(run) + 1)]
+        if [e.label for e in run] == expected:
+            lines.append(f"edge {key[0]} {key[1]} {len(run)}")
+            counters[key] = base + len(run)
+        else:
+            for e in run:
+                lines.append(f"edge-label {e.label} {e.source.label} {e.target.label}")
+        i = j
+    return "\n".join(lines) + "\n"

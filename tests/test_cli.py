@@ -1,11 +1,14 @@
 import io
 import json
 import random
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from _gen import random_graphs_where, reference_rank, reference_span
+from _gen import random_graphs_where, reference_rank, reference_span, time_limit
 
 import lpa_lie
 from lpa_lie import (
@@ -414,6 +417,8 @@ MALFORMED_INPUTS = [
     '{"vertices": ["a"], "adjacency": [[true]]}',
     "{not json",
     '{"vertices": ["a"], "adjacency": "nope"}',
+    '{"vertices": ["a"], "adjacency": {"0": [0]}}',
+    '{"vertices": ["a"], "adjacency": ' + "[" * 100_000 + "]" * 100_000 + "}",
     "\x00\x01binary-ish\n",
 ]
 
@@ -428,3 +433,75 @@ def test_malformed_inputs_never_crash(tmp_path, capsys):
             code, out, err = run(capsys, *command)
             assert code == 1, f"{command} on {text!r} exited {code}"
             assert "Traceback" not in err
+
+
+def test_text_reports_on_a_trillion_edges(tmp_path, capsys):
+    path = tmp_path / "big.graph"
+    path.write_text("vertex a\nedge a a 1000000000000\n", encoding="utf-8")
+    with time_limit(5):
+        code, out, _ = run(capsys, "analyze", str(path))
+        k0_code, k0_out, _ = run(capsys, "k0", str(path))
+    assert code == 0
+    assert "graph: 1 vertices, 1000000000000 edges" in out
+    assert "B[a] = (999999999999)" in out
+    assert k0_code == 0
+    assert "Z_999999999999" in k0_out
+
+
+NAMES = ("a", "b", "a_b", "b_c", "c")
+LABELS = NAMES + ("a b", "")
+EDGE_LINES = st.builds("edge {} {} {}".format, st.sampled_from(NAMES), st.sampled_from(NAMES),
+                       st.integers(1, 5) | st.integers(10**9, 10**40))
+DIRECTIVE_TEXT = st.tuples(
+    st.lists(st.sampled_from(NAMES), min_size=1, max_size=4, unique=True),
+    st.lists(
+        st.one_of(
+            EDGE_LINES,
+            EDGE_LINES,
+            EDGE_LINES,
+            st.builds("edge-label {} {} {}".format, st.sampled_from(("f", "a_b_1", "a_b_c_1")),
+                      st.sampled_from(NAMES), st.sampled_from(NAMES)),
+            st.one_of(
+                st.text(max_size=20),
+                st.builds("vertex {}".format, st.sampled_from(LABELS)),
+                st.builds("edge {} {} {}".format, st.sampled_from(LABELS), st.sampled_from(LABELS),
+                          st.integers(-2, 0) | st.sampled_from(("x", "1_000", "1.5", ""))),
+            ),
+        ),
+        max_size=6,
+    ),
+).map(lambda parts: "\n".join([f"vertex {v}" for v in parts[0]] + parts[1]))
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-(10**30), 10**30) | st.floats(allow_nan=False)
+    | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=12,
+)
+SQUARE_GRAPHS = st.integers(0, 4).flatmap(
+    lambda m: st.fixed_dictionaries({
+        "vertices": st.lists(st.sampled_from(LABELS), min_size=m, max_size=m, unique=True),
+        "adjacency": st.lists(
+            st.lists(st.integers(-1, 3) | st.integers(10**12, 10**30), min_size=m, max_size=m),
+            min_size=m, max_size=m,
+        ),
+    })
+)
+JSON_TEXT = st.one_of(
+    SQUARE_GRAPHS,
+    st.fixed_dictionaries({"vertices": JSON_VALUES, "adjacency": JSON_VALUES}),
+    st.dictionaries(st.text(max_size=8), JSON_VALUES, max_size=3),
+).map(json.dumps)
+
+
+@given(st.one_of(DIRECTIVE_TEXT, JSON_TEXT, st.text(max_size=60)))
+@settings(max_examples=300, deadline=None)
+def test_analyze_loader_fuzz(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "fuzz-input.graph"
+    path.write_text(text, encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err), time_limit(10):
+        code = main(["analyze", str(path)])
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert err.getvalue().startswith("error: ")

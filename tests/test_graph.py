@@ -4,15 +4,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _gen import reference_parse, reference_serialize, time_limit
 from lpa_lie import (
+    SIMPLE,
+    FieldSpec,
     Graph,
     GraphError,
+    GraphInvariants,
     GraphParseError,
     adjacency_matrix,
     b_vectors,
     family,
     family_names,
     graph_from_adjacency,
+    lie_simplicity,
     m_matrix,
     parse_graph,
     serialize_graph,
@@ -107,6 +112,96 @@ def test_parse_duplicate_edge_label():
     # an auto-generated label colliding with an explicit one is also rejected
     with pytest.raises(GraphParseError, match="duplicate edge label"):
         parse_graph("vertex a\nedge-label a_a_1 a a\nedge a a 1\n")
+    # auto labels of different vertex pairs can coincide: a_b -> c and a -> b_c
+    with pytest.raises(GraphParseError, match="duplicate edge label 'a_b_c_1'"):
+        parse_graph("vertex a\nvertex a_b\nvertex b_c\nvertex c\nedge a_b c\nedge a b_c\n")
+
+
+VERTEX_NAMES = ("a", "b", "c", "a_b", "b_c", "a_b_c", "x_1")
+
+
+@st.composite
+def directive_scripts(draw):
+    """Graph text mixing multiplicities, explicit labels that may look automatic,
+    and vertex labels containing ``_``; some scripts are malformed."""
+    declared = draw(st.lists(st.sampled_from(VERTEX_NAMES), max_size=5, unique=True))
+    ends = st.sampled_from(declared or VERTEX_NAMES)
+    names = st.one_of(
+        st.sampled_from(("f", "g", "a_b_0", "a_b_01", "_1", "a__1", "a_b_c_d")),
+        st.builds("{}_{}_{}".format, ends, ends, st.integers(1, 6)),
+        st.builds("{}_{}".format, st.sampled_from(VERTEX_NAMES), st.integers(1, 6)),
+    )
+    lines = st.one_of(
+        st.builds("edge {} {}".format, ends, ends),
+        st.builds("edge {} {} {}".format, ends, ends, st.integers(1, 4)),
+        st.builds("edge-label {} {} {}".format, names, ends, ends),
+    )
+    body = draw(st.lists(lines, max_size=12))
+    # now and then a late vertex (possibly a duplicate) or an undeclared end
+    extra = draw(st.sampled_from((None, None, "vertex c", "vertex a_b", "edge a zz")))
+    if extra is not None:
+        body.insert(draw(st.integers(0, len(body))), extra)
+    return "\n".join([f"vertex {v}" for v in declared] + body) + "\n"
+
+
+@given(directive_scripts())
+@settings(max_examples=400, deadline=None)
+def test_runs_match_the_per_edge_reference(text):
+    try:
+        labels, specs = reference_parse(text)
+    except GraphParseError as exc:
+        with pytest.raises(GraphParseError) as got:
+            parse_graph(text)
+        assert (str(got.value), got.value.line, got.value.column) == (
+            str(exc), exc.line, exc.column
+        )
+        return
+    g = parse_graph(text)
+    assert [(e.index, e.label, e.source.label, e.target.label) for e in g.edges] == [
+        (i, *spec) for i, spec in enumerate(specs)
+    ]
+    assert g.num_edges == len(specs)
+    assert g == Graph.build(labels, specs)
+    assert serialize_graph(g) == reference_serialize(g)
+    for v in g.vertices:
+        out = tuple(e for e in g.edges if e.source == v)
+        assert g.out_edges(v) == out
+        assert g.out_degree(v) == len(out)
+        assert [g.counts[v.index][w.index] for w in g.vertices] == [
+            sum(1 for e in out if e.target == w) for w in g.vertices
+        ]
+
+
+def test_explicit_auto_label_is_the_same_edge():
+    g = parse_graph("vertex a\nvertex b\nedge a b 2\nedge-label a_b_3 a b\n")
+    assert g == parse_graph("vertex a\nvertex b\nedge a b 3\n")
+    assert g.runs == ((0, 1, 1, 3),)
+    assert Graph.build(["a", "b"], [("a_b_1", "a", "b")]) == Graph.build(
+        ["a", "b"], [("a", "b", 1, 1)]
+    )
+
+
+def test_two_vertex_family_at_a_million_edges():
+    with time_limit(5):
+        g = family("two_vertex", [100, 100, 100])
+        assert g.num_edges == 1_010_202
+        assert serialize_graph(g) == (
+            "vertex v1\nvertex v2\n"
+            "edge v1 v1 1000001\nedge v1 v2 100\nedge v2 v1 10000\nedge v2 v2 101\n"
+        )
+        inv = GraphInvariants(g)
+        assert inv.simplicity.verdict and inv.pure_infinite_simplicity.verdict
+        assert inv.b_vectors == ((1_000_000, 100), (10_000, 100))
+        assert inv.k0.invariant_factors == (100, 990_000)
+        assert lie_simplicity(inv, FieldSpec(5)).status == SIMPLE
+
+
+def test_parse_a_trillion_parallel_loops():
+    with time_limit(5):
+        g = parse_graph("vertex a\nedge a a 1000000000000")
+        assert g.num_edges == 10**12
+        assert b_vectors(g) == [[10**12 - 1]]
+        assert g.out_degree(g.vertices[0]) == 10**12
 
 
 # -- derived data -------------------------------------------------------------

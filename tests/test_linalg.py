@@ -7,7 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _gen import int_det, mat_mul, random_int_matrix, reference_rank, reference_span
+from _gen import (
+    int_det,
+    mat_mul,
+    random_int_matrix,
+    reference_is_prime,
+    reference_rank,
+    reference_span,
+    time_limit,
+)
 
 from lpa_lie import (
     FieldSpec,
@@ -51,6 +59,34 @@ def test_field_spec_validation():
 def test_is_prime():
     assert [n for n in range(2, 30) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     assert not is_prime(0) and not is_prime(1) and not is_prime(-7)
+
+
+def test_is_prime_matches_trial_division():
+    assert [n for n in range(-3, 20_000) if is_prime(n)] == [
+        n for n in range(-3, 20_000) if reference_is_prime(n)
+    ]
+
+
+def test_is_prime_rejects_strong_pseudoprimes():
+    # strong pseudoprimes to the first 4, 9 and 12 prime bases
+    with time_limit(5):
+        for n in (3215031751, 3825123056546413051, 318665857834031151167461):
+            assert not is_prime(n)
+        assert is_prime(2**61 - 1)
+        assert is_prime(10**18 + 3)
+        assert is_prime(2**89 - 1) and is_prime(2**127 - 1)
+        assert not is_prime((2**61 - 1) * (2**89 - 1))
+
+
+def test_is_prime_matches_sympy_on_large_values():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(20241017)
+    values = [rng.randrange(10**19, 10**40) for _ in range(400)]
+    primes = [sympy.nextprime(rng.randrange(10**19, 10**40)) for _ in range(60)]
+    values += primes + [p * q for p, q in zip(primes, primes[1:])] + [p * p for p in primes[:10]]
+    with time_limit(10):
+        for n in values:
+            assert is_prime(n) == sympy.isprime(n), n
 
 
 def test_gf_arithmetic():
