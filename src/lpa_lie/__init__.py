@@ -21,6 +21,7 @@ from .analysis import (
     is_simple_lpa,
     is_trivial_lpa,
     reachability,
+    simplicity_reports,
 )
 from .cohn import (
     CohnElement,
@@ -54,7 +55,6 @@ from .graph import (
 )
 from .linalg import (
     FieldSpec,
-    GFElement,
     K0Presentation,
     SmithDecomposition,
     class_order,
@@ -88,10 +88,10 @@ __all__ = [
     "parse_graph", "serialize_graph", "family", "family_names",
     # analysis
     "Unreached", "NoExitCycle", "NoCycle", "SimplicityReport",
-    "reachability", "cycle_vertices", "find_cycle_without_exit",
+    "reachability", "cycle_vertices", "find_cycle_without_exit", "simplicity_reports",
     "is_simple_lpa", "is_purely_infinite_simple", "is_trivial_lpa",
     # linalg
-    "FieldSpec", "GFElement", "K0Presentation", "SmithDecomposition",
+    "FieldSpec", "K0Presentation", "SmithDecomposition",
     "span_membership", "smith_normal_form", "cokernel",
     "class_order", "is_p_divisible", "is_prime",
     # cohn

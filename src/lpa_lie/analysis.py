@@ -21,6 +21,7 @@ __all__ = [
     "reachability",
     "cycle_vertices",
     "find_cycle_without_exit",
+    "simplicity_reports",
     "is_simple_lpa",
     "is_purely_infinite_simple",
     "is_trivial_lpa",
@@ -174,44 +175,46 @@ def find_cycle_without_exit(g: Graph) -> tuple[EdgeId, ...] | None:
     return None
 
 
+def simplicity_reports(g: Graph) -> tuple[SimplicityReport, SimplicityReport]:
+    """The simplicity and pure infinite simplicity reports, in that order.
+
+    Both read the same reachability, cycle vertices and exitless cycle, so
+    one pass computes them; an unreached cycle vertex or an exitless cycle
+    is a witness against both.
+    """
+    reach = reachability(g)
+    on_cycle = sorted(cycle_vertices(g), key=lambda v: v.index)
+    no_exit = find_cycle_without_exit(g)
+    sinks = g.sinks()
+    simple: list = []
+    pis: list = []
+    for v in g.vertices:
+        row = reach[v.index]
+        simple += [Unreached(v, s, "sink") for s in sinks if not row[s.index]]
+        unreached = [Unreached(v, c, "cycle vertex") for c in on_cycle if not row[c.index]]
+        simple += unreached
+        pis += unreached
+    if no_exit is not None:
+        witness = NoExitCycle(tuple(e.source for e in no_exit), no_exit)
+        simple.append(witness)
+        pis.append(witness)
+    if not on_cycle:
+        pis.append(NoCycle())
+    return SimplicityReport(not simple, tuple(simple)), SimplicityReport(not pis, tuple(pis))
+
+
 def is_simple_lpa(g: Graph) -> SimplicityReport:
     """Decide simplicity of the path algebra of a finite graph.
 
     True exactly when every vertex reaches every sink and every cycle vertex
     and no cycle lacks an exit; the verdict does not depend on the field.
     """
-    reach = reachability(g)
-    witnesses: list = []
-    sinks = g.sinks()
-    on_cycle = sorted(cycle_vertices(g), key=lambda v: v.index)
-    for v in g.vertices:
-        for s in sinks:
-            if not reach[v.index][s.index]:
-                witnesses.append(Unreached(v, s, "sink"))
-        for c in on_cycle:
-            if not reach[v.index][c.index]:
-                witnesses.append(Unreached(v, c, "cycle vertex"))
-    no_exit = find_cycle_without_exit(g)
-    if no_exit is not None:
-        witnesses.append(NoExitCycle(tuple(e.source for e in no_exit), no_exit))
-    return SimplicityReport(not witnesses, tuple(witnesses))
+    return simplicity_reports(g)[0]
 
 
 def is_purely_infinite_simple(g: Graph) -> SimplicityReport:
     """Decide pure infinite simplicity: cycle-reaching, exits, and a cycle."""
-    reach = reachability(g)
-    witnesses: list = []
-    on_cycle = sorted(cycle_vertices(g), key=lambda v: v.index)
-    for v in g.vertices:
-        for c in on_cycle:
-            if not reach[v.index][c.index]:
-                witnesses.append(Unreached(v, c, "cycle vertex"))
-    no_exit = find_cycle_without_exit(g)
-    if no_exit is not None:
-        witnesses.append(NoExitCycle(tuple(e.source for e in no_exit), no_exit))
-    if not on_cycle:
-        witnesses.append(NoCycle())
-    return SimplicityReport(not witnesses, tuple(witnesses))
+    return simplicity_reports(g)[1]
 
 
 def is_trivial_lpa(g: Graph) -> bool:

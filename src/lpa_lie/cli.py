@@ -121,7 +121,7 @@ def _fmt_vec(values) -> str:
 def _verdict_dict(v) -> dict:
     cert = v.certificate
     if cert is not None and not isinstance(cert, (int, str)):
-        if isinstance(cert, tuple) and all(hasattr(c, "__str__") for c in cert):
+        if isinstance(cert, tuple):
             cert = [str(c) for c in cert]
         else:
             cert = getattr(cert, "describe", lambda: str(cert))()

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .graph import EdgeId, Graph, VertexId, b_vectors
-from .linalg import FieldSpec, GFElement
+from .linalg import FieldSpec
 
 __all__ = [
     "PreconditionError",
@@ -27,6 +27,7 @@ __all__ = [
     "trace_vector",
     "n_generator",
     "verify_witness",
+    "WITNESS_EDGE_LIMIT",
     "VertexWitness",
     "vertex_witness",
     "CommutatorIdentity",
@@ -199,10 +200,13 @@ class CohnElement:
         if not isinstance(other, CohnElement):
             return NotImplemented
         self._check_compatible(other)
+        p = self.field.characteristic
         out = dict(self.terms)
         for t, c in other.terms.items():
             acc = out.get(t)
             total = c if acc is None else acc + c
+            if p:
+                total %= p
             if total:
                 out[t] = total
             elif acc is not None:
@@ -210,7 +214,12 @@ class CohnElement:
         return CohnElement(self.graph, self.field, out)
 
     def __neg__(self):
-        return CohnElement(self.graph, self.field, {t: -c for t, c in self.terms.items()})
+        p = self.field.characteristic
+        if p:
+            terms = {t: -c % p for t, c in self.terms.items()}
+        else:
+            terms = {t: -c for t, c in self.terms.items()}
+        return CohnElement(self.graph, self.field, terms)
 
     def __sub__(self, other):
         if not isinstance(other, CohnElement):
@@ -221,19 +230,26 @@ class CohnElement:
         c = self.field.coerce(coeff)
         if not c:
             return CohnElement.zero(self.graph, self.field)
-        return CohnElement(self.graph, self.field, {t: c * v for t, v in self.terms.items()})
+        p = self.field.characteristic
+        if p:
+            # a product of nonzero residues mod a prime is nonzero
+            terms = {t: c * v % p for t, v in self.terms.items()}
+        else:
+            terms = {t: c * v for t, v in self.terms.items()}
+        return CohnElement(self.graph, self.field, terms)
 
     def __rmul__(self, coeff):
-        if isinstance(coeff, (int, Fraction, GFElement)):
+        if isinstance(coeff, (int, Fraction)):
             return self.scale(coeff)
         return NotImplemented
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, GFElement)):
+        if isinstance(other, (int, Fraction)):
             return self.scale(other)
         if not isinstance(other, CohnElement):
             return NotImplemented
         self._check_compatible(other)
+        p = self.field.characteristic
         out: dict[CohnTerm, object] = {}
         for t1, c1 in self.terms.items():
             for t2, c2 in other.terms.items():
@@ -243,6 +259,8 @@ class CohnElement:
                 c = c1 * c2
                 acc = out.get(t)
                 total = c if acc is None else acc + c
+                if p:
+                    total %= p
                 if total:
                     out[t] = total
                 elif acc is not None:
@@ -291,7 +309,8 @@ def trace_vector(x: CohnElement) -> list:
         if t.p == t.q:
             i = t.p.range.index
             out[i] = out[i] + c
-    return out
+    p = x.field.characteristic
+    return [c % p for c in out] if p else out
 
 
 def n_generator(g: Graph, field: FieldSpec, v: VertexId) -> CohnElement:
@@ -303,6 +322,11 @@ def n_generator(g: Graph, field: FieldSpec, v: VertexId) -> CohnElement:
         w = PathWord.from_edges([e])
         acc = acc - CohnElement.term(g, field, w, w)
     return acc
+
+
+# The witness names and brackets every edge leaving the support of t, and
+# its bracket sum grows by copying, so the cost is quadratic in that count.
+WITNESS_EDGE_LIMIT = 10_000
 
 
 @dataclass(frozen=True)
@@ -329,7 +353,8 @@ def vertex_witness(g: Graph, k_coeffs, t_coeffs, field: FieldSpec) -> VertexWitn
     ``sum_i k_i v_i + sum_i t_i y_i`` exactly, where the y_i absorb the
     difference between the Cohn algebra and its quotient.  The result holds
     W, the correction and that exact basis-level comparison; hypothesis
-    violations raise ``PreconditionError`` instead.
+    violations raise ``PreconditionError`` instead, and more than
+    ``WITNESS_EDGE_LIMIT`` edges leaving the support of t a ``ValueError``.
     """
     m = g.num_vertices
     k = [field.coerce(c) for c in k_coeffs]
@@ -341,13 +366,15 @@ def vertex_witness(g: Graph, k_coeffs, t_coeffs, field: FieldSpec) -> VertexWitn
             raise PreconditionError(
                 f"t must vanish at non-regular vertex {v.label!r}"
             )
+    edges = sum(g.out_degree(v) for i, v in enumerate(g.vertices) if t[i])
+    if edges > WITNESS_EDGE_LIMIT:
+        raise ValueError(
+            f"the witness would bracket {edges} edges, more than the limit of {WITNESS_EDGE_LIMIT}"
+        )
     bvecs = b_vectors(g)
     for j in range(m):
-        total = field.zero()
-        for i in range(m):
-            if t[i]:
-                total = total + t[i] * field.coerce(bvecs[i][j])
-        if total != k[j]:
+        total = sum(t[i] * bvecs[i][j] for i in range(m) if t[i])
+        if field.coerce(total) != k[j]:
             raise PreconditionError("k is not the claimed combination of the B-vectors")
 
     brackets = []
@@ -356,12 +383,13 @@ def vertex_witness(g: Graph, k_coeffs, t_coeffs, field: FieldSpec) -> VertexWitn
     for i, v in enumerate(g.vertices):
         if not t[i]:
             continue
+        neg = field.coerce(-t[i])
         for e in g.out_edges(v):
-            brackets.append((-t[i], e))
+            brackets.append((neg, e))
             bracket = commutator(
                 CohnElement.edge(g, field, e), CohnElement.ghost_edge(g, field, e)
             )
-            w = w + bracket.scale(-t[i])
+            w = w + bracket.scale(neg)
         correction = correction + n_generator(g, field, v).scale(t[i])
 
     rhs = correction

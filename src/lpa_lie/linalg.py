@@ -20,7 +20,6 @@ from math import gcd, isqrt, lcm
 __all__ = [
     "is_prime",
     "prime_factorization",
-    "GFElement",
     "FieldSpec",
     "span_membership",
     "SmithDecomposition",
@@ -145,79 +144,12 @@ def prime_factorization(n: int) -> dict[int, int]:
 
 
 @dataclass(frozen=True)
-class GFElement:
-    """A residue in the field of ``modulus`` elements (``modulus`` prime)."""
-
-    residue: int
-    modulus: int
-
-    def _coerce(self, other):
-        if isinstance(other, GFElement):
-            if other.modulus != self.modulus:
-                raise ValueError(
-                    f"mixed moduli: GF({self.modulus}) vs GF({other.modulus})"
-                )
-            return other
-        if isinstance(other, int):
-            return GFElement(other % self.modulus, self.modulus)
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return GFElement((self.residue + o.residue) % self.modulus, self.modulus)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return GFElement((self.residue - o.residue) % self.modulus, self.modulus)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return GFElement((self.residue * o.residue) % self.modulus, self.modulus)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if o.residue == 0:
-            raise ZeroDivisionError(f"division by zero in GF({self.modulus})")
-        inv = pow(o.residue, -1, self.modulus)
-        return GFElement((self.residue * inv) % self.modulus, self.modulus)
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o / self
-
-    def __neg__(self):
-        return GFElement((-self.residue) % self.modulus, self.modulus)
-
-    def __bool__(self) -> bool:
-        return self.residue != 0
-
-    def __str__(self) -> str:
-        return str(self.residue)
-
-
-@dataclass(frozen=True)
 class FieldSpec:
-    """The prime subfield to compute over: Q for 0, GF(p) for a prime p."""
+    """The prime subfield to compute over: Q for 0, GF(p) for a prime p.
+
+    Its elements are ``Fraction``s over Q and ``int`` residues in ``[0, p)``
+    over GF(p); ``coerce`` and ``parse`` return them in that form.
+    """
 
     characteristic: int = 0
 
@@ -235,25 +167,18 @@ class FieldSpec:
         return self.coerce(0)
 
     def coerce(self, value):
-        """Map an int, Fraction, or matching field element into this field."""
+        """Map an int or Fraction into this field; a residue maps to itself."""
         p = self.characteristic
         if isinstance(value, bool):
             raise TypeError("booleans are not field scalars")
         if isinstance(value, int):
-            return Fraction(value) if p == 0 else GFElement(value % p, p)
+            return Fraction(value) if p == 0 else value % p
         if isinstance(value, Fraction):
             if p == 0:
                 return value
             if value.denominator % p == 0:
                 raise ValueError(f"denominator of {value} vanishes in GF({p})")
-            inv = pow(value.denominator % p, -1, p)
-            return GFElement((value.numerator % p) * inv % p, p)
-        if isinstance(value, GFElement):
-            if p == 0:
-                raise ValueError(f"cannot move a GF({value.modulus}) residue into Q")
-            if value.modulus != p:
-                raise ValueError(f"expected GF({p}) element, got GF({value.modulus})")
-            return value
+            return value.numerator * pow(value.denominator, -1, p) % p
         raise TypeError(f"cannot coerce {type(value).__name__} into {self.name}")
 
     def parse(self, text: str):
@@ -305,9 +230,7 @@ class SmithDecomposition:
                 f"dimension mismatch: target of length {len(b)}, matrix with {len(self.u)} rows"
             )
         diag = self.diagonal
-        if p:
-            b = [x.residue for x in b]
-        else:
+        if not p:
             # every nonzero factor divides the last one, so y_i = c_i / d_i
             # is an integer over the common denominator top * scale
             scale = lcm(*(x.denominator for x in b))
@@ -325,7 +248,7 @@ class SmithDecomposition:
                 return None
         x = [sum(a * yi for a, yi in zip(row, y)) for row in self.v]
         if p:
-            return [field.coerce(xi) for xi in x]
+            return [xi % p for xi in x]
         return [Fraction(xi, top * scale) for xi in x]
 
 
@@ -487,14 +410,6 @@ class K0Presentation:
     @property
     def free_rank(self) -> int:
         return sum(1 for a in self.invariant_factors if a == 0)
-
-    @property
-    def torsion_order(self) -> int:
-        out = 1
-        for a in self.invariant_factors:
-            if a > 0:
-                out *= a
-        return out
 
     def group_description(self) -> str:
         parts = [f"Z_{a}" for a in self.nontrivial_factors if a > 0]

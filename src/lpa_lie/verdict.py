@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import product
-from math import gcd
+from math import gcd, prod
 
 from . import analysis
 from .graph import Graph, b_vectors, m_matrix
@@ -68,12 +68,16 @@ class GraphInvariants:
     graph: Graph
 
     @cached_property
-    def simplicity(self) -> analysis.SimplicityReport:
-        return analysis.is_simple_lpa(self.graph)
+    def _reports(self) -> tuple[analysis.SimplicityReport, analysis.SimplicityReport]:
+        return analysis.simplicity_reports(self.graph)
 
-    @cached_property
+    @property
+    def simplicity(self) -> analysis.SimplicityReport:
+        return self._reports[0]
+
+    @property
     def pure_infinite_simplicity(self) -> analysis.SimplicityReport:
-        return analysis.is_purely_infinite_simple(self.graph)
+        return self._reports[1]
 
     @cached_property
     def b_vectors(self) -> tuple[tuple[int, ...], ...]:
@@ -254,10 +258,10 @@ def vertex_combination_in_commutator(g: Graph | GraphInvariants, coeffs, field: 
 # ---------------------------------------------------------------------------
 
 
-def _p_height(residues: list[int], exponents: list[int], p: int) -> int | None:
+def _p_height(residues: list[int], p: int) -> int | None:
     """Largest k with the element in p^k times the group; None for zero."""
     h: int | None = None
-    for x, e in zip(residues, exponents):
+    for x in residues:
         if x == 0:
             continue
         v = 0
@@ -274,7 +278,7 @@ def _p_indicator(residues: list[int], exponents: list[int], p: int) -> tuple[int
     cur = list(residues)
     seq: list[int] = []
     while True:
-        h = _p_height(cur, exponents, p)
+        h = _p_height(cur, p)
         if h is None:
             return tuple(seq)
         seq.append(h)
@@ -291,10 +295,7 @@ def _torsion_orbit_equal(
     torsion group splits into its p-parts, so the primes are independent.
     """
     if primes is None:
-        order = 1
-        for a in alphas:
-            order *= a
-        primes = prime_factorization(order)
+        primes = prime_factorization(prod(alphas))
     for p in primes:
         exps = []
         res_x = []
@@ -338,34 +339,21 @@ def pointed_iso_decision(
     sa = [y for a, y in ta if a > 0]
     sb = [y for a, y in tb if a > 0]
 
-    g = 0
-    if free_a:
-        ga = 0
-        for y in free_a:
-            ga = gcd(ga, y)
-        gb = 0
-        for y in free_b:
-            gb = gcd(gb, y)
-        if ga != gb:
-            return "none"
-        g = ga
+    # the content of the free part, 0 when there is none
+    g = gcd(*free_a)
+    if g != gcd(*free_b):
+        return "none"
 
     if sa == sb:
         return "exists"
     if g == 1:
         return "exists"
-    order = 1
-    for a in alphas:
-        order *= a
-    primes = list(prime_factorization(order)) if order > 1 else []
+    primes = list(prime_factorization(prod(alphas)))
     if g == 0:
         return "exists" if _torsion_orbit_equal(alphas, sa, sb, primes) else "none"
 
     steps = [gcd(g, a) for a in alphas]
-    count = 1
-    for a, d in zip(alphas, steps):
-        count *= a // d
-    if count > max_group_order:
+    if prod(a // d for a, d in zip(alphas, steps)) > max_group_order:
         return "undecided"
     for shift in product(*(range(0, a, d) for a, d in zip(alphas, steps))):
         shifted = [(y - w) % a for y, w, a in zip(sb, shift, alphas)]

@@ -133,7 +133,12 @@ def random_cohn_element(
 
 
 def gauss_jordan(rows, field: FieldSpec):
-    """Reduced row echelon form over the prime subfield, and its pivot columns."""
+    """Reduced row echelon form over the prime subfield, and its pivot columns.
+
+    Over GF(p) the entries are residues: the pivot is inverted with
+    ``pow(x, -1, p)`` and every row operation is reduced by ``field.coerce``.
+    """
+    p = field.characteristic
     mat = [[field.coerce(x) for x in r] for r in rows]
     pivots: list[int] = []
     ncols = len(mat[0]) if mat else 0
@@ -143,12 +148,12 @@ def gauss_jordan(rows, field: FieldSpec):
         if sel is None:
             continue
         mat[rank], mat[sel] = mat[sel], mat[rank]
-        inv = field.coerce(1) / mat[rank][col]
-        mat[rank] = [x * inv for x in mat[rank]]
+        inv = pow(mat[rank][col], -1, p) if p else 1 / mat[rank][col]
+        mat[rank] = [field.coerce(x * inv) for x in mat[rank]]
         for r in range(len(mat)):
             if r != rank and mat[r][col]:
                 f = mat[r][col]
-                mat[r] = [a - f * b for a, b in zip(mat[r], mat[rank])]
+                mat[r] = [field.coerce(a - f * b) for a, b in zip(mat[r], mat[rank])]
         pivots.append(col)
     return mat, pivots
 

@@ -21,6 +21,7 @@ from lpa_lie import (
     serialize_graph,
 )
 from lpa_lie.cli import main
+from lpa_lie.cohn import WITNESS_EDGE_LIMIT
 
 
 def write_family(tmp_path, name, params=(), filename=None):
@@ -190,6 +191,32 @@ def test_witness_json(tmp_path, capsys):
     assert len(data["commutators"]) == 4
 
 
+def test_witness_edge_limit(tmp_path, capsys):
+    path = tmp_path / "big.graph"
+    path.write_text("vertex a\nedge a a 1000000000000\n", encoding="utf-8")
+    with time_limit(5):
+        code, out, err = run(capsys, "witness", str(path), "--coeffs", "999999999999")
+    assert code == 1 and out == ""
+    assert err == (
+        f"error: the witness would bracket 1000000000000 edges, more than the limit of {WITNESS_EDGE_LIMIT}\n"
+    )
+
+
+def test_witness_edge_limit_counts_only_the_support_of_t(tmp_path, capsys):
+    # t = (1, 0): the two loops at a are expanded, the huge count at b is not
+    path = tmp_path / "two.graph"
+    path.write_text(
+        f"vertex a\nvertex b\nedge a a 2\nedge b b {10**12}\n", encoding="utf-8"
+    )
+    code, out, err = run(capsys, "witness", str(path), "--coeffs", "1,0")
+    assert code == 0 and err == ""
+    assert "t = (1, 0)" in out and "VERIFIED" in out
+    path = tmp_path / "rose.graph"
+    path.write_text(f"vertex a\nedge a a {WITNESS_EDGE_LIMIT + 1}\n", encoding="utf-8")
+    code, out, err = run(capsys, "witness", str(path), "--coeffs", str(WITNESS_EDGE_LIMIT))
+    assert code == 1 and f"bracket {WITNESS_EDGE_LIMIT + 1} edges" in err
+
+
 def test_witness_wrong_count(tmp_path, capsys):
     path = write_family(tmp_path, "rose", [3])
     code, _, err = run(capsys, "witness", path, "--coeffs", "1,2", "--char", "0")
@@ -341,7 +368,11 @@ def test_random_simple_graphs_match_reference(tmp_path, capsys):
 def test_analyze_computes_each_invariant_once(tmp_path, capsys, monkeypatch):
     modules = [lpa_lie] + [getattr(lpa_lie, name) for name in ("analysis", "linalg", "verdict", "cli")]
     counts = {}
-    for name in ("is_simple_lpa", "is_purely_infinite_simple", "smith_normal_form"):
+    names = (
+        "is_simple_lpa", "is_purely_infinite_simple", "smith_normal_form",
+        "reachability", "cycle_vertices", "find_cycle_without_exit",
+    )
+    for name in names:
         original = getattr(lpa_lie, name)
         counts[name] = 0
 
@@ -359,6 +390,9 @@ def test_analyze_computes_each_invariant_once(tmp_path, capsys, monkeypatch):
     assert counts["is_simple_lpa"] <= 1
     assert counts["is_purely_infinite_simple"] <= 1
     assert counts["smith_normal_form"] <= 2
+    assert counts["reachability"] <= 1
+    assert counts["cycle_vertices"] <= 1
+    assert counts["find_cycle_without_exit"] <= 1
 
 
 # -- selftest and misc ----------------------------------------------------------------

@@ -175,6 +175,39 @@ def test_double_commutator_nonvanishing():
     assert found > 50
 
 
+def _mod_p(x, field):
+    """The image of an integer-coefficient element over Q in ``field``."""
+    terms = {t: field.coerce(c) for t, c in x.terms.items()}
+    return CohnElement(x.graph, field, {t: c for t, c in terms.items() if c})
+
+
+def test_reduction_mod_p_commutes_with_the_ring_operations():
+    rng = random.Random(106)
+    for _ in range(300):
+        g = random_graph(rng, max_vertices=3, max_mult=2)
+        field = FieldSpec(rng.choice([2, 3, 5]))
+        p = field.characteristic
+        x = random_cohn_element(rng, g, F0, terms=4, max_len=2)
+        y = random_cohn_element(rng, g, F0, terms=4, max_len=2)
+        c = rng.randint(-6, 6)
+        xp, yp = _mod_p(x, field), _mod_p(y, field)
+        pairs = [
+            (x + y, xp + yp),
+            (x - y, xp - yp),
+            (-x, -xp),
+            (x * y, xp * yp),
+            (x.scale(c), xp.scale(c)),
+            (c * x, c * xp),
+            (x * c, xp * c),
+            (commutator(x, y), commutator(xp, yp)),
+        ]
+        for over_q, over_p in pairs:
+            assert all(type(a) is int and 0 <= a < p for a in over_p.terms.values())
+            assert over_p == _mod_p(over_q, field)
+        assert trace_vector(xp) == [field.coerce(a) for a in trace_vector(x)]
+        assert all(type(a) is int and 0 <= a < p for a in trace_vector(xp))
+
+
 # -- quotient-ideal generators -----------------------------------------------------
 
 
