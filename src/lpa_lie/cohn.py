@@ -144,6 +144,19 @@ def _mult_terms(a: CohnTerm, b: CohnTerm) -> CohnTerm | None:
     return None
 
 
+def _add_into(out: dict, items, p: int) -> None:
+    """Add the ``(term, coefficient)`` pairs into ``out`` in place, reducing mod p when p > 0."""
+    for t, c in items:
+        acc = out.get(t)
+        total = c if acc is None else acc + c
+        if p:
+            total %= p
+        if total:
+            out[t] = total
+        elif acc is not None:
+            del out[t]
+
+
 class CohnElement:
     """A formal linear combination of basis terms over a prime subfield."""
 
@@ -200,17 +213,8 @@ class CohnElement:
         if not isinstance(other, CohnElement):
             return NotImplemented
         self._check_compatible(other)
-        p = self.field.characteristic
         out = dict(self.terms)
-        for t, c in other.terms.items():
-            acc = out.get(t)
-            total = c if acc is None else acc + c
-            if p:
-                total %= p
-            if total:
-                out[t] = total
-            elif acc is not None:
-                del out[t]
+        _add_into(out, other.terms.items(), self.field.characteristic)
         return CohnElement(self.graph, self.field, out)
 
     def __neg__(self):
@@ -249,22 +253,14 @@ class CohnElement:
         if not isinstance(other, CohnElement):
             return NotImplemented
         self._check_compatible(other)
-        p = self.field.characteristic
         out: dict[CohnTerm, object] = {}
-        for t1, c1 in self.terms.items():
-            for t2, c2 in other.terms.items():
-                t = _mult_terms(t1, t2)
-                if t is None:
-                    continue
-                c = c1 * c2
-                acc = out.get(t)
-                total = c if acc is None else acc + c
-                if p:
-                    total %= p
-                if total:
-                    out[t] = total
-                elif acc is not None:
-                    del out[t]
+        products = (
+            (t, c1 * c2)
+            for t1, c1 in self.terms.items()
+            for t2, c2 in other.terms.items()
+            if (t := _mult_terms(t1, t2)) is not None
+        )
+        _add_into(out, products, self.field.characteristic)
         return CohnElement(self.graph, self.field, out)
 
     def is_zero(self) -> bool:
@@ -318,14 +314,15 @@ def n_generator(g: Graph, field: FieldSpec, v: VertexId) -> CohnElement:
     if g.is_sink(v):
         raise PreconditionError(f"vertex {v.label!r} is a sink; no generator there")
     acc = CohnElement.vertex(g, field, v)
-    for e in g.out_edges(v):
-        w = PathWord.from_edges([e])
-        acc = acc - CohnElement.term(g, field, w, w)
+    # the terms e e* of distinct edges are distinct basis terms
+    for w in (PathWord.from_edges([e]) for e in g.out_edges(v)):
+        acc.terms[CohnTerm(w, w)] = field.coerce(-1)
     return acc
 
 
-# The witness names and brackets every edge leaving the support of t, and
-# its bracket sum grows by copying, so the cost is quadratic in that count.
+# The witness names and brackets every edge leaving the support of t; its
+# cost and its report, which prints every bracket, grow linearly with that
+# count, and the limit bounds both.
 WITNESS_EDGE_LIMIT = 10_000
 
 
@@ -377,9 +374,11 @@ def vertex_witness(g: Graph, k_coeffs, t_coeffs, field: FieldSpec) -> VertexWitn
         if field.coerce(total) != k[j]:
             raise PreconditionError("k is not the claimed combination of the B-vectors")
 
+    # each bracket is added into one running sum as it is built
+    p = field.characteristic
     brackets = []
-    w = CohnElement.zero(g, field)
-    correction = CohnElement.zero(g, field)
+    w: dict = {}
+    correction: dict = {}
     for i, v in enumerate(g.vertices):
         if not t[i]:
             continue
@@ -389,14 +388,16 @@ def vertex_witness(g: Graph, k_coeffs, t_coeffs, field: FieldSpec) -> VertexWitn
             bracket = commutator(
                 CohnElement.edge(g, field, e), CohnElement.ghost_edge(g, field, e)
             )
-            w = w + bracket.scale(neg)
-        correction = correction + n_generator(g, field, v).scale(t[i])
+            _add_into(w, bracket.scale(neg).terms.items(), p)
+        _add_into(correction, n_generator(g, field, v).scale(t[i]).terms.items(), p)
 
-    rhs = correction
+    rhs = dict(correction)
     for i, v in enumerate(g.vertices):
         if k[i]:
-            rhs = rhs + CohnElement.vertex(g, field, v).scale(k[i])
-    return VertexWitness(tuple(brackets), w, correction, w == rhs)
+            _add_into(rhs, CohnElement.vertex(g, field, v).scale(k[i]).terms.items(), p)
+    return VertexWitness(
+        tuple(brackets), CohnElement(g, field, w), CohnElement(g, field, correction), w == rhs
+    )
 
 
 def verify_witness(g: Graph, k_coeffs, t_coeffs, field: FieldSpec) -> bool:

@@ -19,7 +19,6 @@ from math import gcd, isqrt, lcm
 
 __all__ = [
     "is_prime",
-    "prime_factorization",
     "FieldSpec",
     "span_membership",
     "SmithDecomposition",
@@ -125,22 +124,6 @@ def _strong_lucas_probable_prime(n: int) -> bool:
         if V == 0:
             return True
     return False
-
-
-def prime_factorization(n: int) -> dict[int, int]:
-    """Map each prime factor of ``n >= 1`` to its exponent."""
-    if n < 1:
-        raise ValueError("prime_factorization expects n >= 1")
-    out: dict[int, int] = {}
-    p = 2
-    while p * p <= n:
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-        p += 1 if p == 2 else 2
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,6 @@ from .linalg import (
     class_order,
     cokernel,
     is_p_divisible,
-    prime_factorization,
     smith_normal_form,
 )
 
@@ -258,60 +257,68 @@ def vertex_combination_in_commutator(g: Graph | GraphInvariants, coeffs, field: 
 # ---------------------------------------------------------------------------
 
 
-def _p_height(residues: list[int], p: int) -> int | None:
-    """Largest k with the element in p^k times the group; None for zero."""
-    h: int | None = None
-    for x in residues:
-        if x == 0:
-            continue
-        v = 0
-        while x % p == 0:
-            x //= p
-            v += 1
-        if h is None or v < h:
-            h = v
-    return h
+def _coprime_base(nums) -> list[int]:
+    """Pairwise coprime integers > 1 of whose powers each of ``nums`` is a product.
+
+    Plain gcd refinement (Bach, Driscoll and Shallit, J. Algorithms 1993):
+    a number n sharing a factor d > 1 with a base element b replaces b by d
+    and b / d, and goes on as n / d.  Nothing is factored.
+    """
+    base: list[int] = []
+    pending = [n for n in nums if n > 1]
+    while pending:
+        n = pending.pop()
+        for i, b in enumerate(base):
+            d = gcd(n, b)
+            if d > 1:
+                del base[i]
+                pending += [m for m in (d, b // d, n // d) if m > 1]
+                break
+        else:
+            base.append(n)
+    return base
 
 
-def _p_indicator(residues: list[int], exponents: list[int], p: int) -> tuple[int, ...]:
-    """Height sequence of the element under repeated multiplication by p."""
-    cur = list(residues)
+def _valuation(n: int, q: int) -> int:
+    """The exponent of ``q`` in ``n >= 1``."""
+    v = 0
+    while n % q == 0:
+        n, v = n // q, v + 1
+    return v
+
+
+def _height_sequence(ds: list[int], alphas: list[int], q: int) -> tuple[int, ...]:
+    """``k + min{s_i : s_i + k < e_i}`` for k = 0, 1, ... while that set is nonempty.
+
+    ``s_i`` and ``e_i`` are the exponents of q in ``ds[i]`` and ``alphas[i]``.
+    For a prime q and ``ds[i] = gcd(x_i, alpha_i)`` this is the sequence of
+    heights of x, q x, q^2 x, ... in the q-part of the group.
+    """
+    pairs = [(_valuation(d, q), _valuation(a, q)) for d, a in zip(ds, alphas)]
     seq: list[int] = []
-    while True:
-        h = _p_height(cur, p)
-        if h is None:
-            return tuple(seq)
-        seq.append(h)
-        cur = [(x * p) % (p**e) for x, e in zip(cur, exponents)]
+    while live := [s for s, e in pairs if s + len(seq) < e]:
+        seq.append(len(seq) + min(live))
+    return tuple(seq)
 
 
-def _torsion_orbit_equal(
-    alphas: list[int], x: list[int], y: list[int], primes=None
-) -> bool:
+def _torsion_orbit_equal(alphas: list[int], x: list[int], y: list[int]) -> bool:
     """Whether some automorphism of the torsion group carries x to y.
 
-    Per prime, elements of a finite abelian p-group lie in the same orbit of
+    Per prime p, elements of a finite abelian p-group lie in the same orbit of
     the automorphism group exactly when their height sequences coincide; the
     torsion group splits into its p-parts, so the primes are independent.
+    No prime is needed: the sequences are compared for each q of a coprime
+    base of the alpha_i and of the gcds of x_i and y_i with them.  Every p
+    divides exactly one q, and with a = v_p(q) the p-sequence is
+    ``k + a phi(k // a)`` where the q-sequence is ``j + phi(j)``, so the
+    q-sequences agree iff the p-sequences agree for every p | q.
     """
-    if primes is None:
-        primes = prime_factorization(prod(alphas))
-    for p in primes:
-        exps = []
-        res_x = []
-        res_y = []
-        for a, xi, yi in zip(alphas, x, y):
-            e = 0
-            while a % p == 0:
-                a //= p
-                e += 1
-            if e:
-                exps.append(e)
-                res_x.append(xi % p**e)
-                res_y.append(yi % p**e)
-        if _p_indicator(res_x, exps, p) != _p_indicator(res_y, exps, p):
-            return False
-    return True
+    gx = [gcd(xi, a) for xi, a in zip(x, alphas)]
+    gy = [gcd(yi, a) for yi, a in zip(y, alphas)]
+    return all(
+        _height_sequence(gx, alphas, q) == _height_sequence(gy, alphas, q)
+        for q in _coprime_base(alphas + gx + gy)
+    )
 
 
 def pointed_iso_decision(
@@ -322,10 +329,13 @@ def pointed_iso_decision(
     Returns ``"exists"``, ``"none"``, or ``"undecided"``.  The groups are
     compared by invariant factors.  An automorphism can move the free
     coordinates of an element to any vector of the same content g, shifting
-    the torsion part by anything in g times the torsion subgroup, so the
-    decision reduces to content equality plus an orbit test on torsion parts
-    shifted through that subgroup; the shift enumeration is capped at
-    ``max_group_order`` elements, beyond which the answer is undecided.
+    the torsion part by anything in gT, T the torsion subgroup, so the
+    decision reduces to content equality plus ``t_b in Aut(T) t_a + gT``.
+    That splits over the parts T_q for q in a coprime base of the invariant
+    factors and their gcds with g: a part with q coprime to g matches
+    outright, as gT_q = T_q, and a part with q | g is searched over its
+    shifts in gT_q.  Beyond ``max_group_order`` shifts summed over the parts
+    that need a search, the answer is undecided.  Nothing is factored.
     """
     ta = [(a, y) for a, y in zip(pa.invariant_factors, pa.unit_class) if a != 1]
     tb = [(a, y) for a, y in zip(pb.invariant_factors, pb.unit_class) if a != 1]
@@ -344,22 +354,26 @@ def pointed_iso_decision(
     if g != gcd(*free_b):
         return "none"
 
-    if sa == sb:
+    if sa == sb or g == 1:
         return "exists"
-    if g == 1:
-        return "exists"
-    primes = list(prime_factorization(prod(alphas)))
     if g == 0:
-        return "exists" if _torsion_orbit_equal(alphas, sa, sb, primes) else "none"
+        return "exists" if _torsion_orbit_equal(alphas, sa, sb) else "none"
 
-    steps = [gcd(g, a) for a in alphas]
-    if prod(a // d for a, d in zip(alphas, steps)) > max_group_order:
+    # the cyclic factors of each part T_q with q | g
+    parts = [
+        [q ** _valuation(a, q) for a in alphas]
+        for q in _coprime_base(alphas + [gcd(g, a) for a in alphas])
+        if gcd(g, q) > 1
+    ]
+    # a part with a single shift is one orbit test, not a search
+    counts = [prod(m // gcd(g, m) for m in mods) for mods in parts]
+    if sum(n for n in counts if n > 1) > max_group_order:
         return "undecided"
-    for shift in product(*(range(0, a, d) for a, d in zip(alphas, steps))):
-        shifted = [(y - w) % a for y, w, a in zip(sb, shift, alphas)]
-        if _torsion_orbit_equal(alphas, sa, shifted, primes):
-            return "exists"
-    return "none"
+    for mods in parts:
+        shifts = product(*(range(0, m, gcd(g, m)) for m in mods))
+        if not any(_torsion_orbit_equal(mods, sa, [y - w for y, w in zip(sb, s)]) for s in shifts):
+            return "none"
+    return "exists"
 
 
 @dataclass(frozen=True)

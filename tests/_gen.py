@@ -4,7 +4,8 @@ The package decides every span and rank question from one Smith normal form;
 the Gauss-Jordan elimination and Fraction determinant here are an independent
 reference for it.  The package stores edges as runs of parallel edges; the
 per-edge parser and serialiser here are the reference for its text format,
-and trial division is the reference for its Miller-Rabin primality test.
+trial division is the reference for its Miller-Rabin primality test, and the
+prime-by-prime orbit test is the reference for its factoring-free one.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import random
 import signal
 from contextlib import contextmanager
 from fractions import Fraction
+from math import prod
 
 from lpa_lie import (
     CohnElement,
@@ -214,6 +216,60 @@ def reference_is_prime(n: int) -> bool:
         if n % f == 0:
             return False
         f += 2
+    return True
+
+
+def reference_factorization(n: int) -> dict[int, int]:
+    """Map each prime factor of ``n >= 1`` to its exponent, by trial division."""
+    out: dict[int, int] = {}
+    f = 2
+    while f * f <= n:
+        while n % f == 0:
+            out[f] = out.get(f, 0) + 1
+            n //= f
+        f += 1 if f == 2 else 2
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+def _p_height_sequence(residues: list[int], exponents: list[int], p: int) -> tuple[int, ...]:
+    """Heights of the element, of p times it, of p^2 times it, ... while nonzero."""
+    seq: list[int] = []
+    cur = list(residues)
+    while any(cur):
+        heights = []
+        for x in cur:
+            if x:
+                v = 0
+                while x % p == 0:
+                    x //= p
+                    v += 1
+                heights.append(v)
+        seq.append(min(heights))
+        cur = [x * p % p**e for x, e in zip(cur, exponents)]
+    return tuple(seq)
+
+
+def reference_orbit_equal(alphas: list[int], x: list[int], y: list[int]) -> bool:
+    """Whether Aut(Z/alpha_1 + ... + Z/alpha_n) carries x to y, prime by prime.
+
+    Factors the group order, then compares the height sequences of the
+    p-components of x and y for each prime p.
+    """
+    for p in reference_factorization(prod(alphas)):
+        exps, res_x, res_y = [], [], []
+        for a, xi, yi in zip(alphas, x, y):
+            e = 0
+            while a % p == 0:
+                a //= p
+                e += 1
+            if e:
+                exps.append(e)
+                res_x.append(xi % p**e)
+                res_y.append(yi % p**e)
+        if _p_height_sequence(res_x, exps, p) != _p_height_sequence(res_y, exps, p):
+            return False
     return True
 
 

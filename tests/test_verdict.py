@@ -1,10 +1,13 @@
+import operator
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from _gen import random_graph, random_pis_graphs
+from _gen import random_graph, random_pis_graphs, reference_orbit_equal, time_limit
 
 from lpa_lie import (
     INAPPLICABLE,
@@ -234,18 +237,25 @@ def hom_matrices(alphas):
         yield [[flat[i * k + j] for j in range(k)] for i in range(k)]
 
 
-def brute_force_orbit_equal(alphas, x, y):
-    """Oracle: search all automorphisms of the torsion group."""
+def automorphisms(alphas):
+    """All automorphism matrices of the group with the given cyclic factors."""
     elements = list(product(*(range(a) for a in alphas)))
     for mat in hom_matrices(alphas):
-        def apply(vec):
-            return tuple(
-                sum(mat[i][j] * vec[j] for j in range(len(alphas))) % alphas[i]
-                for i in range(len(alphas))
-            )
-        if len({apply(e) for e in elements}) == len(elements) and apply(tuple(x)) == tuple(y):
-            return True
-    return False
+        images = {apply_matrix(mat, alphas, e) for e in elements}
+        if len(images) == len(elements):
+            yield mat
+
+
+def apply_matrix(mat, alphas, vec):
+    return tuple(
+        sum(mat[i][j] * vec[j] for j in range(len(alphas))) % alphas[i]
+        for i in range(len(alphas))
+    )
+
+
+def brute_force_orbit_equal(alphas, x, y):
+    """Oracle: search all automorphisms of the torsion group."""
+    return any(apply_matrix(mat, alphas, tuple(x)) == tuple(y) for mat in automorphisms(alphas))
 
 
 def test_pointed_iso_small_groups_against_brute_force():
@@ -261,6 +271,73 @@ def test_pointed_iso_small_groups_against_brute_force():
             assert _torsion_orbit_equal(list(alphas), x, y) == brute_force_orbit_equal(
                 alphas, x, y
             )
+
+
+def test_pointed_iso_free_part_against_brute_force():
+    # Aut(Z + T) sends (f, t) to (+-f, A t + f h) with A in Aut(T) and h in T,
+    # so (c, x) and (c', y) match iff |c| = |c'| and y lies in Aut(T) x + cT
+    for alphas in [(4,), (2, 4), (6,), (9,)]:
+        elements = list(product(*(range(a) for a in alphas)))
+        auts = list(automorphisms(alphas))
+        for c in range(7):
+            shifts = {tuple(c * h % a for h, a in zip(t, alphas)) for t in elements}
+            for x in elements:
+                reach = {
+                    tuple((u + s) % a for u, s, a in zip(apply_matrix(mat, alphas, x), shift, alphas))
+                    for mat in auts
+                    for shift in shifts
+                }
+                pa = K0Presentation(alphas + (0,), x + (c,))
+                for y in elements:
+                    for c_b in range(7):
+                        expected = "exists" if c_b == c and y in reach else "none"
+                        pb = K0Presentation(alphas + (0,), y + (-c_b,))
+                        assert pointed_iso_decision(pa, pb) == expected, (alphas, x, c, y, c_b)
+
+
+ORBIT_FACTORS = (2, 3, 5, 6, 7, 10, 12, 30, 1001)
+
+
+@st.composite
+def orbit_cases(draw):
+    """A divisor chain of 1-4 factors and two elements that often share divisors."""
+    chain = draw(st.lists(st.sampled_from(ORBIT_FACTORS), min_size=1, max_size=4))
+    alphas = list(accumulate(chain, operator.mul))
+
+    def element():
+        return [
+            draw(st.sampled_from((0, 1) + ORBIT_FACTORS)) * draw(st.integers(0, a - 1)) % a
+            for a in alphas
+        ]
+
+    x = element()
+    if draw(st.booleans()):
+        y = element()
+    else:
+        u = draw(st.integers(1, alphas[-1]))
+        y = [u * xi % a for xi, a in zip(x, alphas)]
+    return alphas, x, y
+
+
+@settings(max_examples=400, deadline=None)
+@given(orbit_cases())
+def test_torsion_orbit_equal_matches_prime_by_prime_reference(case):
+    from lpa_lie.verdict import _torsion_orbit_equal
+
+    alphas, x, y = case
+    assert _torsion_orbit_equal(alphas, x, y) == reference_orbit_equal(alphas, x, y)
+
+
+def test_pointed_iso_two_large_primes():
+    # the first primes above 10^12 and 2 * 10^12: trial division of N would
+    # have to reach 10^12
+    p, q = 1_000_000_000_039, 2_000_000_000_003
+    n = p * q
+    with time_limit(2):
+        assert pointed_iso_decision(K0Presentation((1, n), (0, 1)), K0Presentation((1, n), (0, 2))) == "exists"
+        assert pointed_iso_decision(K0Presentation((n,), (p,)), K0Presentation((n,), (1,))) == "none"
+        assert pointed_iso_decision(K0Presentation((n,), (p,)), K0Presentation((n,), (3 * p,))) == "exists"
+        assert pointed_iso_decision(K0Presentation((p, n), (1, q)), K0Presentation((p, n), (0, p))) == "none"
 
 
 def test_pointed_iso_decision_basic():
