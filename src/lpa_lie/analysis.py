@@ -88,60 +88,18 @@ def reachability(g: Graph) -> list[list[bool]]:
     return closure
 
 
-def _scc_assignment(g: Graph) -> list[int]:
-    """Component index per vertex (Kosaraju, iterative)."""
-    m = g.num_vertices
-    out_adj = g.successors
-    in_adj: list[list[int]] = [[] for _ in range(m)]
-    for v in range(m):
-        for w in out_adj[v]:
-            in_adj[w].append(v)
-
-    order: list[int] = []
-    seen = [False] * m
-    for s in range(m):
-        if seen[s]:
-            continue
-        seen[s] = True
-        stack: list[tuple[int, int]] = [(s, 0)]
-        while stack:
-            v, i = stack[-1]
-            if i < len(out_adj[v]):
-                stack[-1] = (v, i + 1)
-                w = out_adj[v][i]
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append((w, 0))
-            else:
-                order.append(v)
-                stack.pop()
-
-    comp = [-1] * m
-    label = 0
-    for s in reversed(order):
-        if comp[s] != -1:
-            continue
-        comp[s] = label
-        stack2 = [s]
-        while stack2:
-            v = stack2.pop()
-            for w in in_adj[v]:
-                if comp[w] == -1:
-                    comp[w] = label
-                    stack2.append(w)
-        label += 1
-    return comp
+def _cycle_indices(g: Graph, reach: list[list[bool]]) -> list[int]:
+    """Indices of the vertices on a cycle: those a successor of theirs reaches."""
+    return [v for v, succ in enumerate(g.successors) if any(reach[w][v] for w in succ)]
 
 
 def cycle_vertices(g: Graph) -> set[VertexId]:
     """Vertices lying on some cycle.
 
-    A vertex is on a cycle exactly when its strongly connected component
-    contains an edge (a loop for singleton components).
+    A vertex is on a cycle exactly when one of its successors reaches it (a
+    loop makes the vertex its own successor).
     """
-    comp = _scc_assignment(g)
-    live = {comp[v] for v, succ in enumerate(g.successors) for w in succ if comp[w] == comp[v]}
-    return {v for v in g.vertices if comp[v.index] in live}
+    return {g.vertices[i] for i in _cycle_indices(g, reachability(g))}
 
 
 def find_cycle_without_exit(g: Graph) -> tuple[EdgeId, ...] | None:
@@ -183,7 +141,7 @@ def simplicity_reports(g: Graph) -> tuple[SimplicityReport, SimplicityReport]:
     is a witness against both.
     """
     reach = reachability(g)
-    on_cycle = sorted(cycle_vertices(g), key=lambda v: v.index)
+    on_cycle = [g.vertices[i] for i in _cycle_indices(g, reach)]
     no_exit = find_cycle_without_exit(g)
     sinks = g.sinks()
     simple: list = []

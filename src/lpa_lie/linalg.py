@@ -9,6 +9,10 @@ certificates U, V, backs everything else:
   integer matrix (``SmithDecomposition.solve`` and ``rank``), and
 * cokernel presentations of square integer matrices (invariant factors and
   the class of the all-ones vector), with element order and p-divisibility.
+
+The elimination is symmetric under sign, so the Smith form of ``-M`` is read
+off that of ``M`` (``SmithDecomposition.negated``): one decomposition of a
+matrix serves both verdict routes when they read it with opposite signs.
 """
 
 from __future__ import annotations
@@ -192,6 +196,21 @@ class SmithDecomposition:
     @property
     def diagonal(self) -> tuple[int, ...]:
         return tuple(self.d[i][i] for i in range(min(len(self.d), len(self.d[0]))))
+
+    def negated(self) -> SmithDecomposition:
+        """The Smith form that ``smith_normal_form`` returns for ``-original``.
+
+        Negating the matrix leaves the pivot position (smallest absolute
+        value) and every floor quotient unchanged, so the elimination runs
+        the same steps on negated entries and accumulates the same ``u`` and
+        ``v``; only the final sign normalisation flips the other columns.
+        Hence ``u`` and ``d`` agree and ``v`` has the columns of the nonzero
+        factors negated.
+        """
+        signs = [-1 if a else 1 for a in self.diagonal]
+        signs += [1] * (len(self.v) - len(signs))
+        v = tuple(tuple(s * x for s, x in zip(signs, row)) for row in self.v)
+        return SmithDecomposition(self.u, self.d, v)
 
     def rank(self, field: FieldSpec) -> int:
         """Rank of the original matrix over ``field``: the factors nonzero there."""
@@ -399,19 +418,20 @@ class K0Presentation:
         parts += ["Z"] * self.free_rank
         return " x ".join(parts) if parts else "trivial"
 
+    @classmethod
+    def of(cls, dec: SmithDecomposition) -> K0Presentation:
+        """Read the presentation off the Smith form of a square matrix."""
+        alphas = dec.diagonal
+        unit = (sum(row) for row in dec.u)
+        return cls(alphas, tuple(y % a if a > 0 else y for y, a in zip(unit, alphas)))
+
 
 def cokernel(mat) -> K0Presentation:
     """Invariant factors of Z^m / Im(mat) and the class of the ones vector."""
     m = len(mat)
     if any(len(r) != m for r in mat):
         raise ValueError("cokernel expects a square matrix")
-    dec = smith_normal_form(mat)
-    alphas = list(dec.diagonal)
-    ones_image = [sum(dec.u[i]) for i in range(m)]
-    unit = tuple(
-        ones_image[i] % alphas[i] if alphas[i] > 0 else ones_image[i] for i in range(m)
-    )
-    return K0Presentation(tuple(alphas), unit)
+    return K0Presentation.of(smith_normal_form(mat))
 
 
 def class_order(pres: K0Presentation) -> int | None:

@@ -2,10 +2,12 @@
 
 The package decides every span and rank question from one Smith normal form;
 the Gauss-Jordan elimination and Fraction determinant here are an independent
-reference for it.  The package stores edges as runs of parallel edges; the
-per-edge parser and serialiser here are the reference for its text format,
-trial division is the reference for its Miller-Rabin primality test, and the
-prime-by-prime orbit test is the reference for its factoring-free one.
+reference for it.  It reads cycle vertices off the reachability closure;
+boolean powers of the adjacency matrix are the reference for those.  The
+package stores edges as runs of parallel edges; the per-edge parser and
+serialiser here are the reference for its text format, trial division is the
+reference for its Miller-Rabin primality test, and the prime-by-prime orbit
+test is the reference for its factoring-free one.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from lpa_lie import (
     Graph,
     GraphParseError,
     PathWord,
+    adjacency_matrix,
     graph_from_adjacency,
     is_purely_infinite_simple,
     is_simple_lpa,
@@ -45,9 +48,11 @@ def time_limit(seconds: int):
         signal.signal(signal.SIGALRM, previous)
 
 
-def random_graph(rng: random.Random, max_vertices: int = 6, max_mult: int = 3) -> Graph:
+def random_graph(
+    rng: random.Random, max_vertices: int = 6, max_mult: int = 3, density=(0.2, 0.7)
+) -> Graph:
     m = rng.randint(1, max_vertices)
-    density = rng.uniform(0.2, 0.7)
+    density = rng.uniform(*density)
     adj = [
         [rng.randint(1, max_mult) if rng.random() < density else 0 for _ in range(m)]
         for _ in range(m)
@@ -132,6 +137,17 @@ def random_cohn_element(
 
 
 # -- reference linear algebra -------------------------------------------------
+
+
+def reference_cycle_vertices(g: Graph) -> set:
+    """Vertices v with (A + A^2 + ... + A^n)[v][v] nonzero, by boolean matrix powers."""
+    n = g.num_vertices
+    adj = [[bool(c) for c in row] for row in adjacency_matrix(g)]
+    power, total = adj, adj
+    for _ in range(n - 1):
+        power = [[any(power[i][k] and adj[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+        total = [[x or y for x, y in zip(r, s)] for r, s in zip(total, power)]
+    return {v for v in g.vertices if total[v.index][v.index]}
 
 
 def gauss_jordan(rows, field: FieldSpec):

@@ -1,6 +1,6 @@
 import random
 
-from _gen import random_graph
+from _gen import random_graph, reference_cycle_vertices
 
 from lpa_lie import (
     NoCycle,
@@ -94,6 +94,19 @@ def test_cycle_vertices_examples():
 def test_cycle_vertices_two_cycle_no_loops():
     g = graph_from_adjacency(["a", "b"], [[0, 1], [1, 0]])
     assert cycle_vertices(g) == set(g.vertices)
+
+
+def test_cycle_vertices_match_boolean_powers():
+    rng = random.Random(66)
+    partial = sinks = 0
+    for _ in range(400):
+        g = random_graph(rng, max_vertices=12, density=(0.02, 0.4))
+        on_cycle = cycle_vertices(g)
+        assert on_cycle == reference_cycle_vertices(g)
+        partial += 0 < len(on_cycle) < g.num_vertices
+        sinks += bool(g.sinks())
+    # the sample mixes vertices on and off cycles, and graphs with sinks
+    assert partial >= 100 and sinks >= 100
 
 
 def test_no_exit_cycle_examples():

@@ -389,10 +389,25 @@ def test_analyze_computes_each_invariant_once(tmp_path, capsys, monkeypatch):
     assert out.count("-- AGREE") == 12
     assert counts["is_simple_lpa"] <= 1
     assert counts["is_purely_infinite_simple"] <= 1
-    assert counts["smith_normal_form"] <= 2
+    # no sink: both routes read the one Smith form of I - A^t
+    assert counts["smith_normal_form"] == 1
     assert counts["reachability"] <= 1
     assert counts["cycle_vertices"] <= 1
     assert counts["find_cycle_without_exit"] <= 1
+
+    counts["smith_normal_form"] = 0
+    a = write_family(tmp_path, "rose", [2])
+    b = write_family(tmp_path, "matrix_rose", [2, 3])
+    code, out, _ = run(capsys, "kp-check", a, b)
+    assert code == 0
+    assert counts["smith_normal_form"] <= 2
+
+    # a sink: the B-vectors need a Smith form of their own
+    counts["smith_normal_form"] = 0
+    code, out, _ = run(capsys, "analyze", write_family(tmp_path, "line", [3]))
+    assert code == 0
+    assert "path algebra: simple" in out
+    assert counts["smith_normal_form"] <= 2
 
 
 # -- selftest and misc ----------------------------------------------------------------

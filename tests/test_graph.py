@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -69,6 +70,16 @@ def test_parse_example4_file():
     assert g.num_vertices == 4
     assert g.num_edges == 7
     assert adjacency_matrix(g) == adjacency_matrix(family("example4"))
+
+
+def test_parse_readme_graph_input_example():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Graph input", 1)[1].split("```\n", 2)[1]
+    g = parse_graph(block)
+    assert [v.label for v in g.vertices] == ["v1", "v2"]
+    assert [(e.label, e.source.label, e.target.label) for e in g.edges] == [
+        ("v1_v2_1", "v1", "v2"), ("v1_v2_2", "v1", "v2"), ("v1_v2_3", "v1", "v2"), ("f", "v2", "v1"),
+    ]
 
 
 def test_parse_undeclared_vertex():

@@ -245,6 +245,22 @@ def test_snf_certificates_hypothesis(mat):
     check_certificate(mat, dec)
 
 
+rectangular_matrices = st.tuples(st.integers(1, 5), st.integers(1, 5)).flatmap(
+    lambda shape: st.lists(
+        st.lists(st.integers(min_value=-9, max_value=9), min_size=shape[1], max_size=shape[1]),
+        min_size=shape[0],
+        max_size=shape[0],
+    )
+)
+
+
+@given(rectangular_matrices)
+@settings(max_examples=150, deadline=None)
+def test_snf_of_the_negated_matrix_hypothesis(mat):
+    dec = smith_normal_form(mat)
+    assert smith_normal_form([[-x for x in row] for row in mat]) == dec.negated()
+
+
 def test_snf_deterministic():
     rng = random.Random(9)
     for _ in range(30):

@@ -7,14 +7,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _gen import random_graph, random_pis_graphs, reference_orbit_equal, time_limit
+from _gen import (
+    random_graph,
+    random_graphs_where,
+    random_pis_graphs,
+    reference_orbit_equal,
+    time_limit,
+)
 
 from lpa_lie import (
     INAPPLICABLE,
     NOT_SIMPLE,
     SIMPLE,
     FieldSpec,
+    GraphInvariants,
     K0Presentation,
+    b_vectors,
+    cokernel,
     family,
     graph_from_adjacency,
     is_purely_infinite_simple,
@@ -22,8 +31,10 @@ from lpa_lie import (
     leavitt_closed_form,
     lie_simplicity,
     lie_simplicity_via_k0,
+    m_matrix,
     matrix_lie_simplicity,
     pointed_iso_decision,
+    smith_normal_form,
     vertex_combination_in_commutator,
 )
 
@@ -187,6 +198,17 @@ def test_span_verdict_depends_only_on_characteristic():
     # identical FieldSpec values are interchangeable; no other field data exists
     g = family("prime_set", [6])
     assert lie_simplicity(g, FieldSpec(3)) == lie_simplicity(g, FieldSpec(3))
+
+
+def test_one_smith_form_serves_both_routes_without_a_sink():
+    # b_smith is read off the Smith form of I - A^t, which is only sound
+    # while the elimination treats M and -M alike
+    rng = random.Random(88)
+    for g in random_graphs_where(rng, 80, lambda g: not g.sinks(), max_vertices=7, max_mult=6):
+        inv = GraphInvariants(g)
+        direct = smith_normal_form([list(col) for col in zip(*b_vectors(g))])
+        assert inv.b_smith == direct
+        assert inv.k0 == cokernel(m_matrix(g))
 
 
 # -- vertex combinations ------------------------------------------------------------
