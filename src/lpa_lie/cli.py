@@ -524,10 +524,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    chars = ",".join(map(str, DEFAULT_CHARS))
 
     p = sub.add_parser("analyze", help="full report for one graph")
     p.add_argument("graph", help="graph file, or - for stdin")
-    p.add_argument("--char", default="0,2,3,5,7", help="comma list of characteristics")
+    p.add_argument("--char", default=chars, help="comma list of characteristics")
     p.add_argument("--json", action="store_true")
     p.set_defaults(handler=_cmd_analyze)
 
@@ -553,7 +554,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("kp-check", help="pointed-K0 comparison of two graphs")
     p.add_argument("graph_a")
     p.add_argument("graph_b")
-    p.add_argument("--char", default="0,2,3,5,7")
+    p.add_argument("--char", default=chars)
     p.add_argument("--max-group-order", type=int, default=10**6)
     p.add_argument("--json", action="store_true")
     p.set_defaults(handler=_cmd_kp_check)
@@ -570,10 +571,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except _CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (GraphError, ValueError) as exc:
+    except (_CliError, GraphError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -9,10 +9,6 @@ certificates U, V, backs everything else:
   integer matrix (``SmithDecomposition.solve`` and ``rank``), and
 * cokernel presentations of square integer matrices (invariant factors and
   the class of the all-ones vector), with element order and p-divisibility.
-
-The elimination is symmetric under sign, so the Smith form of ``-M`` is read
-off that of ``M`` (``SmithDecomposition.negated``): one decomposition of a
-matrix serves both verdict routes when they read it with opposite signs.
 """
 
 from __future__ import annotations
@@ -196,21 +192,6 @@ class SmithDecomposition:
     @property
     def diagonal(self) -> tuple[int, ...]:
         return tuple(self.d[i][i] for i in range(min(len(self.d), len(self.d[0]))))
-
-    def negated(self) -> SmithDecomposition:
-        """The Smith form that ``smith_normal_form`` returns for ``-original``.
-
-        Negating the matrix leaves the pivot position (smallest absolute
-        value) and every floor quotient unchanged, so the elimination runs
-        the same steps on negated entries and accumulates the same ``u`` and
-        ``v``; only the final sign normalisation flips the other columns.
-        Hence ``u`` and ``d`` agree and ``v`` has the columns of the nonzero
-        factors negated.
-        """
-        signs = [-1 if a else 1 for a in self.diagonal]
-        signs += [1] * (len(self.v) - len(signs))
-        v = tuple(tuple(s * x for s, x in zip(signs, row)) for row in self.v)
-        return SmithDecomposition(self.u, self.d, v)
 
     def rank(self, field: FieldSpec) -> int:
         """Rank of the original matrix over ``field``: the factors nonzero there."""

@@ -28,6 +28,7 @@ from .linalg import (
     K0Presentation,
     SmithDecomposition,
     class_order,
+    cokernel,
     is_p_divisible,
     smith_normal_form,
 )
@@ -59,9 +60,10 @@ class GraphInvariants:
 
     Each field is computed on first use and kept as an immutable value, so
     deciding further characteristics costs one back-substitution through
-    ``b_smith``.  Both routes read one Smith form of I - A^t when the graph
-    has no sink.  The verdict functions accept either a ``Graph`` or one of
-    these; pass the same object to share the work between calls.
+    ``b_smith``, the Smith form of the B-matrix, which ``k0`` also reads
+    when the graph has no sink.  The verdict functions accept either a
+    ``Graph`` or one of these; pass the same object to share the work
+    between calls.
     """
 
     graph: Graph
@@ -83,26 +85,21 @@ class GraphInvariants:
         return tuple(tuple(b) for b in b_vectors(self.graph))
 
     @cached_property
-    def _m_smith(self) -> SmithDecomposition:
-        """Smith form of I - A^t."""
-        return smith_normal_form(m_matrix(self.graph))
-
-    @cached_property
     def b_smith(self) -> SmithDecomposition:
-        """Smith form of the matrix whose columns are the B-vectors.
-
-        Without a sink that matrix is A^t - I, so it is read off the Smith
-        form of I - A^t; a sink's B-vector is zero where I - A^t has a unit
-        column, so a graph with a sink needs a second one.
-        """
-        if self.graph.sinks():
-            return smith_normal_form([list(col) for col in zip(*self.b_vectors)])
-        return self._m_smith.negated()
+        """Smith form of the matrix whose columns are the B-vectors."""
+        return smith_normal_form([list(col) for col in zip(*self.b_vectors)])
 
     @cached_property
     def k0(self) -> K0Presentation:
-        """Cokernel of I - A^t with the unit class."""
-        return K0Presentation.of(self._m_smith)
+        """Cokernel of I - A^t with the unit class.
+
+        Without a sink the B-matrix is A^t - I, whose cokernel is the same,
+        so it is read off ``b_smith``; a sink's B-vector is zero where
+        I - A^t has a unit column, so a graph with a sink needs its own.
+        """
+        if self.graph.sinks():
+            return cokernel(m_matrix(self.graph))
+        return K0Presentation.of(self.b_smith)
 
 
 def _invariants(g: Graph | GraphInvariants) -> GraphInvariants:

@@ -389,7 +389,7 @@ def test_analyze_computes_each_invariant_once(tmp_path, capsys, monkeypatch):
     assert out.count("-- AGREE") == 12
     assert counts["is_simple_lpa"] <= 1
     assert counts["is_purely_infinite_simple"] <= 1
-    # no sink: both routes read the one Smith form of I - A^t
+    # no sink: both routes read the one Smith form of the B-matrix
     assert counts["smith_normal_form"] == 1
     assert counts["reachability"] <= 1
     assert counts["cycle_vertices"] <= 1
@@ -402,7 +402,7 @@ def test_analyze_computes_each_invariant_once(tmp_path, capsys, monkeypatch):
     assert code == 0
     assert counts["smith_normal_form"] <= 2
 
-    # a sink: the B-vectors need a Smith form of their own
+    # a sink: the cokernel of I - A^t needs a Smith form of its own
     counts["smith_normal_form"] = 0
     code, out, _ = run(capsys, "analyze", write_family(tmp_path, "line", [3]))
     assert code == 0

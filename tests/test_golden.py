@@ -1,0 +1,98 @@
+"""Byte-for-byte CLI reports: each call's exit code, stdout and stderr.
+
+The expected output of each call in ``CALLS`` is kept in
+``tests/golden/<name>.json``.  After an intended change to a report, rewrite
+them with ``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
+"""
+
+import json
+import os
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
+from pathlib import Path
+
+import pytest
+
+from lpa_lie import family, serialize_graph
+from lpa_lie.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+# input files the calls name, written as family graphs
+GRAPHS = {
+    "example4.graph": ("example4", []),
+    "prime_set_6.graph": ("prime_set", [6]),
+    "two_vertex_2_2_3.graph": ("two_vertex", [2, 2, 3]),
+    "line_3.graph": ("line", [3]),
+    "rose_1.graph": ("rose", [1]),
+    "rose_2.graph": ("rose", [2]),
+    "rose_3.graph": ("rose", [3]),
+    "matrix_rose_2_3.graph": ("matrix_rose", [2, 3]),
+    "matrix_rose_3_4.graph": ("matrix_rose", [3, 4]),
+}
+
+CALLS = {
+    f"{command}-{stem}{suffix}": [command, f"{stem}.graph", *flags]
+    for command in ("analyze", "k0")
+    for stem in ("example4", "prime_set_6", "two_vertex_2_2_3", "line_3", "rose_1", "matrix_rose_3_4")
+    for suffix, flags in (("", []), ("-json", ["--json"]))
+}
+CALLS.update({
+    "witness-rose_3-member": ["witness", "rose_3.graph", "--coeffs", "1", "--char", "0"],
+    "witness-rose_3-non-member": ["witness", "rose_3.graph", "--coeffs", "1", "--char", "2"],
+    "kp-check-rose_2-matrix_rose_2_3": ["kp-check", "rose_2.graph", "matrix_rose_2_3.graph"],
+    "family-example4": ["family", "example4"],
+    "selftest": ["selftest"],
+    "analyze-composite-char": ["analyze", "rose_3.graph", "--char", "0,4"],
+})
+
+
+def write_graphs(directory: Path) -> None:
+    for filename, (name, params) in GRAPHS.items():
+        (directory / filename).write_text(serialize_graph(family(name, params)), encoding="utf-8")
+
+
+def run_call(argv) -> dict:
+    out, err = StringIO(), StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(list(argv))
+    return {
+        "argv": list(argv),
+        "exit": code,
+        "stdout": out.getvalue().splitlines(keepends=True),
+        "stderr": err.getvalue().splitlines(keepends=True),
+    }
+
+
+def test_golden_files_match_the_calls():
+    assert sorted(p.stem for p in GOLDEN.glob("*.json")) == sorted(CALLS)
+
+
+@pytest.mark.parametrize("name", sorted(CALLS))
+def test_cli_report_matches_golden(name, tmp_path, monkeypatch):
+    write_graphs(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    expected = json.loads((GOLDEN / f"{name}.json").read_text(encoding="utf-8"))
+    assert run_call(CALLS[name]) == expected
+
+
+def regenerate() -> None:
+    GOLDEN.mkdir(exist_ok=True)
+    for stale in GOLDEN.glob("*.json"):
+        stale.unlink()
+    with tempfile.TemporaryDirectory() as tmp:
+        write_graphs(Path(tmp))
+        cwd = os.getcwd()
+        os.chdir(tmp)
+        try:
+            results = {name: run_call(argv) for name, argv in CALLS.items()}
+        finally:
+            os.chdir(cwd)
+    for name, result in results.items():
+        text = json.dumps(result, indent=1, ensure_ascii=False) + "\n"
+        (GOLDEN / f"{name}.json").write_text(text, encoding="utf-8")
+
+
+if __name__ == "__main__":
+    regenerate()

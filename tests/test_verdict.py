@@ -201,8 +201,8 @@ def test_span_verdict_depends_only_on_characteristic():
 
 
 def test_one_smith_form_serves_both_routes_without_a_sink():
-    # b_smith is read off the Smith form of I - A^t, which is only sound
-    # while the elimination treats M and -M alike
+    # k0 is read off the Smith form of the B-matrix A^t - I; the separately
+    # computed Smith form of I - A^t must give the same unit class
     rng = random.Random(88)
     for g in random_graphs_where(rng, 80, lambda g: not g.sinks(), max_vertices=7, max_mult=6):
         inv = GraphInvariants(g)
