@@ -102,35 +102,32 @@ def cycle_vertices(g: Graph) -> set[VertexId]:
     return {g.vertices[i] for i in _cycle_indices(g, reachability(g))}
 
 
+def _exitless_cycle(g: Graph, reach: list[list[bool]]) -> tuple[EdgeId, ...] | None:
+    """The first exitless cycle in index order, read off the closure ``reach``.
+
+    A vertex reaches only an exitless cycle exactly when every vertex it
+    reaches has out-degree 1.  The cycle reached from the first such vertex
+    starts at its smallest vertex: the first reached one that its successor
+    reaches back.
+    """
+    single = [g.out_degree(v) == 1 for v in g.vertices]
+    for s, row in enumerate(reach):
+        if single[s] and all(one for one, r in zip(single, row) if r):
+            start = next(w for w, r in enumerate(row) if r and reach[g.successors[w][0]][w])
+            cycle = [g.out_edges(g.vertices[start])[0]]
+            while cycle[-1].target.index != start:
+                cycle.append(g.out_edges(cycle[-1].target)[0])
+            return tuple(cycle)
+    return None
+
+
 def find_cycle_without_exit(g: Graph) -> tuple[EdgeId, ...] | None:
     """Return a cycle whose vertices all have out-degree 1, if one exists.
 
     A cycle lacks an exit exactly when each of its vertices emits nothing but
-    its cycle edge, so it suffices to chase the functional subgraph spanned by
-    out-degree-1 vertices.  The returned cycle starts at its smallest vertex.
+    its cycle edge.  The returned cycle starts at its smallest vertex.
     """
-    step = {
-        v.index: g.successors[v.index][0] for v in g.vertices if g.out_degree(v) == 1
-    }
-
-    finished: set[int] = set()
-    for start in sorted(step):
-        if start in finished:
-            continue
-        position: dict[int, int] = {}
-        path: list[int] = []
-        cur = start
-        while cur in step and cur not in finished and cur not in position:
-            position[cur] = len(path)
-            path.append(cur)
-            cur = step[cur]
-        if cur in position:
-            cycle = path[position[cur]:]
-            lowest = cycle.index(min(cycle))
-            cycle = cycle[lowest:] + cycle[:lowest]
-            return tuple(g.out_edges(g.vertices[i])[0] for i in cycle)
-        finished.update(position)
-    return None
+    return _exitless_cycle(g, reachability(g))
 
 
 def simplicity_reports(g: Graph) -> tuple[SimplicityReport, SimplicityReport]:
@@ -142,7 +139,7 @@ def simplicity_reports(g: Graph) -> tuple[SimplicityReport, SimplicityReport]:
     """
     reach = reachability(g)
     on_cycle = [g.vertices[i] for i in _cycle_indices(g, reach)]
-    no_exit = find_cycle_without_exit(g)
+    no_exit = _exitless_cycle(g, reach)
     sinks = g.sinks()
     simple: list = []
     pis: list = []

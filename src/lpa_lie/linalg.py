@@ -3,7 +3,10 @@
 Everything here is computed with arbitrary-precision integers, ``Fraction``
 rationals, or residues modulo a prime; no floating point is ever involved.
 One elimination routine, the Smith normal form over Z with unimodular
-certificates U, V, backs everything else:
+certificates U, V, backs everything else.  It runs on one working matrix,
+``[M | I]`` stacked over ``I``, so that each row and column operation that
+diagonalises M is applied once and builds U and V as it goes; U, D and V are
+read off as blocks at the end.  The Smith form serves
 
 * linear solving and rank over Q or GF(p), read off the certificate of the
   integer matrix (``SmithDecomposition.solve`` and ``rank``), and
@@ -13,6 +16,7 @@ certificates U, V, backs everything else:
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm
@@ -165,8 +169,10 @@ class FieldSpec:
         raise TypeError(f"cannot coerce {type(value).__name__} into {self.name}")
 
     def parse(self, text: str):
-        """Parse ``a`` or ``a/b`` as an element of this field."""
+        """Parse ``a`` or ``a/b`` (an optional sign, ASCII digits) as an element of this field."""
         try:
+            if not re.fullmatch(r"[+-]?[0-9]+(/[0-9]+)?", text.strip()):
+                raise ValueError("expected an integer a or a fraction a/b")
             return self.coerce(Fraction(text.strip()))
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"cannot parse {text!r} as an element of {self.name}: {exc}") from None
@@ -240,14 +246,16 @@ def identity_matrix(n: int) -> list[list[int]]:
 
 
 def _min_abs_position(a, t: int, rows: int, cols: int) -> tuple[int, int] | None:
+    """The first entry of least nonzero absolute value in ``a[t:rows][t:cols]``, row-major."""
     best = None
     pos = None
     for i in range(t, rows):
-        for j in range(t, cols):
-            x = a[i][j]
+        for j, x in enumerate(a[i][t:cols], t):
             if x:
                 x = -x if x < 0 else x
                 if best is None or x < best:
+                    if x == 1:
+                        return i, j  # nothing later can beat it
                     best = x
                     pos = (i, j)
     return pos
@@ -258,93 +266,75 @@ def smith_normal_form(mat) -> SmithDecomposition:
 
     The pivot at each stage is the entry of smallest nonzero absolute value in
     the working submatrix (ties broken in row-major order), which bounds entry
-    growth and makes the output deterministic.  Row operations accumulate into
-    ``u`` and column operations into ``v``; only swaps, adding an integer
-    multiple of one row/column to another, and column negations are used, so
-    both certificates are unimodular.
+    growth and makes the output deterministic.  The elimination runs on one
+    working matrix: ``rows`` rows ``[M | I]`` over ``cols`` rows of the
+    identity.  Each row operation on the top rows builds ``u`` in their right
+    block, each column operation on the first ``cols`` columns builds ``v`` in
+    the bottom rows, and ``u @ M @ v == d`` holds by construction.  Only
+    swaps, adding an integer multiple of one row/column to another, and column
+    negations are used, so both certificates are unimodular.
     """
     rows = len(mat)
     if rows == 0 or len(mat[0]) == 0:
         raise ValueError("smith_normal_form expects a non-empty matrix")
     cols = len(mat[0])
-    a: list[list[int]] = []
-    for r in mat:
+    w: list[list[int]] = []
+    for r, unit in zip(mat, identity_matrix(rows)):
         if len(r) != cols:
             raise ValueError("matrix rows must all have the same length")
-        row = []
-        for x in r:
-            if not isinstance(x, int) or isinstance(x, bool):
-                raise ValueError("matrix entries must be integers")
-            row.append(x)
-        a.append(row)
-    u = identity_matrix(rows)
-    v = identity_matrix(cols)
+        if not all(isinstance(x, int) and not isinstance(x, bool) for x in r):
+            raise ValueError("matrix entries must be integers")
+        w.append([*r, *unit])
+    w += identity_matrix(cols)
 
-    def row_sub(m, i, k, q):  # m[i] -= q * m[k]
-        mi, mk = m[i], m[k]
-        for j in range(len(mi)):
-            mi[j] -= q * mk[j]
-
-    def col_sub(m, j, k, q):  # col j -= q * col k
-        for r in m:
-            r[j] -= q * r[k]
-
-    for t in range(min(rows, cols)):
-        if _min_abs_position(a, t, rows, cols) is None:
-            break
-        while True:
-            pi, pj = _min_abs_position(a, t, rows, cols)
-            if pi != t:
-                a[t], a[pi] = a[pi], a[t]
-                u[t], u[pi] = u[pi], u[t]
-            if pj != t:
-                for r in a:
-                    r[t], r[pj] = r[pj], r[t]
-                for r in v:
-                    r[t], r[pj] = r[pj], r[t]
-            pivot = a[t][t]
-            dirty = False
-            for i in range(t + 1, rows):
-                if a[i][t]:
-                    q = a[i][t] // pivot
-                    if q:
-                        row_sub(a, i, t, q)
-                        row_sub(u, i, t, q)
-                    if a[i][t]:
-                        dirty = True
-            for j in range(t + 1, cols):
-                if a[t][j]:
-                    q = a[t][j] // pivot
-                    if q:
-                        col_sub(a, j, t, q)
-                        col_sub(v, j, t, q)
-                    if a[t][j]:
-                        dirty = True
-            if dirty:
-                continue
-            offender = None
-            for i in range(t + 1, rows):
-                for j in range(t + 1, cols):
-                    if a[i][j] % pivot:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
+    # rows above t are zero from column t on, so column operations skip them
+    t = 0
+    while t < min(rows, cols) and (pos := _min_abs_position(w, t, rows, cols)) is not None:
+        pi, pj = pos
+        if pi != t:
+            w[t], w[pi] = w[pi], w[t]
+        if pj != t:
+            for r in w[t:]:
+                r[t], r[pj] = r[pj], r[t]
+        pivot = w[t][t]
+        dirty = False
+        for i in range(t + 1, rows):
+            if w[i][t]:
+                q = w[i][t] // pivot
+                if q:
+                    w[i] = [x - q * y for x, y in zip(w[i], w[t])]
+                if w[i][t]:
+                    dirty = True
+        for j in range(t + 1, cols):
+            if w[t][j]:
+                q = w[t][j] // pivot
+                if q:
+                    for r in w[t:]:
+                        r[j] -= q * r[t]
+                if w[t][j]:
+                    dirty = True
+        if dirty:
+            continue
+        offender = next(
+            (i for i in range(t + 1, rows) if any(x % pivot for x in w[i][t + 1 : cols])), None
+        )
+        if offender is None:
+            t += 1
+        else:
             # fold the offending row into row t so the pivot can shrink
-            row_sub(a, t, offender, -1)
-            row_sub(u, t, offender, -1)
+            w[t] = [x + y for x, y in zip(w[t], w[offender])]
 
     for k in range(min(rows, cols)):
-        if a[k][k] < 0:
-            for r in a:
-                r[k] = -r[k]
-            for r in v:
+        if w[k][k] < 0:
+            for r in w:
                 r[k] = -r[k]
 
-    freeze = lambda m: tuple(tuple(r) for r in m)
-    return SmithDecomposition(freeze(u), freeze(a), freeze(v))
+    top = w[:rows]
+    return SmithDecomposition(
+        tuple(tuple(r[cols:]) for r in top),
+        tuple(tuple(r[:cols]) for r in top),
+        tuple(tuple(r) for r in w[rows:]),
+    )
 
 
 def span_membership(vectors, target, field: FieldSpec):

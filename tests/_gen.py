@@ -2,8 +2,11 @@
 
 The package decides every span and rank question from one Smith normal form;
 the Gauss-Jordan elimination and Fraction determinant here are an independent
-reference for it.  It reads cycle vertices off the reachability closure;
-boolean powers of the adjacency matrix are the reference for those.  The
+reference for it, and the two-matrix elimination here, which writes each
+operation once on the matrix and once on its certificate, is the reference
+for its one-working-matrix Smith form.  It reads cycle vertices and the
+exitless cycle off the reachability closure; boolean powers of the adjacency
+matrix and a chase of the out-degree-1 subgraph are the references for those.  The
 package stores edges as runs of parallel edges; the per-edge parser and
 serialiser here are the reference for its text format, trial division is the
 reference for its Miller-Rabin primality test, and the prime-by-prime orbit
@@ -25,6 +28,7 @@ from lpa_lie import (
     Graph,
     GraphParseError,
     PathWord,
+    SmithDecomposition,
     adjacency_matrix,
     graph_from_adjacency,
     is_purely_infinite_simple,
@@ -49,9 +53,13 @@ def time_limit(seconds: int):
 
 
 def random_graph(
-    rng: random.Random, max_vertices: int = 6, max_mult: int = 3, density=(0.2, 0.7)
+    rng: random.Random,
+    max_vertices: int = 6,
+    max_mult: int = 3,
+    density=(0.2, 0.7),
+    min_vertices: int = 1,
 ) -> Graph:
-    m = rng.randint(1, max_vertices)
+    m = rng.randint(min_vertices, max_vertices)
     density = rng.uniform(*density)
     adj = [
         [rng.randint(1, max_mult) if rng.random() < density else 0 for _ in range(m)]
@@ -148,6 +156,127 @@ def reference_cycle_vertices(g: Graph) -> set:
         power = [[any(power[i][k] and adj[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
         total = [[x or y for x, y in zip(r, s)] for r, s in zip(total, power)]
     return {v for v in g.vertices if total[v.index][v.index]}
+
+
+def reference_cycle_without_exit(g: Graph):
+    """The edges of a cycle whose vertices all have out-degree 1, or None.
+
+    Chases the functional subgraph spanned by the out-degree-1 vertices, from
+    each start in index order; the cycle starts at its smallest vertex.
+    """
+    step = {
+        v.index: g.successors[v.index][0] for v in g.vertices if g.out_degree(v) == 1
+    }
+    finished: set[int] = set()
+    for start in sorted(step):
+        if start in finished:
+            continue
+        position: dict[int, int] = {}
+        path: list[int] = []
+        cur = start
+        while cur in step and cur not in finished and cur not in position:
+            position[cur] = len(path)
+            path.append(cur)
+            cur = step[cur]
+        if cur in position:
+            cycle = path[position[cur]:]
+            lowest = cycle.index(min(cycle))
+            cycle = cycle[lowest:] + cycle[:lowest]
+            return tuple(g.out_edges(g.vertices[i])[0] for i in cycle)
+        finished.update(position)
+    return None
+
+
+def _reference_min_abs_position(a, t: int, rows: int, cols: int):
+    best = None
+    pos = None
+    for i in range(t, rows):
+        for j in range(t, cols):
+            x = a[i][j]
+            if x:
+                x = -x if x < 0 else x
+                if best is None or x < best:
+                    best = x
+                    pos = (i, j)
+    return pos
+
+
+def reference_smith_normal_form(mat) -> SmithDecomposition:
+    """The Smith form with the package's pivot rule, on separate matrices a, u, v.
+
+    Every swap, subtraction and sign flip is applied once to the working
+    matrix and once more to the certificate it belongs to.
+    """
+    rows, cols = len(mat), len(mat[0])
+    a = [list(r) for r in mat]
+    u = [[int(i == j) for j in range(rows)] for i in range(rows)]
+    v = [[int(i == j) for j in range(cols)] for i in range(cols)]
+
+    def row_sub(m, i, k, q):  # m[i] -= q * m[k]
+        mi, mk = m[i], m[k]
+        for j in range(len(mi)):
+            mi[j] -= q * mk[j]
+
+    def col_sub(m, j, k, q):  # col j -= q * col k
+        for r in m:
+            r[j] -= q * r[k]
+
+    for t in range(min(rows, cols)):
+        if _reference_min_abs_position(a, t, rows, cols) is None:
+            break
+        while True:
+            pi, pj = _reference_min_abs_position(a, t, rows, cols)
+            if pi != t:
+                a[t], a[pi] = a[pi], a[t]
+                u[t], u[pi] = u[pi], u[t]
+            if pj != t:
+                for r in a:
+                    r[t], r[pj] = r[pj], r[t]
+                for r in v:
+                    r[t], r[pj] = r[pj], r[t]
+            pivot = a[t][t]
+            dirty = False
+            for i in range(t + 1, rows):
+                if a[i][t]:
+                    q = a[i][t] // pivot
+                    if q:
+                        row_sub(a, i, t, q)
+                        row_sub(u, i, t, q)
+                    if a[i][t]:
+                        dirty = True
+            for j in range(t + 1, cols):
+                if a[t][j]:
+                    q = a[t][j] // pivot
+                    if q:
+                        col_sub(a, j, t, q)
+                        col_sub(v, j, t, q)
+                    if a[t][j]:
+                        dirty = True
+            if dirty:
+                continue
+            offender = None
+            for i in range(t + 1, rows):
+                for j in range(t + 1, cols):
+                    if a[i][j] % pivot:
+                        offender = i
+                        break
+                if offender is not None:
+                    break
+            if offender is None:
+                break
+            # fold the offending row into row t so the pivot can shrink
+            row_sub(a, t, offender, -1)
+            row_sub(u, t, offender, -1)
+
+    for k in range(min(rows, cols)):
+        if a[k][k] < 0:
+            for r in a:
+                r[k] = -r[k]
+            for r in v:
+                r[k] = -r[k]
+
+    freeze = lambda m: tuple(tuple(r) for r in m)
+    return SmithDecomposition(freeze(u), freeze(a), freeze(v))
 
 
 def gauss_jordan(rows, field: FieldSpec):

@@ -1,6 +1,6 @@
 import random
 
-from _gen import random_graph, reference_cycle_vertices
+from _gen import random_graph, reference_cycle_vertices, reference_cycle_without_exit
 
 from lpa_lie import (
     NoCycle,
@@ -107,6 +107,23 @@ def test_cycle_vertices_match_boolean_powers():
         sinks += bool(g.sinks())
     # the sample mixes vertices on and off cycles, and graphs with sinks
     assert partial >= 100 and sinks >= 100
+
+
+def test_exitless_cycle_matches_the_chase():
+    rng = random.Random(77)
+    found = 0
+    for _ in range(1500):
+        g = random_graph(rng, max_vertices=9, max_mult=2, density=(0.05, 0.4))
+        if rng.random() < 0.5:
+            g = random_functional_patch(rng, g)
+        cycle = reference_cycle_without_exit(g)
+        assert find_cycle_without_exit(g) == cycle
+        # the simplicity report reads the same cycle off its own closure
+        no_exit = [w.edges for w in is_simple_lpa(g).witnesses if isinstance(w, NoExitCycle)]
+        assert no_exit == ([cycle] if cycle else [])
+        found += cycle is not None
+    # the sample mixes graphs with and without an exitless cycle
+    assert 300 <= found <= 1200
 
 
 def test_no_exit_cycle_examples():

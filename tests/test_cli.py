@@ -230,6 +230,15 @@ def test_witness_bad_gf_coefficient(tmp_path, capsys):
     assert code == 1
 
 
+def test_witness_refuses_an_exponent_coefficient(tmp_path, capsys):
+    path = write_family(tmp_path, "rose", [3])
+    with time_limit(2):
+        code, out, err = run(capsys, "witness", path, "--coeffs", "1e50000000", "--char", "0")
+    assert code == 1 and out == ""
+    assert err.startswith("error: cannot parse '1e50000000' as an element of Q")
+    assert err.count("\n") == 1
+
+
 # -- family ---------------------------------------------------------------------
 
 

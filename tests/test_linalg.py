@@ -10,9 +10,11 @@ from hypothesis import strategies as st
 from _gen import (
     int_det,
     mat_mul,
+    random_graph,
     random_int_matrix,
     reference_is_prime,
     reference_rank,
+    reference_smith_normal_form,
     reference_span,
     time_limit,
 )
@@ -103,6 +105,17 @@ def test_field_parse_and_coerce():
         f3.coerce(Fraction(1, 3))
     with pytest.raises(ValueError):
         f0.parse("x")
+
+
+def test_field_parse_accepts_exactly_integers_and_fractions():
+    f0 = FieldSpec(0)
+    assert f0.parse("-3/4") == Fraction(-3, 4)
+    assert f0.parse("+5") == 5 and f0.parse(" 7 ") == 7
+    # exponents, decimals, underscores and non-ASCII digits are refused: an
+    # exponent would turn a short text into a huge integer
+    for text in ("1e5", "1.5", "1_0", "\u0663", "3/-4", "1/", "1e50000000"):
+        with pytest.raises(ValueError, match=f"cannot parse {text!r} as an element of Q"):
+            f0.parse(text)
 
 
 # -- span membership -----------------------------------------------------------
@@ -265,6 +278,43 @@ def test_snf_of_the_negated_matrix_hypothesis(mat):
     signs = [-1 if a else 1 for a in dec.diagonal]
     signs += [1] * (len(dec.v) - len(signs))
     assert neg.v == tuple(tuple(s * x for s, x in zip(signs, row)) for row in dec.v)
+
+
+def _with_zero_lines(case):
+    mat, zero_rows, zero_cols = case
+    return [
+        [0 if i in zero_rows or j in zero_cols else x for j, x in enumerate(r)]
+        for i, r in enumerate(mat)
+    ]
+
+
+snf_cases = st.tuples(st.integers(1, 6), st.integers(1, 6)).flatmap(
+    lambda shape: st.tuples(
+        st.lists(
+            st.lists(st.integers(-60, 60), min_size=shape[1], max_size=shape[1]),
+            min_size=shape[0],
+            max_size=shape[0],
+        ),
+        st.sets(st.integers(0, shape[0] - 1)),
+        st.sets(st.integers(0, shape[1] - 1)),
+    )
+).map(_with_zero_lines)
+
+
+@given(snf_cases)
+@settings(max_examples=300, deadline=None)
+def test_snf_matches_the_two_matrix_reference_hypothesis(mat):
+    # one working matrix [M | I] over I performs the reference's operations
+    # in the reference's order, so u, d and v agree entry for entry
+    assert smith_normal_form(mat) == reference_smith_normal_form(mat)
+
+
+@given(st.integers(0, 2**32))
+@settings(max_examples=20, deadline=None)
+def test_snf_of_graph_matrices_matches_the_reference_hypothesis(seed):
+    g = random_graph(random.Random(seed), min_vertices=20, max_vertices=40)
+    for mat in (m_matrix(g), [list(col) for col in zip(*b_vectors(g))]):
+        assert smith_normal_form(mat) == reference_smith_normal_form(mat)
 
 
 def test_snf_deterministic():
