@@ -52,9 +52,12 @@ from .verdict import (
 SCHEMA = "lpa-lie.report/1"
 DEFAULT_CHARS = (0, 2, 3, 5, 7)
 SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19)
+# Counts, reachability and the Smith form are all V x V, so a graph with more
+# vertices is refused before any of them is built.
+VERTEX_LIMIT = 1_000
 
 
-class _CliError(Exception):
+class _CliError(ValueError):
     """Input or usage problem; maps to exit code 1."""
 
 
@@ -87,13 +90,16 @@ def _load_graph(spec: str) -> Graph:
         if not isinstance(labels, list) or not all(isinstance(v, str) for v in labels):
             raise _CliError("JSON graph 'vertices' must be a list of strings")
         try:
-            return graph_from_adjacency(labels, data["adjacency"])
+            g = graph_from_adjacency(labels, data["adjacency"])
         except (GraphError, TypeError) as exc:
             raise _CliError(f"bad structured graph: {exc}") from exc
-    try:
-        return parse_graph(text)
-    except GraphError as exc:
-        raise _CliError(str(exc)) from exc
+    else:
+        g = parse_graph(text)
+    if g.num_vertices > VERTEX_LIMIT:
+        raise _CliError(
+            f"graph has {g.num_vertices} vertices, more than the limit of {VERTEX_LIMIT}"
+        )
+    return g
 
 
 def _parse_chars(text: str) -> list[int]:
@@ -318,10 +324,7 @@ def _cmd_witness(args) -> int:
         raise _CliError(
             f"expected {g.num_vertices} coefficients, got {len(raw)}"
         )
-    try:
-        coeffs = [field.parse(piece) for piece in raw]
-    except ValueError as exc:
-        raise _CliError(str(exc)) from exc
+    coeffs = [field.parse(piece) for piece in raw]
 
     inv = GraphInvariants(g)
     t = vertex_combination_in_commutator(inv, coeffs, field)
@@ -374,15 +377,8 @@ def _cmd_witness(args) -> int:
 
 
 def _cmd_family(args) -> int:
-    try:
-        g = family(args.name, args.params)
-    except GraphError as exc:
-        raise _CliError(str(exc)) from exc
-    text = serialize_graph(g)
-    if args.json:
-        print(json.dumps({"schema": SCHEMA, "command": "family", "dsl": text}, indent=2))
-    else:
-        print(text, end="")
+    text = serialize_graph(family(args.name, args.params))
+    _emit(args, {"schema": SCHEMA, "command": "family", "dsl": text}, text)
     return 0
 
 
@@ -498,18 +494,16 @@ def _selftest_checks():
 
 def _cmd_selftest(args) -> int:
     results = list(_selftest_checks())
-    if args.json:
-        payload = {
-            "schema": SCHEMA,
-            "command": "selftest",
-            "checks": [{"name": name, "ok": ok} for name, ok in results],
-            "ok": all(ok for _, ok in results),
-        }
-        print(json.dumps(payload, indent=2))
-    else:
-        for name, ok in results:
-            print(f"{'PASS' if ok else 'FAIL'}  {name}")
-    return 0 if all(ok for _, ok in results) else 1
+    passed = all(ok for _, ok in results)
+    payload = {
+        "schema": SCHEMA,
+        "command": "selftest",
+        "checks": [{"name": name, "ok": ok} for name, ok in results],
+        "ok": passed,
+    }
+    human = "".join(f"{'PASS' if ok else 'FAIL'}  {name}\n" for name, ok in results)
+    _emit(args, payload, human)
+    return 0 if passed else 1
 
 
 # ---------------------------------------------------------------------------
@@ -571,7 +565,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (_CliError, GraphError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -17,6 +17,11 @@ derived once from the runs, so a multiplicity costs O(1): building, parsing,
 serialising and every count-based invariant take O(V^2 + runs) time.
 ``EdgeId`` objects are built only where an edge is named (``Graph.edges`` and
 ``Graph.out_edges``).
+
+The edge-label rules (no label twice, an explicit label equal to its edge's
+auto label is that auto edge) live in one place, ``_RunBuilder``.  Every
+graph's runs pass through it in ``Graph.__post_init__``, and ``parse_graph``
+also feeds it line by line, so a clash is reported at its line.
 """
 
 from __future__ import annotations
@@ -90,61 +95,41 @@ def _split_auto(label: str) -> tuple[str, int] | None:
         return None
 
 
-class _EdgeLabels:
-    """The edge labels claimed so far.
+class _RunBuilder:
+    """Edge runs checked one at a time and kept in canonical form.
 
-    A label of the auto shape ``<prefix>_<k>`` is kept as part of a range of
-    k under its prefix, so claiming a whole auto run costs O(log runs).
-    Auto runs are grouped by the prefix ``<src>_<dst>``, not by the vertex
-    pair: ``a_b -> c`` and ``a -> b_c`` name the same labels.
+    Every edge-label rule lives here: each graph, built or parsed, adds its
+    runs (vertex indices) through ``add``.  A labelled run whose label is its
+    own edge's auto label becomes an auto run, and an auto run continuing
+    the previous run merges into it, so two graphs are equal exactly when
+    their edge sequences are.  No label may be claimed twice.  A label of
+    the auto shape ``<prefix>_<k>`` is kept as part of a range of k under its
+    prefix, so claiming a whole auto run costs O(log runs).  Auto runs are
+    grouped by the prefix ``<src>_<dst>``, not by the vertex pair:
+    ``a_b -> c`` and ``a -> b_c`` name the same labels.
     """
 
-    def __init__(self):
+    def __init__(self, vertex_labels: list[str]):
+        # the caller may declare more vertices between runs
+        self.vertex_labels = vertex_labels
+        self.runs: list[tuple] = []
         self.plain: set[str] = set()
         self.ranges: dict[str, tuple[list[int], list[int]]] = {}
 
-    def claim_range(self, prefix: str, lo: int, hi: int) -> int | None:
-        """Claim ``<prefix>_<k>`` for ``lo <= k <= hi``; the smallest k already taken, or None."""
+    def claim_range(self, prefix: str, lo: int, hi: int) -> None:
+        """Claim ``<prefix>_<k>`` for ``lo <= k <= hi``; a clash names the smallest such k taken."""
         starts, ends = self.ranges.setdefault(prefix, ([], []))
         i = bisect_left(ends, lo)
         if i < len(ends) and starts[i] <= hi:
-            return max(starts[i], lo)
+            raise GraphError(f"duplicate edge label {f'{prefix}_{max(starts[i], lo)}'!r}")
         if i and ends[i - 1] == lo - 1:
             ends[i - 1] = hi
         else:
             starts.insert(i, lo)
             ends.insert(i, hi)
-        return None
 
-    def claim(self, label: str) -> bool:
-        """Claim one label; False when it is already taken."""
-        auto = _split_auto(label)
-        if auto is not None:
-            return self.claim_range(auto[0], auto[1], auto[1]) is None
-        if label in self.plain:
-            return False
-        self.plain.add(label)
-        return True
-
-
-def _run_ends(run: tuple) -> tuple[int, int, int]:
-    """``(src, dst, multiplicity)`` of a run."""
-    if len(run) == 4:
-        return run[0], run[1], run[3]
-    return run[1], run[2], 1
-
-
-def _canonical_runs(vertices: tuple[VertexId, ...], runs) -> tuple[tuple, ...]:
-    """Validate runs (vertex indices) and put them in canonical form.
-
-    A labelled run whose label is its own edge's auto label becomes an auto
-    run, and adjacent auto runs continuing each other merge, so two graphs
-    are equal exactly when their edge sequences are.
-    """
-    m = len(vertices)
-    labels = _EdgeLabels()
-    out: list[tuple] = []
-    for run in runs:
+    def add(self, run) -> None:
+        """Check one run, claim its labels and merge it into ``runs``."""
         if not isinstance(run, tuple) or len(run) not in (3, 4):
             raise GraphError(f"bad edge run {run!r}")
         if len(run) == 3:
@@ -152,18 +137,23 @@ def _canonical_runs(vertices: tuple[VertexId, ...], runs) -> tuple[tuple, ...]:
         else:
             s, d, k, n = run
             label = f"{s}_{d}_{k}"
+        m = len(self.vertex_labels)
         for end in (s, d):
             if not isinstance(end, int) or isinstance(end, bool) or not 0 <= end < m:
                 raise GraphError(f"edge {label!r} references unknown vertex {end!r}")
-        prefix = f"{vertices[s].label}_{vertices[d].label}"
+        prefix = f"{self.vertex_labels[s]}_{self.vertex_labels[d]}"
         if len(run) == 3:
             if not isinstance(label, str) or not label or any(ch.isspace() for ch in label):
                 raise GraphError(f"bad edge label {label!r}")
             auto = _split_auto(label)
-            if auto is not None and auto[0] == prefix:
+            if auto is None:
+                if label in self.plain:
+                    raise GraphError(f"duplicate edge label {label!r}")
+                self.plain.add(label)
+            elif auto[0] == prefix:
                 run = (s, d, auto[1], 1)
-            elif not labels.claim(label):
-                raise GraphError(f"duplicate edge label {label!r}")
+            else:
+                self.claim_range(auto[0], auto[1], auto[1])
         if len(run) == 4:
             s, d, k, n = run
             for x in (k, n):
@@ -171,15 +161,19 @@ def _canonical_runs(vertices: tuple[VertexId, ...], runs) -> tuple[tuple, ...]:
                     raise GraphError(
                         f"auto run {run!r} needs a positive integer first_k and multiplicity"
                     )
-            clash = labels.claim_range(prefix, k, k + n - 1)
-            if clash is not None:
-                raise GraphError(f"duplicate edge label {f'{prefix}_{clash}'!r}")
-            last = out[-1] if out else ()
+            self.claim_range(prefix, k, k + n - 1)
+            last = self.runs[-1] if self.runs else ()
             if len(last) == 4 and last[:2] == (s, d) and last[2] + last[3] == k:
                 run = (s, d, last[2], last[3] + n)
-                out.pop()
-        out.append(run)
-    return tuple(out)
+                self.runs.pop()
+        self.runs.append(run)
+
+
+def _run_ends(run: tuple) -> tuple[int, int, int]:
+    """``(src, dst, multiplicity)`` of a run."""
+    if len(run) == 4:
+        return run[0], run[1], run[3]
+    return run[1], run[2], 1
 
 
 @dataclass(frozen=True)
@@ -211,7 +205,10 @@ class Graph:
             if v.label in seen:
                 raise GraphError(f"duplicate vertex label {v.label!r}")
             seen.add(v.label)
-        object.__setattr__(self, "runs", _canonical_runs(self.vertices, self.runs))
+        builder = _RunBuilder([v.label for v in self.vertices])
+        for run in self.runs:
+            builder.add(run)
+        object.__setattr__(self, "runs", tuple(builder.runs))
 
     @classmethod
     def build(
@@ -226,8 +223,6 @@ class Graph:
         """
         vertices = tuple(VertexId(i, lbl) for i, lbl in enumerate(vertex_labels))
         index = {v.label: v.index for v in vertices}
-        if len(index) != len(vertices):
-            raise GraphError("duplicate vertex label")
         runs = []
         for spec in edge_specs:
             if len(spec) == 3:
@@ -406,9 +401,9 @@ def parse_graph(text: str) -> Graph:
     * ``edge-label <name> <src> <dst>`` declares one individually named edge.
     """
     vertex_labels: list[str] = []
-    declared: set[str] = set()
-    runs: list[tuple] = []
-    labels = _EdgeLabels()
+    index: dict[str, int] = {}
+    specs: list[tuple] = []
+    builder = _RunBuilder(vertex_labels)
     counters: dict[tuple[str, str], int] = {}
 
     def column_of(line: str, token: str, occurrence: int = 0) -> int:
@@ -427,18 +422,19 @@ def parse_graph(text: str) -> Graph:
             if len(tokens) != 2:
                 raise GraphParseError("expected: vertex <label>", lineno)
             label = tokens[1]
-            if label in declared:
+            if label in index:
                 raise GraphParseError(
                     f"duplicate vertex label {label!r}", lineno, column_of(raw, label)
                 )
-            declared.add(label)
+            index[label] = len(vertex_labels)
             vertex_labels.append(label)
-        elif directive == "edge":
+            continue
+        if directive == "edge":
             if len(tokens) not in (3, 4):
                 raise GraphParseError("expected: edge <src> <dst> [<multiplicity>]", lineno)
             src, dst = tokens[1], tokens[2]
             for name in (src, dst):
-                if name not in declared:
+                if name not in index:
                     raise GraphParseError(
                         f"undeclared vertex {name!r}", lineno, column_of(raw, name)
                     )
@@ -457,33 +453,32 @@ def parse_graph(text: str) -> Graph:
                         f"multiplicity must be >= 1, got {mult}", lineno, column_of(raw, tokens[3])
                     )
             base = counters.get((src, dst), 0)
-            clash = labels.claim_range(f"{src}_{dst}", base + 1, base + mult)
-            if clash is not None:
-                raise GraphParseError(f"duplicate edge label {f'{src}_{dst}_{clash}'!r}", lineno)
-            runs.append((src, dst, base + 1, mult))
             counters[(src, dst)] = base + mult
+            specs.append((src, dst, base + 1, mult))
+            run, column = (index[src], index[dst], base + 1, mult), None
         elif directive == "edge-label":
             if len(tokens) != 4:
                 raise GraphParseError("expected: edge-label <name> <src> <dst>", lineno)
             label, src, dst = tokens[1], tokens[2], tokens[3]
             for name in (src, dst):
-                if name not in declared:
+                if name not in index:
                     raise GraphParseError(
                         f"undeclared vertex {name!r}", lineno, column_of(raw, name)
                     )
-            if not labels.claim(label):
-                raise GraphParseError(
-                    f"duplicate edge label {label!r}", lineno, column_of(raw, label)
-                )
-            runs.append((label, src, dst))
+            specs.append((label, src, dst))
+            run, column = (label, index[src], index[dst]), column_of(raw, label)
         else:
             raise GraphParseError(
                 f"unknown directive {directive!r}", lineno, column_of(raw, directive)
             )
+        try:
+            builder.add(run)
+        except GraphError as exc:
+            raise GraphParseError(str(exc), lineno, column) from None
 
     if not vertex_labels:
         raise GraphParseError("no vertices declared")
-    return Graph.build(vertex_labels, runs)
+    return Graph.build(vertex_labels, specs)
 
 
 def serialize_graph(g: Graph) -> str:
@@ -529,8 +524,8 @@ def _family_line(d: int) -> Graph:
     if d < 1:
         raise GraphError("line(d) requires d >= 1")
     labels = [f"v{i}" for i in range(1, d + 1)]
-    adj = [[1 if j == i + 1 else 0 for j in range(d)] for i in range(d)]
-    return graph_from_adjacency(labels, adj)
+    # d - 1 runs; a d x d adjacency list would cost O(d^2)
+    return Graph.build(labels, [(labels[i], labels[i + 1], 1, 1) for i in range(d - 1)])
 
 
 def _family_matrix_rose(n: int, d: int) -> Graph:

@@ -363,12 +363,10 @@ def pointed_iso_decision(
     if g != gcd(*free_b):
         return "none"
 
-    if sa == sb or g == 1:
+    if sa == sb:
         return "exists"
-    if g == 0:
-        return "exists" if _torsion_orbit_equal(alphas, sa, sb) else "none"
 
-    # the cyclic factors of each part T_q with q | g
+    # the cyclic factors of each part T_q with q | g (every q when g = 0)
     parts = [
         [q ** _valuation(a, q) for a in alphas]
         for q in _coprime_base(alphas + [gcd(g, a) for a in alphas])

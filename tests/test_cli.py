@@ -8,7 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _gen import random_graphs_where, reference_rank, reference_span, time_limit
+from _gen import (
+    random_graphs_where,
+    reference_rank,
+    reference_serialize,
+    reference_span,
+    time_limit,
+)
 
 import lpa_lie
 from lpa_lie import (
@@ -20,7 +26,7 @@ from lpa_lie import (
     parse_graph,
     serialize_graph,
 )
-from lpa_lie.cli import main
+from lpa_lie.cli import VERTEX_LIMIT, main
 from lpa_lie.cohn import WITNESS_EDGE_LIMIT
 
 
@@ -261,6 +267,14 @@ def test_family_two_vertex(capsys):
     assert parse_graph(out) == family("two_vertex", [2, 2, 2])
 
 
+def test_family_line_at_thirty_thousand_vertices(capsys):
+    # built from its d - 1 edges, not from a d x d adjacency list
+    with time_limit(2):
+        code, out, err = run(capsys, "family", "line", "30000")
+    assert code == 0 and err == ""
+    assert out == reference_serialize(family("line", [30000]))
+
+
 def test_family_bad_params(capsys):
     code, _, err = run(capsys, "family", "rose")
     assert code == 1
@@ -491,6 +505,18 @@ def test_malformed_inputs_never_crash(tmp_path, capsys):
             code, out, err = run(capsys, *command)
             assert code == 1, f"{command} on {text!r} exited {code}"
             assert "Traceback" not in err
+
+
+def test_vertex_limit(tmp_path, capsys):
+    # counts, reachability and the Smith form are V x V: at 30,000 vertices
+    # (409 KB of text) they would need gigabytes
+    for m in (VERTEX_LIMIT + 1, 30_000):
+        path = tmp_path / f"vertices-{m}.graph"
+        path.write_text("".join(f"vertex v{i}\n" for i in range(m)), encoding="utf-8")
+        with time_limit(2):
+            code, out, err = run(capsys, "analyze", str(path))
+        assert code == 1 and out == ""
+        assert err == f"error: graph has {m} vertices, more than the limit of {VERTEX_LIMIT}\n"
 
 
 def test_text_reports_on_a_trillion_edges(tmp_path, capsys):

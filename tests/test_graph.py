@@ -118,14 +118,36 @@ def test_parse_edge_label_directive():
 
 
 def test_parse_duplicate_edge_label():
-    with pytest.raises(GraphParseError, match="duplicate edge label"):
-        parse_graph("vertex a\nedge-label f a a\nedge-label f a a\n")
-    # an auto-generated label colliding with an explicit one is also rejected
-    with pytest.raises(GraphParseError, match="duplicate edge label"):
-        parse_graph("vertex a\nedge-label a_a_1 a a\nedge a a 1\n")
-    # auto labels of different vertex pairs can coincide: a_b -> c and a -> b_c
-    with pytest.raises(GraphParseError, match="duplicate edge label 'a_b_c_1'"):
-        parse_graph("vertex a\nvertex a_b\nvertex b_c\nvertex c\nedge a_b c\nedge a b_c\n")
+    cases = [
+        (
+            "vertex a\nedge-label f a a\nedge-label f a a\n",
+            ["a"],
+            [("f", "a", "a"), ("f", "a", "a")],
+            "line 3, column 12: duplicate edge label 'f'",
+        ),
+        # an auto-generated label colliding with an explicit one is also rejected
+        (
+            "vertex a\nedge-label a_a_1 a a\nedge a a 1\n",
+            ["a"],
+            [("a_a_1", "a", "a"), ("a", "a", 1, 1)],
+            "line 3: duplicate edge label 'a_a_1'",
+        ),
+        # auto labels of different vertex pairs can coincide: a_b -> c and a -> b_c
+        (
+            "vertex a\nvertex a_b\nvertex b_c\nvertex c\nedge a_b c\nedge a b_c\n",
+            ["a", "a_b", "b_c", "c"],
+            [("a_b", "c", 1, 1), ("a", "b_c", 1, 1)],
+            "line 6: duplicate edge label 'a_b_c_1'",
+        ),
+    ]
+    for text, vertices, specs, message in cases:
+        with pytest.raises(GraphParseError) as parsed:
+            parse_graph(text)
+        assert str(parsed.value) == message
+        # the parser reports the graph's own message, placed at its line
+        with pytest.raises(GraphError) as built:
+            Graph.build(vertices, specs)
+        assert str(built.value) == message.split(": ", 1)[1]
 
 
 VERTEX_NAMES = ("a", "b", "c", "a_b", "b_c", "a_b_c", "x_1")
@@ -286,6 +308,13 @@ def test_family_rose_one_loop():
     assert g.edges[0].source == g.edges[0].target
 
 
+def test_family_line_is_its_adjacency_graph():
+    for d in (1, 2, 5, 40):
+        labels = [f"v{i}" for i in range(1, d + 1)]
+        adj = [[1 if j == i + 1 else 0 for j in range(d)] for i in range(d)]
+        assert family("line", [d]) == graph_from_adjacency(labels, adj)
+
+
 def test_family_counts():
     for n in range(1, 5):
         assert family("rose", [n]).num_edges == n
@@ -410,7 +439,7 @@ def test_round_trip_random_graphs():
 def test_graph_validation():
     with pytest.raises(GraphError):
         Graph((), ())
-    with pytest.raises(GraphError):
+    with pytest.raises(GraphError, match="^duplicate vertex label 'a'$"):
         Graph.build(["a", "a"], [])
     with pytest.raises(GraphError):
         Graph.build(["a"], [("e", "a", "zz")])

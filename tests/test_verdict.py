@@ -290,9 +290,11 @@ def test_pointed_iso_small_groups_against_brute_force():
         for _ in range(25):
             x = list(rng.choice(els))
             y = list(rng.choice(els))
-            assert _torsion_orbit_equal(list(alphas), x, y) == brute_force_orbit_equal(
-                alphas, x, y
-            )
+            expected = brute_force_orbit_equal(alphas, x, y)
+            assert _torsion_orbit_equal(list(alphas), x, y) == expected
+            # with no free part the content g is 0 and every part has one shift
+            pa, pb = K0Presentation(alphas, tuple(x)), K0Presentation(alphas, tuple(y))
+            assert pointed_iso_decision(pa, pb) == ("exists" if expected else "none")
 
 
 def test_pointed_iso_free_part_against_brute_force():
@@ -347,7 +349,11 @@ def test_torsion_orbit_equal_matches_prime_by_prime_reference(case):
     from lpa_lie.verdict import _torsion_orbit_equal
 
     alphas, x, y = case
-    assert _torsion_orbit_equal(alphas, x, y) == reference_orbit_equal(alphas, x, y)
+    expected = reference_orbit_equal(alphas, x, y)
+    assert _torsion_orbit_equal(alphas, x, y) == expected
+    pa = K0Presentation(tuple(alphas), tuple(x))
+    pb = K0Presentation(tuple(alphas), tuple(y))
+    assert pointed_iso_decision(pa, pb) == ("exists" if expected else "none")
 
 
 def test_pointed_iso_two_large_primes():
