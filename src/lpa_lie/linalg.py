@@ -3,10 +3,11 @@
 Everything here is computed with arbitrary-precision integers, ``Fraction``
 rationals, or residues modulo a prime; no floating point is ever involved.
 One elimination routine, the Smith normal form over Z with unimodular
-certificates U, V, backs everything else.  It runs on one working matrix,
-``[M | I]`` stacked over ``I``, so that each row and column operation that
-diagonalises M is applied once and builds U and V as it goes; U, D and V are
-read off as blocks at the end.  The Smith form serves
+certificates U, V, backs everything else.  It runs on M alone and logs each
+row and column operation that diagonalises it; U and V are those logs, and
+a verdict replays them only on the vectors it reads (U b, V y), so the
+multipliers of U and V, which grow far beyond the entries of M, are never
+built unless asked for.  The Smith form serves
 
 * linear solving and rank over Q or GF(p), read off the certificate of the
   integer matrix (``SmithDecomposition.solve`` and ``rank``), and
@@ -19,6 +20,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, isqrt, lcm
 
 __all__ = [
@@ -183,21 +185,79 @@ class FieldSpec:
 # ---------------------------------------------------------------------------
 
 
+# An entry (i, k, q) of an elimination log is the elementary operation
+# "line i -= q * line k", or swaps lines i and k when q is None.  The sign
+# flip of column k is (k, k, 2), since col k - 2 col k = -col k.
+
+
+def _replay_rows(log, vec: list[int], p: int = 0) -> list[int]:
+    """``U @ vec`` for the product U of the row operations in ``log``, mod ``p`` if nonzero."""
+    for i, k, q in log:
+        if q is None:
+            vec[i], vec[k] = vec[k], vec[i]
+        elif p:
+            vec[i] = (vec[i] - q * vec[k]) % p
+        else:
+            vec[i] -= q * vec[k]
+    return vec
+
+
+def _replay_on_identity(log, n: int) -> list[list[int]]:
+    """The operations in ``log`` applied in order to the rows of the n x n identity.
+
+    For a row log this is U; for a column log it is the transpose of V,
+    since "col j -= q * col k" on V is "row j -= q * row k" on its transpose.
+    """
+    m = identity_matrix(n)
+    for i, k, q in log:
+        if q is None:
+            m[i], m[k] = m[k], m[i]
+        else:
+            m[i] = [x - q * y for x, y in zip(m[i], m[k])]
+    return m
+
+
 @dataclass(frozen=True)
 class SmithDecomposition:
     """Certificate ``u @ original @ v == d`` with ``u``, ``v`` unimodular.
 
     ``d`` is diagonal with non-negative entries, zeros last, and each nonzero
-    entry dividing the next.
+    entry dividing the next.  Only the shape, the diagonal and the two
+    elimination logs are stored: ``u`` is the product of the row operations
+    in ``row_log`` and ``v`` that of the column operations in ``col_log``.
+    ``u`` and ``v`` are built on first use by replaying a log on the
+    identity; ``solve`` and ``K0Presentation.of`` replay the logs on the
+    vectors they read instead, so a verdict never builds ``u`` or ``v``.
+    Two decompositions are equal when their ``u``, ``d`` and ``v`` are.
     """
 
-    u: tuple[tuple[int, ...], ...]
-    d: tuple[tuple[int, ...], ...]
-    v: tuple[tuple[int, ...], ...]
+    shape: tuple[int, int]
+    diagonal: tuple[int, ...]
+    row_log: tuple[tuple[int, int, int | None], ...]
+    col_log: tuple[tuple[int, int, int | None], ...]
 
-    @property
-    def diagonal(self) -> tuple[int, ...]:
-        return tuple(self.d[i][i] for i in range(min(len(self.d), len(self.d[0]))))
+    def __eq__(self, other):
+        if not isinstance(other, SmithDecomposition):
+            return NotImplemented
+        return (self.u, self.d, self.v) == (other.u, other.d, other.v)
+
+    def __hash__(self):
+        return hash((self.shape, self.diagonal))
+
+    @cached_property
+    def u(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(tuple, _replay_on_identity(self.row_log, self.shape[0])))
+
+    @cached_property
+    def d(self) -> tuple[tuple[int, ...], ...]:
+        rows, cols = self.shape
+        return tuple(
+            tuple(self.diagonal[i] if i == j else 0 for j in range(cols)) for i in range(rows)
+        )
+
+    @cached_property
+    def v(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(zip(*_replay_on_identity(self.col_log, self.shape[1])))
 
     def rank(self, field: FieldSpec) -> int:
         """Rank of the original matrix over ``field``: the factors nonzero there."""
@@ -214,9 +274,10 @@ class SmithDecomposition:
         """
         p = field.characteristic
         b = [field.coerce(x) for x in target]
-        if len(b) != len(self.u):
+        rows, cols = self.shape
+        if len(b) != rows:
             raise ValueError(
-                f"dimension mismatch: target of length {len(b)}, matrix with {len(self.u)} rows"
+                f"dimension mismatch: target of length {len(b)}, matrix with {rows} rows"
             )
         diag = self.diagonal
         if not p:
@@ -225,20 +286,19 @@ class SmithDecomposition:
             scale = lcm(*(x.denominator for x in b))
             b = [x.numerator * (scale // x.denominator) for x in b]
             top = next((a for a in reversed(diag) if a), 1)
-        y = [0] * len(self.v)
-        for i, row in enumerate(self.u):
-            c = sum(a * x for a, x in zip(row, b))
+        y = [0] * cols
+        for i, c in enumerate(_replay_rows(self.row_log, b, p)):
             d = diag[i] if i < len(diag) else 0
             if p:
-                c, d = c % p, d % p
+                d %= p
             if d:
                 y[i] = c * pow(d, -1, p) % p if p else c * (top // d)
             elif c:
                 return None
-        x = [sum(a * yi for a, yi in zip(row, y)) for row in self.v]
-        if p:
-            return [xi % p for xi in x]
-        return [Fraction(xi, top * scale) for xi in x]
+        # v multiplies the column operations' matrices in log order, so they
+        # act on y last to first; "col j -= q * col k" acts as "row k -= q * row j"
+        x = _replay_rows([(k, j, q) for j, k, q in reversed(self.col_log)], y, p)
+        return x if p else [Fraction(xi, top * scale) for xi in x]
 
 
 def identity_matrix(n: int) -> list[list[int]]:
@@ -266,26 +326,26 @@ def smith_normal_form(mat) -> SmithDecomposition:
 
     The pivot at each stage is the entry of smallest nonzero absolute value in
     the working submatrix (ties broken in row-major order), which bounds entry
-    growth and makes the output deterministic.  The elimination runs on one
-    working matrix: ``rows`` rows ``[M | I]`` over ``cols`` rows of the
-    identity.  Each row operation on the top rows builds ``u`` in their right
-    block, each column operation on the first ``cols`` columns builds ``v`` in
-    the bottom rows, and ``u @ M @ v == d`` holds by construction.  Only
-    swaps, adding an integer multiple of one row/column to another, and column
-    negations are used, so both certificates are unimodular.
+    growth and makes the output deterministic.  The elimination runs on a
+    copy of M alone and logs each row operation and each column operation it
+    applies; the certificates ``u`` and ``v`` are those logs, replayed only
+    when read.  Only swaps, adding an integer multiple of one row/column to
+    another, and column negations are used, so both certificates are
+    unimodular.
     """
     rows = len(mat)
     if rows == 0 or len(mat[0]) == 0:
         raise ValueError("smith_normal_form expects a non-empty matrix")
     cols = len(mat[0])
     w: list[list[int]] = []
-    for r, unit in zip(mat, identity_matrix(rows)):
+    for r in mat:
         if len(r) != cols:
             raise ValueError("matrix rows must all have the same length")
         if not all(isinstance(x, int) and not isinstance(x, bool) for x in r):
             raise ValueError("matrix entries must be integers")
-        w.append([*r, *unit])
-    w += identity_matrix(cols)
+        w.append(list(r))
+    row_log: list[tuple[int, int, int | None]] = []
+    col_log: list[tuple[int, int, int | None]] = []
 
     # rows above t are zero from column t on, so column operations skip them
     t = 0
@@ -293,9 +353,11 @@ def smith_normal_form(mat) -> SmithDecomposition:
         pi, pj = pos
         if pi != t:
             w[t], w[pi] = w[pi], w[t]
+            row_log.append((t, pi, None))
         if pj != t:
             for r in w[t:]:
                 r[t], r[pj] = r[pj], r[t]
+            col_log.append((t, pj, None))
         pivot = w[t][t]
         dirty = False
         for i in range(t + 1, rows):
@@ -303,6 +365,7 @@ def smith_normal_form(mat) -> SmithDecomposition:
                 q = w[i][t] // pivot
                 if q:
                     w[i] = [x - q * y for x, y in zip(w[i], w[t])]
+                    row_log.append((i, t, q))
                 if w[i][t]:
                     dirty = True
         for j in range(t + 1, cols):
@@ -311,11 +374,13 @@ def smith_normal_form(mat) -> SmithDecomposition:
                 if q:
                     for r in w[t:]:
                         r[j] -= q * r[t]
+                    col_log.append((j, t, q))
                 if w[t][j]:
                     dirty = True
         if dirty:
             continue
-        offender = next(
+        # a unit pivot divides every entry, so only a larger one needs the scan
+        offender = None if pivot in (1, -1) else next(
             (i for i in range(t + 1, rows) if any(x % pivot for x in w[i][t + 1 : cols])), None
         )
         if offender is None:
@@ -323,18 +388,14 @@ def smith_normal_form(mat) -> SmithDecomposition:
         else:
             # fold the offending row into row t so the pivot can shrink
             w[t] = [x + y for x, y in zip(w[t], w[offender])]
+            row_log.append((t, offender, -1))
 
+    diagonal = []
     for k in range(min(rows, cols)):
         if w[k][k] < 0:
-            for r in w:
-                r[k] = -r[k]
-
-    top = w[:rows]
-    return SmithDecomposition(
-        tuple(tuple(r[cols:]) for r in top),
-        tuple(tuple(r[:cols]) for r in top),
-        tuple(tuple(r) for r in w[rows:]),
-    )
+            col_log.append((k, k, 2))
+        diagonal.append(abs(w[k][k]))
+    return SmithDecomposition((rows, cols), tuple(diagonal), tuple(row_log), tuple(col_log))
 
 
 def span_membership(vectors, target, field: FieldSpec):
@@ -393,7 +454,7 @@ class K0Presentation:
     def of(cls, dec: SmithDecomposition) -> K0Presentation:
         """Read the presentation off the Smith form of a square matrix."""
         alphas = dec.diagonal
-        unit = (sum(row) for row in dec.u)
+        unit = _replay_rows(dec.row_log, [1] * dec.shape[0])
         return cls(alphas, tuple(y % a if a > 0 else y for y, a in zip(unit, alphas)))
 
 

@@ -2,9 +2,11 @@
 
 The package decides every span and rank question from one Smith normal form;
 the Gauss-Jordan elimination and Fraction determinant here are an independent
-reference for it, and the two-matrix elimination here, which writes each
+reference for it.  The two-matrix elimination here, which writes each
 operation once on the matrix and once on its certificate, is the reference
-for its one-working-matrix Smith form.  It reads cycle vertices and the
+for the certificates its Smith form replays from elimination logs, and the
+solve by dot products with the rows of those certificates is the reference
+for its solve by replay.  It reads cycle vertices and the
 exitless cycle off the reachability closure; boolean powers of the adjacency
 matrix and a chase of the out-degree-1 subgraph are the references for those.  The
 package stores edges as runs of parallel edges; the per-edge parser and
@@ -19,7 +21,7 @@ import random
 import signal
 from contextlib import contextmanager
 from fractions import Fraction
-from math import prod
+from math import lcm, prod
 
 from lpa_lie import (
     CohnElement,
@@ -28,7 +30,6 @@ from lpa_lie import (
     Graph,
     GraphParseError,
     PathWord,
-    SmithDecomposition,
     adjacency_matrix,
     graph_from_adjacency,
     is_purely_infinite_simple,
@@ -201,8 +202,8 @@ def _reference_min_abs_position(a, t: int, rows: int, cols: int):
     return pos
 
 
-def reference_smith_normal_form(mat) -> SmithDecomposition:
-    """The Smith form with the package's pivot rule, on separate matrices a, u, v.
+def reference_smith_normal_form(mat):
+    """The Smith form ``(u, d, v)`` with the package's pivot rule, on separate matrices.
 
     Every swap, subtraction and sign flip is applied once to the working
     matrix and once more to the certificate it belongs to.
@@ -276,7 +277,37 @@ def reference_smith_normal_form(mat) -> SmithDecomposition:
                 r[k] = -r[k]
 
     freeze = lambda m: tuple(tuple(r) for r in m)
-    return SmithDecomposition(freeze(u), freeze(a), freeze(v))
+    return freeze(u), freeze(a), freeze(v)
+
+
+def reference_solve(smith, target, field: FieldSpec):
+    """``SmithDecomposition.solve`` by dot products with the rows of explicit U and V.
+
+    ``smith`` is a triple ``(u, d, v)`` with ``u @ M @ v == d``; returns x
+    with ``M @ x == target`` over ``field``, or None.
+    """
+    u, d, v = smith
+    p = field.characteristic
+    b = [field.coerce(x) for x in target]
+    diag = [d[i][i] for i in range(min(len(d), len(d[0])))]
+    if not p:
+        scale = lcm(*(x.denominator for x in b))
+        b = [x.numerator * (scale // x.denominator) for x in b]
+        top = next((a for a in reversed(diag) if a), 1)
+    y = [0] * len(v)
+    for i, row in enumerate(u):
+        c = sum(a * x for a, x in zip(row, b))
+        di = diag[i] if i < len(diag) else 0
+        if p:
+            c, di = c % p, di % p
+        if di:
+            y[i] = c * pow(di, -1, p) % p if p else c * (top // di)
+        elif c:
+            return None
+    x = [sum(a * yi for a, yi in zip(row, y)) for row in v]
+    if p:
+        return [xi % p for xi in x]
+    return [Fraction(xi, top * scale) for xi in x]
 
 
 def gauss_jordan(rows, field: FieldSpec):

@@ -15,6 +15,7 @@ from _gen import (
     reference_is_prime,
     reference_rank,
     reference_smith_normal_form,
+    reference_solve,
     reference_span,
     time_limit,
 )
@@ -304,9 +305,10 @@ snf_cases = st.tuples(st.integers(1, 6), st.integers(1, 6)).flatmap(
 @given(snf_cases)
 @settings(max_examples=300, deadline=None)
 def test_snf_matches_the_two_matrix_reference_hypothesis(mat):
-    # one working matrix [M | I] over I performs the reference's operations
-    # in the reference's order, so u, d and v agree entry for entry
-    assert smith_normal_form(mat) == reference_smith_normal_form(mat)
+    # the logged elimination performs the reference's operations in the
+    # reference's order, so the replayed u, d and v agree entry for entry
+    dec = smith_normal_form(mat)
+    assert (dec.u, dec.d, dec.v) == reference_smith_normal_form(mat)
 
 
 @given(st.integers(0, 2**32))
@@ -314,7 +316,60 @@ def test_snf_matches_the_two_matrix_reference_hypothesis(mat):
 def test_snf_of_graph_matrices_matches_the_reference_hypothesis(seed):
     g = random_graph(random.Random(seed), min_vertices=20, max_vertices=40)
     for mat in (m_matrix(g), [list(col) for col in zip(*b_vectors(g))]):
-        assert smith_normal_form(mat) == reference_smith_normal_form(mat)
+        dec = smith_normal_form(mat)
+        assert (dec.u, dec.d, dec.v) == reference_smith_normal_form(mat)
+
+
+solve_cases = snf_cases.flatmap(
+    lambda mat: st.tuples(
+        st.just(mat),
+        st.sampled_from([0, 2, 3, 5, 7]),
+        st.lists(
+            st.builds(Fraction, st.integers(-20, 20), st.integers(1, 6)),
+            min_size=len(mat),
+            max_size=len(mat),
+        ),
+    )
+)
+
+
+@given(solve_cases)
+@settings(max_examples=300, deadline=None)
+def test_solve_by_replay_matches_explicit_certificates_hypothesis(case):
+    mat, c, target = case
+    field = FieldSpec(c)
+    if c:  # a fraction whose denominator vanishes mod c has no residue
+        target = [x.numerator for x in target]
+    dec = smith_normal_form(mat)
+    explicit = (dec.u, dec.d, dec.v)
+    assert dec.solve(target, field) == reference_solve(explicit, target, field)
+    integers = [x.numerator for x in target]
+    assert dec.solve(integers, field) == reference_solve(explicit, integers, field)
+    unit = [sum(row) for row in dec.u]
+    assert K0Presentation.of(dec).unit_class == tuple(
+        y % a if a > 0 else y for y, a in zip(unit, dec.diagonal)
+    )
+
+
+def test_snf_diagonal_matches_sympy():
+    pytest.importorskip("sympy")
+    from sympy import Matrix, ZZ
+    from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+
+    def sympy_diagonal(mat):
+        d = sympy_snf(Matrix(mat), domain=ZZ)
+        return tuple(abs(int(d[i, i])) for i in range(min(d.shape)))
+
+    rng = random.Random(12)
+    mats = []
+    for _ in range(40):
+        rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+        mats.append([[rng.randint(-40, 40) for _ in range(cols)] for _ in range(rows)])
+    for seed in range(3):
+        g = random_graph(random.Random(seed), min_vertices=20, max_vertices=40)
+        mats += [m_matrix(g), [list(col) for col in zip(*b_vectors(g))]]
+    for mat in mats:
+        assert smith_normal_form(mat).diagonal == sympy_diagonal(mat), mat
 
 
 def test_snf_deterministic():

@@ -211,6 +211,14 @@ def test_one_smith_form_serves_both_routes_without_a_sink():
         assert inv.k0 == cokernel(m_matrix(g))
 
 
+def test_k0_of_a_thousand_isolated_vertices():
+    # I - A^t is the identity: every pivot is a unit, which divides every
+    # entry, so no stage scans the rest of the matrix for one it does not
+    g = graph_from_adjacency([f"v{i}" for i in range(1000)], [[0] * 1000 for _ in range(1000)])
+    with time_limit(5):
+        assert GraphInvariants(g).k0.invariant_factors == (1,) * 1000
+
+
 # -- vertex combinations ------------------------------------------------------------
 
 
