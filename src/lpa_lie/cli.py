@@ -385,12 +385,10 @@ def _cmd_family(args) -> int:
 def _cmd_kp_check(args) -> int:
     if args.graph_a == args.graph_b == "-":
         raise _CliError("standard input can supply only one graph")
-    if args.max_group_order < 1:
-        raise _CliError(f"--max-group-order must be at least 1, got {args.max_group_order}")
     ga = _load_graph(args.graph_a)
     gb = _load_graph(args.graph_b)
     chars = _parse_chars(args.char)
-    report = kp_consistency(ga, gb, chars, max_group_order=args.max_group_order)
+    report = kp_consistency(ga, gb, chars)
     payload = {
         "schema": SCHEMA,
         "command": "kp-check",
@@ -549,7 +547,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph_a")
     p.add_argument("graph_b")
     p.add_argument("--char", default=chars)
-    p.add_argument("--max-group-order", type=int, default=10**6)
     p.add_argument("--json", action="store_true")
     p.set_defaults(handler=_cmd_kp_check)
 

@@ -18,8 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import product
-from math import gcd, prod
+from math import gcd
 
 from . import analysis
 from .graph import Graph, b_vectors, m_matrix
@@ -296,55 +295,77 @@ def _valuation(n: int, q: int) -> int:
     return v
 
 
-def _height_sequence(ds: list[int], alphas: list[int], q: int) -> tuple[int, ...]:
-    """``k + min{s_i : s_i + k < e_i}`` for k = 0, 1, ... while that set is nonempty.
+def _height_sequence(pairs) -> tuple[int, ...]:
+    """``k + min{s : s + k < e}`` over the pairs (s, e), for k = 0, 1, ... while that set is nonempty.
 
-    ``s_i`` and ``e_i`` are the exponents of q in ``ds[i]`` and ``alphas[i]``.
-    For a prime q and ``ds[i] = gcd(x_i, alpha_i)`` this is the sequence of
-    heights of x, q x, q^2 x, ... in the q-part of the group.
+    For a prime q and the pairs ``(v_q(gcd(x_i, alpha_i)), v_q(alpha_i))``
+    this is the sequence of heights of x, q x, q^2 x, ... in the q-part of
+    the group.
     """
-    pairs = [(_valuation(d, q), _valuation(a, q)) for d, a in zip(ds, alphas)]
     seq: list[int] = []
     while live := [s for s, e in pairs if s + len(seq) < e]:
         seq.append(len(seq) + min(live))
     return tuple(seq)
 
 
-def _torsion_orbit_equal(alphas: list[int], x: list[int], y: list[int]) -> bool:
-    """Whether some automorphism of the torsion group carries x to y.
+def _torsion_orbit_equal(alphas: list[int], x: list[int], y: list[int], g: int = 0) -> bool:
+    """Whether some automorphism of T = Z/alpha_1 + ... + Z/alpha_n carries x into y + gT.
 
-    Per prime p, elements of a finite abelian p-group lie in the same orbit of
-    the automorphism group exactly when their height sequences coincide; the
-    torsion group splits into its p-parts, so the primes are independent.
-    No prime is needed: the sequences are compared for each q of a coprime
-    base of the alpha_i and of the gcds of x_i and y_i with them.  Every p
-    divides exactly one q, and with a = v_p(q) the p-sequence is
-    ``k + a phi(k // a)`` where the q-sequence is ``j + phi(j)``, so the
-    q-sequences agree iff the p-sequences agree for every p | q.
+    T, Aut(T) and gT split into p-parts, so the primes are independent, and
+    in a finite abelian p-group two elements lie in one orbit exactly when
+    their height sequences coincide (Kaplansky, Infinite Abelian Groups,
+    1954).  So the question is whether some element of x + gT has the height
+    sequence H of y.  With a = v_p(g), coordinate i of x + gT keeps the
+    valuation s_i < a, and takes any v in [a, e_i] otherwise; g = 0 leaves no
+    choice.  A choice gives H only if each v satisfies v + len(H) >= e_i and
+    v + k >= H_k for k < e_i - v.  These conditions are closed upwards and
+    heights are pointwise minima, so the least admissible v per coordinate
+    gives the pointwise least sequence, which is H iff some choice gives H.
+
+    No prime is needed.  The test runs for each q of a coprime base of the
+    alpha_i and of the gcds of g, x_i and y_i with them, and skips q coprime
+    to g != 0, for which gT_q = T_q.  Every p divides exactly one q, and
+    with c = v_p(q) every p-exponent is c times the q-exponent: e_i, s_i,
+    and min(v_p(g), c e_i) = c min(v_q(g), e_i), as each gcd is a product
+    of powers of the base.  The p-sequence is ``k + c phi(k // c)`` where
+    the q-sequence is ``j + phi(j)``, so one is H iff the other is.  If
+    c u - r with 0 < r < c is an admissible p-valuation, so is c (u - 1),
+    so the least admissible p-valuations are c times the q-ones, and the
+    q-test answers as the p-test does for every p | q.
     """
-    gx = [gcd(xi, a) for xi, a in zip(x, alphas)]
-    gy = [gcd(yi, a) for yi, a in zip(y, alphas)]
-    return all(
-        _height_sequence(gx, alphas, q) == _height_sequence(gy, alphas, q)
-        for q in _coprime_base(alphas + gx + gy)
-    )
+    gx = [gcd(t, m) for t, m in zip(x, alphas)]
+    gy = [gcd(t, m) for t, m in zip(y, alphas)]
+    for q in _coprime_base(alphas + gx + gy + [gcd(g, m) for m in alphas]):
+        if g % q:
+            continue
+        es = [_valuation(m, q) for m in alphas]
+        target = _height_sequence([(_valuation(d, q), e) for d, e in zip(gy, es)])
+        a = _valuation(g, q) if g else max(es) + 1
+        choice = []
+        for d, e in zip(gx, es):
+            s = _valuation(d, q)
+            if s >= a:
+                s = next(
+                    v
+                    for v in range(a, e + 1)
+                    if v + len(target) >= e and all(v + k >= target[k] for k in range(e - v))
+                )
+            choice.append((s, e))
+        if _height_sequence(choice) != target:
+            return False
+    return True
 
 
-def pointed_iso_decision(
-    pa: K0Presentation, pb: K0Presentation, max_group_order: int = 10**6
-) -> str:
+def pointed_iso_decision(pa: K0Presentation, pb: K0Presentation) -> str:
     """Decide whether a group isomorphism matches the two unit classes.
 
-    Returns ``"exists"``, ``"none"``, or ``"undecided"``.  The groups are
-    compared by invariant factors.  An automorphism can move the free
-    coordinates of an element to any vector of the same content g, shifting
-    the torsion part by anything in gT, T the torsion subgroup, so the
-    decision reduces to content equality plus ``t_b in Aut(T) t_a + gT``.
-    That splits over the parts T_q for q in a coprime base of the invariant
-    factors and their gcds with g: a part with q coprime to g matches
-    outright, as gT_q = T_q, and a part with q | g is searched over its
-    shifts in gT_q.  Beyond ``max_group_order`` shifts summed over the parts
-    that need a search, the answer is undecided.  Nothing is factored.
+    Returns ``"exists"`` or ``"none"``; the decision is exact for every
+    input.  The groups are compared by invariant factors.  An automorphism
+    can move the free coordinates of an element to any vector of the same
+    content g, shifting the torsion part by anything in gT, T the torsion
+    subgroup, so the decision reduces to content equality plus
+    ``t_b in Aut(T) t_a + gT``, which ``_torsion_orbit_equal`` decides
+    without a search.  Nothing is factored.
     """
     ta = [(a, y) for a, y in zip(pa.invariant_factors, pa.unit_class) if a != 1]
     tb = [(a, y) for a, y in zip(pb.invariant_factors, pb.unit_class) if a != 1]
@@ -354,41 +375,23 @@ def pointed_iso_decision(
     free_b = [y for a, y in tb if a == 0]
     if alphas_a != alphas_b or len(free_a) != len(free_b):
         return "none"
-    alphas = alphas_a
-    sa = [y for a, y in ta if a > 0]
-    sb = [y for a, y in tb if a > 0]
-
     # the content of the free part, 0 when there is none
     g = gcd(*free_a)
     if g != gcd(*free_b):
         return "none"
-
-    if sa == sb:
-        return "exists"
-
-    # the cyclic factors of each part T_q with q | g (every q when g = 0)
-    parts = [
-        [q ** _valuation(a, q) for a in alphas]
-        for q in _coprime_base(alphas + [gcd(g, a) for a in alphas])
-        if gcd(g, q) > 1
-    ]
-    # a part with a single shift is one orbit test, not a search
-    counts = [prod(m // gcd(g, m) for m in mods) for mods in parts]
-    if sum(n for n in counts if n > 1) > max_group_order:
-        return "undecided"
-    for mods in parts:
-        shifts = product(*(range(0, m, gcd(g, m)) for m in mods))
-        if not any(_torsion_orbit_equal(mods, sa, [y - w for y, w in zip(sb, s)]) for s in shifts):
-            return "none"
-    return "exists"
+    sa = [y for a, y in ta if a > 0]
+    sb = [y for a, y in tb if a > 0]
+    return "exists" if _torsion_orbit_equal(alphas_a, sa, sb, g) else "none"
 
 
 @dataclass(frozen=True)
 class KpReport:
     """Pointed-K0 comparison of two graphs plus per-characteristic verdicts.
 
-    ``contradiction`` is set when a pointed isomorphism exists but some
-    characteristic receives different statuses; it must never happen.
+    ``pointed_iso`` is ``"exists"`` or ``"none"`` when both graphs are purely
+    infinite simple, and None otherwise.  ``contradiction`` is set when a
+    pointed isomorphism exists but some characteristic receives different
+    statuses; it must never happen.
     """
 
     applicable: bool
@@ -400,16 +403,12 @@ class KpReport:
     contradiction: bool
 
 
-def kp_consistency(
-    gA: Graph | GraphInvariants,
-    gB: Graph | GraphInvariants,
-    chars,
-    max_group_order: int = 10**6,
-) -> KpReport:
+def kp_consistency(gA: Graph | GraphInvariants, gB: Graph | GraphInvariants, chars) -> KpReport:
     """Compare pointed K0 data of two purely infinite simple graphs.
 
-    When a pointed isomorphism exists, the two Lie algebras must receive the
-    same status at every characteristic.
+    ``pointed_iso_decision`` answers ``"exists"`` or ``"none"`` exactly.  When
+    a pointed isomorphism exists, the two Lie algebras must receive the same
+    status at every characteristic.
     """
     invA, invB = _invariants(gA), _invariants(gB)
     repA = invA.pure_infinite_simplicity
@@ -427,7 +426,7 @@ def kp_consistency(
             False,
         )
     pa, pb = invA.k0, invB.k0
-    iso = pointed_iso_decision(pa, pb, max_group_order)
+    iso = pointed_iso_decision(pa, pb)
     rows = []
     contradiction = False
     for c in chars:

@@ -11,8 +11,10 @@ exitless cycle off the reachability closure; boolean powers of the adjacency
 matrix and a chase of the out-degree-1 subgraph are the references for those.  The
 package stores edges as runs of parallel edges; the per-edge parser and
 serialiser here are the reference for its text format, trial division is the
-reference for its Miller-Rabin primality test, and the prime-by-prime orbit
-test is the reference for its factoring-free one.
+reference for its Miller-Rabin primality test, the prime-by-prime orbit
+test is the reference for its factoring-free one, and a search over the
+shifts of the unit class is the reference for its search-free pointed
+isomorphism test.
 """
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ import random
 import signal
 from contextlib import contextmanager
 from fractions import Fraction
-from math import lcm, prod
+from itertools import product
+from math import gcd, lcm, prod
 
 from lpa_lie import (
     CohnElement,
@@ -35,6 +38,7 @@ from lpa_lie import (
     is_purely_infinite_simple,
     is_simple_lpa,
 )
+from lpa_lie.verdict import _coprime_base, _valuation
 
 
 @contextmanager
@@ -447,6 +451,57 @@ def reference_orbit_equal(alphas: list[int], x: list[int], y: list[int]) -> bool
         if _p_height_sequence(res_x, exps, p) != _p_height_sequence(res_y, exps, p):
             return False
     return True
+
+
+# the most coset shifts ``reference_pointed_iso`` tries before it gives up
+REFERENCE_SHIFT_BOUND = 10**4
+
+
+def reference_pointed_iso(pa, pb) -> str:
+    """``"exists"``, ``"none"`` or ``"undecided"``: the pointed-isomorphism search.
+
+    An automorphism moves the free coordinates of the unit class to any
+    vector of the same content g and shifts the torsion part t by anything in
+    gT, so this tries every shift of t_b by gT_q, for each part T_q with
+    q | g of a coprime base, against the prime-by-prime orbit test.  Beyond
+    ``REFERENCE_SHIFT_BOUND`` shifts summed over the parts that need a
+    search, the answer is undecided.
+    """
+    ta = [(a, y) for a, y in zip(pa.invariant_factors, pa.unit_class) if a != 1]
+    tb = [(a, y) for a, y in zip(pb.invariant_factors, pb.unit_class) if a != 1]
+    alphas_a = [a for a, _ in ta if a > 0]
+    alphas_b = [a for a, _ in tb if a > 0]
+    free_a = [y for a, y in ta if a == 0]
+    free_b = [y for a, y in tb if a == 0]
+    if alphas_a != alphas_b or len(free_a) != len(free_b):
+        return "none"
+    alphas = alphas_a
+    sa = [y for a, y in ta if a > 0]
+    sb = [y for a, y in tb if a > 0]
+
+    # the content of the free part, 0 when there is none
+    g = gcd(*free_a)
+    if g != gcd(*free_b):
+        return "none"
+
+    if sa == sb:
+        return "exists"
+
+    # the cyclic factors of each part T_q with q | g (every q when g = 0)
+    parts = [
+        [q ** _valuation(a, q) for a in alphas]
+        for q in _coprime_base(alphas + [gcd(g, a) for a in alphas])
+        if gcd(g, q) > 1
+    ]
+    # a part with a single shift is one orbit test, not a search
+    counts = [prod(m // gcd(g, m) for m in mods) for mods in parts]
+    if sum(n for n in counts if n > 1) > REFERENCE_SHIFT_BOUND:
+        return "undecided"
+    for mods in parts:
+        shifts = product(*(range(0, m, gcd(g, m)) for m in mods))
+        if not any(reference_orbit_equal(mods, sa, [y - w for y, w in zip(sb, s)]) for s in shifts):
+            return "none"
+    return "exists"
 
 
 # -- reference graph text format -------------------------------------------------

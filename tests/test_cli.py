@@ -1,8 +1,14 @@
+import argparse
+import ast
 import io
 import json
 import random
+import re
+import shlex
+import tokenize
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -26,7 +32,7 @@ from lpa_lie import (
     parse_graph,
     serialize_graph,
 )
-from lpa_lie.cli import VERTEX_LIMIT, main
+from lpa_lie.cli import VERTEX_LIMIT, build_parser, main
 from lpa_lie.cohn import WITNESS_EDGE_LIMIT
 
 
@@ -323,12 +329,13 @@ def test_kp_check_rejects_reading_stdin_twice(capsys, monkeypatch):
     assert "standard input can supply only one graph" in err
 
 
-def test_kp_check_rejects_max_group_order_below_one(tmp_path, capsys):
+def test_kp_check_rejects_the_removed_max_group_order(tmp_path, capsys):
+    # the pointed-isomorphism decision is exact, so there is no bound to set
     a = write_family(tmp_path, "rose", [2])
-    for bound in ("0", "-5"):
-        code, _, err = run(capsys, "kp-check", a, a, f"--max-group-order={bound}")
-        assert code == 1
-        assert "--max-group-order must be at least 1" in err
+    with pytest.raises(SystemExit) as exc:
+        main(["kp-check", a, a, "--max-group-order", "5"])
+    assert exc.value.code == 1
+    assert "unrecognized arguments: --max-group-order 5" in capsys.readouterr().err
 
 
 # -- agreement with the reference and work done per graph ---------------------------
@@ -482,6 +489,85 @@ def test_human_numbers_appear_in_machine_output(tmp_path, capsys):
     machine_numbers = set(re.findall(r"-?\d+", machine))
     for token in re.findall(r"-?\d+", human):
         assert token in machine_numbers
+
+
+# -- the README against the code ------------------------------------------------------
+
+README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+
+
+def readme_block(heading: str, fence: str) -> str:
+    """The first fenced block opened by ``fence`` in the README section ``heading``."""
+    section = README.split(f"\n## {heading}\n", 1)[1]
+    return section.split(f"```{fence}\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_cli_synopsis_lists_each_subcommands_options():
+    subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    synopsis = {}
+    for line in readme_block("CLI", "sh").splitlines():
+        _, command, *_ = line.split()
+        synopsis[command] = set(re.findall(r"--[a-z-]+", line))
+    assert synopsis == {
+        name: {o for a in sub._actions for o in a.option_strings if o.startswith("--") and o != "--help"}
+        for name, sub in subparsers.choices.items()
+    }
+
+
+def test_readme_transcripts_match_the_output(monkeypatch):
+    # a shown line must be the whole output line, except that "..." stands
+    # for any text on a line and a line of "..." for any lines
+    examples = README.split("\nExamples:\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    transcripts = examples.split("$ lpa-lie ")[1:]
+    assert len(transcripts) == 2
+    for transcript in transcripts:
+        command, *shown = transcript.rstrip("\n").split("\n")
+        stdin = ""
+        for stage in command.split(" | lpa-lie "):
+            monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+            out = io.StringIO()
+            with redirect_stdout(out):
+                assert main(shlex.split(stage)) == 0
+            stdin = out.getvalue()
+        pattern = "".join(
+            "(?:.*\n)*" if line == "..." else ".*".join(map(re.escape, line.split("..."))) + "\n"
+            for line in shown
+        )
+        assert re.fullmatch(pattern, stdin), command
+
+
+def readme_value(comment: str):
+    """The value a README comment starts with: its longest prefix, cut at ", " or " (", that evaluates."""
+    for end in [len(comment)] + [m.start() for m in re.finditer(r", | \(", comment)][::-1]:
+        try:
+            return eval(comment[:end], {"Fraction": Fraction})
+        except (SyntaxError, NameError, TypeError):
+            continue
+    raise AssertionError(f"no value in the comment {comment!r}")
+
+
+def test_readme_library_values_hold():
+    # each comment gives the value of the statement it ends, perhaps followed
+    # by a remark: "# 'simple' (independent route)", "# True, checked symbolically"
+    block = readme_block("Library", "python")
+    comments = {
+        tok.start[0]: tok.string.lstrip("# ")
+        for tok in tokenize.generate_tokens(io.StringIO(block).readline)
+        if tok.type == tokenize.COMMENT
+    }
+    namespace: dict = {}
+    checked = 0
+    for stmt in ast.parse(block).body:
+        source = ast.unparse(stmt)
+        if isinstance(stmt, ast.Expr):
+            value = eval(source, namespace)
+        else:
+            exec(source, namespace)
+            value = eval(ast.unparse(stmt.targets[0]), namespace) if isinstance(stmt, ast.Assign) else None
+        if stmt.end_lineno in comments:
+            assert value == readme_value(comments[stmt.end_lineno]), source
+            checked += 1
+    assert checked == len(comments) == 7
 
 
 MALFORMED_INPUTS = [
