@@ -135,7 +135,9 @@ def simplicity_reports(g: Graph) -> tuple[SimplicityReport, SimplicityReport]:
 
     Both read the same reachability, cycle vertices and exitless cycle, so
     one pass computes them; an unreached cycle vertex or an exitless cycle
-    is a witness against both.
+    is a witness against both.  A vertex that misses some target gets one
+    witness per report, its first unreached target (for simplicity, sinks
+    before cycle vertices), so a report has at most V + 1 witnesses.
     """
     reach = reachability(g)
     on_cycle = [g.vertices[i] for i in _cycle_indices(g, reach)]
@@ -145,10 +147,15 @@ def simplicity_reports(g: Graph) -> tuple[SimplicityReport, SimplicityReport]:
     pis: list = []
     for v in g.vertices:
         row = reach[v.index]
-        simple += [Unreached(v, s, "sink") for s in sinks if not row[s.index]]
-        unreached = [Unreached(v, c, "cycle vertex") for c in on_cycle if not row[c.index]]
-        simple += unreached
-        pis += unreached
+        sink = next((s for s in sinks if not row[s.index]), None)
+        cycle = next((c for c in on_cycle if not row[c.index]), None)
+        if sink is not None:
+            simple.append(Unreached(v, sink, "sink"))
+        if cycle is not None:
+            witness = Unreached(v, cycle, "cycle vertex")
+            pis.append(witness)
+            if sink is None:
+                simple.append(witness)
     if no_exit is not None:
         witness = NoExitCycle(tuple(e.source for e in no_exit), no_exit)
         simple.append(witness)

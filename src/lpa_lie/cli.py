@@ -4,7 +4,8 @@ Subcommands: ``analyze``, ``k0``, ``witness``, ``family``, ``kp-check``, and
 ``selftest``.  Graphs are read from a file path or ``-`` (standard input),
 either in the line-oriented text format or as a JSON object with ``vertices``
 and ``adjacency``.  ``--json`` switches every command to a stable,
-schema-versioned machine-readable report.
+schema-versioned machine-readable report on one line; an error in that mode
+is printed as one such line too, besides the ``error:`` line on stderr.
 
 Exit codes: 0 verdicts produced, 1 input or usage error, 2 every requested
 verdict inapplicable (``analyze``) or non-membership (``witness``), 3
@@ -49,7 +50,7 @@ from .verdict import (
     vertex_combination_in_commutator,
 )
 
-SCHEMA = "lpa-lie.report/1"
+SCHEMA = "lpa-lie.report/2"
 DEFAULT_CHARS = (0, 2, 3, 5, 7)
 SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19)
 # Counts, reachability and the Smith form are all V x V, so a graph with more
@@ -140,14 +141,22 @@ def _verdict_dict(v) -> dict:
     }
 
 
+def _run_dict(names: list[str], run: tuple) -> dict:
+    """An auto run ``(src, dst, first, count)`` or a named edge ``(label, src, dst)``."""
+    if len(run) == 4:
+        s, d, first, count = run
+        return {"source": names[s], "target": names[d], "first": first, "count": count}
+    label, s, d = run
+    return {"label": label, "source": names[s], "target": names[d]}
+
+
 def _graph_summary(g: Graph) -> dict:
+    names = [v.label for v in g.vertices]
     return {
-        "vertices": [v.label for v in g.vertices],
+        "vertices": names,
         "edge_count": g.num_edges,
-        "edges": [
-            {"label": e.label, "source": e.source.label, "target": e.target.label}
-            for e in g.edges
-        ],
+        # one entry per run, so the summary never names an edge
+        "runs": [_run_dict(names, run) for run in g.runs],
         "sinks": [v.label for v in g.sinks()],
         "regular": [v.label for v in g.regular_vertices()],
         "adjacency": adjacency_matrix(g),
@@ -164,7 +173,6 @@ def _simplicity_dict(report) -> dict:
 def _k0_dict(pres: K0Presentation) -> dict:
     order = class_order(pres)
     return {
-        "snf_diagonal": list(pres.invariant_factors),
         "invariant_factors": list(pres.invariant_factors),
         "nontrivial_factors": list(pres.nontrivial_factors),
         "group": pres.group_description(),
@@ -175,9 +183,9 @@ def _k0_dict(pres: K0Presentation) -> dict:
 
 def _emit(args, payload: dict, human: str) -> None:
     if args.json:
-        # a Graph in the payload becomes its summary only here, so a text
-        # report never builds the edge list
-        print(json.dumps(payload, indent=2, default=_graph_summary))
+        # a Graph in the payload becomes its summary only here; compact
+        # one-line output keeps CPython on its C encoder
+        print(json.dumps(payload, default=_graph_summary))
     else:
         print(human, end="")
 
@@ -241,7 +249,7 @@ def _cmd_analyze(args) -> int:
             lines.append(f"  witness: {w}")
     k0 = payload["k0"]
     lines.append(
-        f"K0 presentation: {k0['group']}   snf diagonal: {_fmt_vec(k0['snf_diagonal'])}"
+        f"K0 presentation: {k0['group']}   snf diagonal: {_fmt_vec(k0['invariant_factors'])}"
         f"   unit class: {_fmt_vec(k0['unit_class'])}"
         f"   order: {k0['unit_class_order']}"
     )
@@ -296,7 +304,7 @@ def _cmd_k0(args) -> int:
     }
     lines = [
         f"K0 presentation (cokernel of I - A^t): {info['group']}",
-        f"snf diagonal: {_fmt_vec(info['snf_diagonal'])}",
+        f"snf diagonal: {_fmt_vec(info['invariant_factors'])}",
         f"invariant factors (trivial suppressed): {_fmt_vec(info['nontrivial_factors'])}",
         f"unit class: {_fmt_vec(info['unit_class'])}",
         f"order of unit class: {info['unit_class_order']}",
@@ -563,6 +571,8 @@ def main(argv=None) -> int:
     try:
         return args.handler(args)
     except ValueError as exc:
+        if args.json:
+            print(json.dumps({"schema": SCHEMA, "command": args.command, "error": str(exc)}))
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -8,7 +8,9 @@ for the certificates its Smith form replays from elimination logs, and the
 solve by dot products with the rows of those certificates is the reference
 for its solve by replay.  It reads cycle vertices and the
 exitless cycle off the reachability closure; boolean powers of the adjacency
-matrix and a chase of the out-degree-1 subgraph are the references for those.  The
+matrix and a chase of the out-degree-1 subgraph are the references for those,
+and the list of every unreached (vertex, target) pair is the reference for
+its one simplicity witness per vertex.  The
 package stores edges as runs of parallel edges; the per-edge parser and
 serialiser here are the reference for its text format, trial division is the
 reference for its Miller-Rabin primality test, the prime-by-prime orbit
@@ -37,6 +39,7 @@ from lpa_lie import (
     graph_from_adjacency,
     is_purely_infinite_simple,
     is_simple_lpa,
+    parse_graph,
 )
 from lpa_lie.verdict import _coprime_base, _valuation
 
@@ -71,6 +74,28 @@ def random_graph(
         for _ in range(m)
     ]
     return graph_from_adjacency([f"v{i + 1}" for i in range(m)], adj)
+
+
+def random_labelled_graph(rng: random.Random, max_vertices: int = 4, max_lines: int = 8) -> Graph:
+    """A parsed graph mixing ``edge`` lines with multiplicities and ``edge-label`` lines.
+
+    A label is either plain or of the auto shape ``<src>_<dst>_<k>``, with k
+    past every auto count, so it may name its own edge's auto label (and
+    join an auto run) or another pair's; no label clashes.
+    """
+    names = [f"v{i + 1}" for i in range(rng.randint(1, max_vertices))]
+    lines = [f"vertex {name}" for name in names]
+    for i in range(rng.randint(0, max_lines)):
+        src, dst = rng.choice(names), rng.choice(names)
+        kind = rng.randrange(3)
+        if kind == 0:
+            lines.append(f"edge {src} {dst} {rng.randint(1, 5)}")
+        elif kind == 1:
+            lines.append(f"edge-label e{i} {src} {dst}")
+        else:
+            a, b = rng.choice(names), rng.choice(names)
+            lines.append(f"edge-label {a}_{b}_{100 + i} {src} {dst}")
+    return parse_graph("\n".join(lines) + "\n")
 
 
 def random_graphs_where(rng: random.Random, count: int, predicate, **kwargs) -> list[Graph]:
@@ -152,15 +177,38 @@ def random_cohn_element(
 # -- reference linear algebra -------------------------------------------------
 
 
-def reference_cycle_vertices(g: Graph) -> set:
-    """Vertices v with (A + A^2 + ... + A^n)[v][v] nonzero, by boolean matrix powers."""
+def _reference_paths(g: Graph) -> list[list[bool]]:
+    """Whether (A + A^2 + ... + A^n)[v][w] is nonzero, by boolean matrix powers."""
     n = g.num_vertices
     adj = [[bool(c) for c in row] for row in adjacency_matrix(g)]
     power, total = adj, adj
     for _ in range(n - 1):
         power = [[any(power[i][k] and adj[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
         total = [[x or y for x, y in zip(r, s)] for r, s in zip(total, power)]
+    return total
+
+
+def reference_cycle_vertices(g: Graph) -> set:
+    """Vertices v with (A + A^2 + ... + A^n)[v][v] nonzero."""
+    total = _reference_paths(g)
     return {v for v in g.vertices if total[v.index][v.index]}
+
+
+def reference_unreached_pairs(g: Graph) -> list[tuple]:
+    """Every ``(source, target, kind)`` where ``source`` has no path to a sink or cycle vertex.
+
+    Sources come in index order; for each, sinks come before cycle vertices,
+    each in index order.
+    """
+    total = _reference_paths(g)
+    targets = [(t, "sink") for t in g.vertices if g.is_sink(t)]
+    targets += [(t, "cycle vertex") for t in g.vertices if total[t.index][t.index]]
+    return [
+        (v, t, kind)
+        for v in g.vertices
+        for t, kind in targets
+        if v != t and not total[v.index][t.index]
+    ]
 
 
 def reference_cycle_without_exit(g: Graph):
@@ -591,6 +639,19 @@ def reference_parse(text: str) -> tuple[list[str], list[tuple[str, str, str]]]:
     if not vertex_labels:
         raise GraphParseError("no vertices declared")
     return vertex_labels, edge_specs
+
+
+def expand_runs(runs: list[dict]) -> list[tuple[str, str, str]]:
+    """``(label, source, target)`` of every edge the ``graph.runs`` of a JSON report stands for."""
+    edges = []
+    for run in runs:
+        src, dst = run["source"], run["target"]
+        if "label" in run:
+            edges.append((run["label"], src, dst))
+        else:
+            first = run["first"]
+            edges += [(f"{src}_{dst}_{k}", src, dst) for k in range(first, first + run["count"])]
+    return edges
 
 
 def reference_serialize(g: Graph) -> str:

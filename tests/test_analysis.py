@@ -1,6 +1,11 @@
 import random
 
-from _gen import random_graph, reference_cycle_vertices, reference_cycle_without_exit
+from _gen import (
+    random_graph,
+    reference_cycle_vertices,
+    reference_cycle_without_exit,
+    reference_unreached_pairs,
+)
 
 from lpa_lie import (
     NoCycle,
@@ -14,6 +19,7 @@ from lpa_lie import (
     is_simple_lpa,
     is_trivial_lpa,
     reachability,
+    simplicity_reports,
 )
 
 
@@ -206,6 +212,32 @@ def test_is_trivial():
     assert is_trivial_lpa(graph_from_adjacency(["v"], [[0]]))
     assert not is_trivial_lpa(family("rose", [1]))
     assert not is_trivial_lpa(family("line", [2]))
+
+
+def test_one_unreached_witness_per_failing_vertex():
+    # a vertex has a witness exactly when some pair from it fails, and the
+    # witness is its first failing pair: sinks before cycle vertices
+    rng = random.Random(34)
+    failing = passing = 0
+    for _ in range(400):
+        g = random_graph(rng, max_vertices=8, density=(0.02, 0.4))
+        pairs = reference_unreached_pairs(g)
+        first: dict = {}
+        first_cycle: dict = {}
+        for v, t, kind in pairs:
+            first.setdefault(v, Unreached(v, t, kind))
+            if kind == "cycle vertex":
+                first_cycle.setdefault(v, Unreached(v, t, kind))
+        no_exit = reference_cycle_without_exit(g) is not None
+        simple, pis = simplicity_reports(g)
+        assert [w for w in simple.witnesses if isinstance(w, Unreached)] == list(first.values())
+        assert [w for w in pis.witnesses if isinstance(w, Unreached)] == list(first_cycle.values())
+        assert simple.verdict == (not pairs and not no_exit)
+        assert pis.verdict == (not first_cycle and not no_exit and bool(reference_cycle_vertices(g)))
+        failing += len(first)
+        passing += g.num_vertices - len(first)
+    # the sample mixes vertices with and without a witness
+    assert failing >= 300 and passing >= 300
 
 
 def test_witness_iff_failure_random():

@@ -15,7 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _gen import (
+    expand_runs,
     random_graphs_where,
+    random_labelled_graph,
     reference_rank,
     reference_serialize,
     reference_span,
@@ -68,7 +70,7 @@ def test_analyze_json_is_complete_and_deterministic(tmp_path, capsys):
     code, out, _ = run(capsys, "analyze", path, "--char", "0,2,3,5,7", "--json")
     assert code == 0
     data = json.loads(out)
-    assert data["schema"] == "lpa-lie.report/1"
+    assert data["schema"] == "lpa-lie.report/2"
     assert data["b_vectors"][3] == [0, 0, 1, 6]
     statuses = {v["characteristic"]: v["span"]["status"] for v in data["verdicts"]}
     assert statuses == {
@@ -514,6 +516,15 @@ def test_readme_cli_synopsis_lists_each_subcommands_options():
     }
 
 
+def test_readme_run_shapes_are_the_example_graphs_runs(tmp_path, capsys):
+    path = tmp_path / "example.graph"
+    path.write_text(readme_block("Graph input", ""), encoding="utf-8")
+    code, out, _ = run(capsys, "k0", str(path), "--json")
+    assert code == 0
+    shapes = [json.loads(line) for line in readme_block("CLI", "json").splitlines()]
+    assert json.loads(out)["graph"]["runs"] == shapes
+
+
 def test_readme_transcripts_match_the_output(monkeypatch):
     # a shown line must be the whole output line, except that "..." stands
     # for any text on a line and a line of "..." for any lines
@@ -628,6 +639,71 @@ def test_text_reports_on_a_trillion_edges(tmp_path, capsys):
     assert "Z_999999999999" in k0_out
 
 
+def test_json_reports_on_a_trillion_edges(tmp_path, capsys):
+    # the report lists the one run, not its 10^12 edges
+    path = tmp_path / "big.graph"
+    path.write_text("vertex a\nedge a a 1000000000000\n", encoding="utf-8")
+    for command in ("analyze", "k0"):
+        with time_limit(2):
+            code, out, _ = run(capsys, command, str(path), "--json")
+        assert code == 0
+        assert json.loads(out)["graph"]["runs"] == [
+            {"source": "a", "target": "a", "first": 1, "count": 1000000000000}
+        ]
+
+
+def test_isolated_vertices_get_one_witness_each(tmp_path, capsys):
+    # each vertex misses 999 sinks but is named once; the last witness line
+    # is the pure infinite simplicity report's "no cycle"
+    path = tmp_path / "isolated.graph"
+    path.write_text("".join(f"vertex v{i}\n" for i in range(1000)), encoding="utf-8")
+    with time_limit(5):
+        code, out, _ = run(capsys, "analyze", str(path))
+    assert code == 2
+    witnesses = [line for line in out.splitlines() if line.startswith("  witness: ")]
+    assert witnesses[0] == "  witness: vertex v0 does not reach sink v1"
+    assert witnesses[1:] == [f"  witness: vertex v{i} does not reach sink v0" for i in range(1, 1000)] + [
+        "  witness: the graph has no cycle"
+    ]
+
+
+@given(st.randoms(use_true_random=False))
+@settings(max_examples=100, deadline=None)
+def test_report_runs_expand_to_the_edges(tmp_path_factory, rng):
+    g = random_labelled_graph(rng)
+    path = tmp_path_factory.getbasetemp() / "runs-input.graph"
+    path.write_text(serialize_graph(g), encoding="utf-8")
+    edges = [(e.label, e.source.label, e.target.label) for e in g.edges]
+    for command in ("analyze", "k0"):
+        with redirect_stdout(io.StringIO()) as out:
+            main([command, str(path), "--json"])
+        assert expand_runs(json.loads(out.getvalue())["graph"]["runs"]) == edges
+
+
+JSON_ERROR_CALLS = (
+    (["analyze", "missing.graph"],
+     "cannot read 'missing.graph': [Errno 2] No such file or directory: 'missing.graph'"),
+    (["analyze", "rose.graph", "--char", "4"], "characteristic must be 0 or prime, got 4"),
+    (["k0", "rose.graph", "--primes", "x"], "bad prime 'x'"),
+    (["witness", "rose.graph", "--coeffs", "1,1"], "expected 1 coefficients, got 2"),
+    (["family", "rose", "0"], "rose(n) requires n >= 1"),
+    (["kp-check", "-", "-"], "standard input can supply only one graph"),
+)
+
+
+@pytest.mark.parametrize("argv, message", JSON_ERROR_CALLS)
+def test_json_errors(tmp_path, capsys, monkeypatch, argv, message):
+    monkeypatch.chdir(tmp_path)
+    write_family(tmp_path, "rose", [2], "rose.graph")
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+    # with --json the same error is also one JSON object on stdout
+    code, out, err = run(capsys, *argv, "--json")
+    assert (code, err) == (1, f"error: {message}\n")
+    assert out.count("\n") == 1
+    assert json.loads(out) == {"schema": "lpa-lie.report/2", "command": argv[0], "error": message}
+
+
 NAMES = ("a", "b", "a_b", "b_c", "c")
 LABELS = NAMES + ("a b", "")
 EDGE_LINES = st.builds("edge {} {} {}".format, st.sampled_from(NAMES), st.sampled_from(NAMES),
@@ -685,3 +761,11 @@ def test_analyze_loader_fuzz(tmp_path_factory, text):
     assert code in (0, 1, 2)
     if code == 1:
         assert err.getvalue().startswith("error: ")
+        # with --json, stdout is the error as one JSON object; stderr is the same
+        json_out, json_err = io.StringIO(), io.StringIO()
+        with redirect_stdout(json_out), redirect_stderr(json_err), time_limit(10):
+            assert main(["analyze", str(path), "--json"]) == 1
+        assert json_err.getvalue() == err.getvalue()
+        report = json.loads(json_out.getvalue())
+        assert report == {"schema": "lpa-lie.report/2", "command": "analyze", "error": report["error"]}
+        assert err.getvalue() == f"error: {report['error']}\n"

@@ -46,6 +46,17 @@ CALLS.update({
     "selftest": ["selftest"],
     "analyze-composite-char": ["analyze", "rose_3.graph", "--char", "0,4"],
 })
+# the JSON report of every other command
+CALLS.update({
+    f"{name}-json": [*CALLS[name], "--json"]
+    for name in (
+        "witness-rose_3-member",
+        "witness-rose_3-non-member",
+        "kp-check-rose_2-matrix_rose_2_3",
+        "family-example4",
+        "selftest",
+    )
+})
 
 
 def write_graphs(directory: Path) -> None:
