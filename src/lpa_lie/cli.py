@@ -7,15 +7,17 @@ and ``adjacency``.  ``--json`` switches every command to a stable,
 schema-versioned machine-readable report on one line; an error in that mode
 is printed as one such line too, besides the ``error:`` line on stderr.
 
-Exit codes: 0 verdicts produced, 1 input or usage error, 2 every requested
-verdict inapplicable (``analyze``) or non-membership (``witness``), 3
-contradiction in ``kp-check`` (which would indicate a bug).
+Exit codes: 0 verdicts produced, 1 input or usage error or a standard output
+closed by its reader, 2 every requested verdict inapplicable (``analyze``) or
+non-membership (``witness``), 3 contradiction in ``kp-check`` (which would
+indicate a bug).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import __version__
@@ -34,6 +36,7 @@ from .graph import (
 from .linalg import (
     FieldSpec,
     K0Presentation,
+    _parse_integer,
     class_order,
     is_p_divisible,
     is_prime,
@@ -103,19 +106,28 @@ def _load_graph(spec: str) -> Graph:
     return g
 
 
-def _parse_chars(text: str) -> list[int]:
-    chars = []
-    for piece in text.split(","):
-        piece = piece.strip()
-        if not piece:
-            continue
+def _split_list(text: str) -> list[str]:
+    """The pieces of a comma list, stripped, blanks skipped."""
+    return [piece for piece in map(str.strip, text.split(",")) if piece]
+
+
+def _parse_ints(text: str, what: str, valid, rule: str) -> list[int]:
+    """The integers of a comma list, in order; each must pass ``valid``."""
+    values = []
+    for piece in _split_list(text):
         try:
-            c = int(piece)
+            n = _parse_integer(piece)
         except ValueError:
-            raise _CliError(f"bad characteristic {piece!r}") from None
-        if c != 0 and not is_prime(c):
-            raise _CliError(f"characteristic must be 0 or prime, got {c}")
-        chars.append(c)
+            raise _CliError(f"bad {what} {piece!r}") from None
+        if not valid(n):
+            raise _CliError(f"{rule}, got {n}")
+        values.append(n)
+    return values
+
+
+def _parse_chars(text: str) -> list[int]:
+    rule = "characteristic must be 0 or prime"
+    chars = _parse_ints(text, "characteristic", lambda c: c == 0 or is_prime(c), rule)
     if not chars:
         raise _CliError("no characteristics given")
     return chars
@@ -278,19 +290,7 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_k0(args) -> int:
     g = _load_graph(args.graph)
-    extra = []
-    if args.primes:
-        for piece in args.primes.split(","):
-            piece = piece.strip()
-            if not piece:
-                continue
-            try:
-                p = int(piece)
-            except ValueError:
-                raise _CliError(f"bad prime {piece!r}") from None
-            if not is_prime(p):
-                raise _CliError(f"--primes entries must be prime, got {p}")
-            extra.append(p)
+    extra = _parse_ints(args.primes, "prime", is_prime, "--primes entries must be prime")
     primes = sorted(set(SMALL_PRIMES) | set(extra))
     pres = GraphInvariants(g).k0
     info = _k0_dict(pres)
@@ -327,7 +327,7 @@ def _cmd_witness(args) -> int:
     if len(chars) != 1:
         raise _CliError("witness takes exactly one characteristic")
     field = FieldSpec(chars[0])
-    raw = [piece.strip() for piece in args.coeffs.split(",") if piece.strip()]
+    raw = _split_list(args.coeffs)
     if len(raw) != g.num_vertices:
         raise _CliError(
             f"expected {g.num_vertices} coefficients, got {len(raw)}"
@@ -371,8 +371,8 @@ def _cmd_witness(args) -> int:
         f"t = {_fmt_vec(t)}{mod}",
         "commutator expression: "
         + " + ".join(f"{b['coefficient']} * [{b['edge']}, {b['edge']}^*]" for b in brackets),
-        f"  = {wit.commutator_sum}",
-        f"quotient correction (sum of t_i * y_i): {wit.correction}",
+        f"  = {payload['commutator_sum']}",
+        f"quotient correction (sum of t_i * y_i): {payload['n_correction']}",
         f"symbolic verification: {payload['verification']}",
     ]
     _emit(args, payload, "\n".join(lines) + "\n")
@@ -546,6 +546,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_witness)
 
     p = sub.add_parser("family", help="emit a named family graph as text")
+    # type=int keeps argparse's "invalid int value" message; the integer
+    # rule of --char and --primes does the converting
+    p.register("type", int, _parse_integer)
     p.add_argument("name", help="one of: " + ", ".join(family_names()))
     p.add_argument("params", nargs="*", type=int)
     p.add_argument("--json", action="store_true")
@@ -569,11 +572,19 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
-    except ValueError as exc:
-        if args.json:
-            print(json.dumps({"schema": SCHEMA, "command": args.command, "error": str(exc)}))
-        print(f"error: {exc}", file=sys.stderr)
+        try:
+            code = args.handler(args)
+        except ValueError as exc:
+            if args.json:
+                print(json.dumps({"schema": SCHEMA, "command": args.command, "error": str(exc)}))
+            print(f"error: {exc}", file=sys.stderr)
+            code = 1
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout; pointing it at devnull keeps the flush at
+        # exit from failing again (the recipe in the docs of ``signal``)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

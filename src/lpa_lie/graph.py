@@ -15,8 +15,8 @@ labelled run ``(label, src, dst)`` is one individually named edge.  Every
 criterion the package decides depends only on the adjacency counts, which are
 derived once from the runs, so a multiplicity costs O(1): building, parsing,
 serialising and every count-based invariant take O(V^2 + runs) time.
-``EdgeId`` objects are built only where an edge is named (``Graph.edges`` and
-``Graph.out_edges``).
+``Graph.out_edges`` is the only place an edge is named: no other code builds
+an ``EdgeId``.
 
 The edge-label rules (no label twice, an explicit label equal to its edge's
 auto label is that auto edge) live in one place, ``_RunBuilder``.  Every
@@ -29,6 +29,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
+
+from .linalg import _parse_integer
 
 __all__ = [
     "VertexId",
@@ -182,12 +184,12 @@ class Graph:
 
     Vertices and edge runs are kept in declaration order; that order is the
     canonical index order used by every derived matrix and vector, and the
-    order of ``edges``.  ``runs`` holds vertex indices: ``(src, dst, first_k,
-    multiplicity)`` for auto-named parallel edges, ``(label, src, dst)`` for
-    one named edge.  It is canonical, so equality of graphs is equality of
+    order of the edge indices.  ``runs`` holds vertex indices: ``(src, dst,
+    first_k, multiplicity)`` for auto-named parallel edges, ``(label, src,
+    dst)`` for one named edge.  It is canonical, so equality of graphs is equality of
     their edge sequences.  The count matrix ``counts``, the per-vertex
     ``successors`` and the out-degrees are derived once from the runs;
-    ``EdgeId`` objects are built only by ``edges`` and ``out_edges``.
+    ``out_edges`` is the only place an edge is named as an ``EdgeId``.
     """
 
     vertices: tuple[VertexId, ...]
@@ -271,23 +273,6 @@ class Graph:
             start += n
         return tuple(tuple(x) for x in out)
 
-    def _named_edges(self, start: int, run: tuple) -> list[EdgeId]:
-        src, dst, _ = _run_ends(run)
-        src, dst = self.vertices[src], self.vertices[dst]
-        if len(run) == 3:
-            return [EdgeId(start, run[0], src, dst)]
-        k, n = run[2], run[3]
-        prefix = f"{src.label}_{dst.label}_"
-        return [EdgeId(start + i, f"{prefix}{k + i}", src, dst) for i in range(n)]
-
-    @cached_property
-    def edges(self) -> tuple[EdgeId, ...]:
-        """Every edge, named, in declaration order; costs O(E) on first use."""
-        out: list[EdgeId] = []
-        for run in self.runs:
-            out += self._named_edges(len(out), run)
-        return tuple(out)
-
     @property
     def num_vertices(self) -> int:
         return len(self.vertices)
@@ -313,8 +298,15 @@ class Graph:
         named = self._named_out.get(v.index)
         if named is None:
             out: list[EdgeId] = []
+            src = self.vertices[v.index]
             for start, run in self._runs_from[v.index]:
-                out += self._named_edges(start, run)
+                dst = self.vertices[_run_ends(run)[1]]
+                if len(run) == 3:
+                    out.append(EdgeId(start, run[0], src, dst))
+                else:
+                    k, n = run[2], run[3]
+                    prefix = f"{src.label}_{dst.label}_"
+                    out += [EdgeId(start + i, f"{prefix}{k + i}", src, dst) for i in range(n)]
             named = self._named_out[v.index] = tuple(out)
         return named
 
@@ -441,7 +433,7 @@ def parse_graph(text: str) -> Graph:
             mult = 1
             if len(tokens) == 4:
                 try:
-                    mult = int(tokens[3])
+                    mult = _parse_integer(tokens[3])
                 except ValueError:
                     raise GraphParseError(
                         f"multiplicity must be an integer, got {tokens[3]!r}",
@@ -509,7 +501,11 @@ def serialize_graph(g: Graph) -> str:
             counters[key] = base + run[3]
         else:
             for r in runs[i:j]:
-                lines += (f"edge-label {e.label} {src} {dst}" for e in g._named_edges(0, r))
+                if len(r) == 3:
+                    lines.append(f"edge-label {r[0]} {src} {dst}")
+                else:
+                    ks = range(r[2], r[2] + r[3])
+                    lines += (f"edge-label {src}_{dst}_{k} {src} {dst}" for k in ks)
         i = j
     return "\n".join(lines) + "\n"
 

@@ -33,7 +33,6 @@ __all__ = [
     "cokernel",
     "class_order",
     "is_p_divisible",
-    "identity_matrix",
 ]
 
 
@@ -132,6 +131,18 @@ def _strong_lucas_probable_prime(n: int) -> bool:
     return False
 
 
+# An integer as a user types it: an optional sign, then ASCII digits.  int()
+# also takes underscores ("1_0") and any Unicode decimal digits.
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
+def _parse_integer(text: str) -> int:
+    """``text`` as an integer by the rule of ``_INTEGER``; ``ValueError`` otherwise."""
+    if not _INTEGER.fullmatch(text):
+        raise ValueError(f"expected an integer, got {text!r}")
+    return int(text)
+
+
 @dataclass(frozen=True)
 class FieldSpec:
     """The prime subfield to compute over: Q for 0, GF(p) for a prime p.
@@ -173,7 +184,7 @@ class FieldSpec:
     def parse(self, text: str):
         """Parse ``a`` or ``a/b`` (an optional sign, ASCII digits) as an element of this field."""
         try:
-            if not re.fullmatch(r"[+-]?[0-9]+(/[0-9]+)?", text.strip()):
+            if not re.fullmatch(rf"{_INTEGER.pattern}(/[0-9]+)?", text.strip()):
                 raise ValueError("expected an integer a or a fraction a/b")
             return self.coerce(Fraction(text.strip()))
         except (ValueError, ZeroDivisionError) as exc:
@@ -208,7 +219,7 @@ def _replay_on_identity(log, n: int) -> list[list[int]]:
     For a row log this is U; for a column log it is the transpose of V,
     since "col j -= q * col k" on V is "row j -= q * row k" on its transpose.
     """
-    m = identity_matrix(n)
+    m = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     for i, k, q in log:
         if q is None:
             m[i], m[k] = m[k], m[i]
@@ -228,21 +239,15 @@ class SmithDecomposition:
     ``u`` and ``v`` are built on first use by replaying a log on the
     identity; ``solve`` and ``K0Presentation.of`` replay the logs on the
     vectors they read instead, so a verdict never builds ``u`` or ``v``.
-    Two decompositions are equal when their ``u``, ``d`` and ``v`` are.
+    The fields are the identity: ``smith_normal_form`` is deterministic, so
+    two of its decompositions are equal exactly when they decompose the same
+    matrix, which is when their ``u``, ``d`` and ``v`` agree.
     """
 
     shape: tuple[int, int]
     diagonal: tuple[int, ...]
     row_log: tuple[tuple[int, int, int | None], ...]
     col_log: tuple[tuple[int, int, int | None], ...]
-
-    def __eq__(self, other):
-        if not isinstance(other, SmithDecomposition):
-            return NotImplemented
-        return (self.u, self.d, self.v) == (other.u, other.d, other.v)
-
-    def __hash__(self):
-        return hash((self.shape, self.diagonal))
 
     @cached_property
     def u(self) -> tuple[tuple[int, ...], ...]:
@@ -299,10 +304,6 @@ class SmithDecomposition:
         # act on y last to first; "col j -= q * col k" acts as "row k -= q * row j"
         x = _replay_rows([(k, j, q) for j, k, q in reversed(self.col_log)], y, p)
         return x if p else [Fraction(xi, top * scale) for xi in x]
-
-
-def identity_matrix(n: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
 def _min_abs_position(a, t: int, rows: int, cols: int) -> tuple[int, int] | None:

@@ -12,7 +12,9 @@ matrix and a chase of the out-degree-1 subgraph are the references for those,
 and the list of every unreached (vertex, target) pair is the reference for
 its one simplicity witness per vertex.  The
 package stores edges as runs of parallel edges; the per-edge parser and
-serialiser here are the reference for its text format, trial division is the
+serialiser here are the reference for its text format, the expansion of the
+runs edge by edge (``all_edges``) is the reference for the edges that
+``Graph.out_edges`` names, trial division is the
 reference for its Miller-Rabin primality test, the prime-by-prime orbit
 test is the reference for its factoring-free one, and a search over the
 shifts of the unit class is the reference for its search-free pointed
@@ -22,6 +24,7 @@ isomorphism test.
 from __future__ import annotations
 
 import random
+import re
 import signal
 from contextlib import contextmanager
 from fractions import Fraction
@@ -31,6 +34,7 @@ from math import gcd, lcm, prod
 from lpa_lie import (
     CohnElement,
     CohnTerm,
+    EdgeId,
     FieldSpec,
     Graph,
     GraphParseError,
@@ -145,8 +149,9 @@ def _random_path_into(rng: random.Random, g: Graph, target, max_len: int = 4) ->
     """A random path of length 0..max_len ending at ``target`` (walks in-edges)."""
     edges = []
     v = target
+    named = all_edges(g)
     for _ in range(rng.randint(0, max_len)):
-        incoming = [e for e in g.edges if e.target == v]
+        incoming = [e for e in named if e.target == v]
         if not incoming:
             break
         e = rng.choice(incoming)
@@ -597,6 +602,8 @@ def reference_parse(text: str) -> tuple[list[str], list[tuple[str, str, str]]]:
             mult = 1
             if len(tokens) == 4:
                 try:
+                    if not re.fullmatch(r"[+-]?[0-9]+", tokens[3]):
+                        raise ValueError
                     mult = int(tokens[3])
                 except ValueError:
                     raise GraphParseError(
@@ -641,6 +648,21 @@ def reference_parse(text: str) -> tuple[list[str], list[tuple[str, str, str]]]:
     return vertex_labels, edge_specs
 
 
+def all_edges(g: Graph) -> tuple[EdgeId, ...]:
+    """Every edge of ``g``, named, in declaration order: ``g.runs`` expanded edge by edge."""
+    edges: list[EdgeId] = []
+    for run in g.runs:
+        if len(run) == 3:
+            named = [run]
+        else:
+            s, d, k, n = run
+            prefix = f"{g.vertices[s].label}_{g.vertices[d].label}_"
+            named = [(f"{prefix}{k + i}", s, d) for i in range(n)]
+        for label, s, d in named:
+            edges.append(EdgeId(len(edges), label, g.vertices[s], g.vertices[d]))
+    return tuple(edges)
+
+
 def expand_runs(runs: list[dict]) -> list[tuple[str, str, str]]:
     """``(label, source, target)`` of every edge the ``graph.runs`` of a JSON report stands for."""
     edges = []
@@ -664,7 +686,7 @@ def reference_serialize(g: Graph) -> str:
     lines = [f"vertex {v.label}" for v in g.vertices]
     counters: dict[tuple[str, str], int] = {}
     i = 0
-    edges = g.edges
+    edges = all_edges(g)
     while i < len(edges):
         key = (edges[i].source.label, edges[i].target.label)
         j = i

@@ -2,9 +2,12 @@ import argparse
 import ast
 import io
 import json
+import os
 import random
 import re
 import shlex
+import subprocess
+import sys
 import tokenize
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
@@ -15,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _gen import (
+    all_edges,
     expand_runs,
     random_graphs_where,
     random_labelled_graph,
@@ -26,6 +30,7 @@ from _gen import (
 
 import lpa_lie
 from lpa_lie import (
+    CohnElement,
     FieldSpec,
     b_vectors,
     family,
@@ -253,6 +258,18 @@ def test_witness_refuses_an_exponent_coefficient(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+def test_witness_renders_each_cohn_element_once(tmp_path, capsys, monkeypatch):
+    # the text report reads the strings of the payload, in both modes
+    rendered = []
+    original = CohnElement.__str__
+    monkeypatch.setattr(CohnElement, "__str__", lambda x: rendered.append(x) or original(x))
+    path = write_family(tmp_path, "rose", [3])
+    for mode in ((), ("--json",)):
+        rendered.clear()
+        code, _, _ = run(capsys, "witness", path, "--coeffs", "1", *mode)
+        assert code == 0 and len(rendered) == 2
+
+
 # -- family ---------------------------------------------------------------------
 
 
@@ -476,6 +493,47 @@ def test_stdin_input(capsys, monkeypatch):
     assert "Z_2" in out
 
 
+@pytest.mark.parametrize("typed", ["1_1", "\u0663"])
+def test_typed_integers_are_an_optional_sign_and_ascii_digits(tmp_path, capsys, typed):
+    # int() reads "1_1" as 11 and the Arabic-Indic digit three as 3
+    path = write_family(tmp_path, "rose", [3])
+    for argv, error in (
+        (["analyze", path, "--char", typed], "bad characteristic"),
+        (["k0", path, "--primes", typed], "bad prime"),
+    ):
+        assert run(capsys, *argv) == (1, "", f"error: {error} {typed!r}\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["family", "rose", typed])
+    assert exc.value.code == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.endswith(f"error: argument params: invalid int value: {typed!r}\n")
+
+    code, out, _ = run(capsys, "analyze", path, "--char", "+7,007")
+    assert code == 0 and out.count("char 7: ") == 2
+    code, out, _ = run(capsys, "k0", path, "--primes", "+23,0029")
+    assert code == 0 and "p = 23: " in out and "p = 29: " in out
+    for seven in ("+7", "007"):
+        assert run(capsys, "family", "rose", seven) == (0, "vertex v1\nedge v1 v1 7\n", "")
+
+
+@pytest.mark.parametrize("mode", [(), ("--json",)])
+def test_a_closed_stdout_ends_without_a_traceback(mode):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # every write to the pipe now fails
+    src = str(Path(lpa_lie.__file__).resolve().parents[1])
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "lpa_lie.cli", "family", "line", "30000", *mode],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": src},
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, b"")
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["analyze"])  # missing required positional
@@ -673,7 +731,7 @@ def test_report_runs_expand_to_the_edges(tmp_path_factory, rng):
     g = random_labelled_graph(rng)
     path = tmp_path_factory.getbasetemp() / "runs-input.graph"
     path.write_text(serialize_graph(g), encoding="utf-8")
-    edges = [(e.label, e.source.label, e.target.label) for e in g.edges]
+    edges = [(e.label, e.source.label, e.target.label) for e in all_edges(g)]
     for command in ("analyze", "k0"):
         with redirect_stdout(io.StringIO()) as out:
             main([command, str(path), "--json"])

@@ -320,6 +320,17 @@ def test_snf_of_graph_matrices_matches_the_reference_hypothesis(seed):
         assert (dec.u, dec.d, dec.v) == reference_smith_normal_form(mat)
 
 
+def test_smith_forms_compare_by_their_fields():
+    g = random_graph(random.Random(30), min_vertices=30, max_vertices=30)
+    mat = [list(col) for col in zip(*b_vectors(g))]
+    a, b = smith_normal_form(mat), smith_normal_form(mat)
+    assert a == b and hash(a) == hash(b)
+    # equality reads the logs; it builds neither certificate
+    assert not any(name in vars(dec) for dec in (a, b) for name in ("u", "v"))
+    mat[0][0] += 1
+    assert smith_normal_form(mat) != a
+
+
 solve_cases = snf_cases.flatmap(
     lambda mat: st.tuples(
         st.just(mat),
