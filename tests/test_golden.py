@@ -41,6 +41,14 @@ CALLS = {
 CALLS.update({
     "witness-rose_3-member": ["witness", "rose_3.graph", "--coeffs", "1", "--char", "0"],
     "witness-rose_3-non-member": ["witness", "rose_3.graph", "--coeffs", "1", "--char", "2"],
+    # t = (1, 1) mod 5: brackets at both vertices, coefficients residues mod 5
+    "witness-two_vertex_2_2_3-member": [
+        "witness", "two_vertex_2_2_3.graph", "--coeffs", "3,4", "--char", "5",
+    ],
+    # t = (0, 1/2, 0, 1/3): fractional coefficients at two of four vertices
+    "witness-example4-member": [
+        "witness", "example4.graph", "--coeffs", "1/2,-1/2,1/3,1/6", "--char", "0",
+    ],
     "kp-check-rose_2-matrix_rose_2_3": ["kp-check", "rose_2.graph", "matrix_rose_2_3.graph"],
     "family-example4": ["family", "example4"],
     "selftest": ["selftest"],
@@ -52,6 +60,8 @@ CALLS.update({
     for name in (
         "witness-rose_3-member",
         "witness-rose_3-non-member",
+        "witness-two_vertex_2_2_3-member",
+        "witness-example4-member",
         "kp-check-rose_2-matrix_rose_2_3",
         "family-example4",
         "selftest",
