@@ -16,6 +16,7 @@ indicate a bug).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -568,9 +569,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # parsing leaves the parser as it was, so one per process serves every call
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         try:
             code = args.handler(args)

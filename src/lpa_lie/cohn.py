@@ -1,8 +1,11 @@
 """Exact symbolic arithmetic in the Cohn path algebra of a graph.
 
 Elements are finite linear combinations of basis terms ``p q*`` where p and q
-are paths with a common range vertex.  Multiplication only ever uses the
-path-composition and ghost-cancellation relations, under which the stated
+are paths with a common range vertex.  Inside an element a path is the
+integer key ``(start vertex index, edge index, ...)`` and a term the pair of
+keys ``(p, q)``; ``PathWord`` and ``CohnTerm`` are views of those keys, built
+only to print, sort and hand terms to callers.  Multiplication only ever uses
+the path-composition and ghost-cancellation relations, under which the stated
 terms really are a basis, so equality of elements is just equality of
 coefficient maps.  The quotient relation at a regular vertex v is represented
 explicitly by the generator ``y_v = v - sum of e e*`` over the edges leaving
@@ -96,7 +99,7 @@ class PathWord:
 
     def sort_key(self):
         if self.edges:
-            return (self.length, tuple(e.label for e in self.edges))
+            return (len(self.edges), tuple([e.label for e in self.edges]))
         return (0, (self.start.label,))
 
     def __str__(self) -> str:
@@ -119,7 +122,7 @@ class CohnTerm:
             )
 
     def sort_key(self):
-        return (self.p.length + self.q.length, self.p.sort_key(), self.q.sort_key())
+        return (len(self.p.edges) + len(self.q.edges), self.p.sort_key(), self.q.sort_key())
 
     def __str__(self) -> str:
         parts = [e.label for e in self.p.edges]
@@ -129,18 +132,57 @@ class CohnTerm:
         return " ".join(parts)
 
 
-def _mult_terms(a: CohnTerm, b: CohnTerm) -> CohnTerm | None:
+def _path_key(w: PathWord) -> tuple[int, ...]:
+    return (w.start.index, *(e.index for e in w.edges))
+
+
+def _term_key(t: CohnTerm) -> tuple:
+    return (_path_key(t.p), _path_key(t.q))
+
+
+def _path_range(g: Graph, key: tuple[int, ...]) -> int:
+    """Index of the range vertex of a path key; O(log runs)."""
+    return g.edge_ends(key[-1])[1] if len(key) > 1 else key[0]
+
+
+def _term_views(g: Graph, keys) -> list[CohnTerm]:
+    """The ``CohnTerm`` of each ``(p, q)`` key, its edges named by ``out_edges``."""
+    named: dict[int, EdgeId] = {}
+    paths: dict[tuple[int, ...], PathWord] = {}
+
+    def edge(i: int) -> EdgeId:
+        e = named.get(i)
+        if e is None:
+            source = g.vertices[g.edge_ends(i)[0]]
+            named.update((e.index, e) for e in g.out_edges(source))
+            e = named[i]
+        return e
+
+    def path(key: tuple[int, ...]) -> PathWord:
+        w = paths.get(key)
+        if w is None:
+            w = paths[key] = PathWord(g.vertices[key[0]], tuple(map(edge, key[1:])))
+        return w
+
+    return [CohnTerm(path(p), path(q)) for p, q in keys]
+
+
+def _mult_terms(a: tuple, b: tuple) -> tuple | None:
     """Product of basis terms: ``(p q*)(t z*)`` collapses or dies.
 
     Nonzero only when one of q, t extends the other; the leftover path h is
-    absorbed into p (if t = q.h) or into z (if q = t.h).
+    absorbed into p (if t = q.h) or into z (if q = t.h).  A key starts with
+    its start vertex, so ``t[:len(q)] == q`` says that t extends q, also
+    when q is a vertex.
     """
-    h = b.p.strip_prefix(a.q)
-    if h is not None:
-        return CohnTerm(a.p.concat(h), b.q)
-    h = a.q.strip_prefix(b.p)
-    if h is not None:
-        return CohnTerm(a.p, b.q.concat(h))
+    p, q = a
+    t, z = b
+    n = len(q)
+    if t[:n] == q:
+        return (p + t[n:], z)
+    n = len(t)
+    if q[:n] == t:
+        return (p, z + q[n:])
     return None
 
 
@@ -158,14 +200,29 @@ def _add_into(out: dict, items, p: int) -> None:
 
 
 class CohnElement:
-    """A formal linear combination of basis terms over a prime subfield."""
+    """A formal linear combination of basis terms over a prime subfield.
 
-    __slots__ = ("graph", "field", "terms")
+    ``terms`` maps each ``CohnTerm`` to its coefficient, a scalar of the
+    field; the element itself keeps that map on integer term keys.
+    """
+
+    __slots__ = ("graph", "field", "_terms")
 
     def __init__(self, graph: Graph, field: FieldSpec, terms: dict | None = None):
         self.graph = graph
         self.field = field
-        self.terms = dict(terms) if terms else {}
+        self._terms = {_term_key(t): c for t, c in dict(terms).items()} if terms else {}
+
+    @classmethod
+    def _of(cls, graph: Graph, field: FieldSpec, keyed: dict) -> "CohnElement":
+        """The element with coefficient map ``keyed`` on term keys, taken as is."""
+        x = cls.__new__(cls)
+        x.graph, x.field, x._terms = graph, field, keyed
+        return x
+
+    @property
+    def terms(self) -> dict:
+        return dict(zip(_term_views(self.graph, self._terms), self._terms.values()))
 
     # -- constructors -------------------------------------------------------
 
@@ -213,17 +270,17 @@ class CohnElement:
         if not isinstance(other, CohnElement):
             return NotImplemented
         self._check_compatible(other)
-        out = dict(self.terms)
-        _add_into(out, other.terms.items(), self.field.characteristic)
-        return CohnElement(self.graph, self.field, out)
+        out = dict(self._terms)
+        _add_into(out, other._terms.items(), self.field.characteristic)
+        return CohnElement._of(self.graph, self.field, out)
 
     def __neg__(self):
         p = self.field.characteristic
         if p:
-            terms = {t: -c % p for t, c in self.terms.items()}
+            terms = {t: -c % p for t, c in self._terms.items()}
         else:
-            terms = {t: -c for t, c in self.terms.items()}
-        return CohnElement(self.graph, self.field, terms)
+            terms = {t: -c for t, c in self._terms.items()}
+        return CohnElement._of(self.graph, self.field, terms)
 
     def __sub__(self, other):
         if not isinstance(other, CohnElement):
@@ -237,10 +294,10 @@ class CohnElement:
         p = self.field.characteristic
         if p:
             # a product of nonzero residues mod a prime is nonzero
-            terms = {t: c * v % p for t, v in self.terms.items()}
+            terms = {t: c * v % p for t, v in self._terms.items()}
         else:
-            terms = {t: c * v for t, v in self.terms.items()}
-        return CohnElement(self.graph, self.field, terms)
+            terms = {t: c * v for t, v in self._terms.items()}
+        return CohnElement._of(self.graph, self.field, terms)
 
     def __rmul__(self, coeff):
         if isinstance(coeff, (int, Fraction)):
@@ -253,37 +310,38 @@ class CohnElement:
         if not isinstance(other, CohnElement):
             return NotImplemented
         self._check_compatible(other)
-        out: dict[CohnTerm, object] = {}
+        out: dict = {}
         products = (
             (t, c1 * c2)
-            for t1, c1 in self.terms.items()
-            for t2, c2 in other.terms.items()
+            for t1, c1 in self._terms.items()
+            for t2, c2 in other._terms.items()
             if (t := _mult_terms(t1, t2)) is not None
         )
         _add_into(out, products, self.field.characteristic)
-        return CohnElement(self.graph, self.field, out)
+        return CohnElement._of(self.graph, self.field, out)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._terms
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self._terms)
 
     def __eq__(self, other):
         if not isinstance(other, CohnElement):
             return NotImplemented
-        return self.field == other.field and self.terms == other.terms
+        return self.field == other.field and self._terms == other._terms
 
     def __hash__(self):
-        return hash((self.field, frozenset(self.terms.items())))
+        return hash((self.field, frozenset(self._terms.items())))
 
     def __str__(self) -> str:
-        if not self.terms:
+        if not self._terms:
             return "0"
-        bits = []
-        for t in sorted(self.terms, key=CohnTerm.sort_key):
-            bits.append(f"{self.terms[t]} * {t}")
-        return " + ".join(bits)
+        views = sorted(
+            zip(_term_views(self.graph, self._terms), self._terms.values()),
+            key=lambda tc: tc[0].sort_key(),
+        )
+        return " + ".join(f"{c} * {t}" for t, c in views)
 
     __repr__ = __str__
 
@@ -301,9 +359,9 @@ def trace_vector(x: CohnElement) -> list:
     any product is symmetric in its factors, so commutators trace to zero.
     """
     out = [x.field.zero()] * x.graph.num_vertices
-    for t, c in x.terms.items():
-        if t.p == t.q:
-            i = t.p.range.index
+    for (p, q), c in x._terms.items():
+        if p == q:
+            i = _path_range(x.graph, p)
             out[i] = out[i] + c
     p = x.field.characteristic
     return [c % p for c in out] if p else out
@@ -313,11 +371,14 @@ def n_generator(g: Graph, field: FieldSpec, v: VertexId) -> CohnElement:
     """The quotient-ideal generator ``v - sum of e e*`` at a regular vertex."""
     if g.is_sink(v):
         raise PreconditionError(f"vertex {v.label!r} is a sink; no generator there")
-    acc = CohnElement.vertex(g, field, v)
+    u = (v.index,)
+    terms = {(u, u): field.coerce(1)}
+    minus_one = field.coerce(-1)
     # the terms e e* of distinct edges are distinct basis terms
-    for w in (PathWord.from_edges([e]) for e in g.out_edges(v)):
-        acc.terms[CohnTerm(w, w)] = field.coerce(-1)
-    return acc
+    for e in g.out_edges(v):
+        w = (v.index, e.index)
+        terms[(w, w)] = minus_one
+    return CohnElement._of(g, field, terms)
 
 
 # The witness names and brackets every edge leaving the support of t; its
@@ -374,7 +435,8 @@ def vertex_witness(g: Graph, k_coeffs, t_coeffs, field: FieldSpec) -> VertexWitn
         if field.coerce(total) != k[j]:
             raise PreconditionError("k is not the claimed combination of the B-vectors")
 
-    # each bracket is added into one running sum as it is built
+    # each bracket [e, e*] = e e* - e* e is multiplied out by the product
+    # rule on term keys and added into one running sum as it is built
     p = field.characteristic
     brackets = []
     w: dict = {}
@@ -385,18 +447,19 @@ def vertex_witness(g: Graph, k_coeffs, t_coeffs, field: FieldSpec) -> VertexWitn
         neg = field.coerce(-t[i])
         for e in g.out_edges(v):
             brackets.append((neg, e))
-            bracket = commutator(
-                CohnElement.edge(g, field, e), CohnElement.ghost_edge(g, field, e)
-            )
-            _add_into(w, bracket.scale(neg).terms.items(), p)
-        _add_into(correction, n_generator(g, field, v).scale(t[i]).terms.items(), p)
+            path, r = (i, e.index), (e.target.index,)
+            x, y = (path, r), (r, path)
+            products = ((_mult_terms(x, y), neg), (_mult_terms(y, x), -neg))
+            _add_into(w, ((term, c) for term, c in products if term is not None), p)
+        _add_into(correction, n_generator(g, field, v).scale(t[i])._terms.items(), p)
 
     rhs = dict(correction)
-    for i, v in enumerate(g.vertices):
-        if k[i]:
-            _add_into(rhs, CohnElement.vertex(g, field, v).scale(k[i]).terms.items(), p)
+    _add_into(rhs, ((((i,), (i,)), c) for i, c in enumerate(k) if c), p)
     return VertexWitness(
-        tuple(brackets), CohnElement(g, field, w), CohnElement(g, field, correction), w == rhs
+        tuple(brackets),
+        CohnElement._of(g, field, w),
+        CohnElement._of(g, field, correction),
+        w == rhs,
     )
 
 

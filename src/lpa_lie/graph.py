@@ -26,7 +26,7 @@ also feeds it line by line, so a clash is reported at its line.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -273,6 +273,19 @@ class Graph:
             start += n
         return tuple(tuple(x) for x in out)
 
+    @cached_property
+    def _run_starts(self) -> tuple[int, ...]:
+        """The index of the first edge of each run."""
+        starts, start = [], 0
+        for run in self.runs:
+            starts.append(start)
+            start += _run_ends(run)[2]
+        return tuple(starts)
+
+    def edge_ends(self, index: int) -> tuple[int, int]:
+        """``(src, dst)`` vertex indices of the edge with this index; O(log runs)."""
+        return _run_ends(self.runs[bisect_right(self._run_starts, index) - 1])[:2]
+
     @property
     def num_vertices(self) -> int:
         return len(self.vertices)
@@ -289,8 +302,8 @@ class Graph:
 
     @cached_property
     def _named_out(self) -> dict[int, tuple[EdgeId, ...]]:
-        # out_edges built so far: repeated calls return the same EdgeId
-        # objects, so the Cohn algebra's term dicts match them by identity
+        # out_edges built so far: the witness and every printed Cohn element
+        # of one graph share one EdgeId per edge
         return {}
 
     def out_edges(self, v: VertexId) -> tuple[EdgeId, ...]:

@@ -18,7 +18,9 @@ runs edge by edge (``all_edges``) is the reference for the edges that
 reference for its Miller-Rabin primality test, the prime-by-prime orbit
 test is the reference for its factoring-free one, and a search over the
 shifts of the unit class is the reference for its search-free pointed
-isomorphism test.
+isomorphism test.  The Cohn algebra multiplies terms on integer path keys;
+the product of ``PathWord`` prefixes (``reference_mult_terms``) is the
+reference for it.
 """
 
 from __future__ import annotations
@@ -177,6 +179,21 @@ def random_cohn_element(
         coeff = rng.randint(-4, 4)
         acc = acc + CohnElement.term(g, field, t.p, t.q, coeff)
     return acc
+
+
+def reference_mult_terms(a: CohnTerm, b: CohnTerm) -> CohnTerm | None:
+    """Product of basis terms on ``PathWord`` prefixes: ``(p q*)(t z*)`` collapses or dies.
+
+    Nonzero only when one of q, t extends the other; the leftover path h is
+    absorbed into p (if t = q.h) or into z (if q = t.h).
+    """
+    h = b.p.strip_prefix(a.q)
+    if h is not None:
+        return CohnTerm(a.p.concat(h), b.q)
+    h = a.q.strip_prefix(b.p)
+    if h is not None:
+        return CohnTerm(a.p, b.q.concat(h))
+    return None
 
 
 # -- reference linear algebra -------------------------------------------------

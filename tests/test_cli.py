@@ -236,6 +236,16 @@ def test_witness_edge_limit_counts_only_the_support_of_t(tmp_path, capsys):
     assert code == 1 and f"bracket {WITNESS_EDGE_LIMIT + 1} edges" in err
 
 
+def test_witness_of_rose_9999_verifies_in_seconds(tmp_path, capsys):
+    # 9,999 brackets, just under the limit; the cost is linear in that count
+    assert 9999 < WITNESS_EDGE_LIMIT
+    path = write_family(tmp_path, "rose", [9999])
+    with time_limit(3):
+        code, out, err = run(capsys, "witness", path, "--coeffs", "9998", "--char", "0")
+    assert (code, err) == (0, "")
+    assert out.endswith("\nsymbolic verification: VERIFIED\n")
+
+
 def test_witness_wrong_count(tmp_path, capsys):
     path = write_family(tmp_path, "rose", [3])
     code, _, err = run(capsys, "witness", path, "--coeffs", "1,2", "--char", "0")
@@ -538,6 +548,38 @@ def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["analyze"])  # missing required positional
     assert exc.value.code == 1
+
+
+def test_main_builds_the_parser_once_and_keeps_no_state(tmp_path, capsys, monkeypatch):
+    path = write_family(tmp_path, "example4")
+    cli = lpa_lie.cli
+    builds = []
+
+    def counted():
+        builds.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    try:
+        _, as_json, _ = run(capsys, "analyze", path, "--json")
+        _, after_json, _ = run(capsys, "analyze", path)
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "--char"])
+        assert exc.value.code == 1
+        capsys.readouterr()
+        after_error = run(capsys, "family", "rose", "2")
+        assert len(builds) == 1
+        # the same calls, each on a parser of its own
+        cli._parser.cache_clear()
+        fresh_text = run(capsys, "analyze", path)[1]
+        cli._parser.cache_clear()
+        fresh_family = run(capsys, "family", "rose", "2")
+    finally:
+        cli._parser.cache_clear()
+    assert json.loads(as_json)["command"] == "analyze"
+    assert after_json == fresh_text and not after_json.startswith("{")
+    assert after_error == fresh_family == (0, serialize_graph(family("rose", [2])), "")
 
 
 def test_human_numbers_appear_in_machine_output(tmp_path, capsys):

@@ -1,12 +1,26 @@
 import random
 from fractions import Fraction
 
-import pytest
+from collections import Counter
 
-from _gen import all_edges, random_basis_term, random_cohn_element, random_graph, random_path
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from _gen import (
+    all_edges,
+    random_basis_term,
+    random_cohn_element,
+    random_graph,
+    random_path,
+    reference_mult_terms,
+    time_limit,
+)
 
 from lpa_lie import (
     CohnElement,
+    CohnTerm,
+    EdgeId,
     FieldSpec,
     PathWord,
     PreconditionError,
@@ -16,11 +30,14 @@ from lpa_lie import (
     graph_from_adjacency,
     path_bracket_witness,
     n_generator,
+    parse_graph,
     span_membership,
     trace_vector,
     verify_witness,
     vertex_combination_in_commutator,
+    vertex_witness,
 )
+from lpa_lie.cohn import _mult_terms, _term_key
 
 F0 = FieldSpec(0)
 F2 = FieldSpec(2)
@@ -99,6 +116,56 @@ def test_multiply_longer_paths():
     # ghost side: (e1 e2)* e1 = e2*
     gp = CohnElement.ghost(ln, F0, PathWord.from_edges([e1, e2]))
     assert gp * e1_el == CohnElement.ghost_edge(ln, F0, e2)
+
+
+@given(st.integers(0, 2**32 - 1))
+@example(0)  # a zero product
+@example(1)  # a nonzero one
+@settings(max_examples=400, deadline=None)
+def test_keyed_product_matches_the_reference(seed):
+    rng = random.Random(seed)
+    g = random_graph(rng, max_vertices=4, max_mult=2)
+    a, b = random_basis_term(rng, g), random_basis_term(rng, g)
+    expected = reference_mult_terms(a, b)
+    got = _mult_terms(_term_key(a), _term_key(b))
+    assert got == (None if expected is None else _term_key(expected))
+    product = elem(g, F0, a) * elem(g, F0, b)
+    assert product.terms == ({} if expected is None else {expected: 1})
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from([0, 2, 3, 5]))
+@settings(max_examples=300, deadline=None)
+def test_ring_operations_match_the_reference(seed, characteristic):
+    rng = random.Random(seed)
+    field = FieldSpec(characteristic)
+    g = random_graph(rng, max_vertices=4, max_mult=2)
+    x = random_cohn_element(rng, g, field, terms=4, max_len=3)
+    y = random_cohn_element(rng, g, field, terms=4, max_len=3)
+    c = rng.randint(-6, 6)
+
+    def element(pairs):
+        total: dict[CohnTerm, object] = {}
+        for t, a in pairs:
+            total[t] = field.coerce(total.get(t, 0) + a)
+        return CohnElement(g, field, {t: a for t, a in total.items() if a})
+
+    xt, yt = x.terms, y.terms
+    product = [
+        (t, a * b)
+        for s, a in xt.items()
+        for u, b in yt.items()
+        if (t := reference_mult_terms(s, u)) is not None
+    ]
+    pairs = [
+        (x * y, element(product)),
+        (x + y, element([*xt.items(), *yt.items()])),
+        (x.scale(c), element((t, c * a) for t, a in xt.items())),
+    ]
+    scalar = type(field.coerce(1))
+    for got, expected in pairs:
+        assert got == expected
+        assert got.terms == expected.terms
+        assert all(type(a) is scalar for a in got.terms.values())
 
 
 def test_multiply_field_mismatch():
@@ -296,6 +363,23 @@ def test_verify_witness_preconditions():
         verify_witness(g, [1, 1], [1], F0)
 
 
+def test_vertex_witness_names_no_term_beyond_out_edges(monkeypatch):
+    g = family("rose", [50])
+    built = Counter()
+    for cls in (PathWord, CohnTerm, EdgeId):
+
+        def counted(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
+            built[_name] += 1
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    wit = vertex_witness(g, [49], [1], F0)
+    # the 50 EdgeIds are out_edges naming the loops, once per graph
+    assert built == {"EdgeId": 50}
+    assert wit.verified
+    assert [e for _, e in wit.brackets] == list(g.out_edges(g.vertices[0]))
+
+
 def test_verify_witness_from_solver_random():
     rng = random.Random(106)
     checked = 0
@@ -414,6 +498,14 @@ def test_element_string_form():
     e1, e2 = all_edges(ln)
     ghost2 = CohnElement.ghost(ln, F0, PathWord.from_edges([e1, e2]))
     assert str(ghost2) == f"1 * {e2.label}^* {e1.label}^*"
+
+
+def test_vertex_elements_of_a_trillion_loops_name_no_edge():
+    g = parse_graph("vertex a\nedge a a 1000000000000\n")
+    with time_limit(2):
+        v = CohnElement.vertex(g, F0, g.vertices[0])
+        assert str(v * v - v.scale(2)) == "-1 * a"
+        assert trace_vector(v) == [1]
 
 
 def test_element_string_deterministic_order():
