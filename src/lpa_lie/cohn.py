@@ -132,17 +132,8 @@ class CohnTerm:
         return " ".join(parts)
 
 
-def _path_key(w: PathWord) -> tuple[int, ...]:
-    return (w.start.index, *(e.index for e in w.edges))
-
-
 def _term_key(t: CohnTerm) -> tuple:
-    return (_path_key(t.p), _path_key(t.q))
-
-
-def _path_range(g: Graph, key: tuple[int, ...]) -> int:
-    """Index of the range vertex of a path key; O(log runs)."""
-    return g.edge_ends(key[-1])[1] if len(key) > 1 else key[0]
+    return tuple((w.start.index, *(e.index for e in w.edges)) for w in (t.p, t.q))
 
 
 def _term_views(g: Graph, keys) -> list[CohnTerm]:
@@ -329,7 +320,9 @@ class CohnElement:
     def __eq__(self, other):
         if not isinstance(other, CohnElement):
             return NotImplemented
-        return self.field == other.field and self._terms == other._terms
+        # term keys are indices, so equal keys name the same terms only within one graph
+        same_graph = self.graph is other.graph or self.graph == other.graph
+        return self.field == other.field and same_graph and self._terms == other._terms
 
     def __hash__(self):
         return hash((self.field, frozenset(self._terms.items())))
@@ -361,7 +354,8 @@ def trace_vector(x: CohnElement) -> list:
     out = [x.field.zero()] * x.graph.num_vertices
     for (p, q), c in x._terms.items():
         if p == q:
-            i = _path_range(x.graph, p)
+            # the range of p: its last edge's target, O(log runs)
+            i = x.graph.edge_ends(p[-1])[1] if len(p) > 1 else p[0]
             out[i] = out[i] + c
     p = x.field.characteristic
     return [c % p for c in out] if p else out

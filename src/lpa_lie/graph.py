@@ -263,17 +263,6 @@ class Graph:
         return tuple(sum(row) for row in self.counts)
 
     @cached_property
-    def _runs_from(self) -> tuple[tuple[tuple[int, tuple], ...], ...]:
-        """Per vertex index, ``(index of its first edge, run)`` for each run it emits."""
-        out: list[list] = [[] for _ in self.vertices]
-        start = 0
-        for run in self.runs:
-            s, _, n = _run_ends(run)
-            out[s].append((start, run))
-            start += n
-        return tuple(tuple(x) for x in out)
-
-    @cached_property
     def _run_starts(self) -> tuple[int, ...]:
         """The index of the first edge of each run."""
         starts, start = [], 0
@@ -281,6 +270,14 @@ class Graph:
             starts.append(start)
             start += _run_ends(run)[2]
         return tuple(starts)
+
+    @cached_property
+    def _runs_from(self) -> tuple[tuple[tuple[int, tuple], ...], ...]:
+        """Per vertex index, ``(index of its first edge, run)`` for each run it emits."""
+        out: list[list] = [[] for _ in self.vertices]
+        for start, run in zip(self._run_starts, self.runs):
+            out[_run_ends(run)[0]].append((start, run))
+        return tuple(tuple(x) for x in out)
 
     def edge_ends(self, index: int) -> tuple[int, int]:
         """``(src, dst)`` vertex indices of the edge with this index; O(log runs)."""

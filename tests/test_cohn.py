@@ -1,7 +1,6 @@
 import random
-from fractions import Fraction
-
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -166,6 +165,16 @@ def test_ring_operations_match_the_reference(seed, characteristic):
         assert got == expected
         assert got.terms == expected.terms
         assert all(type(a) is scalar for a in got.terms.values())
+
+
+def test_elements_over_different_graphs_differ():
+    # the same index keys, but other labels: a different algebra
+    a, b = parse_graph("vertex a\nedge a a\n"), parse_graph("vertex b\nedge b b\n")
+    assert CohnElement.vertex(a, F0, a.vertices[0]) != CohnElement.vertex(b, F0, b.vertices[0])
+    (ea,), (eb,) = all_edges(a), all_edges(b)
+    assert CohnElement.edge(a, F0, ea) != CohnElement.edge(b, F0, eb)
+    again = parse_graph("vertex a\nedge a a\n")
+    assert CohnElement.edge(a, F0, ea) == CohnElement.edge(again, F0, all_edges(again)[0])
 
 
 def test_multiply_field_mismatch():
