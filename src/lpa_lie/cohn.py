@@ -3,8 +3,9 @@
 Elements are finite linear combinations of basis terms ``p q*`` where p and q
 are paths with a common range vertex.  Inside an element a path is the
 integer key ``(start vertex index, edge index, ...)`` and a term the pair of
-keys ``(p, q)``; ``PathWord`` and ``CohnTerm`` are views of those keys, built
-only to print, sort and hand terms to callers.  Multiplication only ever uses
+keys ``(p, q)``, and elements print straight from those keys; ``PathWord``
+and ``CohnTerm`` are views of them, built only to take terms from callers and
+hand terms back.  Multiplication only ever uses
 the path-composition and ghost-cancellation relations, under which the stated
 terms really are a basis, so equality of elements is just equality of
 coefficient maps.  The quotient relation at a regular vertex v is represented
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from .graph import EdgeId, Graph, VertexId, b_vectors
 from .linalg import FieldSpec
@@ -97,16 +99,6 @@ class PathWord:
         rest = self.edges[prefix.length:]
         return PathWord(prefix.range, rest)
 
-    def sort_key(self):
-        if self.edges:
-            return (len(self.edges), tuple([e.label for e in self.edges]))
-        return (0, (self.start.label,))
-
-    def __str__(self) -> str:
-        if not self.edges:
-            return self.start.label
-        return " ".join(e.label for e in self.edges)
-
 
 @dataclass(frozen=True)
 class CohnTerm:
@@ -121,25 +113,14 @@ class CohnTerm:
                 f"ranges differ: {self.p.range.label!r} vs {self.q.range.label!r}"
             )
 
-    def sort_key(self):
-        return (len(self.p.edges) + len(self.q.edges), self.p.sort_key(), self.q.sort_key())
-
-    def __str__(self) -> str:
-        parts = [e.label for e in self.p.edges]
-        parts += [f"{e.label}^*" for e in reversed(self.q.edges)]
-        if not parts:
-            return self.p.range.label
-        return " ".join(parts)
-
 
 def _term_key(t: CohnTerm) -> tuple:
     return tuple((w.start.index, *(e.index for e in w.edges)) for w in (t.p, t.q))
 
 
-def _term_views(g: Graph, keys) -> list[CohnTerm]:
-    """The ``CohnTerm`` of each ``(p, q)`` key, its edges named by ``out_edges``."""
+def _edge_namer(g: Graph):
+    """A function naming an edge index by the ``out_edges`` of its source."""
     named: dict[int, EdgeId] = {}
-    paths: dict[tuple[int, ...], PathWord] = {}
 
     def edge(i: int) -> EdgeId:
         e = named.get(i)
@@ -149,13 +130,7 @@ def _term_views(g: Graph, keys) -> list[CohnTerm]:
             e = named[i]
         return e
 
-    def path(key: tuple[int, ...]) -> PathWord:
-        w = paths.get(key)
-        if w is None:
-            w = paths[key] = PathWord(g.vertices[key[0]], tuple(map(edge, key[1:])))
-        return w
-
-    return [CohnTerm(path(p), path(q)) for p, q in keys]
+    return edge
 
 
 def _mult_terms(a: tuple, b: tuple) -> tuple | None:
@@ -194,7 +169,15 @@ class CohnElement:
     """A formal linear combination of basis terms over a prime subfield.
 
     ``terms`` maps each ``CohnTerm`` to its coefficient, a scalar of the
-    field; the element itself keeps that map on integer term keys.
+    field; the element itself keeps that map on integer term keys.  The
+    bracket ``[e, e*] = e e* - r(e)`` of a loop on the rose with two petals:
+
+    >>> from lpa_lie import family
+    >>> g = family("rose", [2])
+    >>> e = g.out_edges(g.vertices[0])[0]
+    >>> F = FieldSpec(0)
+    >>> print(commutator(CohnElement.edge(g, F, e), CohnElement.ghost_edge(g, F, e)))
+    -1 * v1 + 1 * v1_v1_1 v1_v1_1^*
     """
 
     __slots__ = ("graph", "field", "_terms")
@@ -202,7 +185,8 @@ class CohnElement:
     def __init__(self, graph: Graph, field: FieldSpec, terms: dict | None = None):
         self.graph = graph
         self.field = field
-        self._terms = {_term_key(t): c for t, c in dict(terms).items()} if terms else {}
+        coerced = ((_term_key(t), field.coerce(c)) for t, c in dict(terms or {}).items())
+        self._terms = {t: c for t, c in coerced if c}
 
     @classmethod
     def _of(cls, graph: Graph, field: FieldSpec, keyed: dict) -> "CohnElement":
@@ -213,7 +197,9 @@ class CohnElement:
 
     @property
     def terms(self) -> dict:
-        return dict(zip(_term_views(self.graph, self._terms), self._terms.values()))
+        g, edge = self.graph, _edge_namer(self.graph)
+        path = cache(lambda key: PathWord(g.vertices[key[0]], tuple(map(edge, key[1:]))))
+        return {CohnTerm(path(p), path(q)): c for (p, q), c in self._terms.items()}
 
     # -- constructors -------------------------------------------------------
 
@@ -223,10 +209,7 @@ class CohnElement:
 
     @classmethod
     def term(cls, graph: Graph, field: FieldSpec, p: PathWord, q: PathWord, coeff=1) -> "CohnElement":
-        c = field.coerce(coeff)
-        if not c:
-            return cls.zero(graph, field)
-        return cls(graph, field, {CohnTerm(p, q): c})
+        return cls(graph, field, {CohnTerm(p, q): coeff})
 
     @classmethod
     def vertex(cls, graph: Graph, field: FieldSpec, v: VertexId) -> "CohnElement":
@@ -328,13 +311,27 @@ class CohnElement:
         return hash((self.field, frozenset(self._terms.items())))
 
     def __str__(self) -> str:
+        """Each term ``p q*``: p's edge labels, then q's reversed and starred,
+        or the vertex when p and q are vertices.  Terms are ordered by total
+        edge count, then by p's ``(edge count, labels)``, then by q's; a
+        vertex path counts as ``(0, (vertex label,))``.
+        """
         if not self._terms:
             return "0"
-        views = sorted(
-            zip(_term_views(self.graph, self._terms), self._terms.values()),
-            key=lambda tc: tc[0].sort_key(),
-        )
-        return " + ".join(f"{c} * {t}" for t, c in views)
+        g, edge = self.graph, _edge_namer(self.graph)
+
+        @cache
+        def path(key: tuple[int, ...]) -> tuple:
+            labels = tuple([edge(i).label for i in key[1:]])
+            return (len(labels), labels or (g.vertices[key[0]].label,))
+
+        rows = []
+        for (p, q), c in self._terms.items():
+            (m, a), (n, b) = wp, wq = path(p), path(q)
+            text = " ".join([*a[:m], *[f"{x}^*" for x in reversed(b[:n])]]) or a[0]
+            rows.append(((m + n, wp, wq), f"{c} * {text}"))
+        rows.sort(key=lambda row: row[0])
+        return " + ".join(text for _, text in rows)
 
     __repr__ = __str__
 

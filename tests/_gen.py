@@ -20,7 +20,8 @@ test is the reference for its factoring-free one, and a search over the
 shifts of the unit class is the reference for its search-free pointed
 isomorphism test.  The Cohn algebra multiplies terms on integer path keys;
 the product of ``PathWord`` prefixes (``reference_mult_terms``) is the
-reference for it.
+reference for it, and the printer that sorts ``CohnTerm`` views
+(``reference_str``) the reference for its printer on those keys.
 """
 
 from __future__ import annotations
@@ -194,6 +195,32 @@ def reference_mult_terms(a: CohnTerm, b: CohnTerm) -> CohnTerm | None:
     if h is not None:
         return CohnTerm(a.p, b.q.concat(h))
     return None
+
+
+def _reference_path_key(w: PathWord) -> tuple:
+    if w.edges:
+        return (len(w.edges), tuple([e.label for e in w.edges]))
+    return (0, (w.start.label,))
+
+
+def _reference_term_key(t: CohnTerm) -> tuple:
+    return (len(t.p.edges) + len(t.q.edges), _reference_path_key(t.p), _reference_path_key(t.q))
+
+
+def _reference_term_str(t: CohnTerm) -> str:
+    parts = [e.label for e in t.p.edges]
+    parts += [f"{e.label}^*" for e in reversed(t.q.edges)]
+    if not parts:
+        return t.p.range.label
+    return " ".join(parts)
+
+
+def reference_str(x: CohnElement) -> str:
+    """``str(x)`` from ``CohnTerm`` views: each term printed and sorted by its labels."""
+    if x.is_zero():
+        return "0"
+    views = sorted(x.terms.items(), key=lambda tc: _reference_term_key(tc[0]))
+    return " + ".join(f"{c} * {_reference_term_str(t)}" for t, c in views)
 
 
 # -- reference linear algebra -------------------------------------------------

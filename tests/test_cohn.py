@@ -11,8 +11,10 @@ from _gen import (
     random_basis_term,
     random_cohn_element,
     random_graph,
+    random_labelled_graph,
     random_path,
     reference_mult_terms,
+    reference_str,
     time_limit,
 )
 
@@ -383,8 +385,11 @@ def test_vertex_witness_names_no_term_beyond_out_edges(monkeypatch):
 
         monkeypatch.setattr(cls, "__init__", counted)
     wit = vertex_witness(g, [49], [1], F0)
-    # the 50 EdgeIds are out_edges naming the loops, once per graph
+    rendered = [str(wit.commutator_sum), str(wit.correction)]
+    # the 50 EdgeIds are out_edges naming the loops, once per graph, for the
+    # witness and its printing alike
     assert built == {"EdgeId": 50}
+    assert [s.count("^*") for s in rendered] == [50, 50]
     assert wit.verified
     assert [e for _, e in wit.brackets] == list(g.out_edges(g.vertices[0]))
 
@@ -523,3 +528,43 @@ def test_element_string_deterministic_order():
     a = CohnElement.edge(g, F0, e1) + CohnElement.edge(g, F0, e2)
     b = CohnElement.edge(g, F0, e2) + CohnElement.edge(g, F0, e1)
     assert str(a) == str(b)
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from([0, 2, 3, 5]), st.booleans())
+@example(0, 0, False)
+@example(0, 5, True)
+@settings(max_examples=300, deadline=None)
+def test_element_string_matches_the_reference(seed, characteristic, labelled):
+    rng = random.Random(seed)
+    field = FieldSpec(characteristic)
+    # labelled graphs add edge-label runs and labels with "_" in them
+    g = random_labelled_graph(rng) if labelled else random_graph(rng, max_vertices=4, max_mult=3)
+    x = random_cohn_element(rng, g, field, terms=6, max_len=3)
+    y = random_cohn_element(rng, g, field, terms=3, max_len=2)
+    for z in (x, x * y, CohnElement.zero(g, field)):
+        assert str(z) == reference_str(z)
+
+
+def test_element_string_orders_by_label_not_index():
+    g = family("rose", [12])
+    x = n_generator(g, F0, g.vertices[0])
+    text = str(x)
+    assert text == reference_str(x)
+    # label order: v1_v1_10 sorts before v1_v1_2, though its index is higher
+    assert text.index("v1_v1_10 ") < text.index("v1_v1_2 ")
+
+
+def test_constructor_coerces_coefficients_and_drops_zeros():
+    g = family("rose", [1])
+    w = PathWord.vertex_word(g.vertices[0])
+    t = CohnTerm(w, w)
+    F5 = FieldSpec(5)
+    seven = CohnElement(g, F5, {t: 7})
+    assert str(seven) == "2 * v1"
+    assert seven == CohnElement.term(g, F5, w, w, 2)
+    for field, coeff in ((F5, 5), (F0, 0)):
+        x = CohnElement(g, field, {t: coeff})
+        assert x.is_zero() and str(x) == "0" and x == CohnElement.zero(g, field)
+    half = CohnElement(g, F5, {t: Fraction(1, 2)})
+    assert str(half) == "3 * v1"
+    assert half.terms == {t: 3}

@@ -28,6 +28,7 @@ GRAPHS = {
     "rose_1.graph": ("rose", [1]),
     "rose_2.graph": ("rose", [2]),
     "rose_3.graph": ("rose", [3]),
+    "rose_12.graph": ("rose", [12]),
     "matrix_rose_2_3.graph": ("matrix_rose", [2, 3]),
     "matrix_rose_3_4.graph": ("matrix_rose", [3, 4]),
 }
@@ -41,6 +42,8 @@ CALLS = {
 CALLS.update({
     "witness-rose_3-member": ["witness", "rose_3.graph", "--coeffs", "1", "--char", "0"],
     "witness-rose_3-non-member": ["witness", "rose_3.graph", "--coeffs", "1", "--char", "2"],
+    # labels v1_v1_10 .. v1_v1_12 print before v1_v1_2: label order, not index order
+    "witness-rose_12-member": ["witness", "rose_12.graph", "--coeffs", "1", "--char", "0"],
     # t = (1, 1) mod 5: brackets at both vertices, coefficients residues mod 5
     "witness-two_vertex_2_2_3-member": [
         "witness", "two_vertex_2_2_3.graph", "--coeffs", "3,4", "--char", "5",
@@ -60,6 +63,7 @@ CALLS.update({
     for name in (
         "witness-rose_3-member",
         "witness-rose_3-non-member",
+        "witness-rose_12-member",
         "witness-two_vertex_2_2_3-member",
         "witness-example4-member",
         "kp-check-rose_2-matrix_rose_2_3",
