@@ -19,11 +19,7 @@ __all__ = [
     "NoCycle",
     "SimplicityReport",
     "reachability",
-    "cycle_vertices",
-    "find_cycle_without_exit",
     "simplicity_reports",
-    "is_simple_lpa",
-    "is_purely_infinite_simple",
     "is_trivial_lpa",
 ]
 
@@ -93,15 +89,6 @@ def _cycle_indices(g: Graph, reach: list[list[bool]]) -> list[int]:
     return [v for v, succ in enumerate(g.successors) if any(reach[w][v] for w in succ)]
 
 
-def cycle_vertices(g: Graph) -> set[VertexId]:
-    """Vertices lying on some cycle.
-
-    A vertex is on a cycle exactly when one of its successors reaches it (a
-    loop makes the vertex its own successor).
-    """
-    return {g.vertices[i] for i in _cycle_indices(g, reachability(g))}
-
-
 def _exitless_cycle(g: Graph, reach: list[list[bool]]) -> tuple[EdgeId, ...] | None:
     """The first exitless cycle in index order, read off the closure ``reach``.
 
@@ -119,15 +106,6 @@ def _exitless_cycle(g: Graph, reach: list[list[bool]]) -> tuple[EdgeId, ...] | N
                 cycle.append(g.out_edges(cycle[-1].target)[0])
             return tuple(cycle)
     return None
-
-
-def find_cycle_without_exit(g: Graph) -> tuple[EdgeId, ...] | None:
-    """Return a cycle whose vertices all have out-degree 1, if one exists.
-
-    A cycle lacks an exit exactly when each of its vertices emits nothing but
-    its cycle edge.  The returned cycle starts at its smallest vertex.
-    """
-    return _exitless_cycle(g, reachability(g))
 
 
 def simplicity_reports(g: Graph) -> tuple[SimplicityReport, SimplicityReport]:
@@ -163,20 +141,6 @@ def simplicity_reports(g: Graph) -> tuple[SimplicityReport, SimplicityReport]:
     if not on_cycle:
         pis.append(NoCycle())
     return SimplicityReport(not simple, tuple(simple)), SimplicityReport(not pis, tuple(pis))
-
-
-def is_simple_lpa(g: Graph) -> SimplicityReport:
-    """Decide simplicity of the path algebra of a finite graph.
-
-    True exactly when every vertex reaches every sink and every cycle vertex
-    and no cycle lacks an exit; the verdict does not depend on the field.
-    """
-    return simplicity_reports(g)[0]
-
-
-def is_purely_infinite_simple(g: Graph) -> SimplicityReport:
-    """Decide pure infinite simplicity: cycle-reaching, exits, and a cycle."""
-    return simplicity_reports(g)[1]
 
 
 def is_trivial_lpa(g: Graph) -> bool:

@@ -4,21 +4,24 @@ Elements are finite linear combinations of basis terms ``p q*`` where p and q
 are paths with a common range vertex.  Inside an element a path is the
 integer key ``(start vertex index, edge index, ...)`` and a term the pair of
 keys ``(p, q)``, and elements print straight from those keys; ``PathWord``
-and ``CohnTerm`` are views of them, built only to take terms from callers and
-hand terms back.  Multiplication only ever uses
-the path-composition and ghost-cancellation relations, under which the stated
-terms really are a basis, so equality of elements is just equality of
-coefficient maps.  The quotient relation at a regular vertex v is represented
-explicitly by the generator ``y_v = v - sum of e e*`` over the edges leaving
-v; identities in the path algebra itself are certified by exhibiting the
-exact combination of such generators that accounts for the difference.
+and ``CohnTerm`` are views of them, built only to take terms from callers (a
+view of another graph is refused) and hand terms back.  Multiplication only
+ever uses the path-composition and ghost-cancellation relations, under which
+the stated terms really are a basis, so equality of elements is just
+equality of coefficient maps.  The quotient relation at a regular vertex v
+is represented explicitly by the generator ``y_v = v - sum of e e*`` over
+the edges leaving v; identities in the path algebra itself are certified by
+exhibiting the exact combination of such generators that accounts for the
+difference.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from operator import attrgetter
 
 from .graph import EdgeId, Graph, VertexId, b_vectors
 from .linalg import FieldSpec
@@ -31,13 +34,9 @@ __all__ = [
     "commutator",
     "trace_vector",
     "n_generator",
-    "verify_witness",
     "WITNESS_EDGE_LIMIT",
     "VertexWitness",
     "vertex_witness",
-    "CommutatorIdentity",
-    "CommutatorWitnessReport",
-    "path_bracket_witness",
 ]
 
 
@@ -114,7 +113,23 @@ class CohnTerm:
             )
 
 
-def _term_key(t: CohnTerm) -> tuple:
+def _own_vertex(g: Graph, v: VertexId) -> int:
+    """The index of ``v``; a vertex of another graph raises ``ValueError``."""
+    if 0 <= v.index < g.num_vertices and g.vertices[v.index] == v:
+        return v.index
+    raise ValueError(f"vertex {v.label!r} is not a vertex of this graph")
+
+
+def _term_key(g: Graph, t: CohnTerm) -> tuple:
+    """The key pair of ``t``; a vertex or edge of another graph raises ``ValueError``."""
+    for w in (t.p, t.q):
+        _own_vertex(g, w.start)
+        for e in w.edges:
+            # e composes with the checked path, so its source is g's own; out_edges go by index
+            out = g.out_edges(e.source)
+            i = bisect_left(out, e.index, key=attrgetter("index"))
+            if out[i : i + 1] != (e,):
+                raise ValueError(f"edge {e.label!r} is not an edge of this graph")
     return tuple((w.start.index, *(e.index for e in w.edges)) for w in (t.p, t.q))
 
 
@@ -185,7 +200,7 @@ class CohnElement:
     def __init__(self, graph: Graph, field: FieldSpec, terms: dict | None = None):
         self.graph = graph
         self.field = field
-        coerced = ((_term_key(t), field.coerce(c)) for t, c in dict(terms or {}).items())
+        coerced = ((_term_key(graph, t), field.coerce(c)) for t, c in dict(terms or {}).items())
         self._terms = {t: c for t, c in coerced if c}
 
     @classmethod
@@ -360,9 +375,9 @@ def trace_vector(x: CohnElement) -> list:
 
 def n_generator(g: Graph, field: FieldSpec, v: VertexId) -> CohnElement:
     """The quotient-ideal generator ``v - sum of e e*`` at a regular vertex."""
+    u = (_own_vertex(g, v),)
     if g.is_sink(v):
         raise PreconditionError(f"vertex {v.label!r} is a sink; no generator there")
-    u = (v.index,)
     terms = {(u, u): field.coerce(1)}
     minus_one = field.coerce(-1)
     # the terms e e* of distinct edges are distinct basis terms
@@ -452,102 +467,3 @@ def vertex_witness(g: Graph, k_coeffs, t_coeffs, field: FieldSpec) -> VertexWitn
         CohnElement._of(g, field, correction),
         w == rhs,
     )
-
-
-def verify_witness(g: Graph, k_coeffs, t_coeffs, field: FieldSpec) -> bool:
-    """Whether ``vertex_witness`` certifies ``k = sum_i t_i B_i`` as a sum of brackets."""
-    return vertex_witness(g, k_coeffs, t_coeffs, field).verified
-
-
-@dataclass(frozen=True)
-class CommutatorIdentity:
-    """One certified identity: ``target`` equals the sum of the brackets."""
-
-    target: CohnElement
-    brackets: tuple[tuple[CohnElement, CohnElement], ...]
-    verified: bool
-
-    def describe(self) -> str:
-        lhs = " + ".join(f"[{x}, {y}]" for x, y in self.brackets)
-        status = "verified" if self.verified else "FAILED"
-        return f"{self.target} = {lhs}   ({status})"
-
-
-@dataclass(frozen=True)
-class CommutatorWitnessReport:
-    identities: tuple[CommutatorIdentity, ...]
-
-    @property
-    def verified(self) -> bool:
-        return all(ident.verified for ident in self.identities)
-
-
-def _certify(target: CohnElement, brackets) -> CommutatorIdentity:
-    total = CohnElement.zero(target.graph, target.field)
-    for x, y in brackets:
-        total = total + commutator(x, y)
-    return CommutatorIdentity(target, tuple(brackets), total == target)
-
-
-def path_bracket_witness(
-    g: Graph,
-    p: PathWord,
-    q: PathWord | None = None,
-    field: FieldSpec | None = None,
-) -> CommutatorWitnessReport:
-    """Exhibit explicit brackets for a path, ghost path, or ``p q*`` term.
-
-    With q omitted: requires the source and range of p to differ, and
-    certifies ``p = [p, r(p)]`` and ``p* = [r(p), p*]``.  With q given:
-    requires that neither path extends the other by a closed path, and
-    certifies ``p q*`` as ``[p, q*]`` plus (when p and q overlap) the
-    single-path correction for the leftover piece.
-    """
-    if field is None:
-        field = FieldSpec(0)
-    if p.length == 0:
-        raise PreconditionError("p must have length at least one")
-
-    if q is None:
-        if p.source == p.range:
-            raise PreconditionError("p must have distinct source and range")
-        r_el = CohnElement.vertex(g, field, p.range)
-        p_el = CohnElement.path(g, field, p)
-        pstar = CohnElement.ghost(g, field, p)
-        return CommutatorWitnessReport(
-            (
-                _certify(p_el, [(p_el, r_el)]),
-                _certify(pstar, [(r_el, pstar)]),
-            )
-        )
-
-    if q.length == 0:
-        raise PreconditionError("q must have length at least one")
-
-    p_el = CohnElement.path(g, field, p)
-    qstar = CohnElement.ghost(g, field, q)
-    # the product is the basis term p q* when the ranges agree and zero
-    # otherwise; the bracket identity is certified either way
-    target = p_el * qstar
-
-    tail = p.strip_prefix(q)
-    if tail is not None:
-        if tail.source == tail.range:
-            raise PreconditionError(
-                "excluded case: p extends q by a closed path (or p equals q)"
-            )
-        correction = CohnElement.path(g, field, tail)
-        r_el = CohnElement.vertex(g, field, tail.range)
-        brackets = [(p_el, qstar), (correction, r_el)]
-        return CommutatorWitnessReport((_certify(target, brackets),))
-
-    tail = q.strip_prefix(p)
-    if tail is not None:
-        if tail.source == tail.range:
-            raise PreconditionError("excluded case: q extends p by a closed path")
-        correction = CohnElement.ghost(g, field, tail)
-        r_el = CohnElement.vertex(g, field, tail.range)
-        brackets = [(p_el, qstar), (r_el, correction)]
-        return CommutatorWitnessReport((_certify(target, brackets),))
-
-    return CommutatorWitnessReport((_certify(target, [(p_el, qstar)]),))

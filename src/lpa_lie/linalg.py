@@ -26,7 +26,6 @@ from math import gcd, isqrt, lcm
 __all__ = [
     "is_prime",
     "FieldSpec",
-    "span_membership",
     "SmithDecomposition",
     "smith_normal_form",
     "K0Presentation",
@@ -275,7 +274,13 @@ class SmithDecomposition:
         With ``c = u @ target`` and ``x = v @ y`` the system reads
         ``d_i y_i = c_i``, so it is solvable exactly when ``c_i`` vanishes in
         the field wherever ``d_i`` does, rows past the diagonal included.
-        Free coordinates of y are set to zero.
+        Free coordinates of y are set to zero.  So ``2x = 1`` is solvable
+        over Q and not over GF(2):
+
+        >>> smith_normal_form([[2]]).solve([1], FieldSpec(0))
+        [Fraction(1, 2)]
+        >>> smith_normal_form([[2]]).solve([1], FieldSpec(2)) is None
+        True
         """
         p = field.characteristic
         b = [field.coerce(x) for x in target]
@@ -397,28 +402,6 @@ def smith_normal_form(mat) -> SmithDecomposition:
             col_log.append((k, k, 2))
         diagonal.append(abs(w[k][k]))
     return SmithDecomposition((rows, cols), tuple(diagonal), tuple(row_log), tuple(col_log))
-
-
-def span_membership(vectors, target, field: FieldSpec):
-    """Exact coefficients expressing ``target`` in the span of ``vectors``.
-
-    Solves ``sum_j c_j * vectors[j] = target`` over the prime subfield from
-    the Smith form of the matrix whose columns are ``vectors`` and returns
-    the coefficient list, or ``None`` when the system is inconsistent.
-
-    >>> span_membership([[2]], [1], FieldSpec(0))
-    [Fraction(1, 2)]
-    >>> span_membership([[2]], [1], FieldSpec(2)) is None
-    True
-    """
-    target = list(target)
-    vectors = [list(v) for v in vectors]
-    for v in vectors:
-        if len(v) != len(target):
-            raise ValueError(f"dimension mismatch: vector of length {len(v)}, target {len(target)}")
-    if not vectors:
-        return [] if not any(field.coerce(x) for x in target) else None
-    return smith_normal_form([list(col) for col in zip(*vectors)]).solve(target, field)
 
 
 # ---------------------------------------------------------------------------

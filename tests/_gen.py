@@ -44,9 +44,8 @@ from lpa_lie import (
     PathWord,
     adjacency_matrix,
     graph_from_adjacency,
-    is_purely_infinite_simple,
-    is_simple_lpa,
     parse_graph,
+    simplicity_reports,
 )
 from lpa_lie.verdict import _coprime_base, _valuation
 
@@ -120,11 +119,11 @@ def random_graphs_where(rng: random.Random, count: int, predicate, **kwargs) -> 
 
 
 def random_pis_graphs(rng: random.Random, count: int, **kwargs) -> list[Graph]:
-    return random_graphs_where(rng, count, lambda g: is_purely_infinite_simple(g).verdict, **kwargs)
+    return random_graphs_where(rng, count, lambda g: simplicity_reports(g)[1].verdict, **kwargs)
 
 
 def random_simple_graphs(rng: random.Random, count: int, **kwargs) -> list[Graph]:
-    return random_graphs_where(rng, count, lambda g: is_simple_lpa(g).verdict, **kwargs)
+    return random_graphs_where(rng, count, lambda g: simplicity_reports(g)[0].verdict, **kwargs)
 
 
 def random_int_matrix(rng: random.Random, max_size: int = 6, lo: int = -9, hi: int = 9):

@@ -11,16 +11,25 @@ from lpa_lie import (
     NoCycle,
     NoExitCycle,
     Unreached,
-    cycle_vertices,
     family,
-    find_cycle_without_exit,
     graph_from_adjacency,
-    is_purely_infinite_simple,
-    is_simple_lpa,
     is_trivial_lpa,
     reachability,
     simplicity_reports,
 )
+from lpa_lie.analysis import _cycle_indices, _exitless_cycle
+
+
+def cycle_vertices(g):
+    """The vertices on a cycle, read off the reachability closure."""
+    return {g.vertices[i] for i in _cycle_indices(g, reachability(g))}
+
+
+def no_exit_witness(g):
+    """The edges of the exitless cycle that the simplicity report names, or None."""
+    found = [w.edges for w in simplicity_reports(g)[0].witnesses if isinstance(w, NoExitCycle)]
+    assert len(found) <= 1
+    return found[0] if found else None
 
 
 def enumerate_cycles(g):
@@ -123,30 +132,29 @@ def test_exitless_cycle_matches_the_chase():
         if rng.random() < 0.5:
             g = random_functional_patch(rng, g)
         cycle = reference_cycle_without_exit(g)
-        assert find_cycle_without_exit(g) == cycle
-        # the simplicity report reads the same cycle off its own closure
-        no_exit = [w.edges for w in is_simple_lpa(g).witnesses if isinstance(w, NoExitCycle)]
-        assert no_exit == ([cycle] if cycle else [])
+        assert _exitless_cycle(g, reachability(g)) == cycle
+        # the simplicity report names the same cycle, as its one NoExitCycle witness
+        assert no_exit_witness(g) == cycle
         found += cycle is not None
     # the sample mixes graphs with and without an exitless cycle
     assert 300 <= found <= 1200
 
 
 def test_no_exit_cycle_examples():
-    loop = find_cycle_without_exit(family("rose", [1]))
+    loop = no_exit_witness(family("rose", [1]))
     assert loop is not None and len(loop) == 1
-    assert find_cycle_without_exit(family("rose", [2])) is None
-    assert find_cycle_without_exit(family("example4")) is None
+    assert no_exit_witness(family("rose", [2])) is None
+    assert no_exit_witness(family("example4")) is None
 
 
 def test_no_exit_cycle_longer():
     g = graph_from_adjacency(["a", "b", "c"], [[0, 1, 0], [0, 0, 1], [1, 0, 0]])
-    cycle = find_cycle_without_exit(g)
+    cycle = no_exit_witness(g)
     assert cycle is not None
     assert [e.source.label for e in cycle] == ["a", "b", "c"]
     # adding an exit anywhere on the cycle kills it
     g2 = graph_from_adjacency(["a", "b", "c"], [[0, 1, 0], [0, 1, 1], [1, 0, 0]])
-    assert find_cycle_without_exit(g2) is None
+    assert no_exit_witness(g2) is None
 
 
 def random_functional_patch(rng, g):
@@ -171,7 +179,7 @@ def test_no_exit_cycle_properties_random():
         if rng.random() < 0.5:
             # plain random graphs almost never contain long no-exit cycles
             g = random_functional_patch(rng, g)
-        cycle = find_cycle_without_exit(g)
+        cycle = no_exit_witness(g)
         if cycle is not None:
             for e in cycle:
                 assert g.out_degree(e.source) == 1
@@ -188,24 +196,24 @@ def test_no_exit_cycle_properties_random():
 
 
 def test_is_simple_examples():
-    assert is_simple_lpa(family("example4")).verdict
-    rep = is_simple_lpa(family("rose", [1]))
+    assert simplicity_reports(family("example4"))[0].verdict
+    rep = simplicity_reports(family("rose", [1]))[0]
     assert not rep.verdict
     assert any(isinstance(w, NoExitCycle) for w in rep.witnesses)
     two = graph_from_adjacency(["a", "b"], [[0, 0], [0, 0]])
-    rep = is_simple_lpa(two)
+    rep = simplicity_reports(two)[0]
     assert not rep.verdict
     assert any(isinstance(w, Unreached) and w.target_kind == "sink" for w in rep.witnesses)
 
 
 def test_is_pis_examples():
-    assert is_purely_infinite_simple(family("example4")).verdict
+    assert simplicity_reports(family("example4"))[1].verdict
     for d in range(1, 5):
-        rep = is_purely_infinite_simple(family("line", [d]))
+        rep = simplicity_reports(family("line", [d]))[1]
         assert not rep.verdict
         assert any(isinstance(w, NoCycle) for w in rep.witnesses)
     for q in range(1, 7):
-        assert is_purely_infinite_simple(family("prime_set", [q])).verdict
+        assert simplicity_reports(family("prime_set", [q]))[1].verdict
 
 
 def test_is_trivial():
@@ -244,7 +252,7 @@ def test_witness_iff_failure_random():
     rng = random.Random(33)
     for _ in range(150):
         g = random_graph(rng)
-        for rep in (is_simple_lpa(g), is_purely_infinite_simple(g)):
+        for rep in simplicity_reports(g):
             assert rep.verdict == (not rep.witnesses)
 
 
@@ -252,15 +260,16 @@ def test_pis_implies_simple_random():
     rng = random.Random(44)
     for _ in range(200):
         g = random_graph(rng)
-        if is_purely_infinite_simple(g).verdict:
-            assert is_simple_lpa(g).verdict
+        simple, pis = simplicity_reports(g)
+        if pis.verdict:
+            assert simple.verdict
 
 
 def test_simple_dichotomy_random():
     rng = random.Random(55)
     for _ in range(200):
         g = random_graph(rng)
-        if is_simple_lpa(g).verdict:
+        if simplicity_reports(g)[0].verdict:
             has_cycle = bool(cycle_vertices(g))
             has_sink = bool(g.sinks())
             acyclic = not has_cycle

@@ -34,10 +34,10 @@ from lpa_lie import (
     FieldSpec,
     b_vectors,
     family,
-    is_simple_lpa,
     is_trivial_lpa,
     parse_graph,
     serialize_graph,
+    simplicity_reports,
 )
 from lpa_lie.cli import VERTEX_LIMIT, build_parser, main
 from lpa_lie.cohn import WITNESS_EDGE_LIMIT
@@ -380,7 +380,7 @@ def _field_value(text: str, p: int):
 def test_random_simple_graphs_match_reference(tmp_path, capsys):
     rng = random.Random(301)
     graphs = random_graphs_where(
-        rng, 30, lambda g: is_simple_lpa(g).verdict and not is_trivial_lpa(g)
+        rng, 30, lambda g: simplicity_reports(g)[0].verdict and not is_trivial_lpa(g)
     )
     chars = [0] + PRIMES_BELOW_100
     non_members = 0
@@ -427,10 +427,7 @@ def test_random_simple_graphs_match_reference(tmp_path, capsys):
 def test_analyze_computes_each_invariant_once(tmp_path, capsys, monkeypatch):
     modules = [lpa_lie] + [getattr(lpa_lie, name) for name in ("analysis", "linalg", "verdict", "cli")]
     counts = {}
-    names = (
-        "is_simple_lpa", "is_purely_infinite_simple", "smith_normal_form",
-        "reachability", "cycle_vertices", "find_cycle_without_exit",
-    )
+    names = ("simplicity_reports", "smith_normal_form", "reachability")
     smith_forms = []
     for name in names:
         original = getattr(lpa_lie, name)
@@ -450,13 +447,11 @@ def test_analyze_computes_each_invariant_once(tmp_path, capsys, monkeypatch):
     code, out, _ = run(capsys, "analyze", path, "--char", "0,2,3,5,7,11,13,17,19,23,29,31")
     assert code == 0
     assert out.count("-- AGREE") == 12
-    assert counts["is_simple_lpa"] <= 1
-    assert counts["is_purely_infinite_simple"] <= 1
+    # both reports come from one reachability closure, computed once
+    assert counts["simplicity_reports"] == 1
+    assert counts["reachability"] == 1
     # no sink: both routes read the one Smith form of the B-matrix
     assert counts["smith_normal_form"] == 1
-    assert counts["reachability"] <= 1
-    assert counts["cycle_vertices"] <= 1
-    assert counts["find_cycle_without_exit"] <= 1
 
     counts["smith_normal_form"] = 0
     a = write_family(tmp_path, "rose", [2])
@@ -678,7 +673,7 @@ def test_readme_library_values_hold():
         if stmt.end_lineno in comments:
             assert value == readme_value(comments[stmt.end_lineno]), source
             checked += 1
-    assert checked == len(comments) == 7
+    assert checked == len(comments) == 9
 
 
 MALFORMED_INPUTS = [

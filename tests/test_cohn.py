@@ -25,16 +25,12 @@ from lpa_lie import (
     FieldSpec,
     PathWord,
     PreconditionError,
-    b_vectors,
     commutator,
     family,
     graph_from_adjacency,
-    path_bracket_witness,
     n_generator,
     parse_graph,
-    span_membership,
     trace_vector,
-    verify_witness,
     vertex_combination_in_commutator,
     vertex_witness,
 )
@@ -70,6 +66,33 @@ def test_term_requires_matching_ranges():
     e1, e2 = all_edges(ln)
     with pytest.raises(ValueError):
         CohnElement.term(ln, F0, PathWord.from_edges([e1]), PathWord.from_edges([e1, e2]))
+
+
+def test_views_of_another_graph_are_refused():
+    a = parse_graph("vertex a\nvertex c\nedge a c\n")
+    b = parse_graph("vertex b\nedge b b\n")
+    (ac,) = a.out_edges(a.vertices[0])
+    (bb,) = b.out_edges(b.vertices[0])
+    # b's vertex with another loop label: the vertex is b's own, the edge is not
+    relabelled = parse_graph("vertex b\nedge-label x b b\n")
+    (x,) = relabelled.out_edges(relabelled.vertices[0])
+    bb_word = PathWord.from_edges([bb])
+    refused = [
+        ("'a'", lambda: CohnElement.vertex(b, F0, a.vertices[0])),
+        ("'c'", lambda: CohnElement.vertex(b, F0, a.vertices[1])),
+        ("'a'", lambda: CohnElement.edge(b, F0, ac)),
+        # the ghost's first path is the vertex r(ac) = c
+        ("'c'", lambda: CohnElement.ghost(b, F0, PathWord.from_edges([ac]))),
+        ("'x'", lambda: CohnElement.edge(b, F0, x)),
+        ("'x'", lambda: CohnElement(b, F0, {CohnTerm(PathWord.from_edges([bb, x]), bb_word): 1})),
+        ("'a'", lambda: n_generator(b, F0, a.vertices[0])),
+    ]
+    for label, build in refused:
+        with pytest.raises(ValueError, match=f"^(vertex|edge) {label} is not an? (vertex|edge) of this graph$"):
+            build()
+    # b's own views still work, and print without touching a
+    assert str(CohnElement.edge(b, F0, bb)) == "1 * b_b_1"
+    assert str(n_generator(b, F0, b.vertices[0])) == "1 * b + -1 * b_b_1 b_b_1^*"
 
 
 # -- multiplication --------------------------------------------------------------
@@ -128,8 +151,8 @@ def test_keyed_product_matches_the_reference(seed):
     g = random_graph(rng, max_vertices=4, max_mult=2)
     a, b = random_basis_term(rng, g), random_basis_term(rng, g)
     expected = reference_mult_terms(a, b)
-    got = _mult_terms(_term_key(a), _term_key(b))
-    assert got == (None if expected is None else _term_key(expected))
+    got = _mult_terms(_term_key(g, a), _term_key(g, b))
+    assert got == (None if expected is None else _term_key(g, expected))
     product = elem(g, F0, a) * elem(g, F0, b)
     assert product.terms == ({} if expected is None else {expected: 1})
 
@@ -339,7 +362,7 @@ def test_ideal_trace_lands_in_b_span():
         c2 = elem(g, field, random_basis_term(rng, g, max_len=3))
         w = c * n_generator(g, field, v) * c2
         checked += 1
-        assert span_membership(b_vectors(g), trace_vector(w), field) is not None
+        assert vertex_combination_in_commutator(g, trace_vector(w), field) is not None
     assert checked > 80
 
 
@@ -348,30 +371,30 @@ def test_ideal_trace_lands_in_b_span():
 
 def test_verify_witness_rose3():
     g = family("rose", [3])
-    assert verify_witness(g, [1], [Fraction(1, 2)], F0)
+    assert vertex_witness(g, [1], [Fraction(1, 2)], F0).verified
 
 
 def test_verify_witness_rose4_char2():
     g = family("rose", [4])
-    assert verify_witness(g, [1], [1], F2)
+    assert vertex_witness(g, [1], [1], F2).verified
 
 
 def test_verify_witness_zero():
     for name, params in [("rose", [2]), ("example4", []), ("line", [3])]:
         g = family(name, params)
         zero = [0] * g.num_vertices
-        assert verify_witness(g, zero, zero, F0)
+        assert vertex_witness(g, zero, zero, F0).verified
 
 
 def test_verify_witness_preconditions():
     ln = family("line", [2])
     with pytest.raises(PreconditionError, match="non-regular"):
-        verify_witness(ln, [0, 0], [0, 1], F0)
+        vertex_witness(ln, [0, 0], [0, 1], F0)
     g = family("rose", [3])
     with pytest.raises(PreconditionError, match="combination"):
-        verify_witness(g, [1], [1], F0)  # 1 * B_1 = 2 != 1 over Q
+        vertex_witness(g, [1], [1], F0)  # 1 * B_1 = 2 != 1 over Q
     with pytest.raises(PreconditionError, match="length"):
-        verify_witness(g, [1, 1], [1], F0)
+        vertex_witness(g, [1, 1], [1], F0)
 
 
 def test_vertex_witness_names_no_term_beyond_out_edges(monkeypatch):
@@ -405,93 +428,123 @@ def test_verify_witness_from_solver_random():
         if t is None:
             continue
         checked += 1
-        assert verify_witness(g, k, t, field)
+        assert vertex_witness(g, k, t, field).verified
     assert checked > 40
 
 
-# -- single-path and pq* witnesses ----------------------------------------------------
+# -- single-path and pq* bracket identities ----------------------------------------
+
+
+def tail_terms(g, field, p, q):
+    """``(h, q* p, its bracket)`` when one of p, q extends the other by a path h, else None.
+
+    ``q* p`` is h when p = q h and h* when q = p h, and its bracket is
+    ``[h, r(h)]`` or ``[r(h), h*]``, which equals it exactly when h is open.
+    """
+    h = p.strip_prefix(q)
+    if h is not None:
+        tail, r = CohnElement.path(g, field, h), CohnElement.vertex(g, field, h.range)
+        return h, tail, commutator(tail, r)
+    h = q.strip_prefix(p)
+    if h is not None:
+        tail, r = CohnElement.ghost(g, field, h), CohnElement.vertex(g, field, h.range)
+        return h, tail, commutator(r, tail)
+    return None
 
 
 def test_path_bracket_witness_single_edge():
+    # p = [p, r(p)] and p* = [r(p), p*] when s(p) != r(p)
     ln = family("line", [2])
-    rep = path_bracket_witness(ln, PathWord.from_edges([all_edges(ln)[0]]))
-    assert rep.verified
-    assert len(rep.identities) == 2
+    p = PathWord.from_edges([all_edges(ln)[0]])
+    p_el, pstar = CohnElement.path(ln, F0, p), CohnElement.ghost(ln, F0, p)
+    r = CohnElement.vertex(ln, F0, p.range)
+    assert commutator(p_el, r) == p_el
+    assert commutator(r, pstar) == pstar
 
 
 def test_path_bracket_witness_disjoint_ghost():
     g = family("example4")
     p = next(e for e in all_edges(g) if e.source.label == "v1" and e.target.label == "v2")
     q = next(e for e in all_edges(g) if e.source.label == "v3" and e.target.label == "v2")
-    rep = path_bracket_witness(
-        g, PathWord.from_edges([p]), PathWord.from_edges([q])
-    )
-    assert rep.verified
-    (ident,) = rep.identities
-    assert len(ident.brackets) == 1  # q* p = 0, so pq* = [p, q*] outright
+    p_el, qstar = CohnElement.edge(g, F0, p), CohnElement.ghost_edge(g, F0, q)
+    # q* p = 0, so the basis term p q* is [p, q*] outright
+    assert (qstar * p_el).is_zero()
+    assert len((p_el * qstar).terms) == 1
+    assert p_el * qstar == commutator(p_el, qstar)
 
 
 def test_path_bracket_witness_overlap_with_open_tail():
-    # with an open (non-closed) tail the element p q* itself is zero, and the
-    # construction certifies it as [p, q*] plus the single-path correction
+    # with an open tail h the element p q* is [p, q*] plus the bracket of h
+    # or h*; on the line p q* itself is zero, as the ranges differ
     ln = family("line", [3])
     e1, e2 = all_edges(ln)
-    # q = p . e2: ghost correction
-    rep = path_bracket_witness(
-        ln, PathWord.from_edges([e1]), PathWord.from_edges([e1, e2])
-    )
-    assert rep.verified
-    (ident,) = rep.identities
-    assert len(ident.brackets) == 2
-    assert ident.target.is_zero()
-    # p = q . e2 on the other side: path correction
-    rep = path_bracket_witness(
-        ln, PathWord.from_edges([e1, e2]), PathWord.from_edges([e1])
-    )
-    assert rep.verified
-    (ident,) = rep.identities
-    assert len(ident.brackets) == 2
-    assert ident.target.is_zero()
+    one, two = PathWord.from_edges([e1]), PathWord.from_edges([e1, e2])
+    # q = p e2: the ghost correction [r(h), h*]; p = q e2: the path correction [h, r(h)]
+    for p, q, h_el in [
+        (one, two, CohnElement.ghost_edge(ln, F0, e2)),
+        (two, one, CohnElement.edge(ln, F0, e2)),
+    ]:
+        p_el, qstar = CohnElement.path(ln, F0, p), CohnElement.ghost(ln, F0, q)
+        h, tail, bracket = tail_terms(ln, F0, p, q)
+        assert h == PathWord.from_edges([e2]) and tail == h_el == bracket
+        assert (p_el * qstar).is_zero()
+        assert p_el * qstar == commutator(p_el, qstar) + bracket
 
 
 def test_path_bracket_witness_preconditions():
+    # the lemmas exclude a closed h: there [p, r(p)], [h, r(h)] and
+    # [r(h), h*] vanish, so each formula misses its target by exactly h or h*
     g = family("rose", [1])
-    with pytest.raises(PreconditionError):
-        path_bracket_witness(g, PathWord.from_edges([all_edges(g)[0]]))
-    # closed-tail overlap is excluded, as is p == q
+    loop = PathWord.from_edges([all_edges(g)[0]])
+    p_el, pstar = CohnElement.path(g, F0, loop), CohnElement.ghost(g, F0, loop)
+    r = CohnElement.vertex(g, F0, loop.range)
+    assert commutator(p_el, r).is_zero() and commutator(r, pstar).is_zero()
+    # a closed tail on either side, and p = q, where h is the vertex r(p)
     mixed = graph_from_adjacency(["a", "b"], [[0, 1], [0, 1]])
-    e = all_edges(mixed)[0]
-    loop = all_edges(mixed)[1]
-    with pytest.raises(PreconditionError, match="closed"):
-        path_bracket_witness(
-            mixed, PathWord.from_edges([e, loop]), PathWord.from_edges([e])
-        )
-    with pytest.raises(PreconditionError, match="closed"):
-        path_bracket_witness(
-            mixed, PathWord.from_edges([e]), PathWord.from_edges([e, loop])
-        )
-    with pytest.raises(PreconditionError):
-        path_bracket_witness(
-            mixed, PathWord.from_edges([e]), PathWord.from_edges([e])
-        )
+    e, loop = all_edges(mixed)
+    one, two = PathWord.from_edges([e]), PathWord.from_edges([e, loop])
+    for p, q in [(two, one), (one, two), (one, one)]:
+        p_el, qstar = CohnElement.path(mixed, F0, p), CohnElement.ghost(mixed, F0, q)
+        h, tail, bracket = tail_terms(mixed, F0, p, q)
+        assert h.source == h.range and bracket.is_zero() and not tail.is_zero()
+        assert p_el * qstar - (commutator(p_el, qstar) + bracket) == tail
 
 
 def test_path_bracket_witness_random_instances():
     rng = random.Random(107)
-    verified = 0
-    for _ in range(500):
+    seen = Counter()
+    for _ in range(800):
         g = random_graph(rng, max_vertices=4, max_mult=2)
-        term = random_basis_term(rng, g, max_len=3)
-        p, q = term.p, term.q
-        if p.length == 0 or q.length == 0:
+        field = FieldSpec(rng.choice([0, 2, 3]))
+        # p and q: two prefixes of one path, or a prefix and an unrelated path
+        w = random_path(rng, g, max_len=4)
+        if w.length == 0:
             continue
-        try:
-            rep = path_bracket_witness(g, p, q)
-        except PreconditionError:
+        i, j = rng.sample(range(1, w.length + 1), 2) if w.length > 1 else (1, 1)
+        p, q = PathWord.from_edges(w.edges[:i]), PathWord.from_edges(w.edges[:j])
+        if rng.random() < 0.3:
+            q = random_path(rng, g, max_len=3)
+            if q.length == 0:
+                continue
+        p_el, qstar = CohnElement.path(g, field, p), CohnElement.ghost(g, field, q)
+        formula = commutator(p_el, qstar)
+        tail = tail_terms(g, field, p, q)
+        if tail is None:
+            seen["neither"] += 1
+            assert (qstar * p_el).is_zero()
+            assert p_el * qstar == formula
             continue
-        assert rep.verified
-        verified += 1
-    assert verified > 100
+        h, h_el, bracket = tail
+        assert qstar * p_el == h_el
+        if h.source != h.range:
+            seen["open"] += 1
+            assert p_el * qstar == formula + bracket
+        else:
+            seen["closed"] += 1
+            assert bracket.is_zero()
+            assert p_el * qstar - (formula + bracket) == h_el
+    # the sample mixes open tails, closed ones (p = q among them) and neither
+    assert min(seen.values()) >= 40 and len(seen) == 3, seen
 
 
 # -- serialization --------------------------------------------------------------------

@@ -11,15 +11,13 @@ PINNED = (
     "adjacency_matrix", "b_vectors", "m_matrix", "graph_from_adjacency",
     "parse_graph", "serialize_graph", "family", "family_names",
     "Unreached", "NoExitCycle", "NoCycle", "SimplicityReport",
-    "reachability", "cycle_vertices", "find_cycle_without_exit", "simplicity_reports",
-    "is_simple_lpa", "is_purely_infinite_simple", "is_trivial_lpa",
+    "reachability", "simplicity_reports", "is_trivial_lpa",
     "FieldSpec", "K0Presentation", "SmithDecomposition",
-    "span_membership", "smith_normal_form", "cokernel",
+    "smith_normal_form", "cokernel",
     "class_order", "is_p_divisible", "is_prime",
     "PathWord", "CohnTerm", "CohnElement", "PreconditionError",
-    "commutator", "trace_vector", "n_generator", "verify_witness",
+    "commutator", "trace_vector", "n_generator",
     "VertexWitness", "vertex_witness",
-    "CommutatorIdentity", "CommutatorWitnessReport", "path_bracket_witness",
     "SIMPLE", "NOT_SIMPLE", "INAPPLICABLE", "GraphInvariants", "LieVerdict", "KpReport",
     "lie_simplicity", "matrix_lie_simplicity", "leavitt_closed_form",
     "lie_simplicity_via_k0", "vertex_combination_in_commutator",
