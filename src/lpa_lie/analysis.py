@@ -61,9 +61,6 @@ class SimplicityReport:
     verdict: bool
     witnesses: tuple = ()
 
-    def first_witness(self):
-        return self.witnesses[0] if self.witnesses else None
-
 
 def reachability(g: Graph) -> list[list[bool]]:
     """Reflexive-transitive closure of the edge relation, as a boolean grid."""

@@ -26,7 +26,6 @@ from .cohn import vertex_witness
 from .graph import (
     Graph,
     GraphError,
-    adjacency_matrix,
     b_vectors,
     family,
     family_names,
@@ -51,7 +50,6 @@ from .verdict import (
     lie_simplicity,
     lie_simplicity_via_k0,
     matrix_lie_simplicity,
-    vertex_combination_in_commutator,
 )
 
 SCHEMA = "lpa-lie.report/2"
@@ -172,7 +170,7 @@ def _graph_summary(g: Graph) -> dict:
         "runs": [_run_dict(names, run) for run in g.runs],
         "sinks": [v.label for v in g.sinks()],
         "regular": [v.label for v in g.regular_vertices()],
-        "adjacency": adjacency_matrix(g),
+        "adjacency": g.counts,
     }
 
 
@@ -336,7 +334,7 @@ def _cmd_witness(args) -> int:
     coeffs = [field.parse(piece) for piece in raw]
 
     inv = GraphInvariants(g)
-    t = vertex_combination_in_commutator(inv, coeffs, field)
+    t = inv.b_smith.solve(coeffs, field)
     payload = {
         "schema": SCHEMA,
         "command": "witness",
@@ -487,7 +485,7 @@ def _selftest_checks():
     yield ("rose/matrix closed-form coherence", ok)
     field0 = FieldSpec(0)
     rose3 = family("rose", [3])
-    t = vertex_combination_in_commutator(rose3, [1], field0)
+    t = GraphInvariants(rose3).b_smith.solve([1], field0)
     yield (
         "rose(3): identity witness verifies over Q",
         t is not None and vertex_witness(rose3, [1], t, field0).verified,

@@ -2,7 +2,7 @@
 
 Elements are finite linear combinations of basis terms ``p q*`` where p and q
 are paths with a common range vertex.  Inside an element a path is the
-integer key ``(start vertex index, edge index, ...)`` and a term the pair of
+integer key ``(source vertex index, edge index, ...)`` and a term the pair of
 keys ``(p, q)``, and elements print straight from those keys; ``PathWord``
 and ``CohnTerm`` are views of them, built only to take terms from callers (a
 view of another graph is refused) and hand terms back.  Multiplication only
@@ -46,13 +46,13 @@ class PreconditionError(ValueError):
 
 @dataclass(frozen=True)
 class PathWord:
-    """A path: a start vertex followed by zero or more composable edges."""
+    """A path: its source vertex s(p) followed by zero or more composable edges."""
 
-    start: VertexId
+    source: VertexId
     edges: tuple[EdgeId, ...] = ()
 
     def __post_init__(self):
-        prev = self.start
+        prev = self.source
         for e in self.edges:
             if e.source != prev:
                 raise ValueError(
@@ -62,23 +62,15 @@ class PathWord:
             prev = e.target
 
     @classmethod
-    def vertex_word(cls, v: VertexId) -> "PathWord":
-        return cls(v, ())
-
-    @classmethod
     def from_edges(cls, edges) -> "PathWord":
         edges = tuple(edges)
         if not edges:
-            raise ValueError("from_edges needs at least one edge; use vertex_word")
+            raise ValueError("from_edges needs at least one edge; use PathWord(vertex)")
         return cls(edges[0].source, edges)
 
     @property
-    def source(self) -> VertexId:
-        return self.start
-
-    @property
     def range(self) -> VertexId:
-        return self.edges[-1].target if self.edges else self.start
+        return self.edges[-1].target if self.edges else self.source
 
     @property
     def length(self) -> int:
@@ -87,12 +79,12 @@ class PathWord:
     def concat(self, other: "PathWord") -> "PathWord":
         if self.range != other.source:
             raise ValueError("paths do not compose")
-        return PathWord(self.start, self.edges + other.edges)
+        return PathWord(self.source, self.edges + other.edges)
 
     def strip_prefix(self, prefix: "PathWord") -> "PathWord | None":
         """The path h with ``self == prefix . h``, or None."""
         if prefix.length == 0:
-            return self if self.source == prefix.start else None
+            return self if self.source == prefix.source else None
         if prefix.length > self.length or self.edges[: prefix.length] != prefix.edges:
             return None
         rest = self.edges[prefix.length:]
@@ -123,14 +115,14 @@ def _own_vertex(g: Graph, v: VertexId) -> int:
 def _term_key(g: Graph, t: CohnTerm) -> tuple:
     """The key pair of ``t``; a vertex or edge of another graph raises ``ValueError``."""
     for w in (t.p, t.q):
-        _own_vertex(g, w.start)
+        _own_vertex(g, w.source)
         for e in w.edges:
             # e composes with the checked path, so its source is g's own; out_edges go by index
             out = g.out_edges(e.source)
             i = bisect_left(out, e.index, key=attrgetter("index"))
             if out[i : i + 1] != (e,):
                 raise ValueError(f"edge {e.label!r} is not an edge of this graph")
-    return tuple((w.start.index, *(e.index for e in w.edges)) for w in (t.p, t.q))
+    return tuple((w.source.index, *(e.index for e in w.edges)) for w in (t.p, t.q))
 
 
 def _edge_namer(g: Graph):
@@ -153,7 +145,7 @@ def _mult_terms(a: tuple, b: tuple) -> tuple | None:
 
     Nonzero only when one of q, t extends the other; the leftover path h is
     absorbed into p (if t = q.h) or into z (if q = t.h).  A key starts with
-    its start vertex, so ``t[:len(q)] == q`` says that t extends q, also
+    its source vertex, so ``t[:len(q)] == q`` says that t extends q, also
     when q is a vertex.
     """
     p, q = a
@@ -228,16 +220,16 @@ class CohnElement:
 
     @classmethod
     def vertex(cls, graph: Graph, field: FieldSpec, v: VertexId) -> "CohnElement":
-        w = PathWord.vertex_word(v)
+        w = PathWord(v)
         return cls.term(graph, field, w, w)
 
     @classmethod
     def path(cls, graph: Graph, field: FieldSpec, p: PathWord) -> "CohnElement":
-        return cls.term(graph, field, p, PathWord.vertex_word(p.range))
+        return cls.term(graph, field, p, PathWord(p.range))
 
     @classmethod
     def ghost(cls, graph: Graph, field: FieldSpec, q: PathWord) -> "CohnElement":
-        return cls.term(graph, field, PathWord.vertex_word(q.range), q)
+        return cls.term(graph, field, PathWord(q.range), q)
 
     @classmethod
     def edge(cls, graph: Graph, field: FieldSpec, e: EdgeId) -> "CohnElement":
@@ -264,12 +256,7 @@ class CohnElement:
         return CohnElement._of(self.graph, self.field, out)
 
     def __neg__(self):
-        p = self.field.characteristic
-        if p:
-            terms = {t: -c % p for t, c in self._terms.items()}
-        else:
-            terms = {t: -c for t, c in self._terms.items()}
-        return CohnElement._of(self.graph, self.field, terms)
+        return self.scale(-1)
 
     def __sub__(self, other):
         if not isinstance(other, CohnElement):

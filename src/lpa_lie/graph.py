@@ -38,7 +38,6 @@ __all__ = [
     "Graph",
     "GraphError",
     "GraphParseError",
-    "adjacency_matrix",
     "b_vectors",
     "m_matrix",
     "graph_from_adjacency",
@@ -134,15 +133,12 @@ class _RunBuilder:
         """Check one run, claim its labels and merge it into ``runs``."""
         if not isinstance(run, tuple) or len(run) not in (3, 4):
             raise GraphError(f"bad edge run {run!r}")
-        if len(run) == 3:
-            label, s, d = run
-        else:
-            s, d, k, n = run
-            label = f"{s}_{d}_{k}"
+        label, s, d = run if len(run) == 3 else (None, *run[:2])
         m = len(self.vertex_labels)
         for end in (s, d):
             if not isinstance(end, int) or isinstance(end, bool) or not 0 <= end < m:
-                raise GraphError(f"edge {label!r} references unknown vertex {end!r}")
+                what = f"auto run {run!r}" if label is None else f"edge {label!r}"
+                raise GraphError(f"{what} references unknown vertex {end!r}")
         prefix = f"{self.vertex_labels[s]}_{self.vertex_labels[d]}"
         if len(run) == 3:
             if not isinstance(label, str) or not label or any(ch.isspace() for ch in label):
@@ -227,18 +223,15 @@ class Graph:
         index = {v.label: v.index for v in vertices}
         runs = []
         for spec in edge_specs:
-            if len(spec) == 3:
-                lbl, src, dst = spec
-            elif len(spec) == 4:
-                src, dst = spec[0], spec[1]
-                lbl = f"{src}_{dst}_{spec[2]}"
-            else:
+            if len(spec) not in (3, 4):
                 raise GraphError(f"bad edge spec {spec!r}")
+            src, dst = spec[1:3] if len(spec) == 3 else spec[:2]
             for name in (src, dst):
                 if name not in index:
+                    lbl = spec[0] if len(spec) == 3 else f"{src}_{dst}_{spec[2]}"
                     raise GraphError(f"edge {lbl!r} references undeclared vertex {name!r}")
             if len(spec) == 3:
-                runs.append((lbl, index[src], index[dst]))
+                runs.append((spec[0], index[src], index[dst]))
             else:
                 runs.append((index[src], index[dst], *spec[2:]))
         return cls(vertices, tuple(runs))
@@ -335,11 +328,6 @@ class Graph:
 
     def regular_vertices(self) -> tuple[VertexId, ...]:
         return tuple(v for v, deg in zip(self.vertices, self._out_degrees) if deg)
-
-
-def adjacency_matrix(g: Graph) -> list[list[int]]:
-    """The m x m matrix whose (i, j) entry counts edges from v_i to v_j."""
-    return [list(row) for row in g.counts]
 
 
 def b_vectors(g: Graph) -> list[list[int]]:

@@ -212,21 +212,6 @@ def _replay_rows(log, vec: list[int], p: int = 0) -> list[int]:
     return vec
 
 
-def _replay_on_identity(log, n: int) -> list[list[int]]:
-    """The operations in ``log`` applied in order to the rows of the n x n identity.
-
-    For a row log this is U; for a column log it is the transpose of V,
-    since "col j -= q * col k" on V is "row j -= q * row k" on its transpose.
-    """
-    m = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    for i, k, q in log:
-        if q is None:
-            m[i], m[k] = m[k], m[i]
-        else:
-            m[i] = [x - q * y for x, y in zip(m[i], m[k])]
-    return m
-
-
 @dataclass(frozen=True)
 class SmithDecomposition:
     """Certificate ``u @ original @ v == d`` with ``u``, ``v`` unimodular.
@@ -235,8 +220,8 @@ class SmithDecomposition:
     entry dividing the next.  Only the shape, the diagonal and the two
     elimination logs are stored: ``u`` is the product of the row operations
     in ``row_log`` and ``v`` that of the column operations in ``col_log``.
-    ``u`` and ``v`` are built on first use by replaying a log on the
-    identity; ``solve`` and ``K0Presentation.of`` replay the logs on the
+    ``u`` and ``v`` are built on first use by replaying a log on each unit
+    vector; ``solve`` and ``K0Presentation.of`` replay the logs on the
     vectors they read instead, so a verdict never builds ``u`` or ``v``.
     The fields are the identity: ``smith_normal_form`` is deterministic, so
     two of its decompositions are equal exactly when they decompose the same
@@ -250,7 +235,10 @@ class SmithDecomposition:
 
     @cached_property
     def u(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(map(tuple, _replay_on_identity(self.row_log, self.shape[0])))
+        # column j of U is U e_j
+        n = self.shape[0]
+        units = ([int(i == j) for i in range(n)] for j in range(n))
+        return tuple(zip(*(_replay_rows(self.row_log, e) for e in units)))
 
     @cached_property
     def d(self) -> tuple[tuple[int, ...], ...]:
@@ -261,7 +249,11 @@ class SmithDecomposition:
 
     @cached_property
     def v(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(zip(*_replay_on_identity(self.col_log, self.shape[1])))
+        # "col j -= q * col k" on V is "row j -= q * row k" on its transpose,
+        # so row j of V is the column log replayed on e_j
+        n = self.shape[1]
+        units = ([int(i == j) for i in range(n)] for j in range(n))
+        return tuple(tuple(_replay_rows(self.col_log, e)) for e in units)
 
     def rank(self, field: FieldSpec) -> int:
         """Rank of the original matrix over ``field``: the factors nonzero there."""
@@ -437,6 +429,10 @@ class K0Presentation:
     @classmethod
     def of(cls, dec: SmithDecomposition) -> K0Presentation:
         """Read the presentation off the Smith form of a square matrix."""
+        rows, cols = dec.shape
+        if rows != cols:
+            # a taller form's diagonal misses the free summands of its extra rows
+            raise ValueError(f"a cokernel presentation needs a square matrix, not {rows} x {cols}")
         alphas = dec.diagonal
         unit = _replay_rows(dec.row_log, [1] * dec.shape[0])
         return cls(alphas, tuple(y % a if a > 0 else y for y, a in zip(unit, alphas)))
@@ -444,9 +440,6 @@ class K0Presentation:
 
 def cokernel(mat) -> K0Presentation:
     """Invariant factors of Z^m / Im(mat) and the class of the ones vector."""
-    m = len(mat)
-    if any(len(r) != m for r in mat):
-        raise ValueError("cokernel expects a square matrix")
     return K0Presentation.of(smith_normal_form(mat))
 
 

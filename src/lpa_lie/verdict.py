@@ -42,7 +42,6 @@ __all__ = [
     "matrix_lie_simplicity",
     "leavitt_closed_form",
     "lie_simplicity_via_k0",
-    "vertex_combination_in_commutator",
     "pointed_iso_decision",
     "KpReport",
     "kp_consistency",
@@ -85,7 +84,13 @@ class GraphInvariants:
 
     @cached_property
     def b_smith(self) -> SmithDecomposition:
-        """Smith form of the matrix whose columns are the B-vectors."""
+        """Smith form of the matrix whose columns are the B-vectors.
+
+        ``solve(k, field)`` on it gives t with ``k = sum_i t_i B_i``, the
+        input of ``vertex_witness``, or None when the vertex combination k
+        is no sum of brackets.  A sink's B-vector is a zero column, which
+        the Smith form never mixes into another, so t is zero at a sink.
+        """
         return smith_normal_form([list(col) for col in zip(*self.b_vectors)])
 
     @cached_property
@@ -137,7 +142,7 @@ def lie_simplicity(g: Graph | GraphInvariants, field: FieldSpec) -> LieVerdict:
     inv = _invariants(g)
     report = inv.simplicity
     if not report.verdict:
-        return _inapplicable("span", report.first_witness())
+        return _inapplicable("span", report.witnesses[0])
     if analysis.is_trivial_lpa(inv.graph):
         return LieVerdict(
             NOT_SIMPLE,
@@ -219,7 +224,7 @@ def lie_simplicity_via_k0(g: Graph | GraphInvariants, field: FieldSpec) -> LieVe
     inv = _invariants(g)
     report = inv.pure_infinite_simplicity
     if not report.verdict:
-        return _inapplicable("k0", report.first_witness())
+        return _inapplicable("k0", report.witnesses[0])
     pres = inv.k0
     p = field.characteristic
     if p == 0:
@@ -242,22 +247,6 @@ def lie_simplicity_via_k0(g: Graph | GraphInvariants, field: FieldSpec) -> LieVe
     return LieVerdict(
         SIMPLE, "k0", p, f"the unit class is not {p}-divisible in the cokernel"
     )
-
-
-def vertex_combination_in_commutator(g: Graph | GraphInvariants, coeffs, field: FieldSpec):
-    """Coefficients t with ``k = sum t_i B_i`` and t zero off regular vertices.
-
-    Returns the length-m vector t over the prime subfield when the vertex
-    combination with coefficients ``coeffs`` is a sum of brackets, and None
-    otherwise.  The returned t feeds the symbolic witness construction.  A
-    sink's B-vector is a zero column, which the Smith form never mixes into
-    another, so t at a sink is a free coordinate and is set to zero.
-    """
-    inv = _invariants(g)
-    m = inv.graph.num_vertices
-    if len(coeffs) != m:
-        raise ValueError(f"expected {m} coefficients, got {len(coeffs)}")
-    return inv.b_smith.solve(coeffs, field)
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +404,7 @@ def kp_consistency(gA: Graph | GraphInvariants, gB: Graph | GraphInvariants, cha
     repB = invB.pure_infinite_simplicity
     if not repA.verdict or not repB.verdict:
         bad = "first" if not repA.verdict else "second"
-        witness = (repA if not repA.verdict else repB).first_witness()
+        witness = (repA if not repA.verdict else repB).witnesses[0]
         return KpReport(
             False,
             f"the {bad} graph is not purely infinite simple: {witness.describe()}",

@@ -42,7 +42,6 @@ from lpa_lie import (
     Graph,
     GraphParseError,
     PathWord,
-    adjacency_matrix,
     graph_from_adjacency,
     parse_graph,
     simplicity_reports,
@@ -143,7 +142,7 @@ def random_path(rng: random.Random, g: Graph, max_len: int = 4) -> PathWord:
         edges.append(e)
         v = e.target
     if not edges:
-        return PathWord.vertex_word(v)
+        return PathWord(v)
     return PathWord.from_edges(edges)
 
 
@@ -160,7 +159,7 @@ def _random_path_into(rng: random.Random, g: Graph, target, max_len: int = 4) ->
         edges.append(e)
         v = e.source
     if not edges:
-        return PathWord.vertex_word(target)
+        return PathWord(target)
     return PathWord.from_edges(tuple(reversed(edges)))
 
 
@@ -199,7 +198,7 @@ def reference_mult_terms(a: CohnTerm, b: CohnTerm) -> CohnTerm | None:
 def _reference_path_key(w: PathWord) -> tuple:
     if w.edges:
         return (len(w.edges), tuple([e.label for e in w.edges]))
-    return (0, (w.start.label,))
+    return (0, (w.source.label,))
 
 
 def _reference_term_key(t: CohnTerm) -> tuple:
@@ -228,7 +227,7 @@ def reference_str(x: CohnElement) -> str:
 def _reference_paths(g: Graph) -> list[list[bool]]:
     """Whether (A + A^2 + ... + A^n)[v][w] is nonzero, by boolean matrix powers."""
     n = g.num_vertices
-    adj = [[bool(c) for c in row] for row in adjacency_matrix(g)]
+    adj = [[bool(c) for c in row] for row in g.counts]
     power, total = adj, adj
     for _ in range(n - 1):
         power = [[any(power[i][k] and adj[k][j] for k in range(n)) for j in range(n)] for i in range(n)]

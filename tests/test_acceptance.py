@@ -26,6 +26,7 @@ from lpa_lie import (
     SIMPLE,
     CohnElement,
     FieldSpec,
+    GraphInvariants,
     b_vectors,
     class_order,
     cokernel,
@@ -41,7 +42,6 @@ from lpa_lie import (
     n_generator,
     smith_normal_form,
     trace_vector,
-    vertex_combination_in_commutator,
     vertex_witness,
 )
 
@@ -185,7 +185,7 @@ def test_criterion_07_symbolic_suite():
             * y
             * CohnElement.term(g, field, c2.p, c2.q)
         )
-        assert vertex_combination_in_commutator(g, trace_vector(w), field) is not None
+        assert GraphInvariants(g).b_smith.solve(trace_vector(w), field) is not None
         checked += 1
     # every solver-produced membership instance verifies symbolically
     instances = 0
@@ -202,19 +202,21 @@ def test_criterion_07_symbolic_suite():
         ("example4", []),
     ]:
         g = family(name, params)
+        dec = GraphInvariants(g).b_smith
         for c in CHARS:
             field = FieldSpec(c)
             for trial in range(4):
                 k = [rng.randint(-3, 3) for _ in range(g.num_vertices)]
-                t = vertex_combination_in_commutator(g, k, field)
+                t = dec.solve(k, field)
                 if t is not None:
                     assert vertex_witness(g, k, t, field).verified
                     instances += 1
     simple_graphs = random_simple_graphs(rng, 200, max_vertices=4, max_mult=3)
     for g in simple_graphs:
         field = FieldSpec(rng.choice([0, 2, 3, 5]))
+        dec = GraphInvariants(g).b_smith
         k = [rng.randint(-3, 3) for _ in range(g.num_vertices)]
-        t = vertex_combination_in_commutator(g, k, field)
+        t = dec.solve(k, field)
         if t is None:
             # force a membership instance from a random combination instead
             bv = b_vectors(g)
@@ -223,7 +225,7 @@ def test_criterion_07_symbolic_suite():
                 sum(ts[i] * bv[i][j] for i in range(g.num_vertices))
                 for j in range(g.num_vertices)
             ]
-            t = vertex_combination_in_commutator(g, k, field)
+            t = dec.solve(k, field)
         assert t is not None
         assert vertex_witness(g, k, t, field).verified
         instances += 1

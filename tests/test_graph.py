@@ -13,13 +13,13 @@ from lpa_lie import (
     GraphError,
     GraphInvariants,
     GraphParseError,
-    adjacency_matrix,
     b_vectors,
     family,
     family_names,
     graph_from_adjacency,
     lie_simplicity,
     m_matrix,
+    VertexId,
     parse_graph,
     serialize_graph,
 )
@@ -69,7 +69,7 @@ def test_parse_example4_file():
     g = parse_graph(EXAMPLE4_TEXT)
     assert g.num_vertices == 4
     assert g.num_edges == 7
-    assert adjacency_matrix(g) == adjacency_matrix(family("example4"))
+    assert g.counts == family("example4").counts
 
 
 def test_parse_readme_graph_input_example():
@@ -245,9 +245,9 @@ def test_parse_a_trillion_parallel_loops():
 
 
 def test_adjacency_examples():
-    assert adjacency_matrix(family("rose", [3])) == [[3]]
-    assert adjacency_matrix(family("two_vertex", [2, 2, 2])) == [[9, 2], [4, 3]]
-    assert adjacency_matrix(family("line", [2])) == [[0, 1], [0, 0]]
+    assert family("rose", [3]).counts == ((3,),)
+    assert family("two_vertex", [2, 2, 2]).counts == ((9, 2), (4, 3))
+    assert family("line", [2]).counts == ((0, 1), (0, 0))
 
 
 def test_b_vectors_example4():
@@ -390,7 +390,7 @@ def test_serialize_keeps_explicit_labels():
 @settings(max_examples=60, deadline=None)
 def test_m_plus_a_transpose_is_identity(adj):
     g = graph_from(adj)
-    a = adjacency_matrix(g)
+    a = g.counts
     m = m_matrix(g)
     n = g.num_vertices
     for i in range(n):
@@ -402,7 +402,7 @@ def test_m_plus_a_transpose_is_identity(adj):
 @settings(max_examples=60, deadline=None)
 def test_b_vector_shape(adj):
     g = graph_from(adj)
-    a = adjacency_matrix(g)
+    a = g.counts
     bv = b_vectors(g)
     for i, v in enumerate(g.vertices):
         if g.is_sink(v):
@@ -452,3 +452,14 @@ def test_graph_validation():
         graph_from_adjacency(["a"], [[0, 1]])
     with pytest.raises(GraphError):
         graph_from_adjacency(["a"], [[-1]])
+
+
+def test_a_run_with_an_unknown_end_is_named_as_given():
+    # an auto run holds vertex indices, so it is quoted as the run, not as a label
+    a, b = VertexId(0, "a"), VertexId(1, "b")
+    with pytest.raises(GraphError, match=r"^auto run \(0, 5, 1, 1\) references unknown vertex 5$"):
+        Graph((a, b), ((0, 5, 1, 1),))
+    with pytest.raises(GraphError, match="^edge 'e' references unknown vertex 5$"):
+        Graph((a, b), (("e", 0, 5),))
+    with pytest.raises(GraphError, match="^edge 'a_z_1' references undeclared vertex 'z'$"):
+        Graph.build(["a", "b"], [("a", "z", 1, 2)])

@@ -365,10 +365,14 @@ def test_solve_by_replay_matches_explicit_certificates_hypothesis(case):
     assert dec.solve(target, field) == reference_solve(explicit, target, field)
     integers = [x.numerator for x in target]
     assert dec.solve(integers, field) == reference_solve(explicit, integers, field)
-    unit = [sum(row) for row in dec.u]
-    assert K0Presentation.of(dec).unit_class == tuple(
-        y % a if a > 0 else y for y, a in zip(unit, dec.diagonal)
-    )
+    if dec.shape[0] != dec.shape[1]:
+        with pytest.raises(ValueError, match="square"):
+            K0Presentation.of(dec)
+    else:
+        unit = [sum(row) for row in dec.u]
+        assert K0Presentation.of(dec).unit_class == tuple(
+            y % a if a > 0 else y for y, a in zip(unit, dec.diagonal)
+        )
 
 
 def test_snf_diagonal_matches_sympy():
@@ -458,6 +462,15 @@ def test_cokernel_example4_has_free_summand():
 def test_cokernel_requires_square():
     with pytest.raises(ValueError):
         cokernel([[1, 2, 3], [4, 5, 6]])
+
+
+def test_presentation_of_a_non_square_form_is_refused():
+    # Z^2 / <(2, 0)> is Z_2 x Z with a unit class of infinite order; the
+    # diagonal (2,) of the 2 x 1 form has no entry for the free summand
+    with pytest.raises(ValueError, match="square"):
+        K0Presentation.of(smith_normal_form([[2], [0]]))
+    pres = cokernel([[2, 0], [0, 0]])
+    assert pres.group_description() == "Z_2 x Z" and class_order(pres) is None
 
 
 # -- class order and divisibility ---------------------------------------------
