@@ -302,7 +302,7 @@ def _reference_min_abs_position(a, t: int, rows: int, cols: int):
 
 
 def reference_smith_normal_form(mat):
-    """The Smith form ``(u, d, v)`` with the package's pivot rule, on separate matrices.
+    """The Smith form ``(u, d, v)`` by the package's pivot and quotient rules, on separate matrices.
 
     Every swap, subtraction and sign flip is applied once to the working
     matrix and once more to the certificate it belongs to.
@@ -338,7 +338,7 @@ def reference_smith_normal_form(mat):
             dirty = False
             for i in range(t + 1, rows):
                 if a[i][t]:
-                    q = a[i][t] // pivot
+                    q = (2 * a[i][t] + pivot) // (2 * pivot)  # nearest integer
                     if q:
                         row_sub(a, i, t, q)
                         row_sub(u, i, t, q)
@@ -346,7 +346,7 @@ def reference_smith_normal_form(mat):
                         dirty = True
             for j in range(t + 1, cols):
                 if a[t][j]:
-                    q = a[t][j] // pivot
+                    q = (2 * a[t][j] + pivot) // (2 * pivot)
                     if q:
                         col_sub(a, j, t, q)
                         col_sub(v, j, t, q)

@@ -13,6 +13,7 @@ from _gen import (
     random_pis_graphs,
     reference_orbit_equal,
     reference_pointed_iso,
+    reference_rank,
     time_limit,
 )
 
@@ -215,6 +216,29 @@ def test_k0_of_a_thousand_isolated_vertices():
     g = graph_from_adjacency([f"v{i}" for i in range(1000)], [[0] * 1000 for _ in range(1000)])
     with time_limit(5):
         assert GraphInvariants(g).k0.invariant_factors == (1,) * 1000
+
+
+def test_k0_of_a_120_vertex_purely_infinite_simple_graph():
+    # a cycle through every vertex plus chords at density 0.3, multiplicities
+    # up to 6; the nearest-integer quotients keep the Euclid rounds few
+    n = 120
+    rng = random.Random(41)
+    adj = [[0] * n for _ in range(n)]
+    for i in range(n):
+        adj[i][(i + 1) % n] = rng.randint(1, 6)
+    chords = [(i, j) for i in range(n) for j in range(n) if j != (i + 1) % n]
+    for i, j in rng.sample(chords, round(0.3 * n * (n - 1))):
+        adj[i][j] = rng.randint(1, 6)
+    g = graph_from_adjacency([f"v{i}" for i in range(n)], adj)
+    assert simplicity_reports(g)[1].verdict
+    with time_limit(30):
+        factors = GraphInvariants(g).k0.invariant_factors
+    assert all(b % a == 0 for a, b in zip(factors, factors[1:]))
+    assert 0 not in factors
+    # the factors divisible by p number n - rank of B over GF(p)
+    for p in (2, 3, 5, 7):
+        divisible = sum(1 for a in factors if a % p == 0)
+        assert divisible == n - reference_rank(b_vectors(g), FieldSpec(p)), p
 
 
 # -- vertex combinations ------------------------------------------------------------
