@@ -514,9 +514,12 @@ def _family_rose(n: int) -> Graph:
     return graph_from_adjacency(["v1"], [[n]])
 
 
+_LINE_LIMIT = 100_000  # line(d) names d vertices: 1.5 s and 100 MB at the bound (2-core host)
+
+
 def _family_line(d: int) -> Graph:
-    if d < 1:
-        raise GraphError("line(d) requires d >= 1")
+    if not 1 <= d <= _LINE_LIMIT:
+        raise GraphError(f"line(d) requires 1 <= d <= {_LINE_LIMIT}")
     labels = [f"v{i}" for i in range(1, d + 1)]
     # d - 1 runs; a d x d adjacency list would cost O(d^2)
     return Graph.build(labels, [(labels[i], labels[i + 1], 1, 1) for i in range(d - 1)])
@@ -557,7 +560,7 @@ def _family_two_vertex(u: int, v: int, p: int) -> Graph:
 
 _FAMILIES = {
     "rose": (1, _family_rose, "rose(n): one vertex with n loops, n >= 1"),
-    "line": (1, _family_line, "line(d): oriented line on d vertices, d >= 1"),
+    "line": (1, _family_line, f"line(d): oriented line on d vertices, 1 <= d <= {_LINE_LIMIT}"),
     "matrix_rose": (
         2,
         _family_matrix_rose,

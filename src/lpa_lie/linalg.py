@@ -5,12 +5,12 @@ rationals, or residues modulo a prime; no floating point is ever involved.
 One elimination routine, the Smith normal form over Z with unimodular
 certificates U, V, backs everything else.  It runs on M alone and logs each
 row and column operation that diagonalises it; U and V are those logs, and
-a verdict replays them only on the vectors it reads (U b, V y), so the
-multipliers of U and V, which grow far beyond the entries of M, are never
-built unless asked for.  Each step divides with the nearest-integer quotient,
-so a stage takes few Euclid rounds: K0 of purely infinite simple graphs of
-80, 120 and 160 vertices (edge density 0.3, multiplicities up to 6) took
-0.2, 1.8 and 11 s on a 2-core host under Python 3.11.  The Smith form serves
+a verdict replays them only on the vectors it reads (U b, V y).  Each step
+divides with the nearest-integer quotient, so a stage takes few Euclid
+rounds, and column steps wait until the row steps have cleared the pivot's
+column, so U's multipliers stay small: K0 of purely infinite simple graphs
+of 80, 120 and 160 vertices (edge density 0.3, multiplicities up to 6) took
+0.2, 1.1-1.4 and 5.4-5.9 s on a 2-core host under Python 3.11.  It serves
 
 * linear solving and rank over Q or GF(p), read off the certificate of the
   integer matrix (``SmithDecomposition.solve`` and ``rank``), and
@@ -21,7 +21,7 @@ so a stage takes few Euclid rounds: K0 of purely infinite simple graphs of
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, isqrt, lcm
@@ -226,15 +226,26 @@ class SmithDecomposition:
     ``u`` and ``v`` are built on first use by replaying a log on each unit
     vector; ``solve`` and ``K0Presentation.of`` replay the logs on the
     vectors they read instead, so a verdict never builds ``u`` or ``v``.
-    The fields are the identity: ``smith_normal_form`` is deterministic, so
-    two of its decompositions are equal exactly when they decompose the same
-    matrix, which is when their ``u``, ``d`` and ``v`` agree.
+    ``u @ b`` is replayed over Z once per target b and kept, so the unit
+    class and the solve at every characteristic read one ``u @ (1, ..., 1)``.
+    The four fields, not the kept images, are the identity:
+    ``smith_normal_form`` is deterministic, so two of its decompositions are
+    equal exactly when they decompose the same matrix, which is when their
+    ``u``, ``d`` and ``v`` agree.
     """
 
     shape: tuple[int, int]
     diagonal: tuple[int, ...]
     row_log: tuple[tuple[int, int, int | None], ...]
     col_log: tuple[tuple[int, int, int | None], ...]
+    _images: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def _image(self, b: tuple[int, ...]) -> tuple[int, ...]:
+        """``u @ b`` over Z, replayed on the first call for ``b`` and kept."""
+        c = self._images.get(b)
+        if c is None:
+            c = self._images[b] = tuple(_replay_rows(self.row_log, list(b)))
+        return c
 
     @cached_property
     def u(self) -> tuple[tuple[int, ...], ...]:
@@ -292,9 +303,10 @@ class SmithDecomposition:
             b = [x.numerator * (scale // x.denominator) for x in b]
             top = next((a for a in reversed(diag) if a), 1)
         y = [0] * cols
-        for i, c in enumerate(_replay_rows(self.row_log, b, p)):
+        for i, c in enumerate(self._image(tuple(b))):
             d = diag[i] if i < len(diag) else 0
             if p:
+                c %= p
                 d %= p
             if d:
                 y[i] = c * pow(d, -1, p) % p if p else c * (top // d)
@@ -306,12 +318,12 @@ class SmithDecomposition:
         return x if p else [Fraction(xi, top * scale) for xi in x]
 
 
-def _min_abs_position(a, t: int, rows: int, cols: int) -> tuple[int, int] | None:
-    """The first entry of least nonzero absolute value in ``a[t:rows][t:cols]``, row-major."""
+def _min_abs_position(block) -> tuple[int, int] | None:
+    """The first entry of least nonzero absolute value in ``block``, row-major."""
     best = None
     pos = None
-    for i in range(t, rows):
-        for j, x in enumerate(a[i][t:cols], t):
+    for i, row in enumerate(block):
+        for j, x in enumerate(row):
             if x:
                 x = -x if x < 0 else x
                 if best is None or x < best:
@@ -331,12 +343,15 @@ def smith_normal_form(mat) -> SmithDecomposition:
     by ``q * pivot`` with the nearest-integer quotient
     ``q = (2 * a + pivot) // (2 * pivot)``, so its remainder is at most
     ``|pivot| / 2``; negating M negates every remainder and keeps every ``q``,
-    so M and -M take the same operations.  The elimination runs on a
-    copy of M alone and logs each row operation and each column operation it
-    applies; the certificates ``u`` and ``v`` are those logs, replayed only
-    when read.  Only swaps, adding an integer multiple of one row/column to
-    another, and column negations are used, so both certificates are
-    unimodular.
+    so M and -M take the same operations.  A round runs its column steps
+    only once its row steps have cleared the pivot's column, and picks the
+    pivot again until then, so a column step rewrites the pivot row alone
+    and the multipliers of U stay small.  The elimination runs on a copy of
+    the block of M still to be diagonalised and logs each row and column
+    operation with its indices in M; the certificates ``u`` and ``v`` are
+    those logs, replayed only when read.  Only swaps, adding an integer
+    multiple of one row/column to another, and column negations are used,
+    so both certificates are unimodular.
     """
     rows = len(mat)
     if rows == 0 or len(mat[0]) == 0:
@@ -351,61 +366,64 @@ def smith_normal_form(mat) -> SmithDecomposition:
         w.append(list(r))
     row_log: list[tuple[int, int, int | None]] = []
     col_log: list[tuple[int, int, int | None]] = []
+    pivots: list[int] = []
 
-    # rows above t are zero from column t on, so column operations skip them
+    # w is the block of M from row and column t on; its entry (i, j) is M's (t + i, t + j)
     t = 0
-    while t < min(rows, cols) and (pos := _min_abs_position(w, t, rows, cols)) is not None:
+    while (pos := _min_abs_position(w)) is not None:
         pi, pj = pos
-        if pi != t:
-            w[t], w[pi] = w[pi], w[t]
-            row_log.append((t, pi, None))
-        if pj != t:
-            for r in w[t:]:
-                r[t], r[pj] = r[pj], r[t]
-            col_log.append((t, pj, None))
-        wt = w[t]
-        pivot = wt[t]
-        # rows t and below are zero left of column t, so row steps start at t
-        tail = wt[t:]
+        if pi:
+            w[0], w[pi] = w[pi], w[0]
+            row_log.append((t, t + pi, None))
+        if pj:
+            for r in w:
+                r[0], r[pj] = r[pj], r[0]
+            col_log.append((t, t + pj, None))
+        w0 = w[0]
+        pivot = w0[0]
         dirty = False
-        for i, wi in enumerate(w[t + 1 :], t + 1):
-            if wi[t]:
-                q = (2 * wi[t] + pivot) // (2 * pivot)
+        for i in range(1, len(w)):
+            wi = w[i]
+            if wi[0]:
+                q = (2 * wi[0] + pivot) // (2 * pivot)
                 if q:
-                    wi[t:] = [x - q * y for x, y in zip(wi[t:], tail)]
-                    row_log.append((i, t, q))
-                if wi[t]:
+                    w[i] = wi = [x - q * y for x, y in zip(wi, w0)]
+                    row_log.append((t + i, t, q))
+                if wi[0]:
                     dirty = True
-        # a column step changes only the rows with a nonzero entry in column t
-        live = [r for r in w[t:] if r[t]]
-        for j in range(t + 1, cols):
-            if wt[j]:
-                q = (2 * wt[j] + pivot) // (2 * pivot)
+        if dirty:
+            continue
+        # column t is clear below the pivot, so a column step changes row t alone
+        for j in range(1, len(w0)):
+            if w0[j]:
+                q = (2 * w0[j] + pivot) // (2 * pivot)
                 if q:
-                    for r in live:
-                        r[j] -= q * r[t]
-                    col_log.append((j, t, q))
-                if wt[j]:
+                    w0[j] -= q * pivot
+                    col_log.append((t + j, t, q))
+                if w0[j]:
                     dirty = True
         if dirty:
             continue
         # a unit pivot divides every entry, so only a larger one needs the scan
         offender = None if pivot in (1, -1) else next(
-            (i for i in range(t + 1, rows) if any(x % pivot for x in w[i][t + 1 : cols])), None
+            (i for i in range(1, len(w)) if any(x % pivot for x in w[i])), None
         )
         if offender is None:
+            pivots.append(pivot)
+            del w[0]
+            for r in w:
+                del r[0]
             t += 1
         else:
             # fold the offending row into row t so the pivot can shrink
-            w[t] = [x + y for x, y in zip(w[t], w[offender])]
-            row_log.append((t, offender, -1))
+            w[0] = [x + y for x, y in zip(w0, w[offender])]
+            row_log.append((t, t + offender, -1))
 
-    diagonal = []
-    for k in range(min(rows, cols)):
-        if w[k][k] < 0:
+    for k, a in enumerate(pivots):
+        if a < 0:
             col_log.append((k, k, 2))
-        diagonal.append(abs(w[k][k]))
-    return SmithDecomposition((rows, cols), tuple(diagonal), tuple(row_log), tuple(col_log))
+    diagonal = tuple(abs(a) for a in pivots) + (0,) * (min(rows, cols) - len(pivots))
+    return SmithDecomposition((rows, cols), diagonal, tuple(row_log), tuple(col_log))
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +464,7 @@ class K0Presentation:
             # a taller form's diagonal misses the free summands of its extra rows
             raise ValueError(f"a cokernel presentation needs a square matrix, not {rows} x {cols}")
         alphas = dec.diagonal
-        unit = _replay_rows(dec.row_log, [1] * dec.shape[0])
+        unit = dec._image((1,) * rows)
         return cls(alphas, tuple(y % a if a > 0 else y for y, a in zip(unit, alphas)))
 
 

@@ -302,7 +302,7 @@ def _reference_min_abs_position(a, t: int, rows: int, cols: int):
 
 
 def reference_smith_normal_form(mat):
-    """The Smith form ``(u, d, v)`` by the package's pivot and quotient rules, on separate matrices.
+    """The Smith form ``(u, d, v)`` by the package's rules, rows first, on separate matrices.
 
     Every swap, subtraction and sign flip is applied once to the working
     matrix and once more to the certificate it belongs to.
@@ -344,6 +344,8 @@ def reference_smith_normal_form(mat):
                         row_sub(u, i, t, q)
                     if a[i][t]:
                         dirty = True
+            if dirty:
+                continue  # column steps wait until column t is clear
             for j in range(t + 1, cols):
                 if a[t][j]:
                     q = (2 * a[t][j] + pivot) // (2 * pivot)

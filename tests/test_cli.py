@@ -310,6 +310,20 @@ def test_family_line_at_thirty_thousand_vertices(capsys):
     assert out == reference_serialize(family("line", [30000]))
 
 
+def test_family_line_above_its_bound_is_refused(capsys):
+    # the bound is checked before any of the d labels is built
+    for d in ("100001", "1000000000000000000000000000000"):
+        with time_limit(2):
+            code, out, err = run(capsys, "family", "line", d)
+        assert code == 1 and out == ""
+        assert err == "error: line(d) requires 1 <= d <= 100000\n"
+        with time_limit(2):
+            code, out, err = run(capsys, "family", "line", d, "--json")
+        assert code == 1
+        assert json.loads(out)["error"] == "line(d) requires 1 <= d <= 100000"
+        assert "Traceback" not in err
+
+
 def test_family_bad_params(capsys):
     code, _, err = run(capsys, "family", "rose")
     assert code == 1
@@ -443,6 +457,19 @@ def test_analyze_computes_each_invariant_once(tmp_path, capsys, monkeypatch):
         for mod in modules:
             if getattr(mod, name, None) is original:
                 monkeypatch.setattr(mod, name, counted)
+    replayed = []
+    original_replay = lpa_lie.linalg._replay_rows
+
+    def counted_replay(log, vec, p=0):
+        replayed.append(log)
+        return original_replay(log, vec, p)
+
+    monkeypatch.setattr(lpa_lie.linalg, "_replay_rows", counted_replay)
+
+    def replays_of(dec):
+        assert dec.row_log  # the empty log is one shared tuple
+        return sum(1 for log in replayed if log is dec.row_log)
+
     path = write_family(tmp_path, "prime_set", [6])
     code, out, _ = run(capsys, "analyze", path, "--char", "0,2,3,5,7,11,13,17,19,23,29,31")
     assert code == 0
@@ -452,6 +479,8 @@ def test_analyze_computes_each_invariant_once(tmp_path, capsys, monkeypatch):
     assert counts["reachability"] == 1
     # no sink: both routes read the one Smith form of the B-matrix
     assert counts["smith_normal_form"] == 1
+    # the unit class and the span solve at all 12 characteristics read one U (1, ..., 1)
+    assert replays_of(smith_forms[-1]) == 1
 
     counts["smith_normal_form"] = 0
     a = write_family(tmp_path, "rose", [2])
@@ -459,6 +488,14 @@ def test_analyze_computes_each_invariant_once(tmp_path, capsys, monkeypatch):
     code, out, _ = run(capsys, "kp-check", a, b)
     assert code == 0
     assert counts["smith_normal_form"] <= 2
+
+    smith_forms.clear()
+    a = write_family(tmp_path, "example4", [])
+    b = write_family(tmp_path, "matrix_rose", [3, 4])
+    code, out, _ = run(capsys, "kp-check", a, b)
+    assert code == 0
+    assert len(smith_forms) == 2
+    assert [replays_of(dec) for dec in smith_forms] == [1, 1]
 
     # a sink: the cokernel of I - A^t needs a Smith form of its own
     counts["smith_normal_form"] = 0

@@ -3,6 +3,15 @@
 The expected output of each call in ``CALLS`` is kept in
 ``tests/golden/<name>.json``.  After an intended change to a report, rewrite
 them with ``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
+
+The 40-vertex purely infinite simple graph ``inputs/pis_40.json`` is large
+enough for the Smith elimination to take many Euclid rounds per stage (189
+rounds over 40 stages).  It was written once from
+``_gen.random_pis_graphs(random.Random(54), 1, min_vertices=40,
+max_vertices=40)``, and ``inputs/pis_40_permuted.json`` declares its
+vertices in the order ``random.Random(55).sample(range(40), 40)``.
+Both are kept frozen: the calls on them pin the unit-class coordinates and
+span certificates that the elimination order chooses.
 """
 
 import json
@@ -18,6 +27,7 @@ from lpa_lie import family, serialize_graph
 from lpa_lie.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
+INPUTS = GOLDEN / "inputs"
 
 # input files the calls name, written as family graphs
 GRAPHS = {
@@ -56,6 +66,11 @@ CALLS.update({
     "family-example4": ["family", "example4"],
     "selftest": ["selftest"],
     "analyze-composite-char": ["analyze", "rose_3.graph", "--char", "0,4"],
+    "k0-pis_40-json": ["k0", "pis_40.json", "--json"],
+    "analyze-pis_40-json": ["analyze", "pis_40.json", "--json"],
+    "kp-check-pis_40-pis_40_permuted-json": [
+        "kp-check", "pis_40.json", "pis_40_permuted.json", "--json",
+    ],
 })
 # the JSON report of every other command
 CALLS.update({
@@ -76,6 +91,8 @@ CALLS.update({
 def write_graphs(directory: Path) -> None:
     for filename, (name, params) in GRAPHS.items():
         (directory / filename).write_text(serialize_graph(family(name, params)), encoding="utf-8")
+    for source in INPUTS.glob("*.json"):
+        (directory / source.name).write_bytes(source.read_bytes())
 
 
 def run_call(argv) -> dict:

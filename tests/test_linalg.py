@@ -375,6 +375,34 @@ def test_solve_by_replay_matches_explicit_certificates_hypothesis(case):
         )
 
 
+memo_cases = snf_cases.flatmap(
+    lambda mat: st.tuples(
+        st.just(mat),
+        st.permutations([0, 2, 3, 5, 7] * 2),
+        st.lists(st.integers(-20, 20), min_size=len(mat), max_size=len(mat)),
+    )
+)
+
+
+@given(memo_cases)
+@settings(max_examples=150, deadline=None)
+def test_kept_row_images_match_a_fresh_decomposition_hypothesis(case):
+    # one decomposition keeps u @ b per target; every characteristic,
+    # in any order and again, must read what a fresh replay gives
+    mat, chars, target = case
+    dec = smith_normal_form(mat)
+    square = dec.shape[0] == dec.shape[1]
+    before = K0Presentation.of(dec) if square else None
+    for c in chars:
+        for b in (target, [1] * len(mat)):
+            assert dec.solve(b, FieldSpec(c)) == smith_normal_form(mat).solve(b, FieldSpec(c))
+    if square:
+        assert K0Presentation.of(dec) == before == K0Presentation.of(smith_normal_form(mat))
+    # the kept images are no part of the identity
+    assert dec == smith_normal_form(mat) and hash(dec) == hash(smith_normal_form(mat))
+    assert "_images" not in repr(dec)
+
+
 def test_snf_diagonal_matches_sympy():
     pytest.importorskip("sympy")
     from sympy import Matrix, ZZ

@@ -25,6 +25,7 @@ from lpa_lie import (
     GraphInvariants,
     K0Presentation,
     b_vectors,
+    class_order,
     cokernel,
     family,
     graph_from_adjacency,
@@ -239,6 +240,32 @@ def test_k0_of_a_120_vertex_purely_infinite_simple_graph():
     for p in (2, 3, 5, 7):
         divisible = sum(1 for a in factors if a % p == 0)
         assert divisible == n - reference_rank(b_vectors(g), FieldSpec(p)), p
+
+
+def _permuted_k0_case(seed: int):
+    rng = random.Random(seed)
+    if rng.random() < 0.5:
+        n = rng.randint(1, 8)
+        mat = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+    else:
+        (g,) = random_pis_graphs(rng, 1, max_vertices=30, max_mult=4)
+        mat = [list(col) for col in zip(*b_vectors(g))]
+    n = len(mat)
+    p, q = rng.sample(range(n), n), rng.sample(range(n), n)
+    return mat, [[mat[p[i]][q[j]] for j in range(n)] for i in range(n)]
+
+
+@given(st.integers(0, 2**32))
+@settings(max_examples=60, deadline=None)
+def test_k0_is_independent_of_row_and_column_order_hypothesis(seed):
+    # P M Q takes another elimination path to the same cokernel, and the
+    # isomorphism x -> P x sends the class of (1, ..., 1) to itself
+    mat, permuted = _permuted_k0_case(seed)
+    pa = K0Presentation.of(smith_normal_form(mat))
+    pb = K0Presentation.of(smith_normal_form(permuted))
+    assert pa.invariant_factors == pb.invariant_factors
+    assert class_order(pa) == class_order(pb)
+    assert pointed_iso_decision(pa, pb) == "exists"
 
 
 # -- vertex combinations ------------------------------------------------------------
