@@ -76,20 +76,6 @@ class PathWord:
     def length(self) -> int:
         return len(self.edges)
 
-    def concat(self, other: "PathWord") -> "PathWord":
-        if self.range != other.source:
-            raise ValueError("paths do not compose")
-        return PathWord(self.source, self.edges + other.edges)
-
-    def strip_prefix(self, prefix: "PathWord") -> "PathWord | None":
-        """The path h with ``self == prefix . h``, or None."""
-        if prefix.length == 0:
-            return self if self.source == prefix.source else None
-        if prefix.length > self.length or self.edges[: prefix.length] != prefix.edges:
-            return None
-        rest = self.edges[prefix.length:]
-        return PathWord(prefix.range, rest)
-
 
 @dataclass(frozen=True)
 class CohnTerm:

@@ -20,8 +20,9 @@ an ``EdgeId``.
 
 The edge-label rules (no label twice, an explicit label equal to its edge's
 auto label is that auto edge) live in one place, ``_RunBuilder``.  Every
-graph's runs pass through it in ``Graph.__post_init__``, and ``parse_graph``
-also feeds it line by line, so a clash is reported at its line.
+graph's runs, on vertex indices, pass through it in ``Graph.__post_init__``.
+``parse_graph`` also feeds its own builder line by line, so a clash is
+reported at its line, and hands that builder's canonical runs to ``Graph.build``.
 """
 
 from __future__ import annotations
@@ -198,7 +199,7 @@ class Graph:
         for i, v in enumerate(self.vertices):
             if v.index != i:
                 raise GraphError(f"vertex {v.label!r} has index {v.index}, expected {i}")
-            if not v.label or any(ch.isspace() for ch in v.label):
+            if not isinstance(v.label, str) or not v.label or any(ch.isspace() for ch in v.label):
                 raise GraphError(f"bad vertex label {v.label!r}")
             if v.label in seen:
                 raise GraphError(f"duplicate vertex label {v.label!r}")
@@ -212,29 +213,14 @@ class Graph:
     def build(
         cls,
         vertex_labels: list[str] | tuple[str, ...],
-        edge_specs: list[tuple] | tuple[tuple, ...] = (),
+        runs: list[tuple] | tuple[tuple, ...] = (),
     ) -> "Graph":
-        """Construct a graph from labels and edge runs named by vertex label.
+        """Construct a graph from vertex labels and runs in the form ``Graph.runs`` holds.
 
-        Each spec is ``(edge_label, src, dst)`` for one named edge or
-        ``(src, dst, first_k, multiplicity)`` for auto-named parallel edges.
+        ``(src, dst, first_k, multiplicity)`` is auto-named parallel edges and
+        ``(edge_label, src, dst)`` one named edge; src and dst are vertex indices.
         """
-        vertices = tuple(VertexId(i, lbl) for i, lbl in enumerate(vertex_labels))
-        index = {v.label: v.index for v in vertices}
-        runs = []
-        for spec in edge_specs:
-            if len(spec) not in (3, 4):
-                raise GraphError(f"bad edge spec {spec!r}")
-            src, dst = spec[1:3] if len(spec) == 3 else spec[:2]
-            for name in (src, dst):
-                if name not in index:
-                    lbl = spec[0] if len(spec) == 3 else f"{src}_{dst}_{spec[2]}"
-                    raise GraphError(f"edge {lbl!r} references undeclared vertex {name!r}")
-            if len(spec) == 3:
-                runs.append((spec[0], index[src], index[dst]))
-            else:
-                runs.append((index[src], index[dst], *spec[2:]))
-        return cls(vertices, tuple(runs))
+        return cls(tuple(VertexId(i, lbl) for i, lbl in enumerate(vertex_labels)), tuple(runs))
 
     @cached_property
     def counts(self) -> tuple[tuple[int, ...], ...]:
@@ -376,7 +362,7 @@ def graph_from_adjacency(labels: list[str], adjacency: list[list[int]]) -> Graph
             if not isinstance(count, int) or isinstance(count, bool) or count < 0:
                 raise GraphError(f"adjacency entry ({i}, {j}) must be a non-negative integer")
             if count:
-                runs.append((labels[i], labels[j], 1, count))
+                runs.append((i, j, 1, count))
     return Graph.build(labels, runs)
 
 
@@ -392,7 +378,6 @@ def parse_graph(text: str) -> Graph:
     """
     vertex_labels: list[str] = []
     index: dict[str, int] = {}
-    specs: list[tuple] = []
     builder = _RunBuilder(vertex_labels)
     counters: dict[tuple[str, str], int] = {}
 
@@ -444,7 +429,6 @@ def parse_graph(text: str) -> Graph:
                     )
             base = counters.get((src, dst), 0)
             counters[(src, dst)] = base + mult
-            specs.append((src, dst, base + 1, mult))
             run, column = (index[src], index[dst], base + 1, mult), None
         elif directive == "edge-label":
             if len(tokens) != 4:
@@ -455,7 +439,6 @@ def parse_graph(text: str) -> Graph:
                     raise GraphParseError(
                         f"undeclared vertex {name!r}", lineno, column_of(raw, name)
                     )
-            specs.append((label, src, dst))
             run, column = (label, index[src], index[dst]), column_of(raw, label)
         else:
             raise GraphParseError(
@@ -468,7 +451,7 @@ def parse_graph(text: str) -> Graph:
 
     if not vertex_labels:
         raise GraphParseError("no vertices declared")
-    return Graph.build(vertex_labels, specs)
+    return Graph.build(vertex_labels, builder.runs)
 
 
 def serialize_graph(g: Graph) -> str:
@@ -522,7 +505,7 @@ def _family_line(d: int) -> Graph:
         raise GraphError(f"line(d) requires 1 <= d <= {_LINE_LIMIT}")
     labels = [f"v{i}" for i in range(1, d + 1)]
     # d - 1 runs; a d x d adjacency list would cost O(d^2)
-    return Graph.build(labels, [(labels[i], labels[i + 1], 1, 1) for i in range(d - 1)])
+    return Graph.build(labels, [(i, i + 1, 1, 1) for i in range(d - 1)])
 
 
 def _family_matrix_rose(n: int, d: int) -> Graph:

@@ -19,8 +19,9 @@ reference for its Miller-Rabin primality test, the prime-by-prime orbit
 test is the reference for its factoring-free one, and a search over the
 shifts of the unit class is the reference for its search-free pointed
 isomorphism test.  The Cohn algebra multiplies terms on integer path keys;
-the product of ``PathWord`` prefixes (``reference_mult_terms``) is the
-reference for it, and the printer that sorts ``CohnTerm`` views
+the product on ``PathWord`` edge tuples (``reference_mult_terms``, with its
+own ``reference_strip_prefix``, sharing no composition code with the
+package) is the reference for it, and the printer that sorts ``CohnTerm`` views
 (``reference_str``) the reference for its printer on those keys.
 """
 
@@ -180,18 +181,26 @@ def random_cohn_element(
     return acc
 
 
+def reference_strip_prefix(w: PathWord, prefix: PathWord) -> PathWord | None:
+    """The path h with ``w`` = ``prefix`` followed by h, or None, read off the ``edges`` tuples."""
+    n = len(prefix.edges)
+    if w.source != prefix.source or w.edges[:n] != prefix.edges:
+        return None
+    return PathWord(prefix.range, w.edges[n:])
+
+
 def reference_mult_terms(a: CohnTerm, b: CohnTerm) -> CohnTerm | None:
-    """Product of basis terms on ``PathWord`` prefixes: ``(p q*)(t z*)`` collapses or dies.
+    """Product of basis terms on ``PathWord`` edge tuples: ``(p q*)(t z*)`` collapses or dies.
 
     Nonzero only when one of q, t extends the other; the leftover path h is
     absorbed into p (if t = q.h) or into z (if q = t.h).
     """
-    h = b.p.strip_prefix(a.q)
+    h = reference_strip_prefix(b.p, a.q)
     if h is not None:
-        return CohnTerm(a.p.concat(h), b.q)
-    h = a.q.strip_prefix(b.p)
+        return CohnTerm(PathWord(a.p.source, a.p.edges + h.edges), b.q)
+    h = reference_strip_prefix(a.q, b.p)
     if h is not None:
-        return CohnTerm(a.p, b.q.concat(h))
+        return CohnTerm(a.p, PathWord(b.q.source, b.q.edges + h.edges))
     return None
 
 

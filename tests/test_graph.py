@@ -1,11 +1,19 @@
 import random
+import re
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _gen import all_edges, reference_parse, reference_serialize, time_limit
+from _gen import (
+    all_edges,
+    random_graph,
+    random_labelled_graph,
+    reference_parse,
+    reference_serialize,
+    time_limit,
+)
 from lpa_lie import (
     SIMPLE,
     FieldSpec,
@@ -122,31 +130,31 @@ def test_parse_duplicate_edge_label():
         (
             "vertex a\nedge-label f a a\nedge-label f a a\n",
             ["a"],
-            [("f", "a", "a"), ("f", "a", "a")],
+            [("f", 0, 0), ("f", 0, 0)],
             "line 3, column 12: duplicate edge label 'f'",
         ),
         # an auto-generated label colliding with an explicit one is also rejected
         (
             "vertex a\nedge-label a_a_1 a a\nedge a a 1\n",
             ["a"],
-            [("a_a_1", "a", "a"), ("a", "a", 1, 1)],
+            [("a_a_1", 0, 0), (0, 0, 1, 1)],
             "line 3: duplicate edge label 'a_a_1'",
         ),
         # auto labels of different vertex pairs can coincide: a_b -> c and a -> b_c
         (
             "vertex a\nvertex a_b\nvertex b_c\nvertex c\nedge a_b c\nedge a b_c\n",
             ["a", "a_b", "b_c", "c"],
-            [("a_b", "c", 1, 1), ("a", "b_c", 1, 1)],
+            [(1, 3, 1, 1), (0, 2, 1, 1)],
             "line 6: duplicate edge label 'a_b_c_1'",
         ),
     ]
-    for text, vertices, specs, message in cases:
+    for text, vertices, runs, message in cases:
         with pytest.raises(GraphParseError) as parsed:
             parse_graph(text)
         assert str(parsed.value) == message
         # the parser reports the graph's own message, placed at its line
         with pytest.raises(GraphError) as built:
-            Graph.build(vertices, specs)
+            Graph.build(vertices, runs)
         assert str(built.value) == message.split(": ", 1)[1]
 
 
@@ -198,7 +206,8 @@ def test_runs_match_the_per_edge_reference(text):
         (i, *spec) for i, spec in enumerate(specs)
     ]
     assert g.num_edges == len(specs)
-    assert g == Graph.build(labels, specs)
+    index = {label: i for i, label in enumerate(labels)}
+    assert g == Graph.build(labels, [(lbl, index[s], index[d]) for lbl, s, d in specs])
     assert serialize_graph(g) == reference_serialize(g)
     for v in g.vertices:
         out = tuple(e for e in all_edges(g) if e.source == v)
@@ -213,9 +222,7 @@ def test_explicit_auto_label_is_the_same_edge():
     g = parse_graph("vertex a\nvertex b\nedge a b 2\nedge-label a_b_3 a b\n")
     assert g == parse_graph("vertex a\nvertex b\nedge a b 3\n")
     assert g.runs == ((0, 1, 1, 3),)
-    assert Graph.build(["a", "b"], [("a_b_1", "a", "b")]) == Graph.build(
-        ["a", "b"], [("a", "b", 1, 1)]
-    )
+    assert Graph.build(["a", "b"], [("a_b_1", 0, 1)]) == Graph.build(["a", "b"], [(0, 1, 1, 1)])
 
 
 def test_two_vertex_family_at_a_million_edges():
@@ -377,7 +384,7 @@ def test_serialize_idempotent_on_hand_written_text():
 
 
 def test_serialize_keeps_explicit_labels():
-    g = Graph.build(["a", "b"], [("f", "a", "b"), ("g", "b", "a")])
+    g = Graph.build(["a", "b"], [("f", 0, 1), ("g", 1, 0)])
     text = serialize_graph(g)
     assert "edge-label f a b" in text
     assert parse_graph(text) == g
@@ -434,8 +441,6 @@ def test_round_trip_preserves_everything(adj):
 
 def test_round_trip_random_graphs():
     rng = random.Random(20240817)
-    from _gen import random_graph
-
     for _ in range(50):
         g = random_graph(rng)
         assert parse_graph(serialize_graph(g)) == g
@@ -447,7 +452,7 @@ def test_graph_validation():
     with pytest.raises(GraphError, match="^duplicate vertex label 'a'$"):
         Graph.build(["a", "a"], [])
     with pytest.raises(GraphError):
-        Graph.build(["a"], [("e", "a", "zz")])
+        Graph.build(["a"], [("e", 0, 5)])
     with pytest.raises(GraphError):
         graph_from_adjacency(["a"], [[0, 1]])
     with pytest.raises(GraphError):
@@ -461,5 +466,25 @@ def test_a_run_with_an_unknown_end_is_named_as_given():
         Graph((a, b), ((0, 5, 1, 1),))
     with pytest.raises(GraphError, match="^edge 'e' references unknown vertex 5$"):
         Graph((a, b), (("e", 0, 5),))
-    with pytest.raises(GraphError, match="^edge 'a_z_1' references undeclared vertex 'z'$"):
-        Graph.build(["a", "b"], [("a", "z", 1, 2)])
+
+
+def test_a_vertex_label_that_is_not_a_string_is_refused():
+    for label in (1, None, ("a",), b"a"):
+        with pytest.raises(GraphError, match=f"^bad vertex label {re.escape(repr(label))}$"):
+            Graph.build([label], [])
+    with pytest.raises(GraphError, match="^bad vertex label 1$"):
+        graph_from_adjacency([1], [[0]])
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_graph_runs_are_the_build_format(seed):
+    rng = random.Random(seed)
+    for g in (random_labelled_graph(rng), random_graph(rng)):
+        labels = [v.label for v in g.vertices]
+        # canonical runs are a fixed point of the run builder
+        again = Graph.build(labels, g.runs)
+        assert again == g and again.runs == g.runs
+        adj = [list(row) for row in g.counts]
+        runs = [(i, j, 1, c) for i, row in enumerate(adj) for j, c in enumerate(row) if c]
+        assert graph_from_adjacency(labels, adj) == Graph.build(labels, runs)
