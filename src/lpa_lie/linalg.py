@@ -7,10 +7,12 @@ certificates U, V, backs everything else.  It runs on M alone and logs each
 row and column operation that diagonalises it; U and V are those logs, and
 a verdict replays them only on the vectors it reads (U b, V y).  Each step
 divides with the nearest-integer quotient, so a stage takes few Euclid
-rounds, and column steps wait until the row steps have cleared the pivot's
-column, so U's multipliers stay small: K0 of purely infinite simple graphs
-of 80, 120 and 160 vertices (edge density 0.3, multiplicities up to 6) took
-0.2, 1.1-1.4 and 5.4-5.9 s on a 2-core host under Python 3.11.  It serves
+rounds; column steps wait until the row steps have cleared the pivot's
+column, so U's multipliers stay small; and a round that leaves remainders
+takes its next pivot from the pivot's column or row, not the whole block:
+K0 of purely infinite simple graphs of 80, 120 and 160 vertices (edge
+density 0.3, multiplicities up to 6) took 0.12-0.16, 0.7-0.9 and 2.7-3.3 s
+on a 2-core host under Python 3.11.  It serves
 
 * linear solving and rank over Q or GF(p), read off the certificate of the
   integer matrix (``SmithDecomposition.solve`` and ``rank``), and
@@ -24,6 +26,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from math import gcd, isqrt, lcm
 
 __all__ = [
@@ -318,40 +321,43 @@ class SmithDecomposition:
         return x if p else [Fraction(xi, top * scale) for xi in x]
 
 
-def _min_abs_position(block) -> tuple[int, int] | None:
-    """The first entry of least nonzero absolute value in ``block``, row-major."""
-    best = None
-    pos = None
-    for i, row in enumerate(block):
-        for j, x in enumerate(row):
-            if x:
-                x = -x if x < 0 else x
-                if best is None or x < best:
-                    if x == 1:
-                        return i, j  # nothing later can beat it
-                    best = x
-                    pos = (i, j)
+def _first_least_abs(xs) -> int | None:
+    """The index of the first entry of least nonzero absolute value in ``xs``."""
+    best = pos = None
+    for k, x in enumerate(xs):
+        if x:
+            x = -x if x < 0 else x
+            if best is None or x < best:
+                if x == 1:
+                    return k  # nothing later can beat it
+                best, pos = x, k
     return pos
 
 
 def smith_normal_form(mat) -> SmithDecomposition:
     """Smith normal form of an integer matrix with transformation certificates.
 
-    The pivot at each stage is the entry of smallest nonzero absolute value in
-    the working submatrix (ties broken in row-major order), which bounds entry
-    growth and makes the output deterministic.  Each entry ``a`` is reduced
-    by ``q * pivot`` with the nearest-integer quotient
-    ``q = (2 * a + pivot) // (2 * pivot)``, so its remainder is at most
-    ``|pivot| / 2``; negating M negates every remainder and keeps every ``q``,
-    so M and -M take the same operations.  A round runs its column steps
-    only once its row steps have cleared the pivot's column, and picks the
-    pivot again until then, so a column step rewrites the pivot row alone
-    and the multipliers of U stay small.  The elimination runs on a copy of
-    the block of M still to be diagonalised and logs each row and column
-    operation with its indices in M; the certificates ``u`` and ``v`` are
-    those logs, replayed only when read.  Only swaps, adding an integer
-    multiple of one row/column to another, and column negations are used,
-    so both certificates are unimodular.
+    The first pivot of each stage, and the one after a fold, is the entry of
+    least nonzero absolute value in the block still to be diagonalised
+    (ties broken in row-major order), which bounds entry growth and makes
+    the output deterministic.  Each entry ``a`` is reduced by ``q * pivot``
+    with the nearest-integer quotient ``q = (2 * a + pivot) // (2 * pivot)``,
+    so its remainder is at most ``|pivot| / 2``; negating M negates every
+    remainder and keeps every ``q``, so M and -M take the same operations.
+    A round runs its row steps first, which keeps U's multipliers small.
+    If they leave remainders, the next pivot is the first least of the
+    pivot's column; once that column is clear the column steps run, each
+    rewriting the pivot row alone, and if they leave remainders the next
+    pivot is the first least of that row.  Such a remainder is nonzero and
+    at most half the last pivot, and the block scan after a fold finds
+    nothing larger than the pivot, which it takes again on a tie and which
+    then leaves a remainder in its row; so the pivots of a stage shrink
+    until a round leaves no remainder and no entry the pivot does not
+    divide, and every stage ends.  The elimination runs on a copy of the
+    block and logs each row and column operation with its indices in M;
+    the certificates ``u`` and ``v`` are those logs, replayed only when
+    read.  Only swaps, adding an integer multiple of one row/column to
+    another, and column negations are used, so both are unimodular.
     """
     rows = len(mat)
     if rows == 0 or len(mat[0]) == 0:
@@ -370,40 +376,44 @@ def smith_normal_form(mat) -> SmithDecomposition:
 
     # w is the block of M from row and column t on; its entry (i, j) is M's (t + i, t + j)
     t = 0
-    while (pos := _min_abs_position(w)) is not None:
-        pi, pj = pos
-        if pi:
-            w[0], w[pi] = w[pi], w[0]
-            row_log.append((t, t + pi, None))
-        if pj:
-            for r in w:
-                r[0], r[pj] = r[pj], r[0]
-            col_log.append((t, t + pj, None))
-        w0 = w[0]
-        pivot = w0[0]
-        dirty = False
-        for i in range(1, len(w)):
-            wi = w[i]
-            if wi[0]:
-                q = (2 * wi[0] + pivot) // (2 * pivot)
-                if q:
-                    w[i] = wi = [x - q * y for x, y in zip(wi, w0)]
-                    row_log.append((t + i, t, q))
+    while (k := _first_least_abs(chain.from_iterable(w))) is not None:
+        pi, pj = divmod(k, len(w[0]))
+        while True:  # the Euclid rounds of stage t
+            if pi:
+                w[0], w[pi] = w[pi], w[0]
+                row_log.append((t, t + pi, None))
+            if pj:
+                for r in w:
+                    r[0], r[pj] = r[pj], r[0]
+                col_log.append((t, t + pj, None))
+            w0 = w[0]
+            pivot = w0[0]
+            dirty = False
+            for i in range(1, len(w)):
+                wi = w[i]
                 if wi[0]:
-                    dirty = True
-        if dirty:
-            continue
-        # column t is clear below the pivot, so a column step changes row t alone
-        for j in range(1, len(w0)):
-            if w0[j]:
-                q = (2 * w0[j] + pivot) // (2 * pivot)
-                if q:
-                    w0[j] -= q * pivot
-                    col_log.append((t + j, t, q))
+                    q = (2 * wi[0] + pivot) // (2 * pivot)
+                    if q:
+                        w[i] = wi = [x - q * y for x, y in zip(wi, w0)]
+                        row_log.append((t + i, t, q))
+                    if wi[0]:
+                        dirty = True
+            if dirty:
+                # the remainders sit in column t; the least of them is the next pivot
+                pi, pj = _first_least_abs([r[0] for r in w]), 0
+                continue
+            # column t is clear below the pivot, so a column step changes row t alone
+            for j in range(1, len(w0)):
                 if w0[j]:
-                    dirty = True
-        if dirty:
-            continue
+                    q = (2 * w0[j] + pivot) // (2 * pivot)
+                    if q:
+                        w0[j] -= q * pivot
+                        col_log.append((t + j, t, q))
+                    if w0[j]:
+                        dirty = True
+            if not dirty:
+                break
+            pi, pj = 0, _first_least_abs(w0)
         # a unit pivot divides every entry, so only a larger one needs the scan
         offender = None if pivot in (1, -1) else next(
             (i for i in range(1, len(w)) if any(x % pivot for x in w[i])), None
@@ -415,7 +425,7 @@ def smith_normal_form(mat) -> SmithDecomposition:
                 del r[0]
             t += 1
         else:
-            # fold the offending row into row t so the pivot can shrink
+            # fold the offending row into row t; the block is scanned afresh
             w[0] = [x + y for x, y in zip(w0, w[offender])]
             row_log.append((t, t + offender, -1))
 

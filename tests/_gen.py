@@ -296,11 +296,12 @@ def reference_cycle_without_exit(g: Graph):
     return None
 
 
-def _reference_min_abs_position(a, t: int, rows: int, cols: int):
+def _reference_min_abs_position(a, rows, cols):
+    """The first (i, j) in ``rows`` x ``cols``, row-major, of least nonzero |a[i][j]|."""
     best = None
     pos = None
-    for i in range(t, rows):
-        for j in range(t, cols):
+    for i in rows:
+        for j in cols:
             x = a[i][j]
             if x:
                 x = -x if x < 0 else x
@@ -313,8 +314,11 @@ def _reference_min_abs_position(a, t: int, rows: int, cols: int):
 def reference_smith_normal_form(mat):
     """The Smith form ``(u, d, v)`` by the package's rules, rows first, on separate matrices.
 
-    Every swap, subtraction and sign flip is applied once to the working
-    matrix and once more to the certificate it belongs to.
+    A stage's first pivot, and the one after a fold, is the least entry of
+    the whole block; after row steps that leave remainders the next pivot is
+    the least of column t, after column steps the least of row t.  Every
+    swap, subtraction and sign flip is applied once to the working matrix
+    and once more to the certificate it belongs to.
     """
     rows, cols = len(mat), len(mat[0])
     a = [list(r) for r in mat]
@@ -331,10 +335,12 @@ def reference_smith_normal_form(mat):
             r[j] -= q * r[k]
 
     for t in range(min(rows, cols)):
-        if _reference_min_abs_position(a, t, rows, cols) is None:
+        block = (range(t, rows), range(t, cols))
+        pos = _reference_min_abs_position(a, *block)
+        if pos is None:
             break
         while True:
-            pi, pj = _reference_min_abs_position(a, t, rows, cols)
+            pi, pj = pos
             if pi != t:
                 a[t], a[pi] = a[pi], a[t]
                 u[t], u[pi] = u[pi], u[t]
@@ -354,7 +360,9 @@ def reference_smith_normal_form(mat):
                     if a[i][t]:
                         dirty = True
             if dirty:
-                continue  # column steps wait until column t is clear
+                # column steps wait until column t is clear
+                pos = _reference_min_abs_position(a, range(t, rows), [t])
+                continue
             for j in range(t + 1, cols):
                 if a[t][j]:
                     q = (2 * a[t][j] + pivot) // (2 * pivot)
@@ -364,6 +372,7 @@ def reference_smith_normal_form(mat):
                     if a[t][j]:
                         dirty = True
             if dirty:
+                pos = _reference_min_abs_position(a, [t], range(t, cols))
                 continue
             offender = None
             for i in range(t + 1, rows):
@@ -378,6 +387,7 @@ def reference_smith_normal_form(mat):
             # fold the offending row into row t so the pivot can shrink
             row_sub(a, t, offender, -1)
             row_sub(u, t, offender, -1)
+            pos = _reference_min_abs_position(a, *block)
 
     for k in range(min(rows, cols)):
         if a[k][k] < 0:

@@ -5,7 +5,7 @@ The expected output of each call in ``CALLS`` is kept in
 them with ``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
 
 The 40-vertex purely infinite simple graph ``inputs/pis_40.json`` is large
-enough for the Smith elimination to take many Euclid rounds per stage (189
+enough for the Smith elimination to take many Euclid rounds per stage (195
 rounds over 40 stages).  It was written once from
 ``_gen.random_pis_graphs(random.Random(54), 1, min_vertices=40,
 max_vertices=40)``, and ``inputs/pis_40_permuted.json`` declares its
