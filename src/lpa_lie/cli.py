@@ -192,13 +192,14 @@ def _k0_dict(pres: K0Presentation) -> dict:
     }
 
 
-def _emit(args, payload: dict, human: str) -> None:
+def _emit(args, payload: dict, human) -> None:
+    """Print ``payload`` as JSON, or else the text that ``human()`` builds."""
     if args.json:
         # a Graph in the payload becomes its summary only here; compact
         # one-line output keeps CPython on its C encoder
         print(json.dumps(payload, default=_graph_summary))
     else:
-        print(human, end="")
+        print(human(), end="")
 
 
 # ---------------------------------------------------------------------------
@@ -236,46 +237,44 @@ def _cmd_analyze(args) -> int:
         "verdicts": rows,
     }
 
-    lines = []
-    lines.append(f"graph: {g.num_vertices} vertices, {g.num_edges} edges")
-    lines.append("vertices: " + " ".join(v.label for v in g.vertices))
-    lines.append(
-        "sinks: " + (" ".join(v.label for v in g.sinks()) or "(none)")
-        + "   regular: " + (" ".join(v.label for v in g.regular_vertices()) or "(none)")
-    )
-    lines.append("B-vectors:")
-    for v, b in zip(g.vertices, bvecs):
-        lines.append(f"  B[{v.label}] = {_fmt_vec(b)}")
-    if simple.verdict:
-        lines.append("path algebra: simple (for every coefficient field)")
-    else:
-        lines.append("path algebra: NOT simple")
-        for w in payload["algebra_simple"]["witnesses"]:
-            lines.append(f"  witness: {w}")
-    if pis.verdict:
-        lines.append("purely infinite simple: yes")
-    else:
-        lines.append("purely infinite simple: no")
-        for w in payload["purely_infinite_simple"]["witnesses"]:
-            lines.append(f"  witness: {w}")
-    k0 = payload["k0"]
-    lines.append(
-        f"K0 presentation: {k0['group']}   snf diagonal: {_fmt_vec(k0['invariant_factors'])}"
-        f"   unit class: {_fmt_vec(k0['unit_class'])}"
-        f"   order: {k0['unit_class_order']}"
-    )
-    for entry in rows:
-        span = entry["span"]
-        line = f"char {entry['characteristic']}: {span['status']}   [span route: {span['reason']}]"
-        lines.append(line)
-        if span["certificate"] is not None and isinstance(span["certificate"], list):
-            lines.append(f"  span coefficients: {_fmt_vec(span['certificate'])}")
-        if entry["k0"] is not None:
-            lines.append(
-                f"  k0 route: {entry['k0']['status']} ({entry['k0']['reason']})"
-                f" -- {entry['agreement']}"
-            )
-    human = "\n".join(lines) + "\n"
+    def human() -> str:
+        lines = [
+            f"graph: {g.num_vertices} vertices, {g.num_edges} edges",
+            "vertices: " + " ".join(v.label for v in g.vertices),
+            "sinks: " + (" ".join(v.label for v in g.sinks()) or "(none)")
+            + "   regular: " + (" ".join(v.label for v in g.regular_vertices()) or "(none)"),
+            "B-vectors:",
+        ]
+        lines += [f"  B[{v.label}] = {_fmt_vec(b)}" for v, b in zip(g.vertices, bvecs)]
+        if simple.verdict:
+            lines.append("path algebra: simple (for every coefficient field)")
+        else:
+            lines.append("path algebra: NOT simple")
+            lines += [f"  witness: {w}" for w in payload["algebra_simple"]["witnesses"]]
+        if pis.verdict:
+            lines.append("purely infinite simple: yes")
+        else:
+            lines.append("purely infinite simple: no")
+            lines += [f"  witness: {w}" for w in payload["purely_infinite_simple"]["witnesses"]]
+        k0 = payload["k0"]
+        lines.append(
+            f"K0 presentation: {k0['group']}   snf diagonal: {_fmt_vec(k0['invariant_factors'])}"
+            f"   unit class: {_fmt_vec(k0['unit_class'])}"
+            f"   order: {k0['unit_class_order']}"
+        )
+        for entry in rows:
+            span = entry["span"]
+            line = f"char {entry['characteristic']}: {span['status']}   [span route: {span['reason']}]"
+            lines.append(line)
+            if span["certificate"] is not None and isinstance(span["certificate"], list):
+                lines.append(f"  span coefficients: {_fmt_vec(span['certificate'])}")
+            if entry["k0"] is not None:
+                lines.append(
+                    f"  k0 route: {entry['k0']['status']} ({entry['k0']['reason']})"
+                    f" -- {entry['agreement']}"
+                )
+        return "\n".join(lines) + "\n"
+
     _emit(args, payload, human)
     if all(entry["span"]["status"] == INAPPLICABLE for entry in rows):
         return 2
@@ -301,17 +300,20 @@ def _cmd_k0(args) -> int:
         "k0": info,
         "p_divisibility": divisibility,
     }
-    lines = [
-        f"K0 presentation (cokernel of I - A^t): {info['group']}",
-        f"snf diagonal: {_fmt_vec(info['invariant_factors'])}",
-        f"invariant factors (trivial suppressed): {_fmt_vec(info['nontrivial_factors'])}",
-        f"unit class: {_fmt_vec(info['unit_class'])}",
-        f"order of unit class: {info['unit_class_order']}",
-        "p-divisibility of the unit class:",
-    ]
-    for p in primes:
-        lines.append(f"  p = {p}: {'yes' if divisibility[str(p)] else 'no'}")
-    _emit(args, payload, "\n".join(lines) + "\n")
+
+    def human() -> str:
+        lines = [
+            f"K0 presentation (cokernel of I - A^t): {info['group']}",
+            f"snf diagonal: {_fmt_vec(info['invariant_factors'])}",
+            f"invariant factors (trivial suppressed): {_fmt_vec(info['nontrivial_factors'])}",
+            f"unit class: {_fmt_vec(info['unit_class'])}",
+            f"order of unit class: {info['unit_class_order']}",
+            "p-divisibility of the unit class:",
+        ]
+        lines += [f"  p = {p}: {'yes' if divisibility[str(p)] else 'no'}" for p in primes]
+        return "\n".join(lines) + "\n"
+
+    _emit(args, payload, human)
     return 0
 
 
@@ -346,13 +348,12 @@ def _cmd_witness(args) -> int:
         # a target outside the column space raises the rank by exactly one
         rank_b = inv.b_smith.rank(field)
         payload["certificate"] = {"rank_b": rank_b, "rank_augmented": rank_b + 1}
-        human = (
+        _emit(args, payload, lambda: (
             "the vertex combination is NOT a sum of brackets over "
             f"{field.name}\n"
             f"certificate: rank of the B-vector matrix is {rank_b}, rank with the "
             f"target adjoined is {rank_b + 1}\n"
-        )
-        _emit(args, payload, human)
+        ))
         return 2
 
     wit = vertex_witness(g, coeffs, t, field)
@@ -364,17 +365,21 @@ def _cmd_witness(args) -> int:
         n_correction=str(wit.correction),
         verification="VERIFIED" if wit.verified else "FAILED",
     )
-    mod = "" if field.characteristic == 0 else f" (mod {field.characteristic})"
-    lines = [
-        f"membership holds over {field.name}",
-        f"t = {_fmt_vec(t)}{mod}",
-        "commutator expression: "
-        + " + ".join(f"{b['coefficient']} * [{b['edge']}, {b['edge']}^*]" for b in brackets),
-        f"  = {payload['commutator_sum']}",
-        f"quotient correction (sum of t_i * y_i): {payload['n_correction']}",
-        f"symbolic verification: {payload['verification']}",
-    ]
-    _emit(args, payload, "\n".join(lines) + "\n")
+
+    def human() -> str:
+        mod = "" if field.characteristic == 0 else f" (mod {field.characteristic})"
+        lines = [
+            f"membership holds over {field.name}",
+            f"t = {_fmt_vec(t)}{mod}",
+            "commutator expression: "
+            + " + ".join(f"{b['coefficient']} * [{b['edge']}, {b['edge']}^*]" for b in brackets),
+            f"  = {payload['commutator_sum']}",
+            f"quotient correction (sum of t_i * y_i): {payload['n_correction']}",
+            f"symbolic verification: {payload['verification']}",
+        ]
+        return "\n".join(lines) + "\n"
+
+    _emit(args, payload, human)
     return 0 if wit.verified else 3
 
 
@@ -385,7 +390,7 @@ def _cmd_witness(args) -> int:
 
 def _cmd_family(args) -> int:
     text = serialize_graph(family(args.name, args.params))
-    _emit(args, {"schema": SCHEMA, "command": "family", "dsl": text}, text)
+    _emit(args, {"schema": SCHEMA, "command": "family", "dsl": text}, lambda: text)
     return 0
 
 
@@ -422,9 +427,10 @@ def _cmd_kp_check(args) -> int:
                 "invariant_factors": list(pres.invariant_factors),
                 "unit_class": list(pres.unit_class),
             }
-    if not report.applicable:
-        human = f"inapplicable: {report.reason}\n"
-    else:
+
+    def human() -> str:
+        if not report.applicable:
+            return f"inapplicable: {report.reason}\n"
         lines = [
             f"K0 first:  {payload['k0_a']['group']}   unit class {_fmt_vec(payload['k0_a']['unit_class'])}",
             f"K0 second: {payload['k0_b']['group']}   unit class {_fmt_vec(payload['k0_b']['unit_class'])}",
@@ -433,10 +439,9 @@ def _cmd_kp_check(args) -> int:
         for c, va, vb in report.verdicts:
             agree = "agree" if va.status == vb.status else "DIFFER"
             lines.append(f"char {c}: first {va.status}, second {vb.status} ({agree})")
-        lines.append(
-            "CONTRADICTION detected" if report.contradiction else "no contradiction"
-        )
-        human = "\n".join(lines) + "\n"
+        lines.append("CONTRADICTION detected" if report.contradiction else "no contradiction")
+        return "\n".join(lines) + "\n"
+
     _emit(args, payload, human)
     return 3 if report.contradiction else 0
 
@@ -506,8 +511,7 @@ def _cmd_selftest(args) -> int:
         "checks": [{"name": name, "ok": ok} for name, ok in results],
         "ok": passed,
     }
-    human = "".join(f"{'PASS' if ok else 'FAIL'}  {name}\n" for name, ok in results)
-    _emit(args, payload, human)
+    _emit(args, payload, lambda: "".join(f"{'PASS' if ok else 'FAIL'}  {n}\n" for n, ok in results))
     return 0 if passed else 1
 
 

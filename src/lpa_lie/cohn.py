@@ -1,18 +1,19 @@
 """Exact symbolic arithmetic in the Cohn path algebra of a graph.
 
 Elements are finite linear combinations of basis terms ``p q*`` where p and q
-are paths with a common range vertex.  Inside an element a path is the
-integer key ``(source vertex index, edge index, ...)`` and a term the pair of
-keys ``(p, q)``, and elements print straight from those keys; ``PathWord``
-and ``CohnTerm`` are views of them, built only to take terms from callers (a
-view of another graph is refused) and hand terms back.  Multiplication only
-ever uses the path-composition and ghost-cancellation relations, under which
-the stated terms really are a basis, so equality of elements is just
-equality of coefficient maps.  The quotient relation at a regular vertex v
-is represented explicitly by the generator ``y_v = v - sum of e e*`` over
-the edges leaving v; identities in the path algebra itself are certified by
-exhibiting the exact combination of such generators that accounts for the
-difference.
+are paths with a common range vertex.  Inside an element a path is the integer
+key ``(source vertex index, edge index, ...)`` and a term the pair of keys
+``(p, q)``, and elements print straight from those keys, each rendered once
+per graph; ``PathWord`` and ``CohnTerm`` are views of them, built only to take
+terms from callers (a view of another graph is refused) and hand terms back.
+Multiplication only ever uses the path-composition and ghost-cancellation
+relations, under which the stated terms really are a basis, so equality of
+elements is just equality of coefficient maps.  The quotient relation at a
+regular vertex v is represented explicitly by the generator
+``y_v = v - sum of e e*`` over the edges leaving v; identities in the path
+algebra itself are certified by exhibiting the exact combination of such
+generators that accounts for the difference, on integer numerators over one
+common denominator.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from operator import attrgetter
+from math import lcm
+from operator import attrgetter, itemgetter
 
 from .graph import EdgeId, Graph, VertexId, b_vectors
 from .linalg import FieldSpec
@@ -116,12 +118,9 @@ def _edge_namer(g: Graph):
     named: dict[int, EdgeId] = {}
 
     def edge(i: int) -> EdgeId:
-        e = named.get(i)
-        if e is None:
-            source = g.vertices[g.edge_ends(i)[0]]
-            named.update((e.index, e) for e in g.out_edges(source))
-            e = named[i]
-        return e
+        if i not in named:
+            named.update((e.index, e) for e in g.out_edges(g.vertices[g.edge_ends(i)[0]]))
+        return named[i]
 
     return edge
 
@@ -302,24 +301,28 @@ class CohnElement:
         """Each term ``p q*``: p's edge labels, then q's reversed and starred,
         or the vertex when p and q are vertices.  Terms are ordered by total
         edge count, then by p's ``(edge count, labels)``, then by q's; a
-        vertex path counts as ``(0, (vertex label,))``.
+        vertex path counts as ``(0, (vertex label,))``; each path key is
+        rendered (sort key, text, reversed starred text) once per graph.
         """
         if not self._terms:
             return "0"
         g, edge = self.graph, _edge_namer(self.graph)
+        rendered = g._rendered
 
-        @cache
         def path(key: tuple[int, ...]) -> tuple:
             labels = tuple([edge(i).label for i in key[1:]])
-            return (len(labels), labels or (g.vertices[key[0]].label,))
+            sort_key = (len(labels), labels or (g.vertices[key[0]].label,))
+            rendered[key] = (sort_key, " ".join(labels), " ".join([f"{x}^*" for x in reversed(labels)]))
+            return rendered[key]
 
         rows = []
         for (p, q), c in self._terms.items():
-            (m, a), (n, b) = wp, wq = path(p), path(q)
-            text = " ".join([*a[:m], *[f"{x}^*" for x in reversed(b[:n])]]) or a[0]
-            rows.append(((m + n, wp, wq), f"{c} * {text}"))
-        rows.sort(key=lambda row: row[0])
-        return " + ".join(text for _, text in rows)
+            wp, a, _ = rendered.get(p) or path(p)
+            wq, _, b = rendered.get(q) or path(q)
+            text = f"{a} {b}" if a and b else a or b or wp[1][0]
+            rows.append(((wp[0] + wq[0], wp, wq), f"{c} * {text}"))
+        rows.sort(key=itemgetter(0))
+        return " + ".join([text for _, text in rows])
 
     __repr__ = __str__
 
@@ -346,18 +349,19 @@ def trace_vector(x: CohnElement) -> list:
     return [c % p for c in out] if p else out
 
 
+def _generator_terms(g: Graph, i: int, one, minus_one) -> dict:
+    """The terms of ``y_v = v - sum of e e*`` at vertex index i, times ``one``."""
+    # distinct edges e give distinct basis terms e e*
+    ees = {((i, e.index),) * 2: minus_one for e in g.out_edges(g.vertices[i])}
+    return {((i,), (i,)): one, **ees}
+
+
 def n_generator(g: Graph, field: FieldSpec, v: VertexId) -> CohnElement:
     """The quotient-ideal generator ``v - sum of e e*`` at a regular vertex."""
-    u = (_own_vertex(g, v),)
+    i = _own_vertex(g, v)
     if g.is_sink(v):
         raise PreconditionError(f"vertex {v.label!r} is a sink; no generator there")
-    terms = {(u, u): field.coerce(1)}
-    minus_one = field.coerce(-1)
-    # the terms e e* of distinct edges are distinct basis terms
-    for e in g.out_edges(v):
-        w = (v.index, e.index)
-        terms[(w, w)] = minus_one
-    return CohnElement._of(g, field, terms)
+    return CohnElement._of(g, field, _generator_terms(g, i, field.coerce(1), field.coerce(-1)))
 
 
 # The witness names and brackets every edge leaving the support of t; its
@@ -392,6 +396,9 @@ def vertex_witness(g: Graph, k_coeffs, t_coeffs, field: FieldSpec) -> VertexWitn
     W, the correction and that exact basis-level comparison; hypothesis
     violations raise ``PreconditionError`` instead, and more than
     ``WITNESS_EDGE_LIMIT`` edges leaving the support of t a ``ValueError``.
+    Sums run on integer numerators over D, the lcm of the denominators of k
+    and t (1 over GF(p)), and scaling by D keeps the comparison's answer;
+    then one ``Fraction`` is made per distinct numerator over Q.
     """
     m = g.num_vertices
     k = [field.coerce(c) for c in k_coeffs]
@@ -400,43 +407,47 @@ def vertex_witness(g: Graph, k_coeffs, t_coeffs, field: FieldSpec) -> VertexWitn
         raise PreconditionError(f"coefficient vectors must have length {m}")
     for i, v in enumerate(g.vertices):
         if not g.is_regular(v) and t[i]:
-            raise PreconditionError(
-                f"t must vanish at non-regular vertex {v.label!r}"
-            )
+            raise PreconditionError(f"t must vanish at non-regular vertex {v.label!r}")
     edges = sum(g.out_degree(v) for i, v in enumerate(g.vertices) if t[i])
     if edges > WITNESS_EDGE_LIMIT:
         raise ValueError(
             f"the witness would bracket {edges} edges, more than the limit of {WITNESS_EDGE_LIMIT}"
         )
-    bvecs = b_vectors(g)
-    for j in range(m):
-        total = sum(t[i] * bvecs[i][j] for i in range(m) if t[i])
-        if field.coerce(total) != k[j]:
-            raise PreconditionError("k is not the claimed combination of the B-vectors")
+    p = field.characteristic
+    d = lcm(*(c.denominator for c in k + t))
+    kn, tn = ([c.numerator * (d // c.denominator) for c in xs] for xs in (k, t))
+    total = [0] * m
+    for ti, b in zip(tn, b_vectors(g)):
+        if ti:
+            total = [x + ti * y for x, y in zip(total, b)]
+    if [x % p if p else x for x in total] != kn:
+        raise PreconditionError("k is not the claimed combination of the B-vectors")
 
     # each bracket [e, e*] = e e* - e* e is multiplied out by the product
-    # rule on term keys and added into one running sum as it is built
-    p = field.characteristic
+    # rule on term keys; a vertex's products go into one running sum at once
     brackets = []
     w: dict = {}
     correction: dict = {}
     for i, v in enumerate(g.vertices):
-        if not t[i]:
+        if not tn[i]:
             continue
-        neg = field.coerce(-t[i])
+        neg = -tn[i] % p if p else -tn[i]
+        products = []
         for e in g.out_edges(v):
             brackets.append((neg, e))
             path, r = (i, e.index), (e.target.index,)
             x, y = (path, r), (r, path)
-            products = ((_mult_terms(x, y), neg), (_mult_terms(y, x), -neg))
-            _add_into(w, ((term, c) for term, c in products if term is not None), p)
-        _add_into(correction, n_generator(g, field, v).scale(t[i])._terms.items(), p)
+            products += ((_mult_terms(x, y), neg), (_mult_terms(y, x), -neg))
+        _add_into(w, ((term, c) for term, c in products if term is not None), p)
+        _add_into(correction, _generator_terms(g, i, tn[i], -tn[i]).items(), p)
 
     rhs = dict(correction)
-    _add_into(rhs, ((((i,), (i,)), c) for i, c in enumerate(k) if c), p)
-    return VertexWitness(
-        tuple(brackets),
-        CohnElement._of(g, field, w),
-        CohnElement._of(g, field, correction),
-        w == rhs,
-    )
+    _add_into(rhs, ((((i,), (i,)), c) for i, c in enumerate(kn) if c), p)
+    verified = w == rhs
+    if not p:
+        # one Fraction per distinct numerator, shared by the terms that carry it
+        scalar = cache(lambda n: Fraction(n, d))
+        brackets = [(scalar(c), e) for c, e in brackets]
+        w, correction = ({term: scalar(c) for term, c in x.items()} for x in (w, correction))
+    elements = (CohnElement._of(g, field, x) for x in (w, correction))
+    return VertexWitness(tuple(brackets), *elements, verified)

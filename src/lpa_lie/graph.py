@@ -282,6 +282,11 @@ class Graph:
         # of one graph share one EdgeId per edge
         return {}
 
+    @cached_property
+    def _rendered(self) -> dict[tuple[int, ...], tuple]:
+        # Cohn path keys printed so far, for every printed element of one graph
+        return {}
+
     def out_edges(self, v: VertexId) -> tuple[EdgeId, ...]:
         """The named edges leaving ``v``; O(out-degree of v) on the first call."""
         named = self._named_out.get(v.index)

@@ -22,7 +22,12 @@ isomorphism test.  The Cohn algebra multiplies terms on integer path keys;
 the product on ``PathWord`` edge tuples (``reference_mult_terms``, with its
 own ``reference_strip_prefix``, sharing no composition code with the
 package) is the reference for it, and the printer that sorts ``CohnTerm`` views
-(``reference_str``) the reference for its printer on those keys.
+(``reference_str``) the reference for its printer on those keys.  The
+printer on keys with a cache per call (``reference_key_str``) is the
+reference for the printer that keeps each rendered key on its graph.  The
+witness runs on integer numerators over one common denominator; the bracket
+sum built with ``Fraction`` or residue arithmetic from the public
+``CohnElement`` operations (``reference_witness``) is the reference for it.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ import re
 import signal
 from contextlib import contextmanager
 from fractions import Fraction
+from functools import cache
 from itertools import product
 from math import gcd, lcm, prod
 
@@ -43,7 +49,9 @@ from lpa_lie import (
     Graph,
     GraphParseError,
     PathWord,
+    commutator,
     graph_from_adjacency,
+    n_generator,
     parse_graph,
     simplicity_reports,
 )
@@ -228,6 +236,54 @@ def reference_str(x: CohnElement) -> str:
         return "0"
     views = sorted(x.terms.items(), key=lambda tc: _reference_term_key(tc[0]))
     return " + ".join(f"{c} * {_reference_term_str(t)}" for t, c in views)
+
+
+def reference_key_str(x: CohnElement) -> str:
+    """``str(x)`` from the integer term keys, each path rendered once per call.
+
+    A path key is ``(source vertex index, edge index, ...)``; its labels come
+    from ``all_edges``, its sort key is ``(edge count, labels)`` with a vertex
+    path as ``(0, (vertex label,))``, and terms sort by total edge count, then
+    by p's sort key, then by q's.
+    """
+    if x.is_zero():
+        return "0"
+    g, named = x.graph, all_edges(x.graph)
+
+    @cache
+    def path(key: tuple[int, ...]) -> tuple:
+        labels = tuple([named[i].label for i in key[1:]])
+        return (len(labels), labels or (g.vertices[key[0]].label,))
+
+    rows = []
+    for (p, q), c in x._terms.items():
+        (m, a), (n, b) = wp, wq = path(p), path(q)
+        text = " ".join([*a[:m], *[f"{y}^*" for y in reversed(b[:n])]]) or a[0]
+        rows.append(((m + n, wp, wq), f"{c} * {text}"))
+    rows.sort(key=lambda row: row[0])
+    return " + ".join(text for _, text in rows)
+
+
+def reference_witness(g: Graph, k, t, field: FieldSpec) -> tuple[CohnElement, CohnElement, bool]:
+    """``(commutator_sum, correction, verified)`` of ``vertex_witness``, by element arithmetic.
+
+    Each bracket ``commutator(e, e*)`` is scaled by -t_i and each generator
+    ``n_generator(v_i)`` by t_i, in the field's own scalars; the check is
+    ``W == sum_i k_i v_i + correction`` on whole elements.
+    """
+    w = correction = CohnElement.zero(g, field)
+    for v, ti in zip(g.vertices, t):
+        if not field.coerce(ti):
+            continue
+        for e in all_edges(g):
+            if e.source == v:
+                bracket = commutator(CohnElement.edge(g, field, e), CohnElement.ghost_edge(g, field, e))
+                w = w + bracket.scale(-field.coerce(ti))
+        correction = correction + n_generator(g, field, v).scale(ti)
+    rhs = correction
+    for v, ki in zip(g.vertices, k):
+        rhs = rhs + CohnElement.vertex(g, field, v).scale(ki)
+    return w, correction, w == rhs
 
 
 # -- reference linear algebra -------------------------------------------------

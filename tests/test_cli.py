@@ -280,6 +280,26 @@ def test_witness_renders_each_cohn_element_once(tmp_path, capsys, monkeypatch):
         assert code == 0 and len(rendered) == 2
 
 
+def test_json_mode_builds_no_text_report(tmp_path, capsys, monkeypatch):
+    # every text report formats vectors with _fmt_vec; under --json none is built
+    calls = []
+    monkeypatch.setattr(lpa_lie.cli, "_fmt_vec", lambda values: calls.append(values) or "")
+    pis = write_family(tmp_path, "two_vertex", [2, 2, 3])
+    other = write_family(tmp_path, "rose", [2])
+    for argv in (
+        ["analyze", pis],
+        ["k0", pis],
+        ["witness", pis, "--coeffs", "1,0"],
+        ["kp-check", pis, other],
+    ):
+        code, out, _ = run(capsys, *argv, "--json")
+        assert code == 0 and json.loads(out)["command"] == argv[0]
+        assert calls == []
+        run(capsys, *argv)
+        assert calls, argv
+        calls.clear()
+
+
 # -- family ---------------------------------------------------------------------
 
 

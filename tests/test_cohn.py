@@ -1,6 +1,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import example, given, settings
@@ -13,9 +14,11 @@ from _gen import (
     random_graph,
     random_labelled_graph,
     random_path,
+    reference_key_str,
     reference_mult_terms,
     reference_str,
     reference_strip_prefix,
+    reference_witness,
     time_limit,
 )
 
@@ -27,6 +30,7 @@ from lpa_lie import (
     GraphInvariants,
     PathWord,
     PreconditionError,
+    b_vectors,
     commutator,
     family,
     graph_from_adjacency,
@@ -428,6 +432,106 @@ def test_verify_witness_from_solver_random():
     assert checked > 40
 
 
+def member_and_solution(rng, g, field):
+    """``(k, t)``: k at random if the B-vectors span it, else a random combination of them.
+
+    t is the solver's, so over Q its denominators are those of the Smith form.
+    """
+    solve = GraphInvariants(g).b_smith.solve
+    k = [field.coerce(rng.randint(-4, 4)) for _ in g.vertices]
+    t = solve(k, field)
+    if t is None:
+        b = b_vectors(g)
+        t0 = [rng.randint(-3, 3) if g.is_regular(v) else 0 for v in g.vertices]
+        k = [field.coerce(sum(ti * row[j] for ti, row in zip(t0, b))) for j in range(len(b))]
+        t = solve(k, field)
+    return k, t
+
+
+def assert_scalars(field, values):
+    """Fractions over Q, int residues in [0, p) over GF(p)."""
+    p = field.characteristic
+    for c in values:
+        assert (type(c) is Fraction) if p == 0 else (type(c) is int and 0 <= c < p), (c, field)
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from([0, 0, 2, 3, 5, 7, 1_000_000_007]))
+@example(3, 0)
+@settings(max_examples=200, deadline=None)
+def test_vertex_witness_matches_the_reference(seed, characteristic):
+    rng = random.Random(seed)
+    field = FieldSpec(characteristic)
+    g = random_graph(rng, max_vertices=4, max_mult=3)
+    k, t = member_and_solution(rng, g, field)
+    wit = vertex_witness(g, k, t, field)
+    w, correction, verified = reference_witness(g, k, t, field)
+    assert wit.verified and verified
+    assert wit.commutator_sum == w and wit.correction == correction
+    assert str(wit.commutator_sum) == str(w) and str(wit.correction) == str(correction)
+    assert_scalars(field, [*wit.commutator_sum.terms.values(), *wit.correction.terms.values()])
+    assert_scalars(field, [c for c, _ in wit.brackets])
+    # k off by one unit of the common denominator in one coordinate is no combination
+    d = lcm(*(c.denominator for c in k + t)) if characteristic == 0 else 1
+    j = rng.randrange(g.num_vertices)
+    off = list(k)
+    off[j] = field.coerce(off[j] + Fraction(1, d))
+    with pytest.raises(PreconditionError, match="combination"):
+        vertex_witness(g, off, t, field)
+
+
+def test_vertex_witness_refuses_k_off_by_one_over_the_denominator():
+    g = family("two_vertex", [2, 2, 3])
+    k = [F0.coerce(1), F0.coerce(0)]
+    t = GraphInvariants(g).b_smith.solve(k, F0)
+    assert t == [Fraction(1, 6), Fraction(-1, 6)] and vertex_witness(g, k, t, F0).verified
+    d = 6
+    for j in range(g.num_vertices):
+        off = list(k)
+        off[j] += Fraction(1, d)
+        with pytest.raises(PreconditionError, match="combination"):
+            vertex_witness(g, off, t, F0)
+    # a denominator of k that t does not have also counts in D
+    with pytest.raises(PreconditionError, match="combination"):
+        vertex_witness(g, [k[0] + Fraction(1, 7), k[1]], t, F0)
+    with pytest.raises(PreconditionError, match="combination"):
+        vertex_witness(family("rose", [3]), [Fraction(1, 3)], [0], F0)
+
+
+def test_vertex_witness_makes_one_fraction_per_distinct_coefficient(monkeypatch):
+    g = family("rose", [500])
+    # field elements, as FieldSpec.parse and the solver hand them over
+    k, t = [F0.coerce(1)], [Fraction(1, 499)]
+    made = Counter()
+    new = Fraction.__new__
+
+    def counted_new(cls, *args, **kwargs):
+        made["Fraction"] += 1
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counted_new))
+    if hasattr(Fraction, "_from_coprime_ints"):  # the arithmetic's constructor from 3.12 on
+        coprime = Fraction._from_coprime_ints
+
+        def counted_coprime(cls, *args):
+            made["Fraction"] += 1
+            return coprime(*args)
+
+        monkeypatch.setattr(Fraction, "_from_coprime_ints", classmethod(counted_coprime))
+    wit = vertex_witness(g, k, t, F0)
+    rendered = [str(wit.commutator_sum), str(wit.correction)]
+    built = made["Fraction"]
+    monkeypatch.undo()
+    coefficients = {
+        *wit.commutator_sum.terms.values(),
+        *wit.correction.terms.values(),
+        *(c for c, _ in wit.brackets),
+    }
+    assert wit.verified and len(wit.brackets) == 500
+    assert coefficients == {Fraction(-1, 499), Fraction(500, 499), Fraction(1, 499)}
+    assert built <= len(coefficients)
+    assert [s.count("^*") for s in rendered] == [500, 500]
+
+
 # -- single-path and pq* bracket identities ----------------------------------------
 
 
@@ -592,6 +696,71 @@ def test_element_string_matches_the_reference(seed, characteristic, labelled):
     y = random_cohn_element(rng, g, field, terms=3, max_len=2)
     for z in (x, x * y, CohnElement.zero(g, field)):
         assert str(z) == reference_str(z)
+
+
+def random_generator_product(rng, g, field, factors):
+    """A product of ``factors`` random edges, ghost edges and vertices of ``g``."""
+    x = CohnElement.vertex(g, field, rng.choice(g.vertices))
+    for _ in range(factors):
+        kind = rng.choice(["edge", "ghost", "vertex"])
+        if kind == "vertex":
+            x = x * CohnElement.vertex(g, field, rng.choice(g.vertices))
+        else:
+            e = rng.choice(all_edges(g))
+            x = x * (CohnElement.edge if kind == "edge" else CohnElement.ghost_edge)(g, field, e)
+    return x
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from([0, 2, 3, 5]), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_element_string_matches_the_key_reference(seed, characteristic, labelled):
+    rng = random.Random(seed)
+    field = FieldSpec(characteristic)
+    g = random_labelled_graph(rng) if labelled else random_graph(rng, max_vertices=4, max_mult=3)
+    if not g.num_edges:
+        return
+    x = CohnElement.zero(g, field)
+    for _ in range(rng.randint(1, 6)):
+        x = x + random_generator_product(rng, g, field, rng.randint(0, 3)).scale(rng.randint(-4, 4))
+    # the second print reads every key from the graph's cache
+    assert str(x) == reference_key_str(x) == str(x) == reference_str(x)
+
+
+def test_element_string_covers_every_term_shape():
+    rng = random.Random(2024)
+    shapes = Counter()
+    for _ in range(300):
+        g = random_graph(rng, max_vertices=3, max_mult=2, min_vertices=1)
+        if not g.num_edges:
+            continue
+        x = random_generator_product(rng, g, F0, rng.randint(1, 3))
+        assert str(x) == reference_key_str(x)
+        for t in x.terms:
+            p, q = len(t.p.edges), len(t.q.edges)
+            shapes["vertex" if p == q == 0 else "path" if q == 0 else "ghost" if p == 0 else "mixed"] += 1
+            shapes[f"length {p + q}"] += 1
+    assert all(shapes[s] for s in ("vertex", "path", "ghost", "mixed", "length 2")), shapes
+
+
+def test_elements_of_two_same_shape_graphs_print_their_own_labels():
+    a = parse_graph("vertex a\nvertex b\nedge a a 2\nedge a b 1\nedge b a 1\n")
+    b = parse_graph("vertex x\nvertex y\nedge x x 2\nedge x y 1\nedge y x 1\n")
+    assert a.counts == b.counts and a != b
+
+    def elements(g):
+        e1, e2, e3 = g.out_edges(g.vertices[0])
+        f = g.out_edges(g.vertices[1])[0]
+        x = CohnElement.edge(g, F0, e3) * CohnElement.edge(g, F0, f)
+        y = commutator(CohnElement.edge(g, F0, e1), CohnElement.ghost_edge(g, F0, e2))
+        return [n_generator(g, F0, g.vertices[0]), x, x * CohnElement.ghost_edge(g, F0, f), y]
+
+    texts = []
+    for xa, xb in zip(elements(a), elements(b)):
+        texts += [(str(xa), xa), (str(xb), xb)]
+    for text, x in texts:
+        assert text == reference_str(x) == str(x)
+        own, other = ("a", "x") if x.graph is a else ("x", "a")
+        assert f"{own}_" in text and f"{other}_" not in text
 
 
 def test_element_string_orders_by_label_not_index():
