@@ -5,6 +5,8 @@ reaches every sink and every cycle vertex, and every cycle has an exit; it is
 purely infinite simple when additionally a cycle exists and there is no sink
 to reach.  These are pure graph conditions, independent of the coefficient
 field, and every failure is reported with an explicit witness.
+Every criterion reads one reachability closure, an integer bitmask per
+vertex, and holds sets of vertices as masks too.
 """
 
 from __future__ import annotations
@@ -62,31 +64,38 @@ class SimplicityReport:
     witnesses: tuple = ()
 
 
-def reachability(g: Graph) -> list[list[bool]]:
-    """Reflexive-transitive closure of the edge relation, as a boolean grid."""
-    m = g.num_vertices
-    adj = g.successors
-    closure = [[False] * m for _ in range(m)]
-    for s in range(m):
-        seen = {s}
-        frontier = [s]
-        while frontier:
-            v = frontier.pop()
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    frontier.append(w)
-        for w in seen:
-            closure[s][w] = True
-    return closure
+def reachability(g: Graph) -> list[int]:
+    """Reflexive-transitive closure of the edge relation, one bitmask per vertex.
+
+    Bit j of entry i is set when v_i reaches v_j.  Warshall's closure on the
+    row masks: V passes of V word-parallel ORs.
+
+    >>> from lpa_lie import family
+    >>> reachability(family("line", [3]))
+    [7, 6, 4]
+    """
+    reach = [succ | 1 << i for i, succ in enumerate(g.successor_masks)]
+    for k in range(len(reach)):
+        rk = reach[k]
+        reach = [r | rk if r >> k & 1 else r for r in reach]
+    return reach
 
 
-def _cycle_indices(g: Graph, reach: list[list[bool]]) -> list[int]:
+def _bits(mask: int):
+    """The indices of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _cycle_indices(g: Graph, reach: list[int]) -> list[int]:
     """Indices of the vertices on a cycle: those a successor of theirs reaches."""
-    return [v for v, succ in enumerate(g.successors) if any(reach[w][v] for w in succ)]
+    succ = g.successor_masks
+    return [v for v in range(len(succ)) if any(reach[w] >> v & 1 for w in _bits(succ[v]))]
 
 
-def _exitless_cycle(g: Graph, reach: list[list[bool]]) -> tuple[EdgeId, ...] | None:
+def _exitless_cycle(g: Graph, reach: list[int]) -> tuple[EdgeId, ...] | None:
     """The first exitless cycle in index order, read off the closure ``reach``.
 
     A vertex reaches only an exitless cycle exactly when every vertex it
@@ -94,10 +103,11 @@ def _exitless_cycle(g: Graph, reach: list[list[bool]]) -> tuple[EdgeId, ...] | N
     starts at its smallest vertex: the first reached one that its successor
     reaches back.
     """
-    single = [g.out_degree(v) == 1 for v in g.vertices]
-    for s, row in enumerate(reach):
-        if single[s] and all(one for one, r in zip(single, row) if r):
-            start = next(w for w, r in enumerate(row) if r and reach[g.successors[w][0]][w])
+    single = sum(1 << v.index for v in g.vertices if g.out_degree(v) == 1)
+    succ = g.successor_masks
+    for row in reach:
+        if not row & ~single:
+            start = next(w for w in _bits(row) if reach[next(_bits(succ[w]))] >> w & 1)
             cycle = [g.out_edges(g.vertices[start])[0]]
             while cycle[-1].target.index != start:
                 cycle.append(g.out_edges(cycle[-1].target)[0])
@@ -112,22 +122,23 @@ def simplicity_reports(g: Graph) -> tuple[SimplicityReport, SimplicityReport]:
     one pass computes them; an unreached cycle vertex or an exitless cycle
     is a witness against both.  A vertex that misses some target gets one
     witness per report, its first unreached target (for simplicity, sinks
-    before cycle vertices), so a report has at most V + 1 witnesses.
+    before cycle vertices): the lowest set bit of the sink or cycle mask
+    outside the vertex's row.  So a report has at most V + 1 witnesses.
     """
     reach = reachability(g)
-    on_cycle = [g.vertices[i] for i in _cycle_indices(g, reach)]
+    cycles = _cycle_indices(g, reach)
     no_exit = _exitless_cycle(g, reach)
-    sinks = g.sinks()
+    sink_mask = sum(1 << v.index for v in g.sinks())
+    cycle_mask = sum(1 << i for i in cycles)
     simple: list = []
     pis: list = []
-    for v in g.vertices:
-        row = reach[v.index]
-        sink = next((s for s in sinks if not row[s.index]), None)
-        cycle = next((c for c in on_cycle if not row[c.index]), None)
+    for v, row in zip(g.vertices, reach):
+        sink = next(_bits(sink_mask & ~row), None)
+        cycle = next(_bits(cycle_mask & ~row), None)
         if sink is not None:
-            simple.append(Unreached(v, sink, "sink"))
+            simple.append(Unreached(v, g.vertices[sink], "sink"))
         if cycle is not None:
-            witness = Unreached(v, cycle, "cycle vertex")
+            witness = Unreached(v, g.vertices[cycle], "cycle vertex")
             pis.append(witness)
             if sink is None:
                 simple.append(witness)
@@ -135,7 +146,7 @@ def simplicity_reports(g: Graph) -> tuple[SimplicityReport, SimplicityReport]:
         witness = NoExitCycle(tuple(e.source for e in no_exit), no_exit)
         simple.append(witness)
         pis.append(witness)
-    if not on_cycle:
+    if not cycles:
         pis.append(NoCycle())
     return SimplicityReport(not simple, tuple(simple)), SimplicityReport(not pis, tuple(pis))
 

@@ -55,8 +55,9 @@ from .verdict import (
 SCHEMA = "lpa-lie.report/2"
 DEFAULT_CHARS = (0, 2, 3, 5, 7)
 SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19)
-# Counts, reachability and the Smith form are all V x V, so a graph with more
-# vertices is refused before any of them is built.
+# Counts and the Smith form are V x V and the reachability closure is V
+# bitmasks of V bits, so a graph with more vertices is refused before any of
+# them is built.
 VERTEX_LIMIT = 1_000
 
 

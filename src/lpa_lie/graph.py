@@ -12,9 +12,10 @@ A graph keeps its edges as runs in declaration order.  An auto run
 ``(src, dst, first_k, multiplicity)`` stands for the parallel edges named
 ``<src>_<dst>_<k>`` for ``k = first_k, ..., first_k + multiplicity - 1``; a
 labelled run ``(label, src, dst)`` is one individually named edge.  Every
-criterion the package decides depends only on the adjacency counts, which are
-derived once from the runs, so a multiplicity costs O(1): building, parsing,
-serialising and every count-based invariant take O(V^2 + runs) time.
+criterion the package decides depends only on the counts, out-degrees and
+successor bitmasks that one loop over the runs derives, so a multiplicity
+costs O(1): building, parsing, serialising and every count-based invariant
+take O(V^2 + runs) time.
 ``Graph.out_edges`` is the only place an edge is named: no other code builds
 an ``EdgeId``.
 
@@ -120,7 +121,9 @@ class _RunBuilder:
 
     def claim_range(self, prefix: str, lo: int, hi: int) -> None:
         """Claim ``<prefix>_<k>`` for ``lo <= k <= hi``; a clash names the smallest such k taken."""
-        starts, ends = self.ranges.setdefault(prefix, ([], []))
+        if (claimed := self.ranges.get(prefix)) is None:
+            claimed = self.ranges[prefix] = ([], [])
+        starts, ends = claimed
         i = bisect_left(ends, lo)
         if i < len(ends) and starts[i] <= hi:
             raise GraphError(f"duplicate edge label {f'{prefix}_{max(starts[i], lo)}'!r}")
@@ -132,16 +135,18 @@ class _RunBuilder:
 
     def add(self, run) -> None:
         """Check one run, claim its labels and merge it into ``runs``."""
-        if not isinstance(run, tuple) or len(run) not in (3, 4):
+        size = len(run) if isinstance(run, tuple) else 0
+        if size not in (3, 4):
             raise GraphError(f"bad edge run {run!r}")
-        label, s, d = run if len(run) == 3 else (None, *run[:2])
+        label, s, d = run if size == 3 else (None, run[0], run[1])
         m = len(self.vertex_labels)
-        for end in (s, d):
-            if not isinstance(end, int) or isinstance(end, bool) or not 0 <= end < m:
-                what = f"auto run {run!r}" if label is None else f"edge {label!r}"
-                raise GraphError(f"{what} references unknown vertex {end!r}")
+        if not (type(s) is int and type(d) is int and 0 <= s < m and 0 <= d < m):
+            for end in (s, d):
+                if not isinstance(end, int) or isinstance(end, bool) or not 0 <= end < m:
+                    what = f"auto run {run!r}" if label is None else f"edge {label!r}"
+                    raise GraphError(f"{what} references unknown vertex {end!r}")
         prefix = f"{self.vertex_labels[s]}_{self.vertex_labels[d]}"
-        if len(run) == 3:
+        if size == 3:
             if not isinstance(label, str) or not label or any(ch.isspace() for ch in label):
                 raise GraphError(f"bad edge label {label!r}")
             auto = _split_auto(label)
@@ -154,17 +159,18 @@ class _RunBuilder:
             else:
                 self.claim_range(auto[0], auto[1], auto[1])
         if len(run) == 4:
-            s, d, k, n = run
-            for x in (k, n):
-                if not isinstance(x, int) or isinstance(x, bool) or x < 1:
-                    raise GraphError(
-                        f"auto run {run!r} needs a positive integer first_k and multiplicity"
-                    )
+            k, n = run[2], run[3]
+            if not (type(k) is int and type(n) is int and k >= 1 and n >= 1):
+                for x in (k, n):
+                    if not isinstance(x, int) or isinstance(x, bool) or x < 1:
+                        raise GraphError(
+                            f"auto run {run!r} needs a positive integer first_k and multiplicity"
+                        )
             self.claim_range(prefix, k, k + n - 1)
             last = self.runs[-1] if self.runs else ()
-            if len(last) == 4 and last[:2] == (s, d) and last[2] + last[3] == k:
-                run = (s, d, last[2], last[3] + n)
-                self.runs.pop()
+            if len(last) == 4 and last[0] == s and last[1] == d and last[2] + last[3] == k:
+                self.runs[-1] = (s, d, last[2], last[3] + n)
+                return
         self.runs.append(run)
 
 
@@ -184,8 +190,8 @@ class Graph:
     order of the edge indices.  ``runs`` holds vertex indices: ``(src, dst,
     first_k, multiplicity)`` for auto-named parallel edges, ``(label, src,
     dst)`` for one named edge.  It is canonical, so equality of graphs is equality of
-    their edge sequences.  The count matrix ``counts``, the per-vertex
-    ``successors`` and the out-degrees are derived once from the runs;
+    their edge sequences.  The count matrix ``counts``, the out-degrees and
+    the per-vertex ``successor_masks`` are derived in one loop over the runs;
     ``out_edges`` is the only place an edge is named as an ``EdgeId``.
     """
 
@@ -223,23 +229,32 @@ class Graph:
         return cls(tuple(VertexId(i, lbl) for i, lbl in enumerate(vertex_labels)), tuple(runs))
 
     @cached_property
-    def counts(self) -> tuple[tuple[int, ...], ...]:
-        """The adjacency counts: entry (i, j) is the number of edges from v_i to v_j."""
+    def _adjacency(self) -> tuple[tuple, tuple[int, ...], tuple[int, ...]]:
+        """``(counts, out-degrees, successor masks)``, from one loop over the runs."""
         m = len(self.vertices)
         a = [[0] * m for _ in range(m)]
+        degrees = [0] * m
+        masks = [0] * m
         for run in self.runs:
             s, d, n = _run_ends(run)
             a[s][d] += n
-        return tuple(tuple(row) for row in a)
+            degrees[s] += n
+            masks[s] |= 1 << d
+        return tuple(map(tuple, a)), tuple(degrees), tuple(masks)
 
     @cached_property
-    def successors(self) -> tuple[tuple[int, ...], ...]:
-        """Per vertex index, the sorted indices of the vertices it has an edge to."""
-        return tuple(tuple(j for j, c in enumerate(row) if c) for row in self.counts)
+    def counts(self) -> tuple[tuple[int, ...], ...]:
+        """The adjacency counts: entry (i, j) is the number of edges from v_i to v_j."""
+        return self._adjacency[0]
 
     @cached_property
     def _out_degrees(self) -> tuple[int, ...]:
-        return tuple(sum(row) for row in self.counts)
+        return self._adjacency[1]
+
+    @cached_property
+    def successor_masks(self) -> tuple[int, ...]:
+        """Per vertex index i, the bitmask whose bit j is set when v_i has an edge to v_j."""
+        return self._adjacency[2]
 
     @cached_property
     def _run_starts(self) -> tuple[int, ...]:
@@ -360,14 +375,14 @@ def graph_from_adjacency(labels: list[str], adjacency: list[list[int]]) -> Graph
         or any(not isinstance(row, (list, tuple)) or len(row) != m for row in adjacency)
     ):
         raise GraphError("adjacency matrix must be square and match the vertex count")
-    runs = []
-    for i in range(m):
-        for j in range(m):
-            count = adjacency[i][j]
-            if not isinstance(count, int) or isinstance(count, bool) or count < 0:
-                raise GraphError(f"adjacency entry ({i}, {j}) must be a non-negative integer")
-            if count:
-                runs.append((i, j, 1, count))
+    runs: list[tuple] = []
+    for i, row in enumerate(adjacency):
+        # a row of plain non-negative ints skips the entry rule, which names a bad entry
+        if not (set(map(type, row)) <= {int} and min(row) >= 0):
+            for j, count in enumerate(row):
+                if not isinstance(count, int) or isinstance(count, bool) or count < 0:
+                    raise GraphError(f"adjacency entry ({i}, {j}) must be a non-negative integer")
+        runs += [(i, j, 1, count) for j, count in enumerate(row) if count]
     return Graph.build(labels, runs)
 
 

@@ -229,8 +229,9 @@ class SmithDecomposition:
     ``u`` and ``v`` are built on first use by replaying a log on each unit
     vector; ``solve`` and ``K0Presentation.of`` replay the logs on the
     vectors they read instead, so a verdict never builds ``u`` or ``v``.
-    ``u @ b`` is replayed over Z once per target b and kept, so the unit
-    class and the solve at every characteristic read one ``u @ (1, ..., 1)``.
+    ``u @ b`` is replayed over Z once per target b and kept, and the column
+    log is reversed once, so the unit class and the solve at every
+    characteristic read one ``u @ (1, ..., 1)`` and one back log.
     The four fields, not the kept images, are the identity:
     ``smith_normal_form`` is deterministic, so two of its decompositions are
     equal exactly when they decompose the same matrix, which is when their
@@ -271,6 +272,12 @@ class SmithDecomposition:
         n = self.shape[1]
         units = ([int(i == j) for i in range(n)] for j in range(n))
         return tuple(tuple(_replay_rows(self.col_log, e)) for e in units)
+
+    @cached_property
+    def _back_log(self) -> tuple[tuple[int, int, int | None], ...]:
+        # v multiplies the column operations' matrices in log order, so they
+        # act on y last to first; "col j -= q * col k" acts as "row k -= q * row j"
+        return tuple((k, j, q) for j, k, q in reversed(self.col_log))
 
     def rank(self, field: FieldSpec) -> int:
         """Rank of the original matrix over ``field``: the factors nonzero there."""
@@ -315,9 +322,7 @@ class SmithDecomposition:
                 y[i] = c * pow(d, -1, p) % p if p else c * (top // d)
             elif c:
                 return None
-        # v multiplies the column operations' matrices in log order, so they
-        # act on y last to first; "col j -= q * col k" acts as "row k -= q * row j"
-        x = _replay_rows([(k, j, q) for j, k, q in reversed(self.col_log)], y, p)
+        x = _replay_rows(self._back_log, y, p)
         return x if p else [Fraction(xi, top * scale) for xi in x]
 
 
@@ -367,7 +372,8 @@ def smith_normal_form(mat) -> SmithDecomposition:
     for r in mat:
         if len(r) != cols:
             raise ValueError("matrix rows must all have the same length")
-        if not all(isinstance(x, int) and not isinstance(x, bool) for x in r):
+        exact = set(map(type, r)) <= {int}  # a row of plain ints skips the entry rule
+        if not exact and not all(isinstance(x, int) and not isinstance(x, bool) for x in r):
             raise ValueError("matrix entries must be integers")
         w.append(list(r))
     row_log: list[tuple[int, int, int | None]] = []

@@ -290,14 +290,19 @@ def reference_witness(g: Graph, k, t, field: FieldSpec) -> tuple[CohnElement, Co
 
 
 def _reference_paths(g: Graph) -> list[list[bool]]:
-    """Whether (A + A^2 + ... + A^n)[v][w] is nonzero, by boolean matrix powers."""
+    """Whether (A + A^2 + ... + A^n)[v][w] is nonzero, by squaring boolean matrices.
+
+    Row v is held as the set of w with a path of length 1..L from v to w; a
+    path of length 1..2L is one of those or two of them in a row, so
+    ``T <- T + T^2`` doubles L, and ceil(log2 n) rounds reach L >= n.
+    """
     n = g.num_vertices
-    adj = [[bool(c) for c in row] for row in g.counts]
-    power, total = adj, adj
-    for _ in range(n - 1):
-        power = [[any(power[i][k] and adj[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
-        total = [[x or y for x, y in zip(r, s)] for r, s in zip(total, power)]
-    return total
+    total = [{j for j, c in enumerate(row) if c} for row in g.counts]
+    length = 1
+    while length < n:
+        total = [row.union(*(total[k] for k in row)) for row in total]
+        length *= 2
+    return [[j in row for j in range(n)] for row in total]
 
 
 def reference_cycle_vertices(g: Graph) -> set:
@@ -330,7 +335,7 @@ def reference_cycle_without_exit(g: Graph):
     each start in index order; the cycle starts at its smallest vertex.
     """
     step = {
-        v.index: g.successors[v.index][0] for v in g.vertices if g.out_degree(v) == 1
+        v.index: g.counts[v.index].index(1) for v in g.vertices if g.out_degree(v) == 1
     }
     finished: set[int] = set()
     for start in sorted(step):

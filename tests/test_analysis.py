@@ -1,5 +1,8 @@
 import random
 
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
 from _gen import (
     random_graph,
     reference_cycle_vertices,
@@ -10,6 +13,7 @@ from _gen import (
 from lpa_lie import (
     NoCycle,
     NoExitCycle,
+    SimplicityReport,
     Unreached,
     family,
     graph_from_adjacency,
@@ -64,21 +68,16 @@ def brute_force_has_no_exit_cycle(g):
 
 
 def test_reachability_line():
-    r = reachability(family("line", [3]))
-    assert r == [
-        [True, True, True],
-        [False, True, True],
-        [False, False, True],
-    ]
+    # bit j of row i: v_i reaches v_j
+    assert reachability(family("line", [3])) == [0b111, 0b110, 0b100]
 
 
 def test_reachability_rose1():
-    assert reachability(family("rose", [1])) == [[True]]
+    assert reachability(family("rose", [1])) == [0b1]
 
 
 def test_reachability_example4_all_true():
-    r = reachability(family("example4"))
-    assert all(all(row) for row in r)
+    assert reachability(family("example4")) == [0b1111] * 4
 
 
 def test_reachability_reflexive_transitive():
@@ -88,12 +87,13 @@ def test_reachability_reflexive_transitive():
         r = reachability(g)
         m = g.num_vertices
         for i in range(m):
-            assert r[i][i]
+            assert r[i] >> i & 1
+            assert 0 <= r[i] < 1 << m
         for i in range(m):
             for j in range(m):
-                for k in range(m):
-                    if r[i][j] and r[j][k]:
-                        assert r[i][k]
+                # if v_i reaches v_j, it reaches everything v_j reaches
+                if r[i] >> j & 1:
+                    assert r[j] & ~r[i] == 0
 
 
 # -- cycles ------------------------------------------------------------------
@@ -246,6 +246,63 @@ def test_one_unreached_witness_per_failing_vertex():
         passing += g.num_vertices - len(first)
     # the sample mixes vertices with and without a witness
     assert failing >= 300 and passing >= 300
+
+
+def planted_graph(n, sinks, loop, seed):
+    """A graph on n vertices with planted sinks and an exitless cycle.
+
+    The last ``sinks`` vertices emit nothing and the ``loop`` before them form
+    a cycle without exit; the rest get zero to three random edges each (one
+    edge with probability 0.3), so some vertices miss some target.
+    """
+    rng = random.Random(seed)
+    sinks = min(sinks, n)
+    loop = min(loop, n - sinks)
+    free = n - sinks - loop
+    adj = [[0] * n for _ in range(n)]
+    for i in range(free):
+        for _ in range(1 if rng.random() < 0.3 else rng.randint(0, 3)):
+            adj[i][rng.randrange(n)] += rng.randint(1, 2) if rng.random() < 0.5 else 1
+    for i in range(loop):
+        adj[free + i][free + (i + 1) % loop] = 1
+    return graph_from_adjacency([f"v{i + 1}" for i in range(n)], adj)
+
+
+@given(
+    n=st.integers(1, 140),
+    sinks=st.integers(0, 3),
+    loop=st.integers(0, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=140, sinks=2, loop=3, seed=41)
+@example(n=65, sinks=1, loop=1, seed=7)
+@settings(max_examples=60, deadline=None)
+def test_witnesses_match_the_references_hypothesis(n, sinks, loop, seed):
+    # up to 140 vertices, so closure rows and target masks cross 64 and 128 bits
+    g = planted_graph(n, sinks, loop, seed)
+    first: dict = {}
+    first_cycle: dict = {}
+    for v, t, kind in reference_unreached_pairs(g):
+        first.setdefault(v, Unreached(v, t, kind))
+        if kind == "cycle vertex":
+            first_cycle.setdefault(v, Unreached(v, t, kind))
+    no_exit = reference_cycle_without_exit(g)
+    simple = list(first.values())
+    pis = list(first_cycle.values())
+    if no_exit is not None:
+        simple.append(NoExitCycle(tuple(e.source for e in no_exit), no_exit))
+        pis.append(simple[-1])
+    if not reference_cycle_vertices(g):
+        pis.append(NoCycle())
+    assert simplicity_reports(g) == (
+        SimplicityReport(not simple, tuple(simple)),
+        SimplicityReport(not pis, tuple(pis)),
+    )
+    # what was planted is there: sinks, an exitless cycle, and with two
+    # targets that cannot reach each other, an unreached one
+    assert bool(g.sinks()) >= (sinks > 0)
+    assert (no_exit is not None) >= (loop > 0 and n > sinks)
+    assert bool(first) >= (sinks > 1 and n > 1 or sinks > 0 and loop > 0 and n > sinks)
 
 
 def test_witness_iff_failure_random():

@@ -502,6 +502,21 @@ def test_analyze_computes_each_invariant_once(tmp_path, capsys, monkeypatch):
     # the unit class and the span solve at all 12 characteristics read one U (1, ..., 1)
     assert replays_of(smith_forms[-1]) == 1
 
+    # (1, 1) is in the span of matrix_rose 2 3's B-vectors at every
+    # characteristic, so all 12 solves replay the column operations on y,
+    # and they replay one back log of them, reversed once
+    replayed.clear()
+    smith_forms.clear()
+    path = write_family(tmp_path, "matrix_rose", [2, 3])
+    code, out, _ = run(capsys, "analyze", path, "--char", "0,2,3,5,7,11,13,17,19,23,29,31")
+    assert code == 0
+    assert out.count("-- AGREE") == 12
+    dec = smith_forms[-1]
+    assert dec.col_log  # the empty back log would be one shared tuple
+    back_logs = [log for log in replayed if log is not dec.row_log]
+    assert len(back_logs) == 12
+    assert all(log is back_logs[0] for log in back_logs)
+
     counts["smith_normal_form"] = 0
     a = write_family(tmp_path, "rose", [2])
     b = write_family(tmp_path, "matrix_rose", [2, 3])
@@ -767,8 +782,8 @@ def test_malformed_inputs_never_crash(tmp_path, capsys):
 
 
 def test_vertex_limit(tmp_path, capsys):
-    # counts, reachability and the Smith form are V x V: at 30,000 vertices
-    # (409 KB of text) they would need gigabytes
+    # counts and the Smith form are V x V, the closure V masks of V bits:
+    # at 30,000 vertices (409 KB of text) they would need gigabytes
     for m in (VERTEX_LIMIT + 1, 30_000):
         path = tmp_path / f"vertices-{m}.graph"
         path.write_text("".join(f"vertex v{i}\n" for i in range(m)), encoding="utf-8")

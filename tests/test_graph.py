@@ -1,5 +1,6 @@
 import random
 import re
+from enum import IntEnum
 from pathlib import Path
 
 import pytest
@@ -457,6 +458,26 @@ def test_graph_validation():
         graph_from_adjacency(["a"], [[0, 1]])
     with pytest.raises(GraphError):
         graph_from_adjacency(["a"], [[-1]])
+
+
+class Count(IntEnum):
+    TWO = 2
+
+
+def test_adjacency_entries_follow_the_integer_rule():
+    # an int subclass other than bool is a count, and a row holding one
+    # still has its other entries checked; an error names the first bad entry
+    g = graph_from_adjacency(["a", "b"], [[0, Count.TWO], [1, 0]])
+    assert g.counts == ((0, 2), (1, 0))
+    for bad in (True, 1.0, -1):
+        for adj, at in (
+            ([[1, 0, 0], [0, bad, -1], [2, 0, 0]], "(1, 1)"),
+            ([[Count.TWO, 0, bad], [0, 0, 0], [0, 0, 0]], "(0, 2)"),
+        ):
+            with pytest.raises(
+                GraphError, match=f"^adjacency entry {re.escape(at)} must be a non-negative integer$"
+            ):
+                graph_from_adjacency(["a", "b", "c"], adj)
 
 
 def test_a_run_with_an_unknown_end_is_named_as_given():

@@ -1,4 +1,5 @@
 import random
+from enum import IntEnum
 from fractions import Fraction
 from itertools import product
 from math import gcd
@@ -259,6 +260,20 @@ def test_snf_rejects_bad_input():
         smith_normal_form([[1, 2], [3]])
     with pytest.raises(ValueError):
         smith_normal_form([[1.5]])
+
+
+class Entry(IntEnum):
+    TWO = 2
+
+
+def test_snf_entries_follow_the_integer_rule():
+    # an int subclass other than bool is an entry; bool and float are not,
+    # in a row of plain ints or next to an accepted subclass
+    assert smith_normal_form([[Entry.TWO, 0], [0, -3]]).diagonal == (1, 6)
+    for bad in (True, 1.0):
+        for mat in ([[2, 0], [0, bad]], [[Entry.TWO, bad], [0, 1]]):
+            with pytest.raises(ValueError, match="^matrix entries must be integers$"):
+                smith_normal_form(mat)
 
 
 @given(int_matrices)
