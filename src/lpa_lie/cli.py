@@ -95,7 +95,7 @@ def _load_graph(spec: str) -> Graph:
             raise _CliError("JSON graph 'vertices' must be a list of strings")
         try:
             g = graph_from_adjacency(labels, data["adjacency"])
-        except (GraphError, TypeError) as exc:
+        except GraphError as exc:
             raise _CliError(f"bad structured graph: {exc}") from exc
     else:
         g = parse_graph(text)

@@ -12,10 +12,10 @@ A graph keeps its edges as runs in declaration order.  An auto run
 ``(src, dst, first_k, multiplicity)`` stands for the parallel edges named
 ``<src>_<dst>_<k>`` for ``k = first_k, ..., first_k + multiplicity - 1``; a
 labelled run ``(label, src, dst)`` is one individually named edge.  Every
-criterion the package decides depends only on the counts, out-degrees and
-successor bitmasks that one loop over the runs derives, so a multiplicity
-costs O(1): building, parsing, serialising and every count-based invariant
-take O(V^2 + runs) time.
+criterion the package decides depends only on the out-degrees, summed as the
+runs are built, and the counts and successor bitmasks that one loop over the
+runs derives, so a multiplicity costs O(1): building, parsing, serialising
+and every count-based invariant take O(V^2 + runs) time.
 ``Graph.out_edges`` is the only place an edge is named: no other code builds
 an ``EdgeId``.
 
@@ -24,6 +24,7 @@ auto label is that auto edge) live in one place, ``_RunBuilder``.  Every
 graph's runs, on vertex indices, pass through it in ``Graph.__post_init__``.
 ``parse_graph`` also feeds its own builder line by line, so a clash is
 reported at its line, and hands that builder's canonical runs to ``Graph.build``.
+A parse error's column names the offending token.
 """
 
 from __future__ import annotations
@@ -113,8 +114,9 @@ class _RunBuilder:
     """
 
     def __init__(self, vertex_labels: list[str]):
-        # the caller may declare more vertices between runs
+        # the caller may declare more vertices between runs, each with a 0 out-degree
         self.vertex_labels = vertex_labels
+        self.out_degrees = [0] * len(vertex_labels)
         self.runs: list[tuple] = []
         self.plain: set[str] = set()
         self.ranges: dict[str, tuple[list[int], list[int]]] = {}
@@ -160,17 +162,21 @@ class _RunBuilder:
                 self.claim_range(auto[0], auto[1], auto[1])
         if len(run) == 4:
             k, n = run[2], run[3]
-            if not (type(k) is int and type(n) is int and k >= 1 and n >= 1):
-                for x in (k, n):
-                    if not isinstance(x, int) or isinstance(x, bool) or x < 1:
-                        raise GraphError(
-                            f"auto run {run!r} needs a positive integer first_k and multiplicity"
-                        )
+            # plain ints pass the first test; an int subclass other than bool passes the second
+            if not (type(k) is int and type(n) is int and k >= 1 and n >= 1) and not all(
+                isinstance(x, int) and not isinstance(x, bool) and x >= 1 for x in (k, n)
+            ):
+                raise GraphError(
+                    f"auto run {run!r} needs a positive integer first_k and multiplicity"
+                )
             self.claim_range(prefix, k, k + n - 1)
+            self.out_degrees[s] += n
             last = self.runs[-1] if self.runs else ()
             if len(last) == 4 and last[0] == s and last[1] == d and last[2] + last[3] == k:
                 self.runs[-1] = (s, d, last[2], last[3] + n)
                 return
+        else:
+            self.out_degrees[s] += 1
         self.runs.append(run)
 
 
@@ -190,9 +196,9 @@ class Graph:
     order of the edge indices.  ``runs`` holds vertex indices: ``(src, dst,
     first_k, multiplicity)`` for auto-named parallel edges, ``(label, src,
     dst)`` for one named edge.  It is canonical, so equality of graphs is equality of
-    their edge sequences.  The count matrix ``counts``, the out-degrees and
-    the per-vertex ``successor_masks`` are derived in one loop over the runs;
-    ``out_edges`` is the only place an edge is named as an ``EdgeId``.
+    their edge sequences.  The out-degrees are summed as the runs are built,
+    never from the V x V ``counts``; those and the per-vertex ``successor_masks``
+    come from one loop over the runs.  Only ``out_edges`` names an edge as an ``EdgeId``.
     """
 
     vertices: tuple[VertexId, ...]
@@ -214,6 +220,7 @@ class Graph:
         for run in self.runs:
             builder.add(run)
         object.__setattr__(self, "runs", tuple(builder.runs))
+        object.__setattr__(self, "_out_degrees", tuple(builder.out_degrees))
 
     @classmethod
     def build(
@@ -229,18 +236,16 @@ class Graph:
         return cls(tuple(VertexId(i, lbl) for i, lbl in enumerate(vertex_labels)), tuple(runs))
 
     @cached_property
-    def _adjacency(self) -> tuple[tuple, tuple[int, ...], tuple[int, ...]]:
-        """``(counts, out-degrees, successor masks)``, from one loop over the runs."""
+    def _adjacency(self) -> tuple[tuple, tuple[int, ...]]:
+        """``(counts, successor masks)``, from one loop over the runs."""
         m = len(self.vertices)
         a = [[0] * m for _ in range(m)]
-        degrees = [0] * m
         masks = [0] * m
         for run in self.runs:
             s, d, n = _run_ends(run)
             a[s][d] += n
-            degrees[s] += n
             masks[s] |= 1 << d
-        return tuple(map(tuple, a)), tuple(degrees), tuple(masks)
+        return tuple(map(tuple, a)), tuple(masks)
 
     @cached_property
     def counts(self) -> tuple[tuple[int, ...], ...]:
@@ -248,13 +253,9 @@ class Graph:
         return self._adjacency[0]
 
     @cached_property
-    def _out_degrees(self) -> tuple[int, ...]:
-        return self._adjacency[1]
-
-    @cached_property
     def successor_masks(self) -> tuple[int, ...]:
         """Per vertex index i, the bitmask whose bit j is set when v_i has an edge to v_j."""
-        return self._adjacency[2]
+        return self._adjacency[1]
 
     @cached_property
     def _run_starts(self) -> tuple[int, ...]:
@@ -386,6 +387,14 @@ def graph_from_adjacency(labels: list[str], adjacency: list[list[int]]) -> Graph
     return Graph.build(labels, runs)
 
 
+def _token_column(line: str, i: int) -> int:
+    """The 1-based column where token ``i`` of ``line.split()`` starts."""
+    pos = 0
+    for token in line.split()[: i + 1]:
+        pos = line.index(token, pos) + len(token)
+    return pos - len(token) + 1
+
+
 def parse_graph(text: str) -> Graph:
     """Parse the line-oriented graph format.
 
@@ -395,23 +404,22 @@ def parse_graph(text: str) -> Graph:
     * ``edge <src> <dst> [<multiplicity>]`` declares that many parallel
       edges, auto-named ``<src>_<dst>_<k>``.
     * ``edge-label <name> <src> <dst>`` declares one individually named edge.
+
+    An error names its line and, when one token is at fault, that token's column:
+
+    >>> parse_graph("vertex e\\nvertex e\\n")
+    Traceback (most recent call last):
+    lpa_lie.graph.GraphParseError: line 2, column 8: duplicate vertex label 'e'
     """
     vertex_labels: list[str] = []
     index: dict[str, int] = {}
     builder = _RunBuilder(vertex_labels)
-    counters: dict[tuple[str, str], int] = {}
-
-    def column_of(line: str, token: str, occurrence: int = 0) -> int:
-        pos = -1
-        for _ in range(occurrence + 1):
-            pos = line.find(token, pos + 1)
-        return pos + 1 if pos >= 0 else 1
+    counters: dict[tuple[int, int], int] = {}
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        tokens = raw.split()
+        if not tokens or tokens[0].startswith("#"):
             continue
-        tokens = line.split()
         directive = tokens[0]
         if directive == "vertex":
             if len(tokens) != 2:
@@ -419,54 +427,47 @@ def parse_graph(text: str) -> Graph:
             label = tokens[1]
             if label in index:
                 raise GraphParseError(
-                    f"duplicate vertex label {label!r}", lineno, column_of(raw, label)
+                    f"duplicate vertex label {label!r}", lineno, _token_column(raw, 1)
                 )
             index[label] = len(vertex_labels)
             vertex_labels.append(label)
+            builder.out_degrees.append(0)
             continue
         if directive == "edge":
             if len(tokens) not in (3, 4):
                 raise GraphParseError("expected: edge <src> <dst> [<multiplicity>]", lineno)
-            src, dst = tokens[1], tokens[2]
-            for name in (src, dst):
-                if name not in index:
-                    raise GraphParseError(
-                        f"undeclared vertex {name!r}", lineno, column_of(raw, name)
-                    )
+            src_at = 1  # the token naming the source
+        elif directive == "edge-label":
+            if len(tokens) != 4:
+                raise GraphParseError("expected: edge-label <name> <src> <dst>", lineno)
+            src_at = 2
+        else:
+            raise GraphParseError(f"unknown directive {directive!r}", lineno, _token_column(raw, 0))
+        for i in (src_at, src_at + 1):
+            if tokens[i] not in index:
+                raise GraphParseError(
+                    f"undeclared vertex {tokens[i]!r}", lineno, _token_column(raw, i)
+                )
+        s, d = index[tokens[src_at]], index[tokens[src_at + 1]]
+        if src_at == 2:
+            run = (tokens[1], s, d)
+        else:
             mult = 1
             if len(tokens) == 4:
                 try:
                     mult = _parse_integer(tokens[3])
+                    problem = None if mult >= 1 else f"multiplicity must be >= 1, got {mult}"
                 except ValueError:
-                    raise GraphParseError(
-                        f"multiplicity must be an integer, got {tokens[3]!r}",
-                        lineno,
-                        column_of(raw, tokens[3]),
-                    ) from None
-                if mult < 1:
-                    raise GraphParseError(
-                        f"multiplicity must be >= 1, got {mult}", lineno, column_of(raw, tokens[3])
-                    )
-            base = counters.get((src, dst), 0)
-            counters[(src, dst)] = base + mult
-            run, column = (index[src], index[dst], base + 1, mult), None
-        elif directive == "edge-label":
-            if len(tokens) != 4:
-                raise GraphParseError("expected: edge-label <name> <src> <dst>", lineno)
-            label, src, dst = tokens[1], tokens[2], tokens[3]
-            for name in (src, dst):
-                if name not in index:
-                    raise GraphParseError(
-                        f"undeclared vertex {name!r}", lineno, column_of(raw, name)
-                    )
-            run, column = (label, index[src], index[dst]), column_of(raw, label)
-        else:
-            raise GraphParseError(
-                f"unknown directive {directive!r}", lineno, column_of(raw, directive)
-            )
+                    problem = f"multiplicity must be an integer, got {tokens[3]!r}"
+                if problem:
+                    raise GraphParseError(problem, lineno, _token_column(raw, 3))
+            base = counters.get((s, d), 0)
+            counters[(s, d)] = base + mult
+            run = (s, d, base + 1, mult)
         try:
             builder.add(run)
         except GraphError as exc:
+            column = _token_column(raw, 1) if src_at == 2 else None  # auto labels: no token
             raise GraphParseError(str(exc), lineno, column) from None
 
     if not vertex_labels:
@@ -593,11 +594,9 @@ def family(name: str, params: list[int] | tuple[int, ...] = ()) -> Graph:
         known = ", ".join(family_names())
         raise GraphError(f"unknown family {name!r} (known: {known})")
     arity, builder, usage = _FAMILIES[name]
-    values = []
-    for p in params:
-        if not isinstance(p, int) or isinstance(p, bool):
-            raise GraphError(f"family parameters must be integers ({usage})")
-        values.append(p)
+    values = list(params)
+    if not all(isinstance(p, int) and not isinstance(p, bool) for p in values):
+        raise GraphError(f"family parameters must be integers ({usage})")
     if len(values) != arity:
         raise GraphError(f"family {name!r} takes {arity} parameter(s): {usage}")
     return builder(*values)

@@ -684,6 +684,17 @@ def reference_pointed_iso(pa, pb) -> str:
 # -- reference graph text format -------------------------------------------------
 
 
+def _reference_token_column(line: str, i: int) -> int:
+    """The 1-based column where the i-th whitespace-separated token of ``line`` starts."""
+    seen = 0
+    for j, ch in enumerate(line):
+        if not ch.isspace() and (j == 0 or line[j - 1].isspace()):
+            if seen == i:
+                return j + 1
+            seen += 1
+    raise ValueError(f"line has no token {i}")
+
+
 def reference_parse(text: str) -> tuple[list[str], list[tuple[str, str, str]]]:
     """The per-edge parser: vertex labels and one ``(label, src, dst)`` per edge."""
     vertex_labels: list[str] = []
@@ -691,12 +702,6 @@ def reference_parse(text: str) -> tuple[list[str], list[tuple[str, str, str]]]:
     edge_specs: list[tuple[str, str, str]] = []
     edge_labels: set[str] = set()
     counters: dict[tuple[str, str], int] = {}
-
-    def column_of(line: str, token: str, occurrence: int = 0) -> int:
-        pos = -1
-        for _ in range(occurrence + 1):
-            pos = line.find(token, pos + 1)
-        return pos + 1 if pos >= 0 else 1
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -710,7 +715,7 @@ def reference_parse(text: str) -> tuple[list[str], list[tuple[str, str, str]]]:
             label = tokens[1]
             if label in declared:
                 raise GraphParseError(
-                    f"duplicate vertex label {label!r}", lineno, column_of(raw, label)
+                    f"duplicate vertex label {label!r}", lineno, _reference_token_column(raw, 1)
                 )
             declared.add(label)
             vertex_labels.append(label)
@@ -718,10 +723,10 @@ def reference_parse(text: str) -> tuple[list[str], list[tuple[str, str, str]]]:
             if len(tokens) not in (3, 4):
                 raise GraphParseError("expected: edge <src> <dst> [<multiplicity>]", lineno)
             src, dst = tokens[1], tokens[2]
-            for name in (src, dst):
+            for i, name in ((1, src), (2, dst)):
                 if name not in declared:
                     raise GraphParseError(
-                        f"undeclared vertex {name!r}", lineno, column_of(raw, name)
+                        f"undeclared vertex {name!r}", lineno, _reference_token_column(raw, i)
                     )
             mult = 1
             if len(tokens) == 4:
@@ -733,11 +738,13 @@ def reference_parse(text: str) -> tuple[list[str], list[tuple[str, str, str]]]:
                     raise GraphParseError(
                         f"multiplicity must be an integer, got {tokens[3]!r}",
                         lineno,
-                        column_of(raw, tokens[3]),
+                        _reference_token_column(raw, 3),
                     ) from None
                 if mult < 1:
                     raise GraphParseError(
-                        f"multiplicity must be >= 1, got {mult}", lineno, column_of(raw, tokens[3])
+                        f"multiplicity must be >= 1, got {mult}",
+                        lineno,
+                        _reference_token_column(raw, 3),
                     )
             base = counters.get((src, dst), 0)
             for k in range(1, mult + 1):
@@ -751,20 +758,20 @@ def reference_parse(text: str) -> tuple[list[str], list[tuple[str, str, str]]]:
             if len(tokens) != 4:
                 raise GraphParseError("expected: edge-label <name> <src> <dst>", lineno)
             label, src, dst = tokens[1], tokens[2], tokens[3]
-            for name in (src, dst):
+            for i, name in ((2, src), (3, dst)):
                 if name not in declared:
                     raise GraphParseError(
-                        f"undeclared vertex {name!r}", lineno, column_of(raw, name)
+                        f"undeclared vertex {name!r}", lineno, _reference_token_column(raw, i)
                     )
             if label in edge_labels:
                 raise GraphParseError(
-                    f"duplicate edge label {label!r}", lineno, column_of(raw, label)
+                    f"duplicate edge label {label!r}", lineno, _reference_token_column(raw, 1)
                 )
             edge_labels.add(label)
             edge_specs.append((label, src, dst))
         else:
             raise GraphParseError(
-                f"unknown directive {directive!r}", lineno, column_of(raw, directive)
+                f"unknown directive {directive!r}", lineno, _reference_token_column(raw, 0)
             )
 
     if not vertex_labels:

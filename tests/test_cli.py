@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tokenize
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -383,6 +384,32 @@ def test_kp_check_inapplicable(tmp_path, capsys):
     code, out, _ = run(capsys, "kp-check", a, b)
     assert code == 0
     assert "inapplicable" in out
+
+
+def test_kp_check_reports_a_contradiction(tmp_path, capsys, monkeypatch):
+    # pointed-isomorphic graphs get the same Lie verdicts, so only a faulty
+    # verdict, here the second graph's at characteristic 3, reaches this path
+    a = write_family(tmp_path, "rose", [2])
+    b = write_family(tmp_path, "matrix_rose", [2, 3])
+    decide = lpa_lie.verdict.lie_simplicity
+
+    def faulty(inv, field):
+        v = decide(inv, field)
+        if inv.graph.num_vertices == 2 and field.characteristic == 3:
+            return replace(v, status="not-simple" if v.status == "simple" else "simple")
+        return v
+
+    monkeypatch.setattr(lpa_lie.verdict, "lie_simplicity", faulty)
+    code, out, _ = run(capsys, "kp-check", a, b, "--char", "0,3", "--json")
+    data = json.loads(out)
+    assert code == 3
+    assert data["pointed_iso"] == "exists"
+    assert data["contradiction"] is True
+    assert [row["agree"] for row in data["verdicts"]] == [True, False]
+    code, out, _ = run(capsys, "kp-check", a, b, "--char", "0,3")
+    assert code == 3
+    assert out.splitlines()[-1] == "CONTRADICTION detected"
+    assert "char 3: " in out and "(DIFFER)" in out
 
 
 def test_kp_check_rejects_reading_stdin_twice(capsys, monkeypatch):
@@ -855,6 +882,9 @@ JSON_ERROR_CALLS = (
     (["witness", "rose.graph", "--coeffs", "1,1"], "expected 1 coefficients, got 2"),
     (["family", "rose", "0"], "rose(n) requires n >= 1"),
     (["kp-check", "-", "-"], "standard input can supply only one graph"),
+    (["analyze", "rose.graph", "--char", ","], "no characteristics given"),
+    (["witness", "rose.graph", "--coeffs", "1", "--char", "0,2"],
+     "witness takes exactly one characteristic"),
 )
 
 

@@ -114,6 +114,18 @@ def test_multiply_edge_with_ghost():
     assert term.p == term.q == PathWord.from_edges([e1])
 
 
+def test_equal_elements_hash_equal_and_zero_is_false():
+    g = family("rose", [2])
+    e1, e2 = all_edges(g)
+    for field in (F0, F2):
+        x, y = CohnElement.edge(g, field, e1), CohnElement.ghost_edge(g, field, e2)
+        assert x + y == y + x
+        assert hash(x + y) == hash(y + x)
+        assert bool(x + y) is True
+        assert bool(CohnElement.zero(g, field)) is False
+        assert bool(x + x) is (field is F0)  # 2 e1 vanishes over GF(2)
+
+
 def test_multiply_vertex_identities():
     g = family("example4")
     total = CohnElement.zero(g, F0)

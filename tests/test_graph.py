@@ -91,16 +91,28 @@ def test_parse_readme_graph_input_example():
     ]
 
 
+def assert_parse_error(text, message):
+    """``parse_graph`` and the reference parser both refuse ``text`` with ``message``."""
+    for parse in (parse_graph, reference_parse):
+        with pytest.raises(GraphParseError) as exc:
+            parse(text)
+        assert str(exc.value) == message
+
+
 def test_parse_undeclared_vertex():
     with pytest.raises(GraphParseError) as exc:
         parse_graph("edge a b 1\n")
     assert exc.value.line == 1
     assert "undeclared" in str(exc.value)
+    # the column is that of the token, not of the first match of its text
+    assert_parse_error("vertex a\nedge a e\n", "line 2, column 8: undeclared vertex 'e'")
+    assert_parse_error("vertex ab\nedge ab b\n", "line 2, column 9: undeclared vertex 'b'")
 
 
 def test_parse_duplicate_vertex():
     with pytest.raises(GraphParseError, match="duplicate vertex"):
         parse_graph("vertex a\nvertex a\n")
+    assert_parse_error("vertex e\nvertex e\n", "line 2, column 8: duplicate vertex label 'e'")
 
 
 def test_parse_no_vertices():
@@ -113,6 +125,10 @@ def test_parse_bad_multiplicity():
         parse_graph("vertex a\nedge a a 0\n")
     with pytest.raises(GraphParseError, match="multiplicity"):
         parse_graph("vertex a\nedge a a x\n")
+    assert_parse_error(
+        "vertex v10\nvertex v2\nedge v10 v2 0\n",
+        "line 3, column 13: multiplicity must be >= 1, got 0",
+    )
 
 
 def test_parse_unknown_directive_reports_position():
@@ -133,6 +149,13 @@ def test_parse_duplicate_edge_label():
             ["a"],
             [("f", 0, 0), ("f", 0, 0)],
             "line 3, column 12: duplicate edge label 'f'",
+        ),
+        # the label's column, not that of the "e" in "edge-label"
+        (
+            "vertex a\nvertex b\nedge-label e a b\nedge-label e a b\n",
+            ["a", "b"],
+            [("e", 0, 1), ("e", 0, 1)],
+            "line 4, column 12: duplicate edge label 'e'",
         ),
         # an auto-generated label colliding with an explicit one is also rejected
         (
@@ -334,6 +357,14 @@ def test_family_counts():
         for d in range(2, 5):
             if n >= 2:
                 assert family("matrix_rose", [n, d]).num_edges == d - 1 + n
+    # out-degrees come with the runs: the V x V counts are never built (the
+    # smaller line fails first, before its counts grow large)
+    for d in (4000, 100_000):
+        with time_limit(5):
+            g = family("line", [d])
+            assert g.num_edges == d - 1
+            assert g.sinks() == (g.vertices[-1],)
+        assert "counts" not in vars(g) and "_adjacency" not in vars(g)
 
 
 def test_family_parameter_errors():

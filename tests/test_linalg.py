@@ -33,6 +33,7 @@ from lpa_lie import (
     m_matrix,
     smith_normal_form,
 )
+from lpa_lie.linalg import _MR_BOUND, _jacobi, _strong_probable_prime
 
 int_matrices = st.integers(min_value=1, max_value=5).flatmap(
     lambda n: st.lists(
@@ -78,6 +79,15 @@ def test_is_prime_rejects_strong_pseudoprimes():
         assert is_prime(10**18 + 3)
         assert is_prime(2**89 - 1) and is_prime(2**127 - 1)
         assert not is_prime((2**61 - 1) * (2**89 - 1))
+
+
+def test_is_prime_lucas_test_rejects_a_base_2_strong_pseudoprime():
+    # above _MR_BOUND only base 2 and the strong Lucas test (here with D = -11) decide
+    n = 3317044070243339695661221
+    assert n == 1287836183341 * 2575672366681 and n > _MR_BOUND
+    assert [_jacobi(D, n) for D in (5, -7, 9, -11)] == [1, 1, 1, -1]
+    assert _strong_probable_prime(n, 2) is True
+    assert is_prime(n) is False
 
 
 def test_is_prime_matches_sympy_on_large_values():
