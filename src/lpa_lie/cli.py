@@ -61,10 +61,6 @@ SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19)
 VERTEX_LIMIT = 1_000
 
 
-class _CliError(ValueError):
-    """Input or usage problem; maps to exit code 1."""
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.exit(1, f"{self.prog}: error: {message}\n")
@@ -77,30 +73,30 @@ def _read_source(spec: str) -> str:
         with open(spec, encoding="utf-8") as fh:
             return fh.read()
     except OSError as exc:
-        raise _CliError(f"cannot read {spec!r}: {exc}") from exc
+        raise ValueError(f"cannot read {spec!r}: {exc}") from exc
 
 
 def _load_graph(spec: str) -> Graph:
-    text = _read_source(spec)
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
+    # one leading byte-order mark is not part of the graph (RFC 8259, section 8.1)
+    text = _read_source(spec).removeprefix("\ufeff")
+    if text.lstrip().startswith("{"):
         try:
             data = json.loads(text)
         except (json.JSONDecodeError, RecursionError) as exc:
-            raise _CliError(f"bad JSON graph: {exc}") from exc
+            raise ValueError(f"bad JSON graph: {exc}") from exc
         if not isinstance(data, dict) or "vertices" not in data or "adjacency" not in data:
-            raise _CliError("JSON graph needs 'vertices' and 'adjacency' fields")
+            raise ValueError("JSON graph needs 'vertices' and 'adjacency' fields")
         labels = data["vertices"]
         if not isinstance(labels, list) or not all(isinstance(v, str) for v in labels):
-            raise _CliError("JSON graph 'vertices' must be a list of strings")
+            raise ValueError("JSON graph 'vertices' must be a list of strings")
         try:
             g = graph_from_adjacency(labels, data["adjacency"])
         except GraphError as exc:
-            raise _CliError(f"bad structured graph: {exc}") from exc
+            raise ValueError(f"bad structured graph: {exc}") from exc
     else:
         g = parse_graph(text)
     if g.num_vertices > VERTEX_LIMIT:
-        raise _CliError(
+        raise ValueError(
             f"graph has {g.num_vertices} vertices, more than the limit of {VERTEX_LIMIT}"
         )
     return g
@@ -118,9 +114,9 @@ def _parse_ints(text: str, what: str, valid, rule: str) -> list[int]:
         try:
             n = _parse_integer(piece)
         except ValueError:
-            raise _CliError(f"bad {what} {piece!r}") from None
+            raise ValueError(f"bad {what} {piece!r}") from None
         if not valid(n):
-            raise _CliError(f"{rule}, got {n}")
+            raise ValueError(f"{rule}, got {n}")
         values.append(n)
     return values
 
@@ -129,7 +125,7 @@ def _parse_chars(text: str) -> list[int]:
     rule = "characteristic must be 0 or prime"
     chars = _parse_ints(text, "characteristic", lambda c: c == 0 or is_prime(c), rule)
     if not chars:
-        raise _CliError("no characteristics given")
+        raise ValueError("no characteristics given")
     return chars
 
 
@@ -327,11 +323,11 @@ def _cmd_witness(args) -> int:
     g = _load_graph(args.graph)
     chars = _parse_chars(args.char)
     if len(chars) != 1:
-        raise _CliError("witness takes exactly one characteristic")
+        raise ValueError("witness takes exactly one characteristic")
     field = FieldSpec(chars[0])
     raw = _split_list(args.coeffs)
     if len(raw) != g.num_vertices:
-        raise _CliError(
+        raise ValueError(
             f"expected {g.num_vertices} coefficients, got {len(raw)}"
         )
     coeffs = [field.parse(piece) for piece in raw]
@@ -397,7 +393,7 @@ def _cmd_family(args) -> int:
 
 def _cmd_kp_check(args) -> int:
     if args.graph_a == args.graph_b == "-":
-        raise _CliError("standard input can supply only one graph")
+        raise ValueError("standard input can supply only one graph")
     ga = _load_graph(args.graph_a)
     gb = _load_graph(args.graph_b)
     chars = _parse_chars(args.char)
@@ -423,11 +419,8 @@ def _cmd_kp_check(args) -> int:
     }
     if report.applicable:
         for key, pres in (("k0_a", report.presentation_a), ("k0_b", report.presentation_b)):
-            payload[key] = {
-                "group": pres.group_description(),
-                "invariant_factors": list(pres.invariant_factors),
-                "unit_class": list(pres.unit_class),
-            }
+            info = _k0_dict(pres)
+            payload[key] = {k: info[k] for k in ("group", "invariant_factors", "unit_class")}
 
     def human() -> str:
         if not report.applicable:
@@ -533,20 +526,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="full report for one graph")
     p.add_argument("graph", help="graph file, or - for stdin")
     p.add_argument("--char", default=chars, help="comma list of characteristics")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(handler=_cmd_analyze)
 
     p = sub.add_parser("k0", help="cokernel presentation and divisibility data")
     p.add_argument("graph")
     p.add_argument("--primes", default="", help="extra primes for divisibility checks")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(handler=_cmd_k0)
 
     p = sub.add_parser("witness", help="symbolic bracket witness for a vertex combination")
     p.add_argument("graph")
     p.add_argument("--coeffs", required=True, help="comma list of coefficients")
     p.add_argument("--char", default="0", help="one characteristic")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(handler=_cmd_witness)
 
     p = sub.add_parser("family", help="emit a named family graph as text")
@@ -555,20 +545,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.register("type", int, _parse_integer)
     p.add_argument("name", help="one of: " + ", ".join(family_names()))
     p.add_argument("params", nargs="*", type=int)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(handler=_cmd_family)
 
     p = sub.add_parser("kp-check", help="pointed-K0 comparison of two graphs")
     p.add_argument("graph_a")
     p.add_argument("graph_b")
     p.add_argument("--char", default=chars)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(handler=_cmd_kp_check)
 
     p = sub.add_parser("selftest", help="run the worked-example regression suite")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(handler=_cmd_selftest)
 
+    for p in sub.choices.values():
+        p.add_argument("--json", action="store_true")
     return parser
 
 

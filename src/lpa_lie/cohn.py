@@ -6,6 +6,8 @@ key ``(source vertex index, edge index, ...)`` and a term the pair of keys
 ``(p, q)``, and elements print straight from those keys, each rendered once
 per graph; ``PathWord`` and ``CohnTerm`` are views of them, built only to take
 terms from callers (a view of another graph is refused) and hand terms back.
+An edge index is named, for printing, views and the range of a path, by
+``Graph.edge``.
 Multiplication only ever uses the path-composition and ghost-cancellation
 relations, under which the stated terms really are a basis, so equality of
 elements is just equality of coefficient maps.  The quotient relation at a
@@ -18,12 +20,11 @@ common denominator.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import lcm
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 
 from .graph import EdgeId, Graph, VertexId, b_vectors
 from .linalg import FieldSpec
@@ -105,24 +106,9 @@ def _term_key(g: Graph, t: CohnTerm) -> tuple:
     for w in (t.p, t.q):
         _own_vertex(g, w.source)
         for e in w.edges:
-            # e composes with the checked path, so its source is g's own; out_edges go by index
-            out = g.out_edges(e.source)
-            i = bisect_left(out, e.index, key=attrgetter("index"))
-            if out[i : i + 1] != (e,):
+            if not 0 <= e.index < g.num_edges or g.edge(e.index) != e:
                 raise ValueError(f"edge {e.label!r} is not an edge of this graph")
     return tuple((w.source.index, *(e.index for e in w.edges)) for w in (t.p, t.q))
-
-
-def _edge_namer(g: Graph):
-    """A function naming an edge index by the ``out_edges`` of its source."""
-    named: dict[int, EdgeId] = {}
-
-    def edge(i: int) -> EdgeId:
-        if i not in named:
-            named.update((e.index, e) for e in g.out_edges(g.vertices[g.edge_ends(i)[0]]))
-        return named[i]
-
-    return edge
 
 
 def _mult_terms(a: tuple, b: tuple) -> tuple | None:
@@ -189,8 +175,8 @@ class CohnElement:
 
     @property
     def terms(self) -> dict:
-        g, edge = self.graph, _edge_namer(self.graph)
-        path = cache(lambda key: PathWord(g.vertices[key[0]], tuple(map(edge, key[1:]))))
+        g = self.graph
+        path = cache(lambda key: PathWord(g.vertices[key[0]], tuple(map(g.edge, key[1:]))))
         return {CohnTerm(path(p), path(q)): c for (p, q), c in self._terms.items()}
 
     # -- constructors -------------------------------------------------------
@@ -306,11 +292,11 @@ class CohnElement:
         """
         if not self._terms:
             return "0"
-        g, edge = self.graph, _edge_namer(self.graph)
+        g = self.graph
         rendered = g._rendered
 
         def path(key: tuple[int, ...]) -> tuple:
-            labels = tuple([edge(i).label for i in key[1:]])
+            labels = tuple([g.edge(i).label for i in key[1:]])
             sort_key = (len(labels), labels or (g.vertices[key[0]].label,))
             rendered[key] = (sort_key, " ".join(labels), " ".join([f"{x}^*" for x in reversed(labels)]))
             return rendered[key]
@@ -342,8 +328,8 @@ def trace_vector(x: CohnElement) -> list:
     out = [x.field.zero()] * x.graph.num_vertices
     for (p, q), c in x._terms.items():
         if p == q:
-            # the range of p: its last edge's target, O(log runs)
-            i = x.graph.edge_ends(p[-1])[1] if len(p) > 1 else p[0]
+            # the range of p: its last edge's target
+            i = x.graph.edge(p[-1]).target.index if len(p) > 1 else p[0]
             out[i] = out[i] + c
     p = x.field.characteristic
     return [c % p for c in out] if p else out

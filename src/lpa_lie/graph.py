@@ -17,14 +17,17 @@ runs are built, and the counts and successor bitmasks that one loop over the
 runs derives, so a multiplicity costs O(1): building, parsing, serialising
 and every count-based invariant take O(V^2 + runs) time.
 ``Graph.out_edges`` is the only place an edge is named: no other code builds
-an ``EdgeId``.
+an ``EdgeId``.  It records each edge it names in one index-to-edge map, which
+``Graph.edge`` reads to name an edge by its index.
 
-The edge-label rules (no label twice, an explicit label equal to its edge's
-auto label is that auto edge) live in one place, ``_RunBuilder``.  Every
-graph's runs, on vertex indices, pass through it in ``Graph.__post_init__``.
-``parse_graph`` also feeds its own builder line by line, so a clash is
-reported at its line, and hands that builder's canonical runs to ``Graph.build``.
-A parse error's column names the offending token.
+The vertex- and edge-label rules (a label is a non-empty string free of
+whitespace, no vertex or edge label twice, an explicit label equal to its
+edge's auto label is that auto edge) live in one place, ``_RunBuilder``.
+Every graph's vertices and runs, on vertex indices, pass through it in
+``Graph.__post_init__``.  ``parse_graph`` also feeds its own builder line by
+line, so a clash is reported at its line, and hands that builder's labels and
+canonical runs to ``Graph.build``.  A parse error's column names the
+offending token.
 """
 
 from __future__ import annotations
@@ -99,27 +102,43 @@ def _split_auto(label: str) -> tuple[str, int] | None:
         return None
 
 
-class _RunBuilder:
-    """Edge runs checked one at a time and kept in canonical form.
+def _bad_label(x) -> bool:
+    """Whether ``x`` cannot label a vertex or an edge: not a non-empty string free of whitespace."""
+    return not isinstance(x, str) or x.split() != [x]
 
-    Every edge-label rule lives here: each graph, built or parsed, adds its
-    runs (vertex indices) through ``add``.  A labelled run whose label is its
-    own edge's auto label becomes an auto run, and an auto run continuing
-    the previous run merges into it, so two graphs are equal exactly when
-    their edge sequences are.  No label may be claimed twice.  A label of
-    the auto shape ``<prefix>_<k>`` is kept as part of a range of k under its
-    prefix, so claiming a whole auto run costs O(log runs).  Auto runs are
-    grouped by the prefix ``<src>_<dst>``, not by the vertex pair:
-    ``a_b -> c`` and ``a -> b_c`` name the same labels.
+
+class _RunBuilder:
+    """Vertices and edge runs checked one at a time and kept in canonical form.
+
+    Every vertex- and edge-label rule lives here: each graph, built or
+    parsed, declares its vertices through ``add_vertex`` (no label twice) and
+    adds its runs (vertex indices) through ``add``.  A labelled run whose
+    label is its own edge's auto label becomes an auto run, and an auto run
+    continuing the previous run merges into it, so two graphs are equal
+    exactly when their edge sequences are.  No edge label may be claimed
+    twice.  A label of the auto shape ``<prefix>_<k>`` is kept as part of a
+    range of k under its prefix, so claiming a whole auto run costs
+    O(log runs).  Auto runs are grouped by the prefix ``<src>_<dst>``, not
+    by the vertex pair: ``a_b -> c`` and ``a -> b_c`` name the same labels.
     """
 
-    def __init__(self, vertex_labels: list[str]):
-        # the caller may declare more vertices between runs, each with a 0 out-degree
-        self.vertex_labels = vertex_labels
-        self.out_degrees = [0] * len(vertex_labels)
+    def __init__(self):
+        self.vertex_labels: list[str] = []
+        self.index: dict[str, int] = {}
+        self.out_degrees: list[int] = []
         self.runs: list[tuple] = []
         self.plain: set[str] = set()
         self.ranges: dict[str, tuple[list[int], list[int]]] = {}
+
+    def add_vertex(self, label) -> None:
+        """Declare the next vertex; vertices may be declared between runs."""
+        if _bad_label(label):
+            raise GraphError(f"bad vertex label {label!r}")
+        if label in self.index:
+            raise GraphError(f"duplicate vertex label {label!r}")
+        self.index[label] = len(self.vertex_labels)
+        self.vertex_labels.append(label)
+        self.out_degrees.append(0)
 
     def claim_range(self, prefix: str, lo: int, hi: int) -> None:
         """Claim ``<prefix>_<k>`` for ``lo <= k <= hi``; a clash names the smallest such k taken."""
@@ -149,7 +168,7 @@ class _RunBuilder:
                     raise GraphError(f"{what} references unknown vertex {end!r}")
         prefix = f"{self.vertex_labels[s]}_{self.vertex_labels[d]}"
         if size == 3:
-            if not isinstance(label, str) or not label or any(ch.isspace() for ch in label):
+            if _bad_label(label):
                 raise GraphError(f"bad edge label {label!r}")
             auto = _split_auto(label)
             if auto is None:
@@ -198,7 +217,8 @@ class Graph:
     dst)`` for one named edge.  It is canonical, so equality of graphs is equality of
     their edge sequences.  The out-degrees are summed as the runs are built,
     never from the V x V ``counts``; those and the per-vertex ``successor_masks``
-    come from one loop over the runs.  Only ``out_edges`` names an edge as an ``EdgeId``.
+    come from one loop over the runs.  Only ``out_edges`` names an edge as an
+    ``EdgeId``; ``edge`` looks one up by its index.
     """
 
     vertices: tuple[VertexId, ...]
@@ -207,16 +227,11 @@ class Graph:
     def __post_init__(self):
         if not self.vertices:
             raise GraphError("a graph must have at least one vertex")
-        seen: set[str] = set()
+        builder = _RunBuilder()
         for i, v in enumerate(self.vertices):
             if v.index != i:
                 raise GraphError(f"vertex {v.label!r} has index {v.index}, expected {i}")
-            if not isinstance(v.label, str) or not v.label or any(ch.isspace() for ch in v.label):
-                raise GraphError(f"bad vertex label {v.label!r}")
-            if v.label in seen:
-                raise GraphError(f"duplicate vertex label {v.label!r}")
-            seen.add(v.label)
-        builder = _RunBuilder([v.label for v in self.vertices])
+            builder.add_vertex(v.label)
         for run in self.runs:
             builder.add(run)
         object.__setattr__(self, "runs", tuple(builder.runs))
@@ -274,15 +289,11 @@ class Graph:
             out[_run_ends(run)[0]].append((start, run))
         return tuple(tuple(x) for x in out)
 
-    def edge_ends(self, index: int) -> tuple[int, int]:
-        """``(src, dst)`` vertex indices of the edge with this index; O(log runs)."""
-        return _run_ends(self.runs[bisect_right(self._run_starts, index) - 1])[:2]
-
     @property
     def num_vertices(self) -> int:
         return len(self.vertices)
 
-    @property
+    @cached_property
     def num_edges(self) -> int:
         return sum(self._out_degrees)
 
@@ -296,6 +307,11 @@ class Graph:
     def _named_out(self) -> dict[int, tuple[EdgeId, ...]]:
         # out_edges built so far: the witness and every printed Cohn element
         # of one graph share one EdgeId per edge
+        return {}
+
+    @cached_property
+    def _edges(self) -> dict[int, EdgeId]:
+        # every edge that out_edges has named so far, by index
         return {}
 
     @cached_property
@@ -318,6 +334,18 @@ class Graph:
                     prefix = f"{src.label}_{dst.label}_"
                     out += [EdgeId(start + i, f"{prefix}{k + i}", src, dst) for i in range(n)]
             named = self._named_out[v.index] = tuple(out)
+            self._edges.update((e.index, e) for e in named)
+        return named
+
+    def edge(self, index: int) -> EdgeId:
+        """The edge with this index; the first lookup has ``out_edges`` name its source's edges."""
+        named = self._edges.get(index)
+        if named is None:
+            if not 0 <= index < self.num_edges:
+                raise GraphError(f"no edge with index {index!r}")
+            run = self.runs[bisect_right(self._run_starts, index) - 1]
+            self.out_edges(self.vertices[_run_ends(run)[0]])
+            named = self._edges[index]
         return named
 
     def out_degree(self, v: VertexId) -> int:
@@ -411,9 +439,8 @@ def parse_graph(text: str) -> Graph:
     Traceback (most recent call last):
     lpa_lie.graph.GraphParseError: line 2, column 8: duplicate vertex label 'e'
     """
-    vertex_labels: list[str] = []
-    index: dict[str, int] = {}
-    builder = _RunBuilder(vertex_labels)
+    builder = _RunBuilder()
+    index = builder.index
     counters: dict[tuple[int, int], int] = {}
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -424,14 +451,10 @@ def parse_graph(text: str) -> Graph:
         if directive == "vertex":
             if len(tokens) != 2:
                 raise GraphParseError("expected: vertex <label>", lineno)
-            label = tokens[1]
-            if label in index:
-                raise GraphParseError(
-                    f"duplicate vertex label {label!r}", lineno, _token_column(raw, 1)
-                )
-            index[label] = len(vertex_labels)
-            vertex_labels.append(label)
-            builder.out_degrees.append(0)
+            try:
+                builder.add_vertex(tokens[1])
+            except GraphError as exc:
+                raise GraphParseError(str(exc), lineno, _token_column(raw, 1)) from None
             continue
         if directive == "edge":
             if len(tokens) not in (3, 4):
@@ -470,9 +493,9 @@ def parse_graph(text: str) -> Graph:
             column = _token_column(raw, 1) if src_at == 2 else None  # auto labels: no token
             raise GraphParseError(str(exc), lineno, column) from None
 
-    if not vertex_labels:
+    if not index:
         raise GraphParseError("no vertices declared")
-    return Graph.build(vertex_labels, builder.runs)
+    return Graph.build(builder.vertex_labels, builder.runs)
 
 
 def serialize_graph(g: Graph) -> str:

@@ -505,15 +505,8 @@ def is_p_divisible(pres: K0Presentation, p: int) -> bool:
     """Whether the unit class equals p times some element of the cokernel.
 
     Coordinate-wise: ``p * x = y (mod a)`` is solvable iff gcd(p, a) divides
-    y, and over a free coordinate iff p divides y.
+    y; a free coordinate has a = 0, and gcd(p, 0) = p.
     """
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
-    for a, y in zip(pres.invariant_factors, pres.unit_class):
-        if a == 0:
-            if y % p != 0:
-                return False
-        else:
-            if y % gcd(p, a) != 0:
-                return False
-    return True
+    return all(y % gcd(p, a) == 0 for a, y in zip(pres.invariant_factors, pres.unit_class))

@@ -28,6 +28,11 @@ reference for the printer that keeps each rendered key on its graph.  The
 witness runs on integer numerators over one common denominator; the bracket
 sum built with ``Fraction`` or residue arithmetic from the public
 ``CohnElement`` operations (``reference_witness``) is the reference for it.
+A search over the cokernel (``reference_p_divisible``) is the reference for
+its one-line p-divisibility test.  Three graph moves with known effects,
+written here on adjacency matrices (``move_permute``, ``move_out_split`` and
+``move_matrix_head``), are oracles for the verdicts: a permutation and an
+out-split keep the algebra, and M_d E has the d x d matrices over it.
 """
 
 from __future__ import annotations
@@ -679,6 +684,72 @@ def reference_pointed_iso(pa, pb) -> str:
         if not any(reference_orbit_equal(mods, sa, [y - w for y, w in zip(sb, s)]) for s in shifts):
             return "none"
     return "exists"
+
+
+def reference_p_divisible(factors, unit_class, p: int) -> bool:
+    """Whether p x = unit class has a solution x in the cokernel, by search.
+
+    The cokernel is the direct sum of Z/a over the factors, Z where a = 0.
+    A torsion coordinate of x is tried at each residue mod a; a free one
+    needs p x = y exactly, so |x| <= |y|, and each x in that range is tried.
+    """
+    coordinates = list(zip(factors, unit_class))
+    ranges = [range(a) if a else range(-abs(y), abs(y) + 1) for a, y in coordinates]
+    return any(
+        all((p * x - y) % a == 0 if a else p * x == y for x, (a, y) in zip(xs, coordinates))
+        for xs in product(*ranges)
+    )
+
+
+# -- graph moves on adjacency matrices -------------------------------------------
+
+
+def move_permute(adj: list[list[int]], perm: list[int]) -> list[list[int]]:
+    """Relabel the vertices: vertex i of ``adj`` becomes vertex ``perm[i]``."""
+    n = len(adj)
+    out = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            out[perm[i]][perm[j]] = adj[i][j]
+    return out
+
+
+def move_out_split(rng: random.Random, adj: list[list[int]], v: int) -> list[list[int]]:
+    """The out-split of ``adj`` at ``v`` (Abrams-Louly-Pardo-Smith 2011, section 1).
+
+    The out-edges of v, at least two, fall into two nonempty sets at a random
+    cut: v keeps the first and a new last vertex v' emits the second.  Every
+    edge into v, from any vertex old or new, gains a parallel copy into v'.
+    """
+    n = len(adj)
+    targets = [w for w in range(n) for _ in range(adj[v][w])]
+    assert len(targets) >= 2, "an out-split needs two out-edges"
+    rng.shuffle(targets)
+    cut = rng.randint(1, len(targets) - 1)
+    kept = [targets[:cut].count(w) for w in range(n)]
+    moved = [c - k for c, k in zip(adj[v], kept)]
+    rows = [row[:] for row in adj]
+    rows[v] = kept
+    rows.append(moved)
+    return [row + [row[v]] for row in rows]
+
+
+def move_matrix_head(adj: list[list[int]], d: int) -> list[list[int]]:
+    """M_d E: every vertex gets d - 1 new sources, each with one edge into it.
+
+    Its path algebra is the d x d matrices over that of E (Abrams-Tomforde,
+    Trans. AMS 2011).  The sources of vertex v come after the old vertices,
+    in the order of v.
+    """
+    n = len(adj)
+    size = n * d
+    out = [row + [0] * (size - n) for row in adj]
+    for v in range(n):
+        for _ in range(d - 1):
+            source = [0] * size
+            source[v] = 1
+            out.append(source)
+    return out
 
 
 # -- reference graph text format -------------------------------------------------

@@ -597,6 +597,32 @@ def test_stdin_input(capsys, monkeypatch):
     assert "Z_2" in out
 
 
+@pytest.mark.parametrize("kind", ["text", "json"])
+@pytest.mark.parametrize("source", ["file", "stdin"])
+def test_a_leading_byte_order_mark_is_not_part_of_the_graph(tmp_path, capsys, monkeypatch, kind, source):
+    if kind == "text":
+        graph = serialize_graph(family("example4"))
+    else:
+        graph = json.dumps({"vertices": ["a", "b"], "adjacency": [[1, 1], [1, 1]]})
+    plain = tmp_path / "plain"
+    plain.write_text(graph, encoding="utf-8")
+    expected = run(capsys, "analyze", str(plain), "--json")
+    assert expected[0] == 0
+    if source == "file":
+        marked = tmp_path / "marked"
+        marked.write_bytes(b"\xef\xbb\xbf" + graph.encode("utf-8"))
+        spec = str(marked)
+    else:
+        monkeypatch.setattr("sys.stdin", io.StringIO("\ufeff" + graph))
+        spec = "-"
+    assert run(capsys, "analyze", spec, "--json") == expected
+    # only one mark is dropped; a second is read as part of the text
+    monkeypatch.setattr("sys.stdin", io.StringIO("\ufeff\ufeff" + graph))
+    code, _, err = run(capsys, "analyze", "-")
+    assert code == 1
+    assert err.startswith("error: line 1, column 1: unknown directive '\\ufeff")
+
+
 @pytest.mark.parametrize("typed", ["1_1", "\u0663"])
 def test_typed_integers_are_an_optional_sign_and_ascii_digits(tmp_path, capsys, typed):
     # int() reads "1_1" as 11 and the Arabic-Indic digit three as 3

@@ -95,6 +95,20 @@ def test_views_of_another_graph_are_refused():
     assert str(n_generator(b, F0, b.vertices[0])) == "1 * b + -1 * b_b_1 b_b_1^*"
 
 
+def test_an_edge_indexed_past_this_graphs_edges_is_refused_by_its_label():
+    # both roses have the vertex v1, so only the edge's index gives it away
+    small, big = family("rose", [1]), family("rose", [3])
+    far = big.out_edges(big.vertices[0])[2]
+    assert far.index == 2 >= small.num_edges
+    for build in (
+        lambda: CohnElement.edge(small, F0, far),
+        lambda: CohnElement.ghost_edge(small, F0, far),
+        lambda: CohnElement.path(small, F0, PathWord.from_edges([far, far])),
+    ):
+        with pytest.raises(ValueError, match="^edge 'v1_v1_3' is not an edge of this graph$"):
+            build()
+
+
 # -- multiplication --------------------------------------------------------------
 
 

@@ -540,3 +540,53 @@ def test_graph_runs_are_the_build_format(seed):
         adj = [list(row) for row in g.counts]
         runs = [(i, j, 1, c) for i, row in enumerate(adj) for j, c in enumerate(row) if c]
         assert graph_from_adjacency(labels, adj) == Graph.build(labels, runs)
+
+
+def test_every_whitespace_code_point_in_a_label_is_refused():
+    whitespace = [chr(c) for c in range(0x110000) if chr(c).isspace()]
+    assert {" ", "\t", "\x1c", "\x85", "\u3000"} <= set(whitespace)
+    for ch in whitespace:
+        for label in (ch, f"a{ch}", f"{ch}a", f"a{ch}b"):
+            with pytest.raises(GraphError, match=f"^bad vertex label {re.escape(repr(label))}$"):
+                Graph.build(["a", label], [])
+            with pytest.raises(GraphError, match=f"^bad edge label {re.escape(repr(label))}$"):
+                Graph.build(["a"], [(label, 0, 0)])
+    for label in ("", None, 1):
+        with pytest.raises(GraphError, match=f"^bad edge label {re.escape(repr(label))}$"):
+            Graph.build(["a"], [(label, 0, 0)])
+
+
+def test_labels_free_of_whitespace_are_accepted():
+    # every 97th code point, surrogates among them, the zero-width space and the byte-order mark
+    for c in (*range(1, 0x110000, 97), 0x200B, 0xFEFF):
+        ch = chr(c)
+        if not ch.isspace():
+            g = Graph.build(["a", f"x{ch}"], [(f"e{ch}", 0, 1)])
+            assert g.vertices[1].label == f"x{ch}"
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_edge_by_index_is_the_enumerated_edge(seed):
+    rng = random.Random(seed)
+    for g in (random_labelled_graph(rng), random_graph(rng)):
+        edges = all_edges(g)
+        order = list(range(len(edges)))
+        rng.shuffle(order)
+        # looked up in any order, before or after out_edges named the source
+        if order and rng.random() < 0.5:
+            g.out_edges(edges[order[0]].source)
+        for i in order:
+            assert g.edge(i) == edges[i]
+        for i in (-1, g.num_edges):
+            with pytest.raises(GraphError, match=f"^no edge with index {i}$"):
+                g.edge(i)
+
+
+def test_edge_of_a_trillion_loops_names_only_its_source():
+    g = parse_graph("vertex a\nvertex b\nedge a b 2\nedge b b 1000000000000\n")
+    with time_limit(2):
+        assert g.edge(1).label == "a_b_2"
+        for i in (-1, g.num_edges):
+            with pytest.raises(GraphError, match=f"^no edge with index {i}$"):
+                g.edge(i)

@@ -14,6 +14,7 @@ from _gen import (
     random_graph,
     random_int_matrix,
     reference_is_prime,
+    reference_p_divisible,
     reference_rank,
     reference_smith_normal_form,
     reference_solve,
@@ -592,6 +593,31 @@ def test_order_and_divisibility_against_brute_force():
         assert class_order(pres) == brute_force_order(pres)
         for p in (2, 3, 5):
             assert is_p_divisible(pres, p) == brute_force_p_divisible(pres, p)
+
+
+# a cokernel coordinate (factor, unit-class entry): torsion reduced mod its factor, or free
+torsion_coordinates = st.sampled_from([1, 2, 3, 4, 6, 8, 9, 12]).flatmap(
+    lambda a: st.tuples(st.just(a), st.integers(0, a - 1))
+)
+free_coordinates = st.tuples(st.just(0), st.integers(-12, 12))
+
+
+@given(
+    st.tuples(
+        st.lists(st.one_of(torsion_coordinates, free_coordinates), max_size=1),
+        free_coordinates,
+        st.lists(st.one_of(torsion_coordinates, free_coordinates), max_size=1),
+    ).map(lambda parts: parts[0] + [parts[1]] + parts[2]),
+    st.sampled_from([2, 3, 5, 7, 10**9 + 7]),
+)
+@example([(0, 0)], 2)
+@example([(0, 3), (6, 3)], 3)
+@example([(4, 2), (0, 4), (0, 6)], 2)
+@settings(max_examples=300, deadline=None)
+def test_p_divisibility_with_free_summands_matches_the_search(coordinates, p):
+    factors, unit_class = (tuple(x) for x in zip(*coordinates))
+    pres = K0Presentation(factors, unit_class)
+    assert is_p_divisible(pres, p) == reference_p_divisible(factors, unit_class, p)
 
 
 # -- the dual-route identity ------------------------------------------------------

@@ -8,6 +8,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _gen import (
+    move_matrix_head,
+    move_out_split,
+    move_permute,
     random_graph,
     random_graphs_where,
     random_pis_graphs,
@@ -553,3 +556,50 @@ def test_kp_no_contradiction_random():
         rep = kp_consistency(graphs[i], graphs[i + 1], (0, 2, 3, 5))
         assert rep.applicable
         assert not rep.contradiction
+
+
+# -- graph moves with known effects ---------------------------------------------------
+
+# characteristic 0, small primes and one prime above 10^9
+MOVE_CHARS = (0, 2, 3, 5, 7, 10**9 + 7)
+
+
+def _moved_pis_graph(seed: int):
+    """A random purely infinite simple graph, its adjacency matrix and an rng for the move."""
+    rng = random.Random(seed)
+    (g,) = random_pis_graphs(rng, 1)
+    return rng, g, [list(row) for row in g.counts]
+
+
+def _from_adjacency(adj):
+    return graph_from_adjacency([f"w{i}" for i in range(len(adj))], adj)
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_a_vertex_permutation_keeps_the_pointed_k0_and_every_verdict(seed):
+    rng, g, adj = _moved_pis_graph(seed)
+    perm = rng.sample(range(len(adj)), len(adj))
+    rep = kp_consistency(g, _from_adjacency(move_permute(adj, perm)), MOVE_CHARS)
+    assert rep.applicable and rep.pointed_iso == "exists" and not rep.contradiction
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_an_out_split_keeps_the_pointed_k0_and_every_verdict(seed):
+    # L(E) and L(E_s) are isomorphic (Abrams-Louly-Pardo-Smith 2011, section 1)
+    rng, g, adj = _moved_pis_graph(seed)
+    v = rng.choice([i for i, row in enumerate(adj) if sum(row) >= 2])
+    rep = kp_consistency(g, _from_adjacency(move_out_split(rng, adj, v)), MOVE_CHARS)
+    assert rep.applicable and rep.pointed_iso == "exists" and not rep.contradiction
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(2, 4))
+@settings(max_examples=60, deadline=None)
+def test_the_matrix_graph_gets_the_matrix_verdict(seed, d):
+    # L(M_d E) is the d x d matrices over L(E) (Abrams-Tomforde 2011)
+    _, g, adj = _moved_pis_graph(seed)
+    head = _from_adjacency(move_matrix_head(adj, d))
+    for c in MOVE_CHARS:
+        field = FieldSpec(c)
+        assert lie_simplicity(head, field).status == matrix_lie_simplicity(g, d, field).status
