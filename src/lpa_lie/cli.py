@@ -22,7 +22,7 @@ import os
 import sys
 
 from . import __version__
-from .cohn import vertex_witness
+from .cohn import _coefficient_texts, vertex_witness
 from .graph import (
     Graph,
     GraphError,
@@ -354,7 +354,8 @@ def _cmd_witness(args) -> int:
         return 2
 
     wit = vertex_witness(g, coeffs, t, field)
-    brackets = [{"coefficient": str(c), "edge": e.label} for c, e in wit.brackets]
+    coeff = _coefficient_texts()
+    brackets = [{"coefficient": coeff(c), "edge": e.label} for c, e in wit.brackets]
     payload.update(
         t=[str(x) for x in t],
         commutators=brackets,

@@ -302,15 +302,22 @@ class CohnElement:
             return rendered[key]
 
         rows = []
+        coeffs = _coefficient_texts()
         for (p, q), c in self._terms.items():
             wp, a, _ = rendered.get(p) or path(p)
             wq, _, b = rendered.get(q) or path(q)
             text = f"{a} {b}" if a and b else a or b or wp[1][0]
-            rows.append(((wp[0] + wq[0], wp, wq), f"{c} * {text}"))
+            rows.append(((wp[0] + wq[0], wp, wq), f"{coeffs(c)} * {text}"))
         rows.sort(key=itemgetter(0))
         return " + ".join([text for _, text in rows])
 
     __repr__ = __str__
+
+
+def _coefficient_texts():
+    """``str`` for coefficients, run once per object (a witness shares them); keep them alive."""
+    texts: dict[int, str] = {}  # by id: hashing a Fraction costs more than its str
+    return lambda c: texts.get(id(c)) or texts.setdefault(id(c), str(c))
 
 
 def commutator(x: CohnElement, y: CohnElement) -> CohnElement:

@@ -14,11 +14,12 @@ A graph keeps its edges as runs in declaration order.  An auto run
 labelled run ``(label, src, dst)`` is one individually named edge.  Every
 criterion the package decides depends only on the out-degrees, summed as the
 runs are built, and the counts and successor bitmasks that one loop over the
-runs derives, so a multiplicity costs O(1): building, parsing, serialising
-and every count-based invariant take O(V^2 + runs) time.
-``Graph.out_edges`` is the only place an edge is named: no other code builds
-an ``EdgeId``.  It records each edge it names in one index-to-edge map, which
-``Graph.edge`` reads to name an edge by its index.
+runs derives, so a multiplicity costs O(1): building, parsing and every
+count-based invariant take O(V^2 + runs) time, and serialising O(V + runs),
+except for an auto run that starts past its pair's count (only ``Graph.build``
+can make a long one).  ``Graph._name`` alone builds ``EdgeId``s: all of a
+vertex's for ``Graph.out_edges``, or the one edge at an index for
+``Graph.edge``, which bisects the run starts in O(log runs).
 
 The vertex- and edge-label rules (a label is a non-empty string free of
 whitespace, no vertex or edge label twice, an explicit label equal to its
@@ -217,8 +218,8 @@ class Graph:
     dst)`` for one named edge.  It is canonical, so equality of graphs is equality of
     their edge sequences.  The out-degrees are summed as the runs are built,
     never from the V x V ``counts``; those and the per-vertex ``successor_masks``
-    come from one loop over the runs.  Only ``out_edges`` names an edge as an
-    ``EdgeId``; ``edge`` looks one up by its index.
+    come from one loop over the runs.  Only ``_name`` names an edge as an
+    ``EdgeId``, for ``out_edges`` and for ``edge``, which looks one up by its index.
     """
 
     vertices: tuple[VertexId, ...]
@@ -311,7 +312,7 @@ class Graph:
 
     @cached_property
     def _edges(self) -> dict[int, EdgeId]:
-        # every edge that out_edges has named so far, by index
+        # every edge that out_edges or edge has named so far, by index
         return {}
 
     @cached_property
@@ -319,33 +320,35 @@ class Graph:
         # Cohn path keys printed so far, for every printed element of one graph
         return {}
 
+    def _name(self, start: int, run: tuple, indices: range) -> list[EdgeId]:
+        """The edges with these indices, all of ``run``, whose first edge has index ``start``."""
+        s, d, _ = _run_ends(run)
+        src, dst = self.vertices[s], self.vertices[d]
+        if len(run) == 3:
+            return [EdgeId(start, run[0], src, dst)]
+        prefix, k = f"{src.label}_{dst.label}_", run[2] - start
+        return [EdgeId(i, f"{prefix}{k + i}", src, dst) for i in indices]
+
     def out_edges(self, v: VertexId) -> tuple[EdgeId, ...]:
         """The named edges leaving ``v``; O(out-degree of v) on the first call."""
         named = self._named_out.get(v.index)
         if named is None:
             out: list[EdgeId] = []
-            src = self.vertices[v.index]
             for start, run in self._runs_from[v.index]:
-                dst = self.vertices[_run_ends(run)[1]]
-                if len(run) == 3:
-                    out.append(EdgeId(start, run[0], src, dst))
-                else:
-                    k, n = run[2], run[3]
-                    prefix = f"{src.label}_{dst.label}_"
-                    out += [EdgeId(start + i, f"{prefix}{k + i}", src, dst) for i in range(n)]
+                out += self._name(start, run, range(start, start + _run_ends(run)[2]))
             named = self._named_out[v.index] = tuple(out)
             self._edges.update((e.index, e) for e in named)
         return named
 
     def edge(self, index: int) -> EdgeId:
-        """The edge with this index; the first lookup has ``out_edges`` name its source's edges."""
+        """The edge with this index; a first lookup bisects the run starts and names that edge alone."""
         named = self._edges.get(index)
         if named is None:
             if not 0 <= index < self.num_edges:
                 raise GraphError(f"no edge with index {index!r}")
-            run = self.runs[bisect_right(self._run_starts, index) - 1]
-            self.out_edges(self.vertices[_run_ends(run)[0]])
-            named = self._edges[index]
+            r = bisect_right(self._run_starts, index) - 1
+            named = self._name(self._run_starts[r], self.runs[r], range(index, index + 1))[0]
+            self._edges[index] = named
         return named
 
     def out_degree(self, v: VertexId) -> int:
@@ -499,39 +502,26 @@ def parse_graph(text: str) -> Graph:
 
 
 def serialize_graph(g: Graph) -> str:
-    """Canonical text for a graph; ``parse_graph`` round-trips it exactly.
+    """Canonical text for a graph, one line per run; ``parse_graph`` round-trips it exactly.
 
-    Consecutive parallel edges whose labels continue the auto-naming count of
-    their vertex pair are collapsed into a single ``edge`` line with a
-    multiplicity; any other edge is written as an explicit ``edge-label``
-    line, together with the rest of its group of consecutive parallel edges.
+    A named edge is an ``edge-label`` line, and an auto run whose first k
+    continues its vertex pair's count (kept as the parser keeps it) an
+    ``edge`` line.  An auto run that starts past that count is an
+    ``edge-label`` line per edge; from text it has one edge per input line.
     """
     names = [v.label for v in g.vertices]
     lines = [f"vertex {name}" for name in names]
-    counters: dict[tuple[int, int], int] = {}
-    runs = g.runs
-    i = 0
-    while i < len(runs):
-        key = _run_ends(runs[i])[:2]
-        j = i + 1
-        while j < len(runs) and _run_ends(runs[j])[:2] == key:
-            j += 1
-        src, dst = names[key[0]], names[key[1]]
-        # canonical runs merge continuing auto runs, so a group that reads
-        # as one multiplicity line is a single auto run
-        run = runs[i]
-        base = counters.get(key, 0)
-        if j == i + 1 and len(run) == 4 and run[2] == base + 1:
-            lines.append(f"edge {src} {dst} {run[3]}")
-            counters[key] = base + run[3]
+    counts: dict[tuple[int, int], int] = {}
+    for run in g.runs:
+        s, d, n = _run_ends(run)
+        src, dst = names[s], names[d]
+        if len(run) == 3:
+            lines.append(f"edge-label {run[0]} {src} {dst}")
+        elif run[2] == counts.get((s, d), 0) + 1:
+            lines.append(f"edge {src} {dst} {n}")
+            counts[(s, d)] = run[2] + n - 1
         else:
-            for r in runs[i:j]:
-                if len(r) == 3:
-                    lines.append(f"edge-label {r[0]} {src} {dst}")
-                else:
-                    ks = range(r[2], r[2] + r[3])
-                    lines += (f"edge-label {src}_{dst}_{k} {src} {dst}" for k in ks)
-        i = j
+            lines += (f"edge-label {src}_{dst}_{k} {src} {dst}" for k in range(run[2], run[2] + n))
     return "\n".join(lines) + "\n"
 
 

@@ -32,7 +32,10 @@ A search over the cokernel (``reference_p_divisible``) is the reference for
 its one-line p-divisibility test.  Three graph moves with known effects,
 written here on adjacency matrices (``move_permute``, ``move_out_split`` and
 ``move_matrix_head``), are oracles for the verdicts: a permutation and an
-out-split keep the algebra, and M_d E has the d x d matrices over it.
+out-split keep the algebra, and M_d E has the d x d matrices over it.  Three
+more (``move_in_split``, ``move_cuntz_splice`` and ``move_add_source``) are
+oracles for K0: each keeps its group, and only the splice flips the sign of
+det(I - A^t).
 """
 
 from __future__ import annotations
@@ -752,6 +755,39 @@ def move_matrix_head(adj: list[list[int]], d: int) -> list[list[int]]:
     return out
 
 
+def _transpose(adj: list[list[int]]) -> list[list[int]]:
+    return [list(col) for col in zip(*adj)]
+
+
+def move_in_split(rng: random.Random, adj: list[list[int]], v: int) -> list[list[int]]:
+    """The in-split of ``adj`` at ``v`` (Abrams-Louly-Pardo-Smith 2011, section 1).
+
+    The edges into v, at least two, fall into two nonempty sets at a random
+    cut: v keeps the first and a new last vertex v' receives the second, and
+    v' emits a copy of every edge that v emits.  That is the out-split of the
+    transposed matrix, transposed back.
+    """
+    return _transpose(move_out_split(rng, _transpose(adj), v))
+
+
+def move_cuntz_splice(adj: list[list[int]], v: int) -> list[list[int]]:
+    """The Cuntz splice at ``v`` (Cuntz 1986): two new last vertices u1 and u2.
+
+    Each carries one loop, and one edge runs each way between u1 and u2 and
+    between v and u1.
+    """
+    n = len(adj)
+    out = [row + [0, 0] for row in adj] + [[0] * (n + 2), [0] * (n + 2)]
+    for a, b in ((n, n), (n + 1, n + 1), (n, n + 1), (n + 1, n), (v, n), (n, v)):
+        out[a][b] += 1
+    return out
+
+
+def move_add_source(adj: list[list[int]], row: list[int]) -> list[list[int]]:
+    """A new last vertex with ``row[j]`` edges into vertex j and no edge into it."""
+    return [r + [0] for r in adj] + [list(row) + [0]]
+
+
 # -- reference graph text format -------------------------------------------------
 
 
@@ -881,27 +917,30 @@ def expand_runs(runs: list[dict]) -> list[tuple[str, str, str]]:
 def reference_serialize(g: Graph) -> str:
     """The per-edge serialiser, over the named edges of ``g``.
 
-    Consecutive parallel edges whose labels match the auto-naming scheme are
-    collapsed into a single ``edge`` line with a multiplicity; any other edge
-    is written as an explicit ``edge-label`` line.
+    A maximal stretch of one vertex pair's consecutive edges labelled
+    ``<src>_<dst>_<base + 1>``, ``<base + 2>``, ..., where base counts the
+    pair's edges already written on ``edge`` lines, is one ``edge`` line with
+    a multiplicity; any other edge is one ``edge-label`` line.
     """
     lines = [f"vertex {v.label}" for v in g.vertices]
     counters: dict[tuple[str, str], int] = {}
-    i = 0
     edges = all_edges(g)
+    i = 0
     while i < len(edges):
         key = (edges[i].source.label, edges[i].target.label)
-        j = i
-        while j < len(edges) and (edges[j].source.label, edges[j].target.label) == key:
-            j += 1
-        run = edges[i:j]
         base = counters.get(key, 0)
-        expected = [f"{key[0]}_{key[1]}_{base + k}" for k in range(1, len(run) + 1)]
-        if [e.label for e in run] == expected:
-            lines.append(f"edge {key[0]} {key[1]} {len(run)}")
-            counters[key] = base + len(run)
+        j = i
+        while (
+            j < len(edges)
+            and (edges[j].source.label, edges[j].target.label) == key
+            and edges[j].label == f"{key[0]}_{key[1]}_{base + j - i + 1}"
+        ):
+            j += 1
+        if j > i:
+            lines.append(f"edge {key[0]} {key[1]} {j - i}")
+            counters[key] = base + j - i
         else:
-            for e in run:
-                lines.append(f"edge-label {e.label} {e.source.label} {e.target.label}")
+            lines.append(f"edge-label {edges[i].label} {key[0]} {key[1]}")
+            j = i + 1
         i = j
     return "\n".join(lines) + "\n"

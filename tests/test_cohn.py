@@ -443,6 +443,29 @@ def test_vertex_witness_names_no_term_beyond_out_edges(monkeypatch):
     assert [e for _, e in wit.brackets] == list(g.out_edges(g.vertices[0]))
 
 
+def test_edge_lookup_names_one_edge_of_a_trillion_loops(monkeypatch):
+    g = parse_graph("vertex a\nvertex b\nedge a b 2\nedge b b 1000000000000\n")
+    built = Counter()
+
+    def counted(self, *args, _init=EdgeId.__init__, **kwargs):
+        built["EdgeId"] += 1
+        _init(self, *args, **kwargs)
+
+    monkeypatch.setattr(EdgeId, "__init__", counted)
+    with time_limit(2):
+        first = g.edge(2)
+        assert built == {"EdgeId": 1}
+        last = g.edge(g.num_edges - 1)
+        assert built == {"EdgeId": 2}
+        assert (first.label, last.label) == ("b_b_1", "b_b_1000000000000")
+        assert (last.index, last.source, last.target) == (10**12 + 1, g.vertices[1], g.vertices[1])
+        bracket = commutator(CohnElement.edge(g, F0, last), CohnElement.ghost_edge(g, F0, last))
+        assert str(bracket) == "-1 * b + 1 * b_b_1000000000000 b_b_1000000000000^*"
+        assert trace_vector(bracket) == [0, 0]
+    # the element and its printing look the edge up again, and name nothing new
+    assert built == {"EdgeId": 2}
+
+
 def test_verify_witness_from_solver_random():
     rng = random.Random(106)
     checked = 0

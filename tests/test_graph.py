@@ -422,6 +422,27 @@ def test_serialize_keeps_explicit_labels():
     assert parse_graph(text) == g
 
 
+@given(directive_scripts())
+@settings(max_examples=400, deadline=None)
+def test_serialize_writes_at_most_a_line_per_directive(text):
+    try:
+        g = parse_graph(text)
+    except GraphParseError:
+        return
+    out = serialize_graph(g)
+    assert parse_graph(out) == g
+    directives = [line for line in text.splitlines() if line.split()]
+    assert out.count("\n") <= len(directives)
+
+
+def test_serialize_a_trillion_edges_after_a_named_one():
+    text = "vertex a\nvertex b\nedge-label x a b\nedge a b 1000000000000\n"
+    with time_limit(2):
+        g = parse_graph(text)
+        assert serialize_graph(g) == text
+        assert parse_graph(serialize_graph(g)) == g
+
+
 # -- structural invariants -------------------------------------------------------
 
 

@@ -8,6 +8,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _gen import (
+    int_det,
+    move_add_source,
+    move_cuntz_splice,
+    move_in_split,
     move_matrix_head,
     move_out_split,
     move_permute,
@@ -603,3 +607,44 @@ def test_the_matrix_graph_gets_the_matrix_verdict(seed, d):
     for c in MOVE_CHARS:
         field = FieldSpec(c)
         assert lie_simplicity(head, field).status == matrix_lie_simplicity(g, d, field).status
+
+
+def _k0_and_sign(adj):
+    """The invariant factors of K0 other than 1, and the sign of det(I - A^t)."""
+    n = len(adj)
+    det = int_det([[int(i == j) - adj[j][i] for j in range(n)] for i in range(n)])
+    factors = GraphInvariants(_from_adjacency(adj)).k0.invariant_factors
+    return tuple(f for f in factors if f != 1), (det > 0) - (det < 0)
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_an_in_split_keeps_k0_and_the_det_sign(seed):
+    # a Morita equivalence (ALPS 2011) and a flow equivalence (Franks 1984)
+    rng, _, adj = _moved_pis_graph(seed)
+    v = rng.choice([j for j in range(len(adj)) if sum(row[j] for row in adj) >= 2])
+    assert _k0_and_sign(move_in_split(rng, adj, v)) == _k0_and_sign(adj)
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_a_cuntz_splice_keeps_k0_and_flips_the_det_sign(seed):
+    rng, _, adj = _moved_pis_graph(seed)
+    factors, sign = _k0_and_sign(adj)
+    assert _k0_and_sign(move_cuntz_splice(adj, rng.randrange(len(adj)))) == (factors, -sign)
+
+
+def test_the_cuntz_splice_of_rose_2_has_trivial_k0():
+    # L_2 against L_2- (ALPS 2011): the same trivial K0, opposite det signs
+    assert _k0_and_sign([[2]]) == ((), -1)
+    assert _k0_and_sign(move_cuntz_splice([[2]], 0)) == ((), 1)
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_adding_a_source_keeps_k0_and_the_det_sign(seed):
+    # removing a source is a Morita equivalence (ALPS 2011); its row of I - A^t is a unit row
+    rng, _, adj = _moved_pis_graph(seed)
+    row = [rng.randint(0, 2) for _ in adj]
+    row[rng.randrange(len(adj))] += 1
+    assert _k0_and_sign(move_add_source(adj, row)) == _k0_and_sign(adj)
