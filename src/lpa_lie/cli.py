@@ -149,22 +149,19 @@ def _verdict_dict(v) -> dict:
     }
 
 
-def _run_dict(names: list[str], run: tuple) -> dict:
-    """An auto run ``(src, dst, first, count)`` or a named edge ``(label, src, dst)``."""
-    if len(run) == 4:
-        s, d, first, count = run
-        return {"source": names[s], "target": names[d], "first": first, "count": count}
-    label, s, d = run
-    return {"label": label, "source": names[s], "target": names[d]}
-
-
 def _graph_summary(g: Graph) -> dict:
     names = [v.label for v in g.vertices]
     return {
         "vertices": names,
         "edge_count": g.num_edges,
-        # one entry per run, so the summary never names an edge
-        "runs": [_run_dict(names, run) for run in g.runs],
+        # one entry per run, so the summary never names an edge: an auto run
+        # (src, dst, first, count) or a named edge (label, src, dst)
+        "runs": [
+            {"source": names[r[0]], "target": names[r[1]], "first": r[2], "count": r[3]}
+            if len(r) == 4
+            else {"label": r[0], "source": names[r[1]], "target": names[r[2]]}
+            for r in g.runs
+        ],
         "sinks": [v.label for v in g.sinks()],
         "regular": [v.label for v in g.regular_vertices()],
         "adjacency": g.counts,

@@ -113,14 +113,16 @@ class _RunBuilder:
 
     Every vertex- and edge-label rule lives here: each graph, built or
     parsed, declares its vertices through ``add_vertex`` (no label twice) and
-    adds its runs (vertex indices) through ``add``.  A labelled run whose
+    adds its runs (vertex indices) through ``extend``, which checks them all
+    in one loop, or one at a time through ``add``.  A labelled run whose
     label is its own edge's auto label becomes an auto run, and an auto run
     continuing the previous run merges into it, so two graphs are equal
     exactly when their edge sequences are.  No edge label may be claimed
     twice.  A label of the auto shape ``<prefix>_<k>`` is kept as part of a
-    range of k under its prefix, so claiming a whole auto run costs
-    O(log runs).  Auto runs are grouped by the prefix ``<src>_<dst>``, not
-    by the vertex pair: ``a_b -> c`` and ``a -> b_c`` name the same labels.
+    range of k under its prefix, so claiming a whole auto run costs O(1)
+    for a new prefix and O(log runs) otherwise.  Auto runs are grouped by
+    the prefix ``<src>_<dst>``, not by the vertex pair: ``a_b -> c`` and
+    ``a -> b_c`` name the same labels.
     """
 
     def __init__(self):
@@ -143,8 +145,10 @@ class _RunBuilder:
 
     def claim_range(self, prefix: str, lo: int, hi: int) -> None:
         """Claim ``<prefix>_<k>`` for ``lo <= k <= hi``; a clash names the smallest such k taken."""
-        if (claimed := self.ranges.get(prefix)) is None:
-            claimed = self.ranges[prefix] = ([], [])
+        claimed = self.ranges.get(prefix)
+        if claimed is None:
+            self.ranges[prefix] = ([lo], [hi])
+            return
         starts, ends = claimed
         i = bisect_left(ends, lo)
         if i < len(ends) and starts[i] <= hi:
@@ -157,47 +161,58 @@ class _RunBuilder:
 
     def add(self, run) -> None:
         """Check one run, claim its labels and merge it into ``runs``."""
-        size = len(run) if isinstance(run, tuple) else 0
-        if size not in (3, 4):
-            raise GraphError(f"bad edge run {run!r}")
-        label, s, d = run if size == 3 else (None, run[0], run[1])
-        m = len(self.vertex_labels)
-        if not (type(s) is int and type(d) is int and 0 <= s < m and 0 <= d < m):
-            for end in (s, d):
-                if not isinstance(end, int) or isinstance(end, bool) or not 0 <= end < m:
-                    what = f"auto run {run!r}" if label is None else f"edge {label!r}"
-                    raise GraphError(f"{what} references unknown vertex {end!r}")
-        prefix = f"{self.vertex_labels[s]}_{self.vertex_labels[d]}"
-        if size == 3:
-            if _bad_label(label):
-                raise GraphError(f"bad edge label {label!r}")
-            auto = _split_auto(label)
-            if auto is None:
-                if label in self.plain:
-                    raise GraphError(f"duplicate edge label {label!r}")
-                self.plain.add(label)
-            elif auto[0] == prefix:
-                run = (s, d, auto[1], 1)
+        self.extend((run,))
+
+    def extend(self, runs) -> None:
+        """``add`` each of ``runs`` in turn, in one loop."""
+        names, degrees, out = self.vertex_labels, self.out_degrees, self.runs
+        m = len(names)
+        for run in runs:
+            size = len(run) if isinstance(run, tuple) else 0
+            if size == 4:
+                label = None
+                s, d, k, n = run
+            elif size == 3:
+                label, s, d = run
             else:
-                self.claim_range(auto[0], auto[1], auto[1])
-        if len(run) == 4:
-            k, n = run[2], run[3]
+                raise GraphError(f"bad edge run {run!r}")
+            if not (type(s) is int and type(d) is int and 0 <= s < m and 0 <= d < m):
+                for end in (s, d):
+                    if not isinstance(end, int) or isinstance(end, bool) or not 0 <= end < m:
+                        what = f"auto run {run!r}" if label is None else f"edge {label!r}"
+                        raise GraphError(f"{what} references unknown vertex {end!r}")
+            prefix = f"{names[s]}_{names[d]}"
+            if size == 3:
+                if _bad_label(label):
+                    raise GraphError(f"bad edge label {label!r}")
+                auto = _split_auto(label)
+                if auto is None:
+                    if label in self.plain:
+                        raise GraphError(f"duplicate edge label {label!r}")
+                    self.plain.add(label)
+                elif auto[0] == prefix:
+                    size, k, n = 4, auto[1], 1
+                    run = (s, d, k, n)
+                else:
+                    self.claim_range(auto[0], auto[1], auto[1])
             # plain ints pass the first test; an int subclass other than bool passes the second
-            if not (type(k) is int and type(n) is int and k >= 1 and n >= 1) and not all(
+            elif not (type(k) is int and type(n) is int and k >= 1 and n >= 1) and not all(
                 isinstance(x, int) and not isinstance(x, bool) and x >= 1 for x in (k, n)
             ):
                 raise GraphError(
                     f"auto run {run!r} needs a positive integer first_k and multiplicity"
                 )
+            if size == 3:
+                degrees[s] += 1
+                out.append(run)
+                continue
             self.claim_range(prefix, k, k + n - 1)
-            self.out_degrees[s] += n
-            last = self.runs[-1] if self.runs else ()
+            degrees[s] += n
+            last = out[-1] if out else ()
             if len(last) == 4 and last[0] == s and last[1] == d and last[2] + last[3] == k:
-                self.runs[-1] = (s, d, last[2], last[3] + n)
-                return
-        else:
-            self.out_degrees[s] += 1
-        self.runs.append(run)
+                out[-1] = (s, d, last[2], last[3] + n)
+            else:
+                out.append(run)
 
 
 def _run_ends(run: tuple) -> tuple[int, int, int]:
@@ -233,8 +248,7 @@ class Graph:
             if v.index != i:
                 raise GraphError(f"vertex {v.label!r} has index {v.index}, expected {i}")
             builder.add_vertex(v.label)
-        for run in self.runs:
-            builder.add(run)
+        builder.extend(self.runs)
         object.__setattr__(self, "runs", tuple(builder.runs))
         object.__setattr__(self, "_out_degrees", tuple(builder.out_degrees))
 

@@ -5,7 +5,11 @@ rationals, or residues modulo a prime; no floating point is ever involved.
 One elimination routine, the Smith normal form over Z with unimodular
 certificates U, V, backs everything else.  It runs on M alone and logs each
 row and column operation that diagonalises it; U and V are those logs, and
-a verdict replays them only on the vectors it reads (U b, V y).  Each step
+a verdict replays them only on the vectors it reads.  A decomposition keeps,
+per target b, c = U b, V ĉ (ĉ is c with its entries off the unit factors
+zeroed) and V e_i for each nonzero non-unit factor d_i with c_i nonzero, so
+the solve at one more characteristic costs O(n k) for k such factors, with
+no replay of either log.  Each step
 divides with the nearest-integer quotient, so a stage takes few Euclid
 rounds; column steps wait until the row steps have cleared the pivot's
 column, so U's multipliers stay small; and a round that leaves remainders
@@ -26,7 +30,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
+from itertools import chain, repeat
 from math import gcd, isqrt, lcm
 
 __all__ = [
@@ -206,13 +210,11 @@ class FieldSpec:
 # flip of column k is (k, k, 2), since col k - 2 col k = -col k.
 
 
-def _replay_rows(log, vec: list[int], p: int = 0) -> list[int]:
-    """``U @ vec`` for the product U of the row operations in ``log``, mod ``p`` if nonzero."""
+def _replay_rows(log, vec: list[int]) -> list[int]:
+    """``U @ vec`` over Z for the product U of the row operations in ``log``."""
     for i, k, q in log:
         if q is None:
             vec[i], vec[k] = vec[k], vec[i]
-        elif p:
-            vec[i] = (vec[i] - q * vec[k]) % p
         else:
             vec[i] -= q * vec[k]
     return vec
@@ -229,9 +231,14 @@ class SmithDecomposition:
     ``u`` and ``v`` are built on first use by replaying a log on each unit
     vector; ``solve`` and ``K0Presentation.of`` replay the logs on the
     vectors they read instead, so a verdict never builds ``u`` or ``v``.
-    ``u @ b`` is replayed over Z once per target b and kept, and the column
-    log is reversed once, so the unit class and the solve at every
-    characteristic read one ``u @ (1, ..., 1)`` and one back log.
+    The column log is reversed once, and per target b a decomposition keeps
+    ``c = u @ b``, ``v @ ĉ`` (c with its entries off the unit factors
+    zeroed) and ``v @ e_i`` for each nonzero non-unit factor d_i with c_i
+    nonzero, each replayed over Z on first use.  Solvability is read off c
+    and the diagonal, and a solution is ``v @ ĉ`` plus ``y_i v @ e_i``
+    summed over those factors, so the unit class and the solve at every
+    characteristic read one ``u @ (1, ..., 1)``, and one more
+    characteristic costs O(n k) for k such factors, with no replay.
     The four fields, not the kept images, are the identity:
     ``smith_normal_form`` is deterministic, so two of its decompositions are
     equal exactly when they decompose the same matrix, which is when their
@@ -243,6 +250,7 @@ class SmithDecomposition:
     row_log: tuple[tuple[int, int, int | None], ...]
     col_log: tuple[tuple[int, int, int | None], ...]
     _images: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _back_images: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def _image(self, b: tuple[int, ...]) -> tuple[int, ...]:
         """``u @ b`` over Z, replayed on the first call for ``b`` and kept."""
@@ -279,6 +287,37 @@ class SmithDecomposition:
         # act on y last to first; "col j -= q * col k" acts as "row k -= q * row j"
         return tuple((k, j, q) for j, k, q in reversed(self.col_log))
 
+    @cached_property
+    def _nonunit_factors(self) -> tuple[tuple[int, int], ...]:
+        """``(i, d_i)`` for each factor other than 1, a zero for each row past the diagonal."""
+        padded = chain(self.diagonal, repeat(0, self.shape[0] - len(self.diagonal)))
+        return tuple((i, a) for i, a in enumerate(padded) if a != 1)
+
+    def _back_image(self, b: tuple[int, ...]):
+        """``(v @ ĉ, terms)`` for the target ``b``, replayed on the first call for ``b`` and kept.
+
+        With ``c = u @ b``, ĉ is c with every entry off a unit factor zeroed,
+        and ``terms`` holds ``(c_i, d_i, v @ e_i)`` for each nonzero
+        non-unit factor d_i with c_i nonzero.  ``v @ y`` is a combination of
+        these vectors whatever y_i = c_i / d_i a field gives.
+        """
+        kept = self._back_images.get(b)
+        if kept is None:
+            c, cols = self._image(b), self.shape[1]
+            units = [ci if a == 1 else 0 for ci, a in zip(c, self.diagonal)]
+            units += [0] * (cols - len(units))
+            terms = []
+            for i, a in self._nonunit_factors:
+                if a and c[i]:
+                    e = [0] * cols
+                    e[i] = 1
+                    terms.append((c[i], a, tuple(_replay_rows(self._back_log, e))))
+            kept = self._back_images[b] = (
+                tuple(_replay_rows(self._back_log, units)),
+                tuple(terms),
+            )
+        return kept
+
     def rank(self, field: FieldSpec) -> int:
         """Rank of the original matrix over ``field``: the factors nonzero there."""
         p = field.characteristic
@@ -299,31 +338,43 @@ class SmithDecomposition:
         True
         """
         p = field.characteristic
-        b = [field.coerce(x) for x in target]
-        rows, cols = self.shape
+        b = tuple(target)
+        scale = 1
+        if not set(map(type, b)) <= {int}:  # plain ints are integer targets at every p
+            b = [field.coerce(x) for x in b]
+            if not p:
+                # over the common denominator the target is an integer vector
+                scale = lcm(*(x.denominator for x in b))
+                b = [x.numerator * (scale // x.denominator) for x in b]
+            b = tuple(b)
+        rows = self.shape[0]
         if len(b) != rows:
             raise ValueError(
                 f"dimension mismatch: target of length {len(b)}, matrix with {rows} rows"
             )
-        diag = self.diagonal
-        if not p:
-            # every nonzero factor divides the last one, so y_i = c_i / d_i
-            # is an integer over the common denominator top * scale
-            scale = lcm(*(x.denominator for x in b))
-            b = [x.numerator * (scale // x.denominator) for x in b]
-            top = next((a for a in reversed(diag) if a), 1)
-        y = [0] * cols
-        for i, c in enumerate(self._image(tuple(b))):
-            d = diag[i] if i < len(diag) else 0
-            if p:
-                c %= p
-                d %= p
-            if d:
-                y[i] = c * pow(d, -1, p) % p if p else c * (top // d)
-            elif c:
+        c = self._image(b)
+        if p:
+            if any(c[i] % p for i, a in self._nonunit_factors if not a % p):
                 return None
-        x = _replay_rows(self._back_log, y, p)
-        return x if p else [Fraction(xi, top * scale) for xi in x]
+        elif any(c[i] for i, a in self._nonunit_factors if not a):
+            return None
+        units, terms = self._back_image(b)
+        if p:
+            # y_i = c_i / d_i; a factor that vanishes mod p leaves y_i free, set to zero
+            x = list(units)
+            for ci, a, col in terms:
+                if a % p:
+                    yi = ci * pow(a, -1, p) % p
+                    x = [xj + yi * vj for xj, vj in zip(x, col)]
+            return [xj % p for xj in x]
+        # every nonzero factor divides the last one, so y_i = c_i / d_i
+        # is an integer over the common denominator top * scale
+        top = next((a for a in reversed(self.diagonal) if a), 1)
+        x = [top * vj for vj in units]
+        for ci, a, col in terms:
+            yi = ci * (top // a)
+            x = [xj + yi * vj for xj, vj in zip(x, col)]
+        return [Fraction(xj, top * scale) for xj in x]
 
 
 def _first_least_abs(xs) -> int | None:

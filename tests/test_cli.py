@@ -507,9 +507,9 @@ def test_analyze_computes_each_invariant_once(tmp_path, capsys, monkeypatch):
     replayed = []
     original_replay = lpa_lie.linalg._replay_rows
 
-    def counted_replay(log, vec, p=0):
+    def counted_replay(log, vec):
         replayed.append(log)
-        return original_replay(log, vec, p)
+        return original_replay(log, vec)
 
     monkeypatch.setattr(lpa_lie.linalg, "_replay_rows", counted_replay)
 
@@ -517,8 +517,17 @@ def test_analyze_computes_each_invariant_once(tmp_path, capsys, monkeypatch):
         assert dec.row_log  # the empty log is one shared tuple
         return sum(1 for log in replayed if log is dec.row_log)
 
+    def back_replays_within_bound(dec):
+        # one replay of the column operations on the unit part of U b, and
+        # one on e_i per nonzero non-unit factor d_i, whatever the characteristics
+        if not dec.col_log:  # the empty back log is one shared tuple, and free
+            return True
+        back = sum(1 for log in replayed if log is dec._back_log)
+        return back <= 1 + sum(1 for a in dec.diagonal if a > 1)
+
+    twelve = "0,2,3,5,7,11,13,17,19,23,29,31"
     path = write_family(tmp_path, "prime_set", [6])
-    code, out, _ = run(capsys, "analyze", path, "--char", "0,2,3,5,7,11,13,17,19,23,29,31")
+    code, out, _ = run(capsys, "analyze", path, "--char", twelve)
     assert code == 0
     assert out.count("-- AGREE") == 12
     # both reports come from one reachability closure, computed once
@@ -528,36 +537,33 @@ def test_analyze_computes_each_invariant_once(tmp_path, capsys, monkeypatch):
     assert counts["smith_normal_form"] == 1
     # the unit class and the span solve at all 12 characteristics read one U (1, ..., 1)
     assert replays_of(smith_forms[-1]) == 1
+    assert back_replays_within_bound(smith_forms[-1])
 
     # (1, 1) is in the span of matrix_rose 2 3's B-vectors at every
-    # characteristic, so all 12 solves replay the column operations on y,
-    # and they replay one back log of them, reversed once
+    # characteristic, yet the 12 solves replay the column operations only
+    # within the bound, all on one back log, reversed once
     replayed.clear()
     smith_forms.clear()
     path = write_family(tmp_path, "matrix_rose", [2, 3])
-    code, out, _ = run(capsys, "analyze", path, "--char", "0,2,3,5,7,11,13,17,19,23,29,31")
+    code, out, _ = run(capsys, "analyze", path, "--char", twelve)
     assert code == 0
     assert out.count("-- AGREE") == 12
     dec = smith_forms[-1]
     assert dec.col_log  # the empty back log would be one shared tuple
     back_logs = [log for log in replayed if log is not dec.row_log]
-    assert len(back_logs) == 12
-    assert all(log is back_logs[0] for log in back_logs)
+    assert 1 <= len(back_logs) <= 1 + sum(1 for a in dec.diagonal if a > 1)
+    assert all(log is dec._back_log for log in back_logs)
 
-    counts["smith_normal_form"] = 0
-    a = write_family(tmp_path, "rose", [2])
-    b = write_family(tmp_path, "matrix_rose", [2, 3])
-    code, out, _ = run(capsys, "kp-check", a, b)
-    assert code == 0
-    assert counts["smith_normal_form"] <= 2
-
-    smith_forms.clear()
-    a = write_family(tmp_path, "example4", [])
-    b = write_family(tmp_path, "matrix_rose", [3, 4])
-    code, out, _ = run(capsys, "kp-check", a, b)
-    assert code == 0
-    assert len(smith_forms) == 2
-    assert [replays_of(dec) for dec in smith_forms] == [1, 1]
+    for a, b in (("rose", [2]), ("matrix_rose", [2, 3])), (("example4", []), ("matrix_rose", [3, 4])):
+        replayed.clear()
+        smith_forms.clear()
+        code, out, _ = run(capsys, "kp-check", write_family(tmp_path, *a), write_family(tmp_path, *b))
+        assert code == 0
+        # one Smith form per graph, each solved within the bound at every characteristic
+        assert len(smith_forms) == 2
+        assert all(back_replays_within_bound(dec) for dec in smith_forms)
+        if a[0] == "example4":
+            assert [replays_of(dec) for dec in smith_forms] == [1, 1]
 
     # a sink: the cokernel of I - A^t needs a Smith form of its own
     counts["smith_normal_form"] = 0

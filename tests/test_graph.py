@@ -32,6 +32,7 @@ from lpa_lie import (
     parse_graph,
     serialize_graph,
 )
+from lpa_lie.graph import _RunBuilder
 
 EXAMPLE4_TEXT = """\
 # the standard four-vertex example
@@ -611,3 +612,74 @@ def test_edge_of_a_trillion_loops_names_only_its_source():
         for i in (-1, g.num_edges):
             with pytest.raises(GraphError, match=f"^no edge with index {i}$"):
                 g.edge(i)
+
+
+# Labels where "a_b -> c" and "a -> b_c" share the prefix of their auto labels.
+BUILDER_LABELS = ["a", "b", "c", "a_b", "b_c"]
+run_ends = st.one_of(st.integers(-1, 5), st.booleans())
+builder_runs = st.one_of(
+    st.tuples(run_ends, run_ends, st.one_of(st.integers(-1, 4), st.booleans()), st.integers(-1, 3)),
+    st.tuples(
+        st.one_of(
+            st.builds("{}_{}_{}".format, st.sampled_from(BUILDER_LABELS),
+                      st.sampled_from(BUILDER_LABELS), st.integers(1, 4)),
+            st.sampled_from(["e", "f", "", "e f", None]),
+        ),
+        run_ends,
+        run_ends,
+    ),
+    st.sampled_from([(0, 1), [0, 1, 1, 1], "e"]),
+)
+BUILDER_CASES = [
+    # the a_b -> c / a -> b_c prefix clash
+    ([(3, 2, 1, 1), (0, 4, 1, 1)], "duplicate edge label 'a_b_c_1'"),
+    ([("a_b_c_2", 0, 4), (3, 2, 1, 2)], "duplicate edge label 'a_b_c_2'"),
+    # an explicit label equal to its own auto label is that auto edge, and merges
+    ([(0, 1, 1, 1), ("a_b_2", 0, 1), (0, 1, 3, 2)], ((0, 1, 1, 4),)),
+    ([("a_b_1", 0, 1), (0, 1, 1, 1)], "duplicate edge label 'a_b_1'"),
+    # continuations merge; a gap or another pair in between does not
+    ([(0, 1, 1, 2), (0, 1, 3, 1), (1, 0, 1, 1), (0, 1, 4, 1), (0, 1, 6, 1)],
+     ((0, 1, 1, 3), (1, 0, 1, 1), (0, 1, 4, 1), (0, 1, 6, 1))),
+    # bool, negative and out-of-range entries
+    ([(True, 0, 1, 1)], "auto run (True, 0, 1, 1) references unknown vertex True"),
+    ([(0, -1, 1, 1)], "auto run (0, -1, 1, 1) references unknown vertex -1"),
+    ([("e", 0, 5)], "edge 'e' references unknown vertex 5"),
+    ([(0, 1, True, 1)], "auto run (0, 1, True, 1) needs a positive integer first_k and multiplicity"),
+    ([(0, 1, 1, 0)], "auto run (0, 1, 1, 0) needs a positive integer first_k and multiplicity"),
+    ([(0, 1, -1, 2)], "auto run (0, 1, -1, 2) needs a positive integer first_k and multiplicity"),
+    ([(0, 1)], "bad edge run (0, 1)"),
+]
+
+
+def build_both_ways(labels, runs):
+    """``(runs, out-degrees)`` or the ``GraphError`` text, from ``Graph.build`` and run by run."""
+    try:
+        g = Graph.build(labels, runs)
+        whole = (g.runs, tuple(g.out_degree(v) for v in g.vertices))
+    except GraphError as exc:
+        whole = str(exc)
+    builder = _RunBuilder()
+    for label in labels:
+        builder.add_vertex(label)
+    try:
+        for run in runs:
+            builder.add(run)
+        one_by_one = (tuple(builder.runs), tuple(builder.out_degrees))
+    except GraphError as exc:
+        one_by_one = str(exc)
+    return whole, one_by_one
+
+
+@pytest.mark.parametrize("runs, expected", BUILDER_CASES)
+def test_building_at_once_is_adding_run_by_run(runs, expected):
+    whole, one_by_one = build_both_ways(BUILDER_LABELS, runs)
+    assert whole == one_by_one
+    assert (whole if isinstance(whole, str) else whole[0]) == expected
+
+
+@given(st.lists(st.sampled_from(BUILDER_LABELS), min_size=1, max_size=5, unique=True),
+       st.lists(builder_runs, max_size=8))
+@settings(max_examples=400, deadline=None)
+def test_building_at_once_is_adding_run_by_run_hypothesis(labels, runs):
+    whole, one_by_one = build_both_ways(labels, runs)
+    assert whole == one_by_one

@@ -2,7 +2,7 @@ import random
 from enum import IntEnum
 from fractions import Fraction
 from itertools import product
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import example, given, settings
@@ -430,6 +430,60 @@ def test_kept_row_images_match_a_fresh_decomposition_hypothesis(case):
     # the kept images are no part of the identity
     assert dec == smith_normal_form(mat) and hash(dec) == hash(smith_normal_form(mat))
     assert "_images" not in repr(dec)
+
+
+fractions = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 6))
+repeated_solve_cases = snf_cases.flatmap(
+    lambda mat: st.tuples(
+        st.just(mat),
+        st.lists(
+            st.tuples(
+                st.sampled_from([0, 2, 3, 5, 7, 2**61 - 1]),
+                # x for the member M x, and a target that is mostly not one
+                st.lists(fractions, min_size=len(mat[0]), max_size=len(mat[0])),
+                st.lists(fractions, min_size=len(mat), max_size=len(mat)),
+                st.booleans(),  # as integers, over the common denominator
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+    )
+)
+
+
+@given(repeated_solve_cases)
+# factors 2 and 6: (1, 1) is solvable over Q and GF(5), not over GF(2) or GF(3)
+@example(([[2, 0], [0, 6]], [(c, [Fraction(1, 2)] * 2, [Fraction(1)] * 2, True) for c in (2, 0, 3, 5, 2)]))
+@settings(max_examples=200, deadline=None)
+def test_one_decomposition_solves_at_every_characteristic_hypothesis(case):
+    # the kept images of U b and of V serve every characteristic, in any
+    # order and again, as the explicit certificates do
+    mat, queries = case
+    dec = smith_normal_form(mat)
+    explicit = (dec.u, dec.d, dec.v)
+    for c, x, other, as_integers in queries:
+        field = FieldSpec(c)
+        member = [sum(a * xi for a, xi in zip(row, x)) for row in mat]
+        for target, is_member in ((member, True), (other, False)):
+            if as_integers:
+                scale = lcm(*(t.denominator for t in target))
+                target = [int(t * scale) for t in target]
+            if c and any(t.denominator % c == 0 for t in target):
+                with pytest.raises(ValueError, match="vanishes"):
+                    dec.solve(target, field)
+                continue
+            answer = dec.solve(target, field)
+            assert answer == reference_solve(explicit, target, field)
+            if is_member and not c:
+                assert answer is not None
+        bad = [0] * len(mat)
+        bad[c % len(mat)] = True
+        with pytest.raises(TypeError, match="booleans"):
+            dec.solve(bad, field)
+    # the kept images are no part of the identity
+    fresh = smith_normal_form(mat)
+    assert dec == fresh and hash(dec) == hash(fresh)
+    assert repr(dec) == repr(fresh)
 
 
 def test_snf_diagonal_matches_sympy():
