@@ -36,9 +36,9 @@ from .graph import (
 from .linalg import (
     FieldSpec,
     K0Presentation,
+    _p_divisible,
     _parse_integer,
     class_order,
-    is_p_divisible,
     is_prime,
 )
 from .verdict import (
@@ -107,26 +107,35 @@ def _split_list(text: str) -> list[str]:
     return [piece for piece in map(str.strip, text.split(",")) if piece]
 
 
-def _parse_ints(text: str, what: str, valid, rule: str) -> list[int]:
-    """The integers of a comma list, in order; each must pass ``valid``."""
+def _parse_ints(text: str, what: str, make, rule: str) -> list:
+    """``make(n)`` for each integer n of a comma list, in order; ``make``
+    raises ``ValueError`` for an n that breaks ``rule``."""
     values = []
     for piece in _split_list(text):
         try:
             n = _parse_integer(piece)
         except ValueError:
             raise ValueError(f"bad {what} {piece!r}") from None
-        if not valid(n):
-            raise ValueError(f"{rule}, got {n}")
-        values.append(n)
+        try:
+            values.append(make(n))
+        except ValueError:
+            raise ValueError(f"{rule}, got {n}") from None
     return values
 
 
-def _parse_chars(text: str) -> list[int]:
-    rule = "characteristic must be 0 or prime"
-    chars = _parse_ints(text, "characteristic", lambda c: c == 0 or is_prime(c), rule)
-    if not chars:
+def _prime(n: int) -> int:
+    if not is_prime(n):
+        raise ValueError(n)
+    return n
+
+
+def _parse_chars(text: str) -> list[FieldSpec]:
+    # FieldSpec tests each characteristic for primality, and the commands
+    # compute over these fields, so each is tested once per call
+    fields = _parse_ints(text, "characteristic", FieldSpec, "characteristic must be 0 or prime")
+    if not fields:
         raise ValueError("no characteristics given")
-    return chars
+    return fields
 
 
 def _fmt_vec(values) -> str:
@@ -190,8 +199,9 @@ def _emit(args, payload: dict, human) -> None:
     """Print ``payload`` as JSON, or else the text that ``human()`` builds."""
     if args.json:
         # a Graph in the payload becomes its summary only here; compact
-        # one-line output keeps CPython on its C encoder
-        print(json.dumps(payload, default=_graph_summary))
+        # one-line output keeps CPython on its C encoder, and every payload
+        # is a tree built fresh for this call, so no cycle check is needed
+        print(json.dumps(payload, default=_graph_summary, check_circular=False))
     else:
         print(human(), end="")
 
@@ -203,16 +213,16 @@ def _emit(args, payload: dict, human) -> None:
 
 def _cmd_analyze(args) -> int:
     g = _load_graph(args.graph)
-    chars = _parse_chars(args.char)
+    fields = _parse_chars(args.char)
     inv = GraphInvariants(g)
     simple = inv.simplicity
     pis = inv.pure_infinite_simplicity
     bvecs = inv.b_vectors
 
     rows = []
-    for c in chars:
-        field = FieldSpec(c)
+    for field in fields:
         span = lie_simplicity(inv, field)
+        c = field.characteristic
         entry = {"characteristic": c, "span": _verdict_dict(span), "k0": None, "agreement": None}
         if pis.verdict:
             k0v = lie_simplicity_via_k0(inv, field)
@@ -282,11 +292,12 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_k0(args) -> int:
     g = _load_graph(args.graph)
-    extra = _parse_ints(args.primes, "prime", is_prime, "--primes entries must be prime")
+    extra = _parse_ints(args.primes, "prime", _prime, "--primes entries must be prime")
     primes = sorted(set(SMALL_PRIMES) | set(extra))
     pres = GraphInvariants(g).k0
     info = _k0_dict(pres)
-    divisibility = {str(p): is_p_divisible(pres, p) for p in primes}
+    # every p is prime already: SMALL_PRIMES, or tested by _prime
+    divisibility = {str(p): _p_divisible(pres, p) for p in primes}
     payload = {
         "schema": SCHEMA,
         "command": "k0",
@@ -318,10 +329,10 @@ def _cmd_k0(args) -> int:
 
 def _cmd_witness(args) -> int:
     g = _load_graph(args.graph)
-    chars = _parse_chars(args.char)
-    if len(chars) != 1:
+    fields = _parse_chars(args.char)
+    if len(fields) != 1:
         raise ValueError("witness takes exactly one characteristic")
-    field = FieldSpec(chars[0])
+    field = fields[0]
     raw = _split_list(args.coeffs)
     if len(raw) != g.num_vertices:
         raise ValueError(
@@ -394,8 +405,7 @@ def _cmd_kp_check(args) -> int:
         raise ValueError("standard input can supply only one graph")
     ga = _load_graph(args.graph_a)
     gb = _load_graph(args.graph_b)
-    chars = _parse_chars(args.char)
-    report = kp_consistency(ga, gb, chars)
+    report = kp_consistency(ga, gb, _parse_chars(args.char))
     payload = {
         "schema": SCHEMA,
         "command": "kp-check",

@@ -287,8 +287,11 @@ class CohnElement:
         """Each term ``p q*``: p's edge labels, then q's reversed and starred,
         or the vertex when p and q are vertices.  Terms are ordered by total
         edge count, then by p's ``(edge count, labels)``, then by q's; a
-        vertex path counts as ``(0, (vertex label,))``; each path key is
-        rendered (sort key, text, reversed starred text) once per graph.
+        vertex path counts as ``(0, (vertex label,))``.  Each path key is
+        rendered once per graph, as its sort key, its text and its reversed
+        starred text, and a diagonal term ``p p*`` (every term of a witness)
+        takes one lookup; each coefficient's ``"<c> * "`` is made once per
+        print.
         """
         if not self._terms:
             return "0"
@@ -296,18 +299,30 @@ class CohnElement:
         rendered = g._rendered
 
         def path(key: tuple[int, ...]) -> tuple:
-            labels = tuple([g.edge(i).label for i in key[1:]])
-            sort_key = (len(labels), labels or (g.vertices[key[0]].label,))
-            rendered[key] = (sort_key, " ".join(labels), " ".join([f"{x}^*" for x in reversed(labels)]))
+            if len(key) == 2:
+                label = g.edge(key[1]).label
+                rendered[key] = ((1, (label,)), label, f"{label}^*")
+            else:
+                labels = tuple([g.edge(i).label for i in key[1:]])
+                sort_key = (len(labels), labels or (g.vertices[key[0]].label,))
+                starred = " ".join([f"{x}^*" for x in reversed(labels)])
+                rendered[key] = (sort_key, " ".join(labels), starred)
             return rendered[key]
 
         rows = []
-        coeffs = _coefficient_texts()
+        # by id: a witness shares one object per coefficient, and hashing a
+        # Fraction costs more than its str; the terms keep the objects alive
+        prefixes: dict[int, str] = {}
         for (p, q), c in self._terms.items():
-            wp, a, _ = rendered.get(p) or path(p)
+            prefix = prefixes.get(id(c))
+            if prefix is None:
+                prefix = prefixes[id(c)] = f"{c} * "
+            wp, a, b = rendered.get(p) or path(p)
+            if p == q:
+                rows.append(((2 * wp[0], wp, wp), f"{prefix}{a} {b}" if a else prefix + wp[1][0]))
+                continue
             wq, _, b = rendered.get(q) or path(q)
-            text = f"{a} {b}" if a and b else a or b or wp[1][0]
-            rows.append(((wp[0] + wq[0], wp, wq), f"{coeffs(c)} * {text}"))
+            rows.append(((wp[0] + wq[0], wp, wq), prefix + (f"{a} {b}" if a and b else a or b)))
         rows.sort(key=itemgetter(0))
         return " + ".join([text for _, text in rows])
 
@@ -391,7 +406,8 @@ def vertex_witness(g: Graph, k_coeffs, t_coeffs, field: FieldSpec) -> VertexWitn
     ``WITNESS_EDGE_LIMIT`` edges leaving the support of t a ``ValueError``.
     Sums run on integer numerators over D, the lcm of the denominators of k
     and t (1 over GF(p)), and scaling by D keeps the comparison's answer;
-    then one ``Fraction`` is made per distinct numerator over Q.
+    then over Q one dict, keyed by the distinct numerators of the brackets,
+    W and the correction, makes one ``Fraction`` for each of them.
     """
     m = g.num_vertices
     k = [field.coerce(c) for c in k_coeffs]
@@ -425,13 +441,14 @@ def vertex_witness(g: Graph, k_coeffs, t_coeffs, field: FieldSpec) -> VertexWitn
         if not tn[i]:
             continue
         neg = -tn[i] % p if p else -tn[i]
+        edges = g.out_edges(v)
+        brackets += [(neg, e) for e in edges]
         products = []
-        for e in g.out_edges(v):
-            brackets.append((neg, e))
+        for e in edges:
             path, r = (i, e.index), (e.target.index,)
             x, y = (path, r), (r, path)
             products += ((_mult_terms(x, y), neg), (_mult_terms(y, x), -neg))
-        _add_into(w, ((term, c) for term, c in products if term is not None), p)
+        _add_into(w, [(term, c) for term, c in products if term is not None], p)
         _add_into(correction, _generator_terms(g, i, tn[i], -tn[i]).items(), p)
 
     rhs = dict(correction)
@@ -439,8 +456,9 @@ def vertex_witness(g: Graph, k_coeffs, t_coeffs, field: FieldSpec) -> VertexWitn
     verified = w == rhs
     if not p:
         # one Fraction per distinct numerator, shared by the terms that carry it
-        scalar = cache(lambda n: Fraction(n, d))
-        brackets = [(scalar(c), e) for c, e in brackets]
-        w, correction = ({term: scalar(c) for term, c in x.items()} for x in (w, correction))
+        numerators = {*w.values(), *correction.values(), *(c for c, _ in brackets)}
+        scalar = {n: Fraction(n, d) for n in numerators}
+        brackets = [(scalar[c], e) for c, e in brackets]
+        w, correction = ({term: scalar[c] for term, c in x.items()} for x in (w, correction))
     elements = (CohnElement._of(g, field, x) for x in (w, correction))
     return VertexWitness(tuple(brackets), *elements, verified)

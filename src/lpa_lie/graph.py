@@ -215,13 +215,6 @@ class _RunBuilder:
                 out.append(run)
 
 
-def _run_ends(run: tuple) -> tuple[int, int, int]:
-    """``(src, dst, multiplicity)`` of a run."""
-    if len(run) == 4:
-        return run[0], run[1], run[3]
-    return run[1], run[2], 1
-
-
 @dataclass(frozen=True)
 class Graph:
     """A finite directed multigraph.
@@ -272,7 +265,11 @@ class Graph:
         a = [[0] * m for _ in range(m)]
         masks = [0] * m
         for run in self.runs:
-            s, d, n = _run_ends(run)
+            if len(run) == 4:
+                s, d, _, n = run
+            else:
+                _, s, d = run
+                n = 1
             a[s][d] += n
             masks[s] |= 1 << d
         return tuple(map(tuple, a)), tuple(masks)
@@ -293,7 +290,7 @@ class Graph:
         starts, start = [], 0
         for run in self.runs:
             starts.append(start)
-            start += _run_ends(run)[2]
+            start += run[3] if len(run) == 4 else 1
         return tuple(starts)
 
     @cached_property
@@ -301,7 +298,7 @@ class Graph:
         """Per vertex index, ``(index of its first edge, run)`` for each run it emits."""
         out: list[list] = [[] for _ in self.vertices]
         for start, run in zip(self._run_starts, self.runs):
-            out[_run_ends(run)[0]].append((start, run))
+            out[run[0] if len(run) == 4 else run[1]].append((start, run))
         return tuple(tuple(x) for x in out)
 
     @property
@@ -336,11 +333,12 @@ class Graph:
 
     def _name(self, start: int, run: tuple, indices: range) -> list[EdgeId]:
         """The edges with these indices, all of ``run``, whose first edge has index ``start``."""
-        s, d, _ = _run_ends(run)
-        src, dst = self.vertices[s], self.vertices[d]
         if len(run) == 3:
-            return [EdgeId(start, run[0], src, dst)]
-        prefix, k = f"{src.label}_{dst.label}_", run[2] - start
+            label, s, d = run
+            return [EdgeId(start, label, self.vertices[s], self.vertices[d])]
+        s, d, first, _ = run
+        src, dst = self.vertices[s], self.vertices[d]
+        prefix, k = f"{src.label}_{dst.label}_", first - start
         return [EdgeId(i, f"{prefix}{k + i}", src, dst) for i in indices]
 
     def out_edges(self, v: VertexId) -> tuple[EdgeId, ...]:
@@ -349,7 +347,8 @@ class Graph:
         if named is None:
             out: list[EdgeId] = []
             for start, run in self._runs_from[v.index]:
-                out += self._name(start, run, range(start, start + _run_ends(run)[2]))
+                n = run[3] if len(run) == 4 else 1
+                out += self._name(start, run, range(start, start + n))
             named = self._named_out[v.index] = tuple(out)
             self._edges.update((e.index, e) for e in named)
         return named
@@ -527,15 +526,17 @@ def serialize_graph(g: Graph) -> str:
     lines = [f"vertex {name}" for name in names]
     counts: dict[tuple[int, int], int] = {}
     for run in g.runs:
-        s, d, n = _run_ends(run)
-        src, dst = names[s], names[d]
         if len(run) == 3:
-            lines.append(f"edge-label {run[0]} {src} {dst}")
-        elif run[2] == counts.get((s, d), 0) + 1:
+            label, s, d = run
+            lines.append(f"edge-label {label} {names[s]} {names[d]}")
+            continue
+        s, d, first, n = run
+        src, dst = names[s], names[d]
+        if first == counts.get((s, d), 0) + 1:
             lines.append(f"edge {src} {dst} {n}")
-            counts[(s, d)] = run[2] + n - 1
+            counts[(s, d)] = first + n - 1
         else:
-            lines += (f"edge-label {src}_{dst}_{k} {src} {dst}" for k in range(run[2], run[2] + n))
+            lines += (f"edge-label {src}_{dst}_{k} {src} {dst}" for k in range(first, first + n))
     return "\n".join(lines) + "\n"
 
 

@@ -560,4 +560,9 @@ def is_p_divisible(pres: K0Presentation, p: int) -> bool:
     """
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
+    return _p_divisible(pres, p)
+
+
+def _p_divisible(pres: K0Presentation, p: int) -> bool:
+    """``is_p_divisible`` for a p already known to be prime."""
     return all(y % gcd(p, a) == 0 for a, y in zip(pres.invariant_factors, pres.unit_class))

@@ -26,9 +26,9 @@ from .linalg import (
     FieldSpec,
     K0Presentation,
     SmithDecomposition,
+    _p_divisible,
     class_order,
     cokernel,
-    is_p_divisible,
     smith_normal_form,
 )
 
@@ -240,7 +240,8 @@ def lie_simplicity_via_k0(g: Graph | GraphInvariants, field: FieldSpec) -> LieVe
             f"the unit class has finite order {order} in the cokernel",
             certificate=order,
         )
-    if is_p_divisible(pres, p):
+    # the field's characteristic is prime, tested when the field was made
+    if _p_divisible(pres, p):
         return LieVerdict(
             NOT_SIMPLE, "k0", p, f"the unit class is {p}-divisible in the cokernel"
         )
@@ -397,7 +398,8 @@ def kp_consistency(gA: Graph | GraphInvariants, gB: Graph | GraphInvariants, cha
 
     ``pointed_iso_decision`` answers ``"exists"`` or ``"none"`` exactly.  When
     a pointed isomorphism exists, the two Lie algebras must receive the same
-    status at every characteristic.
+    status at every characteristic.  ``chars`` holds characteristics or their
+    ``FieldSpec``s; a ``FieldSpec`` has had its primality tested already.
     """
     invA, invB = _invariants(gA), _invariants(gB)
     repA = invA.pure_infinite_simplicity
@@ -419,10 +421,10 @@ def kp_consistency(gA: Graph | GraphInvariants, gB: Graph | GraphInvariants, cha
     rows = []
     contradiction = False
     for c in chars:
-        field = FieldSpec(c)
+        field = c if isinstance(c, FieldSpec) else FieldSpec(c)
         va = lie_simplicity(invA, field)
         vb = lie_simplicity(invB, field)
-        rows.append((c, va, vb))
+        rows.append((field.characteristic, va, vb))
         if iso == "exists" and va.status != vb.status:
             contradiction = True
     return KpReport(True, None, pa, pb, iso, tuple(rows), contradiction)

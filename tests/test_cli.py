@@ -26,6 +26,8 @@ from _gen import (
     reference_rank,
     reference_serialize,
     reference_span,
+    reference_str,
+    reference_witness,
     time_limit,
 )
 
@@ -245,6 +247,40 @@ def test_witness_of_rose_9999_verifies_in_seconds(tmp_path, capsys):
         code, out, err = run(capsys, "witness", path, "--coeffs", "9998", "--char", "0")
     assert (code, err) == (0, "")
     assert out.endswith("\nsymbolic verification: VERIFIED\n")
+
+
+@pytest.mark.parametrize(
+    "name, params, coeffs",
+    [
+        # B = (2494): t = 1/2494 over Q and t = 2 mod 3
+        ("rose", [2495], {0: "1", 3: "2"}),
+        # 25 loops at v1; t = (-3/16, 11/16) over Q and t = (2, 2) mod 3
+        ("two_vertex", [2, 3, 4], {0: "1,1", 3: "1,2"}),
+    ],
+)
+def test_large_witness_reports_match_the_reference(tmp_path, capsys, name, params, coeffs):
+    # the golden witnesses have at most 12 brackets; here the edge labels run
+    # past k = 9, so their order differs from the index order, and every
+    # vertex of t is nonzero
+    g = family(name, params)
+    path = write_family(tmp_path, name, params)
+    for p, text in coeffs.items():
+        field = FieldSpec(p)
+        code, out, _ = run(capsys, "witness", path, "--coeffs", text, "--char", str(p), "--json")
+        data = json.loads(out)
+        assert code == 0 and data["verification"] == "VERIFIED"
+        k = [field.parse(x) for x in text.split(",")]
+        t = [field.parse(x) for x in data["t"]]
+        assert all(t)
+        assert data["commutators"] == [
+            {"coefficient": str(field.coerce(-t[e.source.index])), "edge": e.label} for e in all_edges(g)
+        ]
+        if p == 0:
+            assert all(x.denominator > 1 for x in t)
+        w, correction, verified = reference_witness(g, k, t, field)
+        assert verified
+        assert data["commutator_sum"] == reference_str(w)
+        assert data["n_correction"] == reference_str(correction)
 
 
 def test_witness_wrong_count(tmp_path, capsys):
@@ -577,6 +613,33 @@ def test_analyze_computes_each_invariant_once(tmp_path, capsys, monkeypatch):
     # the verdicts replay the elimination logs on vectors: no u or v is built
     assert smith_forms
     assert not any("u" in vars(dec) or "v" in vars(dec) for dec in smith_forms)
+
+
+def test_each_characteristic_and_prime_is_tested_once_per_call(tmp_path, capsys, monkeypatch):
+    # FieldSpec and the --primes check call the one is_prime of linalg
+    tested = []
+    original = lpa_lie.linalg.is_prime
+
+    def counted(n):
+        tested.append(n)
+        return original(n)
+
+    for mod in (lpa_lie.linalg, lpa_lie.cli):
+        monkeypatch.setattr(mod, "is_prime", counted)
+    pis = write_family(tmp_path, "two_vertex", [2, 2, 3])
+    other = write_family(tmp_path, "rose", [2])
+    for argv, expected in (
+        # both routes at every characteristic, the k0 route asking p-divisibility
+        (["analyze", pis, "--char", "0,2,3,5,7,1000000007"], [2, 3, 5, 7, 1000000007]),
+        (["witness", pis, "--coeffs", "1,0", "--char", "5"], [5]),
+        (["kp-check", pis, other, "--char", "0,2,3"], [2, 3]),
+        # the eight small primes are known to be prime
+        (["k0", pis, "--primes", "23,1000000007"], [23, 1000000007]),
+    ):
+        for mode in ((), ("--json",)):
+            tested.clear()
+            code, _, _ = run(capsys, *argv, *mode)
+            assert code in (0, 2) and tested == expected, argv
 
 
 # -- selftest and misc ----------------------------------------------------------------
