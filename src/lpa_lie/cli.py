@@ -22,7 +22,7 @@ import os
 import sys
 
 from . import __version__
-from .cohn import _coefficient_texts, vertex_witness
+from .cohn import vertex_witness
 from .graph import (
     Graph,
     GraphError,
@@ -143,12 +143,12 @@ def _fmt_vec(values) -> str:
 
 
 def _verdict_dict(v) -> dict:
+    # None, an int order, a tuple of span coefficients, or an analysis witness
     cert = v.certificate
-    if cert is not None and not isinstance(cert, (int, str)):
-        if isinstance(cert, tuple):
-            cert = [str(c) for c in cert]
-        else:
-            cert = getattr(cert, "describe", lambda: str(cert))()
+    if isinstance(cert, tuple):
+        cert = [str(c) for c in cert]
+    elif cert is not None and not isinstance(cert, int):
+        cert = cert.describe()
     return {
         "status": v.status,
         "route": v.route,
@@ -250,16 +250,14 @@ def _cmd_analyze(args) -> int:
             "B-vectors:",
         ]
         lines += [f"  B[{v.label}] = {_fmt_vec(b)}" for v, b in zip(g.vertices, bvecs)]
-        if simple.verdict:
-            lines.append("path algebra: simple (for every coefficient field)")
-        else:
-            lines.append("path algebra: NOT simple")
-            lines += [f"  witness: {w}" for w in payload["algebra_simple"]["witnesses"]]
-        if pis.verdict:
-            lines.append("purely infinite simple: yes")
-        else:
-            lines.append("purely infinite simple: no")
-            lines += [f"  witness: {w}" for w in payload["purely_infinite_simple"]["witnesses"]]
+        # a report whose verdict is true has no witnesses
+        for key, name, yes, no in (
+            ("algebra_simple", "path algebra", "simple (for every coefficient field)", "NOT simple"),
+            ("purely_infinite_simple", "purely infinite simple", "yes", "no"),
+        ):
+            report = payload[key]
+            lines.append(f"{name}: {yes if report['verdict'] else no}")
+            lines += [f"  witness: {w}" for w in report["witnesses"]]
         k0 = payload["k0"]
         lines.append(
             f"K0 presentation: {k0['group']}   snf diagonal: {_fmt_vec(k0['invariant_factors'])}"
@@ -362,8 +360,12 @@ def _cmd_witness(args) -> int:
         return 2
 
     wit = vertex_witness(g, coeffs, t, field)
-    coeff = _coefficient_texts()
-    brackets = [{"coefficient": coeff(c), "edge": e.label} for c, e in wit.brackets]
+    # by id, as CohnElement.__str__ keeps them; wit keeps the coefficients alive
+    texts: dict[int, str] = {}
+    brackets = [
+        {"coefficient": texts.get(id(c)) or texts.setdefault(id(c), str(c)), "edge": e.label}
+        for c, e in wit.brackets
+    ]
     payload.update(
         t=[str(x) for x in t],
         commutators=brackets,

@@ -329,12 +329,6 @@ class CohnElement:
     __repr__ = __str__
 
 
-def _coefficient_texts():
-    """``str`` for coefficients, run once per object (a witness shares them); keep them alive."""
-    texts: dict[int, str] = {}  # by id: hashing a Fraction costs more than its str
-    return lambda c: texts.get(id(c)) or texts.setdefault(id(c), str(c))
-
-
 def commutator(x: CohnElement, y: CohnElement) -> CohnElement:
     """The bracket ``x y - y x``."""
     return x * y - y * x

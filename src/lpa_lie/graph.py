@@ -25,10 +25,10 @@ The vertex- and edge-label rules (a label is a non-empty string free of
 whitespace, no vertex or edge label twice, an explicit label equal to its
 edge's auto label is that auto edge) live in one place, ``_RunBuilder``.
 Every graph's vertices and runs, on vertex indices, pass through it in
-``Graph.__post_init__``.  ``parse_graph`` also feeds its own builder line by
-line, so a clash is reported at its line, and hands that builder's labels and
-canonical runs to ``Graph.build``.  A parse error's column names the
-offending token.
+``Graph.__post_init__``.  ``parse_graph`` also extends its own builder by one
+run per line, so a clash is reported at its line, and hands that builder's
+labels and canonical runs to ``Graph.build``.  A parse error's column names
+the offending token.
 """
 
 from __future__ import annotations
@@ -114,15 +114,14 @@ class _RunBuilder:
     Every vertex- and edge-label rule lives here: each graph, built or
     parsed, declares its vertices through ``add_vertex`` (no label twice) and
     adds its runs (vertex indices) through ``extend``, which checks them all
-    in one loop, or one at a time through ``add``.  A labelled run whose
-    label is its own edge's auto label becomes an auto run, and an auto run
-    continuing the previous run merges into it, so two graphs are equal
-    exactly when their edge sequences are.  No edge label may be claimed
-    twice.  A label of the auto shape ``<prefix>_<k>`` is kept as part of a
-    range of k under its prefix, so claiming a whole auto run costs O(1)
-    for a new prefix and O(log runs) otherwise.  Auto runs are grouped by
-    the prefix ``<src>_<dst>``, not by the vertex pair: ``a_b -> c`` and
-    ``a -> b_c`` name the same labels.
+    in one loop.  A labelled run whose label is its own edge's auto label
+    becomes an auto run, and an auto run continuing the previous run merges
+    into it, so two graphs are equal exactly when their edge sequences are.
+    No edge label may be claimed twice.  A label of the auto shape
+    ``<prefix>_<k>`` is kept as part of a range of k under its prefix, so
+    claiming a whole auto run costs O(1) for a new prefix and O(log runs)
+    otherwise.  Auto runs are grouped by the prefix ``<src>_<dst>``, not by
+    the vertex pair: ``a_b -> c`` and ``a -> b_c`` name the same labels.
     """
 
     def __init__(self):
@@ -159,12 +158,8 @@ class _RunBuilder:
             starts.insert(i, lo)
             ends.insert(i, hi)
 
-    def add(self, run) -> None:
-        """Check one run, claim its labels and merge it into ``runs``."""
-        self.extend((run,))
-
     def extend(self, runs) -> None:
-        """``add`` each of ``runs`` in turn, in one loop."""
+        """Check each of ``runs`` in turn, claim its labels and merge it into ``runs``."""
         names, degrees, out = self.vertex_labels, self.out_degrees, self.runs
         m = len(names)
         for run in runs:
@@ -234,10 +229,13 @@ class Graph:
     runs: tuple[tuple, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "vertices", tuple(self.vertices))
         if not self.vertices:
             raise GraphError("a graph must have at least one vertex")
         builder = _RunBuilder()
         for i, v in enumerate(self.vertices):
+            if not isinstance(v, VertexId):
+                raise GraphError(f"vertex {i} is {v!r}, not a VertexId")
             if v.index != i:
                 raise GraphError(f"vertex {v.label!r} has index {v.index}, expected {i}")
             builder.add_vertex(v.label)
@@ -504,7 +502,7 @@ def parse_graph(text: str) -> Graph:
             counters[(s, d)] = base + mult
             run = (s, d, base + 1, mult)
         try:
-            builder.add(run)
+            builder.extend((run,))
         except GraphError as exc:
             column = _token_column(raw, 1) if src_at == 2 else None  # auto labels: no token
             raise GraphParseError(str(exc), lineno, column) from None

@@ -58,6 +58,8 @@ def is_prime(n: int) -> bool:
     exact.  Above it this is the Baillie-PSW test (a strong test to base 2
     and a strong Lucas test), for which no composite that passes is known.
     """
+    if not isinstance(n, int):
+        raise TypeError(f"is_prime needs an int, got {n!r}")
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -68,12 +70,15 @@ def is_prime(n: int) -> bool:
     return _strong_probable_prime(n, 2) and _strong_lucas_probable_prime(n)
 
 
+def _odd_part(m: int) -> tuple[int, int]:
+    """``(d, s)`` with d odd and ``m = d 2^s``, for ``m > 0``."""
+    s = (m & -m).bit_length() - 1
+    return m >> s, s
+
+
 def _strong_probable_prime(n: int, a: int) -> bool:
     """The Miller-Rabin test of odd ``n > a`` to base ``a``."""
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
+    d, s = _odd_part(n - 1)
     x = pow(a, d, n)
     if x == 1 or x == n - 1:
         return True
@@ -118,10 +123,7 @@ def _strong_lucas_probable_prime(n: int) -> bool:
             return False
         D = -D - 2 if D > 0 else -D + 2
     Q = (1 - D) // 4
-    d, s = n + 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
+    d, s = _odd_part(n + 1)
     # left-to-right binary ladder for U_k, V_k and Q^k, starting at k = 1
     U, V, Qk = 1, 1, Q % n
     for bit in bin(d)[3:]:
@@ -163,10 +165,9 @@ class FieldSpec:
     characteristic: int = 0
 
     def __post_init__(self):
-        if self.characteristic != 0 and not is_prime(self.characteristic):
-            raise ValueError(
-                f"characteristic must be 0 or a prime, got {self.characteristic}"
-            )
+        c = self.characteristic
+        if not isinstance(c, int) or isinstance(c, bool) or (c != 0 and not is_prime(c)):
+            raise ValueError(f"characteristic must be 0 or a prime, got {c!r}")
 
     @property
     def name(self) -> str:
@@ -220,6 +221,11 @@ def _replay_rows(log, vec: list[int]) -> list[int]:
     return vec
 
 
+def _replay_units(log, n: int):
+    """``log`` replayed on each unit vector e_0, ..., e_{n-1} of Z^n, in order."""
+    return (_replay_rows(log, [int(i == j) for i in range(n)]) for j in range(n))
+
+
 @dataclass(frozen=True)
 class SmithDecomposition:
     """Certificate ``u @ original @ v == d`` with ``u``, ``v`` unimodular.
@@ -262,9 +268,7 @@ class SmithDecomposition:
     @cached_property
     def u(self) -> tuple[tuple[int, ...], ...]:
         # column j of U is U e_j
-        n = self.shape[0]
-        units = ([int(i == j) for i in range(n)] for j in range(n))
-        return tuple(zip(*(_replay_rows(self.row_log, e) for e in units)))
+        return tuple(zip(*_replay_units(self.row_log, self.shape[0])))
 
     @cached_property
     def d(self) -> tuple[tuple[int, ...], ...]:
@@ -277,9 +281,7 @@ class SmithDecomposition:
     def v(self) -> tuple[tuple[int, ...], ...]:
         # "col j -= q * col k" on V is "row j -= q * row k" on its transpose,
         # so row j of V is the column log replayed on e_j
-        n = self.shape[1]
-        units = ([int(i == j) for i in range(n)] for j in range(n))
-        return tuple(tuple(_replay_rows(self.col_log, e)) for e in units)
+        return tuple(map(tuple, _replay_units(self.col_log, self.shape[1])))
 
     @cached_property
     def _back_log(self) -> tuple[tuple[int, int, int | None], ...]:
@@ -514,13 +516,9 @@ class K0Presentation:
     def nontrivial_factors(self) -> tuple[int, ...]:
         return tuple(a for a in self.invariant_factors if a != 1)
 
-    @property
-    def free_rank(self) -> int:
-        return sum(1 for a in self.invariant_factors if a == 0)
-
     def group_description(self) -> str:
         parts = [f"Z_{a}" for a in self.nontrivial_factors if a > 0]
-        parts += ["Z"] * self.free_rank
+        parts += ["Z"] * self.invariant_factors.count(0)
         return " x ".join(parts) if parts else "trivial"
 
     @classmethod

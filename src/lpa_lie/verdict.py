@@ -346,6 +346,13 @@ def _torsion_orbit_equal(alphas: list[int], x: list[int], y: list[int], g: int =
     return True
 
 
+def _parts(pres: K0Presentation) -> tuple[list[int], list[int], list[int]]:
+    """The factors above 1, the unit class's coordinates at them, and its free coordinates."""
+    pairs = list(zip(pres.invariant_factors, pres.unit_class))
+    torsion = [(a, y) for a, y in pairs if a > 1]
+    return [a for a, _ in torsion], [y for _, y in torsion], [y for a, y in pairs if a == 0]
+
+
 def pointed_iso_decision(pa: K0Presentation, pb: K0Presentation) -> str:
     """Decide whether a group isomorphism matches the two unit classes.
 
@@ -357,20 +364,14 @@ def pointed_iso_decision(pa: K0Presentation, pb: K0Presentation) -> str:
     ``t_b in Aut(T) t_a + gT``, which ``_torsion_orbit_equal`` decides
     without a search.  Nothing is factored.
     """
-    ta = [(a, y) for a, y in zip(pa.invariant_factors, pa.unit_class) if a != 1]
-    tb = [(a, y) for a, y in zip(pb.invariant_factors, pb.unit_class) if a != 1]
-    alphas_a = [a for a, _ in ta if a > 0]
-    alphas_b = [a for a, _ in tb if a > 0]
-    free_a = [y for a, y in ta if a == 0]
-    free_b = [y for a, y in tb if a == 0]
+    alphas_a, sa, free_a = _parts(pa)
+    alphas_b, sb, free_b = _parts(pb)
     if alphas_a != alphas_b or len(free_a) != len(free_b):
         return "none"
     # the content of the free part, 0 when there is none
     g = gcd(*free_a)
     if g != gcd(*free_b):
         return "none"
-    sa = [y for a, y in ta if a > 0]
-    sb = [y for a, y in tb if a > 0]
     return "exists" if _torsion_orbit_equal(alphas_a, sa, sb, g) else "none"
 
 

@@ -35,6 +35,7 @@ import lpa_lie
 from lpa_lie import (
     CohnElement,
     FieldSpec,
+    Graph,
     b_vectors,
     family,
     is_trivial_lpa,
@@ -315,6 +316,19 @@ def test_witness_renders_each_cohn_element_once(tmp_path, capsys, monkeypatch):
         rendered.clear()
         code, _, _ = run(capsys, "witness", path, "--coeffs", "1", *mode)
         assert code == 0 and len(rendered) == 2
+
+
+def test_witness_names_each_bracketed_edge_once(tmp_path, capsys, monkeypatch):
+    # the bracket sum and the correction render their paths through one
+    # cache per graph (Graph._rendered), so rose 50 names each edge once
+    named = []
+    original = Graph.edge
+    monkeypatch.setattr(Graph, "edge", lambda g, i: named.append(i) or original(g, i))
+    path = write_family(tmp_path, "rose", [50])
+    for mode in ((), ("--json",)):
+        named.clear()
+        code, _, _ = run(capsys, "witness", path, "--coeffs", "1", *mode)
+        assert code == 0 and sorted(named) == list(range(50))
 
 
 def test_json_mode_builds_no_text_report(tmp_path, capsys, monkeypatch):

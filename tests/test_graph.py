@@ -542,6 +542,14 @@ def test_a_run_with_an_unknown_end_is_named_as_given():
         Graph((a, b), (("e", 0, 5),))
 
 
+def test_a_vertex_that_is_not_a_vertex_id_is_refused():
+    with pytest.raises(GraphError, match="^vertex 0 is 'a', not a VertexId$"):
+        Graph(("a",), ())
+    # vertices given as a list are kept as a tuple, so the graph hashes
+    g = Graph([VertexId(0, "a")], ())
+    assert g == Graph.build(["a"]) and hash(g) == hash(Graph.build(["a"]))
+
+
 def test_a_vertex_label_that_is_not_a_string_is_refused():
     for label in (1, None, ("a",), b"a"):
         with pytest.raises(GraphError, match=f"^bad vertex label {re.escape(repr(label))}$"):
@@ -663,7 +671,7 @@ def build_both_ways(labels, runs):
         builder.add_vertex(label)
     try:
         for run in runs:
-            builder.add(run)
+            builder.extend((run,))
         one_by_one = (tuple(builder.runs), tuple(builder.out_degrees))
     except GraphError as exc:
         one_by_one = str(exc)

@@ -60,6 +60,20 @@ def test_field_spec_validation():
         FieldSpec(1)
 
 
+def test_a_characteristic_that_is_not_an_int_is_refused():
+    # residues over GF(p) are ints, so a float, Fraction, str or bool names no field
+    for c in (2.0, 43.0, Fraction(5), "2", True, False):
+        with pytest.raises(ValueError) as exc:
+            FieldSpec(c)
+        assert str(exc.value) == f"characteristic must be 0 or a prime, got {c!r}"
+    with pytest.raises(ValueError) as exc:
+        FieldSpec(4)
+    assert str(exc.value) == "characteristic must be 0 or a prime, got 4"
+    for n in (7.0, Fraction(7), "7"):
+        with pytest.raises(TypeError):
+            is_prime(n)
+
+
 def test_is_prime():
     assert [n for n in range(2, 30) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     assert not is_prime(0) and not is_prime(1) and not is_prime(-7)
