@@ -196,14 +196,15 @@ def _k0_dict(pres: K0Presentation) -> dict:
 
 
 def _emit(args, payload: dict, human) -> None:
-    """Print ``payload`` as JSON, or else the text that ``human()`` builds."""
+    """Print ``payload`` as JSON under the report header, or else the lines ``human()`` returns."""
     if args.json:
         # a Graph in the payload becomes its summary only here; compact
         # one-line output keeps CPython on its C encoder, and every payload
         # is a tree built fresh for this call, so no cycle check is needed
-        print(json.dumps(payload, default=_graph_summary, check_circular=False))
+        report = {"schema": SCHEMA, "command": args.command, **payload}
+        print(json.dumps(report, default=_graph_summary, check_circular=False))
     else:
-        print(human(), end="")
+        print("\n".join(human()))
 
 
 # ---------------------------------------------------------------------------
@@ -231,8 +232,6 @@ def _cmd_analyze(args) -> int:
         rows.append(entry)
 
     payload = {
-        "schema": SCHEMA,
-        "command": "analyze",
         "graph": g,
         "b_vectors": bvecs,
         "algebra_simple": _simplicity_dict(simple),
@@ -241,7 +240,7 @@ def _cmd_analyze(args) -> int:
         "verdicts": rows,
     }
 
-    def human() -> str:
+    def human() -> list[str]:
         lines = [
             f"graph: {g.num_vertices} vertices, {g.num_edges} edges",
             "vertices: " + " ".join(v.label for v in g.vertices),
@@ -268,14 +267,14 @@ def _cmd_analyze(args) -> int:
             span = entry["span"]
             line = f"char {entry['characteristic']}: {span['status']}   [span route: {span['reason']}]"
             lines.append(line)
-            if span["certificate"] is not None and isinstance(span["certificate"], list):
+            if isinstance(span["certificate"], list):
                 lines.append(f"  span coefficients: {_fmt_vec(span['certificate'])}")
             if entry["k0"] is not None:
                 lines.append(
                     f"  k0 route: {entry['k0']['status']} ({entry['k0']['reason']})"
                     f" -- {entry['agreement']}"
                 )
-        return "\n".join(lines) + "\n"
+        return lines
 
     _emit(args, payload, human)
     if all(entry["span"]["status"] == INAPPLICABLE for entry in rows):
@@ -297,14 +296,12 @@ def _cmd_k0(args) -> int:
     # every p is prime already: SMALL_PRIMES, or tested by _prime
     divisibility = {str(p): _p_divisible(pres, p) for p in primes}
     payload = {
-        "schema": SCHEMA,
-        "command": "k0",
         "graph": g,
         "k0": info,
         "p_divisibility": divisibility,
     }
 
-    def human() -> str:
+    def human() -> list[str]:
         lines = [
             f"K0 presentation (cokernel of I - A^t): {info['group']}",
             f"snf diagonal: {_fmt_vec(info['invariant_factors'])}",
@@ -314,7 +311,7 @@ def _cmd_k0(args) -> int:
             "p-divisibility of the unit class:",
         ]
         lines += [f"  p = {p}: {'yes' if divisibility[str(p)] else 'no'}" for p in primes]
-        return "\n".join(lines) + "\n"
+        return lines
 
     _emit(args, payload, human)
     return 0
@@ -341,8 +338,6 @@ def _cmd_witness(args) -> int:
     inv = GraphInvariants(g)
     t = inv.b_smith.solve(coeffs, field)
     payload = {
-        "schema": SCHEMA,
-        "command": "witness",
         "characteristic": field.characteristic,
         "coefficients": [str(c) for c in coeffs],
         "membership": t is not None,
@@ -351,12 +346,11 @@ def _cmd_witness(args) -> int:
         # a target outside the column space raises the rank by exactly one
         rank_b = inv.b_smith.rank(field)
         payload["certificate"] = {"rank_b": rank_b, "rank_augmented": rank_b + 1}
-        _emit(args, payload, lambda: (
-            "the vertex combination is NOT a sum of brackets over "
-            f"{field.name}\n"
+        _emit(args, payload, lambda: [
+            f"the vertex combination is NOT a sum of brackets over {field.name}",
             f"certificate: rank of the B-vector matrix is {rank_b}, rank with the "
-            f"target adjoined is {rank_b + 1}\n"
-        ))
+            f"target adjoined is {rank_b + 1}",
+        ])
         return 2
 
     wit = vertex_witness(g, coeffs, t, field)
@@ -374,7 +368,7 @@ def _cmd_witness(args) -> int:
         verification="VERIFIED" if wit.verified else "FAILED",
     )
 
-    def human() -> str:
+    def human() -> list[str]:
         mod = "" if field.characteristic == 0 else f" (mod {field.characteristic})"
         lines = [
             f"membership holds over {field.name}",
@@ -385,7 +379,7 @@ def _cmd_witness(args) -> int:
             f"quotient correction (sum of t_i * y_i): {payload['n_correction']}",
             f"symbolic verification: {payload['verification']}",
         ]
-        return "\n".join(lines) + "\n"
+        return lines
 
     _emit(args, payload, human)
     return 0 if wit.verified else 3
@@ -398,7 +392,7 @@ def _cmd_witness(args) -> int:
 
 def _cmd_family(args) -> int:
     text = serialize_graph(family(args.name, args.params))
-    _emit(args, {"schema": SCHEMA, "command": "family", "dsl": text}, lambda: text)
+    _emit(args, {"dsl": text}, text.splitlines)
     return 0
 
 
@@ -409,8 +403,6 @@ def _cmd_kp_check(args) -> int:
     gb = _load_graph(args.graph_b)
     report = kp_consistency(ga, gb, _parse_chars(args.char))
     payload = {
-        "schema": SCHEMA,
-        "command": "kp-check",
         "applicable": report.applicable,
         "reason": report.reason,
         "k0_a": None,
@@ -432,19 +424,21 @@ def _cmd_kp_check(args) -> int:
             info = _k0_dict(pres)
             payload[key] = {k: info[k] for k in ("group", "invariant_factors", "unit_class")}
 
-    def human() -> str:
+    def human() -> list[str]:
         if not report.applicable:
-            return f"inapplicable: {report.reason}\n"
+            return [f"inapplicable: {report.reason}"]
         lines = [
             f"K0 first:  {payload['k0_a']['group']}   unit class {_fmt_vec(payload['k0_a']['unit_class'])}",
             f"K0 second: {payload['k0_b']['group']}   unit class {_fmt_vec(payload['k0_b']['unit_class'])}",
             f"pointed isomorphism: {report.pointed_iso}",
         ]
-        for c, va, vb in report.verdicts:
-            agree = "agree" if va.status == vb.status else "DIFFER"
-            lines.append(f"char {c}: first {va.status}, second {vb.status} ({agree})")
+        lines += [
+            f"char {row['characteristic']}: first {row['first']['status']}, second"
+            f" {row['second']['status']} ({'agree' if row['agree'] else 'DIFFER'})"
+            for row in payload["verdicts"]
+        ]
         lines.append("CONTRADICTION detected" if report.contradiction else "no contradiction")
-        return "\n".join(lines) + "\n"
+        return lines
 
     _emit(args, payload, human)
     return 3 if report.contradiction else 0
@@ -510,12 +504,10 @@ def _cmd_selftest(args) -> int:
     results = list(_selftest_checks())
     passed = all(ok for _, ok in results)
     payload = {
-        "schema": SCHEMA,
-        "command": "selftest",
         "checks": [{"name": name, "ok": ok} for name, ok in results],
         "ok": passed,
     }
-    _emit(args, payload, lambda: "".join(f"{'PASS' if ok else 'FAIL'}  {n}\n" for n, ok in results))
+    _emit(args, payload, lambda: [f"{'PASS' if ok else 'FAIL'}  {n}" for n, ok in results])
     return 0 if passed else 1
 
 
@@ -584,7 +576,7 @@ def main(argv=None) -> int:
             code = args.handler(args)
         except ValueError as exc:
             if args.json:
-                print(json.dumps({"schema": SCHEMA, "command": args.command, "error": str(exc)}))
+                _emit(args, {"error": str(exc)}, None)
             print(f"error: {exc}", file=sys.stderr)
             code = 1
         sys.stdout.flush()

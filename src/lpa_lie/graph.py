@@ -92,6 +92,10 @@ class EdgeId:
     target: VertexId
 
 
+# int() converts at most 4,300 digits, so no auto edge is numbered 10^4300 or past
+_AUTO_K_LIMIT = 10**4300
+
+
 def _split_auto(label: str) -> tuple[str, int] | None:
     """``(prefix, k)`` when ``label`` reads ``<prefix>_<k>`` with k a positive decimal."""
     prefix, sep, digits = label.rpartition("_")
@@ -99,7 +103,7 @@ def _split_auto(label: str) -> tuple[str, int] | None:
         return None
     try:
         return prefix, int(digits)
-    except ValueError:  # more digits than int() converts; no auto run reaches such a k
+    except ValueError:  # more digits than int() converts; extend numbers no edge that far
         return None
 
 
@@ -201,6 +205,8 @@ class _RunBuilder:
                 degrees[s] += 1
                 out.append(run)
                 continue
+            if k + n > _AUTO_K_LIMIT:
+                raise GraphError(f"edges from {names[s]!r} to {names[d]!r} would be numbered past 10^4300")
             self.claim_range(prefix, k, k + n - 1)
             degrees[s] += n
             last = out[-1] if out else ()

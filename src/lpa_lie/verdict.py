@@ -56,10 +56,11 @@ INAPPLICABLE = "inapplicable"
 class GraphInvariants:
     """The per-graph data every verdict reads, each computed at most once.
 
-    Each field is computed on first use and kept as an immutable value, so
-    deciding further characteristics costs one back-substitution through
-    ``b_smith``, the Smith form of the B-matrix, which ``k0`` also reads
-    when the graph has no sink.  The verdict functions accept either a
+    Each field is computed on first use and kept as an immutable value.
+    ``b_smith``, the Smith form of the B-matrix, keeps each target's replay
+    through V, so one more characteristic costs O(n·k) on n vertices and k
+    nonzero non-unit factors, with no replay; ``k0`` also reads it when the
+    graph has no sink.  The verdict functions accept either a
     ``Graph`` or one of these; pass the same object to share the work
     between calls.
     """

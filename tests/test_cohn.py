@@ -59,6 +59,8 @@ def test_path_word_composition():
     assert p.source.label == "v1" and p.range.label == "v3" and p.length == 2
     with pytest.raises(ValueError):
         PathWord.from_edges([e2, e1])
+    with pytest.raises(ValueError, match=r"^from_edges needs at least one edge; use PathWord\(vertex\)$"):
+        PathWord.from_edges([])
 
 
 def test_term_requires_matching_ranges():
@@ -232,6 +234,12 @@ def test_multiply_field_mismatch():
     g = family("rose", [1])
     with pytest.raises(ValueError, match="field mismatch"):
         CohnElement.vertex(g, F0, g.vertices[0]) * CohnElement.vertex(g, F2, g.vertices[0])
+
+
+def test_sum_over_different_graphs_is_refused():
+    r2, r3 = family("rose", [2]), family("rose", [3])
+    with pytest.raises(ValueError, match="^elements live over different graphs$"):
+        CohnElement.vertex(r2, F0, r2.vertices[0]) + CohnElement.vertex(r3, F0, r3.vertices[0])
 
 
 def test_associativity_random():

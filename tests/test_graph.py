@@ -141,6 +141,7 @@ def test_parse_unknown_directive_reports_position():
 def test_parse_edge_label_directive():
     g = parse_graph("vertex a\nvertex b\nedge-label f a b\nedge a b 1\n")
     assert [e.label for e in all_edges(g)] == ["f", "a_b_1"]
+    assert_parse_error("vertex a\nedge-label e a\n", "line 2: expected: edge-label <name> <src> <dst>")
 
 
 def test_parse_duplicate_edge_label():
@@ -369,6 +370,14 @@ def test_family_counts():
 
 
 def test_family_parameter_errors():
+    for name, params, message in (
+        ("prime_set", [0], "prime_set(q) requires q >= 1"),
+        ("two_vertex", [1, 2, 2], "two_vertex(u, v, p) requires u, v, p >= 2"),
+        ("rose", [2.0], "family parameters must be integers (rose(n): one vertex with n loops, n >= 1)"),
+    ):
+        with pytest.raises(GraphError) as exc:
+            family(name, params)
+        assert str(exc.value) == message
     with pytest.raises(GraphError):
         family("rose", [0])
     with pytest.raises(GraphError):
@@ -507,6 +516,10 @@ def test_graph_validation():
         Graph.build(["a", "a"], [])
     with pytest.raises(GraphError):
         Graph.build(["a"], [("e", 0, 5)])
+    with pytest.raises(GraphError, match="^vertex 'a' has index 1, expected 0$"):
+        Graph((VertexId(1, "a"),), ())
+    with pytest.raises(GraphError, match="^no vertex labeled 'zz'$"):
+        Graph.build(["a"]).vertex("zz")
     with pytest.raises(GraphError):
         graph_from_adjacency(["a"], [[0, 1]])
     with pytest.raises(GraphError):
@@ -613,6 +626,23 @@ def test_edge_by_index_is_the_enumerated_edge(seed):
                 g.edge(i)
 
 
+def test_auto_edges_are_numbered_below_10_4300():
+    # past 10^4300 an auto label would read as a plain one and could be claimed twice
+    nines = "9" * 4300
+    text = f"vertex a\nvertex b\nedge a b {nines}\nedge a b {nines}\nedge-label a_b_1{'0' * 4300} a b\n"
+    with pytest.raises(GraphParseError) as exc:
+        parse_graph(text)
+    assert str(exc.value) == "line 4: edges from 'a' to 'b' would be numbered past 10^4300"
+    assert (exc.value.line, exc.value.column) == (4, None)
+    g = parse_graph(f"vertex a\nvertex b\nedge a b {nines}\n")
+    assert g.edge(g.num_edges - 1).label == f"a_b_{nines}"
+    # a label of 4,301 digits is a plain label, not an auto edge
+    text = f"vertex a\nvertex b\nedge-label a_b_1{'0' * 4300} a b\n"
+    g = parse_graph(text)
+    assert g.runs == ((f"a_b_1{'0' * 4300}", 0, 1),)
+    assert serialize_graph(g) == text and parse_graph(serialize_graph(g)) == g
+
+
 def test_edge_of_a_trillion_loops_names_only_its_source():
     g = parse_graph("vertex a\nvertex b\nedge a b 2\nedge b b 1000000000000\n")
     with time_limit(2):
@@ -656,6 +686,10 @@ BUILDER_CASES = [
     ([(0, 1, 1, 0)], "auto run (0, 1, 1, 0) needs a positive integer first_k and multiplicity"),
     ([(0, 1, -1, 2)], "auto run (0, 1, -1, 2) needs a positive integer first_k and multiplicity"),
     ([(0, 1)], "bad edge run (0, 1)"),
+    # int() converts no auto label numbered 10^4300 or past, so no run reaches it
+    ([(0, 1, 10**4300 - 1, 1)], ((0, 1, 10**4300 - 1, 1),)),
+    ([(0, 1, 1, 10**4300 - 1), (0, 1, 10**4300, 1)], "edges from 'a' to 'b' would be numbered past 10^4300"),
+    ([(0, 1, 2, 10**4300 - 1)], "edges from 'a' to 'b' would be numbered past 10^4300"),
 ]
 
 

@@ -34,7 +34,7 @@ from lpa_lie import (
     m_matrix,
     smith_normal_form,
 )
-from lpa_lie.linalg import _MR_BOUND, _jacobi, _strong_probable_prime
+from lpa_lie.linalg import _MR_BOUND, _jacobi, _strong_lucas_probable_prime, _strong_probable_prime
 
 int_matrices = st.integers(min_value=1, max_value=5).flatmap(
     lambda n: st.lists(
@@ -105,6 +105,24 @@ def test_is_prime_lucas_test_rejects_a_base_2_strong_pseudoprime():
     assert is_prime(n) is False
 
 
+def test_strong_lucas_test_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    from sympy.ntheory.primetest import is_strong_lucas_prp
+
+    # perfect squares and a D with (D / n) = 0 are among the odd n
+    with time_limit(10):
+        for n in range(3, 10**5, 2):
+            assert _strong_lucas_probable_prime(n) == is_strong_lucas_prp(n), n
+    # strong Lucas pseudoprimes: the Lucas test alone passes them, base 2 does not
+    for n in (5459, 5777, 10877, 16109, 18971):
+        assert _strong_lucas_probable_prime(n) and not is_prime(n)
+    rng = random.Random(20261020)
+    for _ in range(2000):
+        n = rng.randrange(1, 10**12, 2)
+        a = rng.randrange(-(10**12), 10**12)
+        assert _jacobi(a, n) == sympy.jacobi_symbol(a, n), (a, n)
+
+
 def test_is_prime_matches_sympy_on_large_values():
     sympy = pytest.importorskip("sympy")
     rng = random.Random(20241017)
@@ -129,6 +147,8 @@ def test_field_parse_and_coerce():
     assert [f5.coerce(Fraction(a, b)) for a, b in ((3, 7), (-1, 2), (10, 3))] == [4, 2, 0]
     with pytest.raises(ValueError):
         f3.coerce(Fraction(1, 3))
+    with pytest.raises(TypeError, match="^cannot coerce float into Q$"):
+        f0.coerce(1.5)
     with pytest.raises(ValueError):
         f0.parse("x")
 
