@@ -24,8 +24,11 @@ import sys
 from . import __version__
 from .cohn import vertex_witness
 from .graph import (
+    EdgeId,
     Graph,
     GraphError,
+    VertexId,
+    _split_auto,
     b_vectors,
     family,
     family_names,
@@ -52,7 +55,7 @@ from .verdict import (
     matrix_lie_simplicity,
 )
 
-SCHEMA = "lpa-lie.report/2"
+SCHEMA = "lpa-lie.report/3"
 DEFAULT_CHARS = (0, 2, 3, 5, 7)
 SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19)
 # Counts and the Smith form are V x V and the reachability closure is V
@@ -322,6 +325,36 @@ def _cmd_k0(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _run_dict(e: EdgeId, count: int) -> dict:
+    """The run of ``count`` edges from ``e``: ``src``, ``dst``, ``first_k``, ``count``, or ``edge``."""
+    src, dst = e.source.label, e.target.label
+    auto = _split_auto(e.label)
+    if auto is not None and auto[0] == f"{src}_{dst}":
+        return {"src": src, "dst": dst, "first_k": auto[1], "count": count}
+    return {"edge": e.label}
+
+
+def _run_text(run: dict, text) -> str:
+    """``text(label)`` of a one-edge run, ``sum[k=a..b] text(<src>_<dst>_k)`` of a longer one."""
+    if "edge" in run:
+        return text(run["edge"])
+    prefix, k, n = f"{run['src']}_{run['dst']}_", run["first_k"], run["count"]
+    if n == 1:
+        return text(f"{prefix}{k}")
+    return f"sum[k={k}..{k + n - 1}] " + text(f"{prefix}k")
+
+
+def _witness_sum(terms: dict) -> str:
+    """A witness's vertex terms by label, then its run terms by the label of their first edge."""
+    rows = sorted(
+        ((0, x.label), f"{c} * {x.label}")
+        if isinstance(x, VertexId)
+        else ((1, x[0].label), f"{c} * " + _run_text(_run_dict(*x), lambda e: f"{e} {e}^*"))
+        for x, c in terms.items()
+    )
+    return " + ".join([text for _, text in rows]) or "0"
+
+
 def _cmd_witness(args) -> int:
     g = _load_graph(args.graph)
     fields = _parse_chars(args.char)
@@ -354,17 +387,12 @@ def _cmd_witness(args) -> int:
         return 2
 
     wit = vertex_witness(g, coeffs, t, field)
-    # by id, as CohnElement.__str__ keeps them; wit keeps the coefficients alive
-    texts: dict[int, str] = {}
-    brackets = [
-        {"coefficient": texts.get(id(c)) or texts.setdefault(id(c), str(c)), "edge": e.label}
-        for c, e in wit.brackets
-    ]
+    brackets = [{"coefficient": str(c), **_run_dict(e, n)} for c, e, n in wit.brackets]
     payload.update(
         t=[str(x) for x in t],
         commutators=brackets,
-        commutator_sum=str(wit.commutator_sum),
-        n_correction=str(wit.correction),
+        commutator_sum=_witness_sum(wit.commutator_sum),
+        n_correction=_witness_sum(wit.correction),
         verification="VERIFIED" if wit.verified else "FAILED",
     )
 
@@ -374,7 +402,9 @@ def _cmd_witness(args) -> int:
             f"membership holds over {field.name}",
             f"t = {_fmt_vec(t)}{mod}",
             "commutator expression: "
-            + " + ".join(f"{b['coefficient']} * [{b['edge']}, {b['edge']}^*]" for b in brackets),
+            + " + ".join(
+                f"{b['coefficient']} * " + _run_text(b, lambda e: f"[{e}, {e}^*]") for b in brackets
+            ),
             f"  = {payload['commutator_sum']}",
             f"quotient correction (sum of t_i * y_i): {payload['n_correction']}",
             f"symbolic verification: {payload['verification']}",

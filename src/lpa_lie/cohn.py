@@ -3,9 +3,9 @@
 Elements are finite linear combinations of basis terms ``p q*`` where p and q
 are paths with a common range vertex.  Inside an element a path is the integer
 key ``(source vertex index, edge index, ...)`` and a term the pair of keys
-``(p, q)``, and elements print straight from those keys, each rendered once
-per graph; ``PathWord`` and ``CohnTerm`` are views of them, built only to take
-terms from callers (a view of another graph is refused) and hand terms back.
+``(p, q)``, and elements print straight from those keys; ``PathWord`` and
+``CohnTerm`` are views of them, built only to take terms from callers (a view
+of another graph is refused) and hand terms back.
 An edge index is named, for printing, views and the range of a path, by
 ``Graph.edge``.
 Multiplication only ever uses the path-composition and ghost-cancellation
@@ -15,7 +15,9 @@ regular vertex v is represented explicitly by the generator
 ``y_v = v - sum of e e*`` over the edges leaving v; identities in the path
 algebra itself are certified by exhibiting the exact combination of such
 generators that accounts for the difference, on integer numerators over one
-common denominator.
+common denominator.  The bracket witness of a vertex combination
+(``vertex_witness``) is kept on vertex terms and one term per run of parallel
+edges, so its size does not depend on the edge count.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ __all__ = [
     "commutator",
     "trace_vector",
     "n_generator",
-    "WITNESS_EDGE_LIMIT",
     "VertexWitness",
     "vertex_witness",
 ]
@@ -287,42 +288,22 @@ class CohnElement:
         """Each term ``p q*``: p's edge labels, then q's reversed and starred,
         or the vertex when p and q are vertices.  Terms are ordered by total
         edge count, then by p's ``(edge count, labels)``, then by q's; a
-        vertex path counts as ``(0, (vertex label,))``.  Each path key is
-        rendered once per graph, as its sort key, its text and its reversed
-        starred text, and a diagonal term ``p p*`` (every term of a witness)
-        takes one lookup; each coefficient's ``"<c> * "`` is made once per
-        print.
+        vertex path counts as ``(0, (vertex label,))``.
         """
         if not self._terms:
             return "0"
         g = self.graph
-        rendered = g._rendered
 
         def path(key: tuple[int, ...]) -> tuple:
-            if len(key) == 2:
-                label = g.edge(key[1]).label
-                rendered[key] = ((1, (label,)), label, f"{label}^*")
-            else:
-                labels = tuple([g.edge(i).label for i in key[1:]])
-                sort_key = (len(labels), labels or (g.vertices[key[0]].label,))
-                starred = " ".join([f"{x}^*" for x in reversed(labels)])
-                rendered[key] = (sort_key, " ".join(labels), starred)
-            return rendered[key]
+            labels = tuple([g.edge(i).label for i in key[1:]])
+            return (len(labels), labels or (g.vertices[key[0]].label,)), labels
 
         rows = []
-        # by id: a witness shares one object per coefficient, and hashing a
-        # Fraction costs more than its str; the terms keep the objects alive
-        prefixes: dict[int, str] = {}
         for (p, q), c in self._terms.items():
-            prefix = prefixes.get(id(c))
-            if prefix is None:
-                prefix = prefixes[id(c)] = f"{c} * "
-            wp, a, b = rendered.get(p) or path(p)
-            if p == q:
-                rows.append(((2 * wp[0], wp, wp), f"{prefix}{a} {b}" if a else prefix + wp[1][0]))
-                continue
-            wq, _, b = rendered.get(q) or path(q)
-            rows.append(((wp[0] + wq[0], wp, wq), prefix + (f"{a} {b}" if a and b else a or b)))
+            wp, a = path(p)
+            wq, b = (wp, a) if q == p else path(q)
+            text = " ".join([*a, *[f"{x}^*" for x in reversed(b)]]) or wp[1][0]
+            rows.append(((wp[0] + wq[0], wp, wq), f"{c} * {text}"))
         rows.sort(key=itemgetter(0))
         return " + ".join([text for _, text in rows])
 
@@ -351,40 +332,34 @@ def trace_vector(x: CohnElement) -> list:
     return [c % p for c in out] if p else out
 
 
-def _generator_terms(g: Graph, i: int, one, minus_one) -> dict:
-    """The terms of ``y_v = v - sum of e e*`` at vertex index i, times ``one``."""
-    # distinct edges e give distinct basis terms e e*
-    ees = {((i, e.index),) * 2: minus_one for e in g.out_edges(g.vertices[i])}
-    return {((i,), (i,)): one, **ees}
-
-
 def n_generator(g: Graph, field: FieldSpec, v: VertexId) -> CohnElement:
     """The quotient-ideal generator ``v - sum of e e*`` at a regular vertex."""
     i = _own_vertex(g, v)
     if g.is_sink(v):
         raise PreconditionError(f"vertex {v.label!r} is a sink; no generator there")
-    return CohnElement._of(g, field, _generator_terms(g, i, field.coerce(1), field.coerce(-1)))
-
-
-# The witness names and brackets every edge leaving the support of t; its
-# cost and its report, which prints every bracket, grow linearly with that
-# count, and the limit bounds both.
-WITNESS_EDGE_LIMIT = 10_000
+    # distinct edges e give distinct basis terms e e*
+    ees = {((i, e.index),) * 2: field.coerce(-1) for e in g.out_edges(v)}
+    return CohnElement._of(g, field, {((i,), (i,)): field.coerce(1), **ees})
 
 
 @dataclass(frozen=True)
 class VertexWitness:
-    """The bracket sum for a vertex combination and its exact check.
+    """The bracket sum for a vertex combination and its exact check, one term per edge run.
 
-    ``commutator_sum`` is the sum of ``coefficient * [e, e*]`` over the pairs
-    in ``brackets``, ``correction`` is ``sum_i t_i y_i``, and ``verified``
-    says whether ``commutator_sum == sum_i k_i v_i + correction`` holds
-    term by term.
+    ``brackets`` holds ``(coefficient, e, m)`` for each run of m parallel
+    edges leaving the support of t, e its first edge: the brackets
+    ``coefficient * [f, f*]`` of the run's edges f.  ``commutator_sum`` (W,
+    the sum of those brackets) and ``correction`` (``sum_i t_i y_i``) are
+    dicts from a term to its nonzero coefficient.  A term is a ``VertexId``
+    v, or a run term ``(e, m)``: the sum of ``f f*`` over the m edges f of
+    the run that starts at e.  Distinct terms are sums of disjoint sets of
+    basis terms, so ``verified``, whether ``W == sum_i k_i v_i + correction``
+    holds term by term, is the identity in the Cohn algebra itself.
     """
 
-    brackets: tuple[tuple[object, EdgeId], ...]
-    commutator_sum: CohnElement
-    correction: CohnElement
+    brackets: tuple[tuple[object, EdgeId, int], ...]
+    commutator_sum: dict[VertexId | tuple[EdgeId, int], object]
+    correction: dict[VertexId | tuple[EdgeId, int], object]
     verified: bool
 
 
@@ -394,14 +369,16 @@ def vertex_witness(g: Graph, k_coeffs, t_coeffs, field: FieldSpec) -> VertexWitn
     Given k with ``k = sum_i t_i B_i`` (t vanishing at non-regular vertices),
     the element ``W = -sum_i t_i sum_{s(e)=v_i} [e, e*]`` must equal
     ``sum_i k_i v_i + sum_i t_i y_i`` exactly, where the y_i absorb the
-    difference between the Cohn algebra and its quotient.  The result holds
-    W, the correction and that exact basis-level comparison; hypothesis
-    violations raise ``PreconditionError`` instead, and more than
-    ``WITNESS_EDGE_LIMIT`` edges leaving the support of t a ``ValueError``.
-    Sums run on integer numerators over D, the lcm of the denominators of k
-    and t (1 over GF(p)), and scaling by D keeps the comparison's answer;
-    then over Q one dict, keyed by the distinct numerators of the brackets,
-    W and the correction, makes one ``Fraction`` for each of them.
+    difference between the Cohn algebra and its quotient.  The edges of one
+    run share their source, their range and their coefficient -t_i, so
+    their brackets sum to ``-t_i (sum of e e*) + t_i m r(e)``, and W, the
+    correction and the comparison are kept on vertex terms and one run term
+    per run: the work and the result take O(runs + vertices), whatever the
+    edge count.  Hypothesis violations raise ``PreconditionError``.  Sums
+    run on integer numerators over D, the lcm of the denominators of k and
+    t (1 over GF(p)), and scaling by D keeps the comparison's answer; then
+    one dict, keyed by the distinct numerators of the brackets, W and the
+    correction, makes one field scalar for each of them.
     """
     m = g.num_vertices
     k = [field.coerce(c) for c in k_coeffs]
@@ -411,11 +388,6 @@ def vertex_witness(g: Graph, k_coeffs, t_coeffs, field: FieldSpec) -> VertexWitn
     for i, v in enumerate(g.vertices):
         if not g.is_regular(v) and t[i]:
             raise PreconditionError(f"t must vanish at non-regular vertex {v.label!r}")
-    edges = sum(g.out_degree(v) for i, v in enumerate(g.vertices) if t[i])
-    if edges > WITNESS_EDGE_LIMIT:
-        raise ValueError(
-            f"the witness would bracket {edges} edges, more than the limit of {WITNESS_EDGE_LIMIT}"
-        )
     p = field.characteristic
     d = lcm(*(c.denominator for c in k + t))
     kn, tn = ([c.numerator * (d // c.denominator) for c in xs] for xs in (k, t))
@@ -426,33 +398,35 @@ def vertex_witness(g: Graph, k_coeffs, t_coeffs, field: FieldSpec) -> VertexWitn
     if [x % p if p else x for x in total] != kn:
         raise PreconditionError("k is not the claimed combination of the B-vectors")
 
-    # each bracket [e, e*] = e e* - e* e is multiplied out by the product
-    # rule on term keys; a vertex's products go into one running sum at once
+    # a run term is keyed by its first edge's term e e*; the product rule
+    # multiplies out that edge's bracket [e, e*] = e e* - e* e on term keys,
+    # and its r(e) term counts once for each of the run's m edges
     brackets = []
     w: dict = {}
     correction: dict = {}
-    for i, v in enumerate(g.vertices):
+    for i in range(m):
         if not tn[i]:
             continue
         neg = -tn[i] % p if p else -tn[i]
-        edges = g.out_edges(v)
-        brackets += [(neg, e) for e in edges]
-        products = []
-        for e in edges:
-            path, r = (i, e.index), (e.target.index,)
+        _add_into(correction, [(((i,), (i,)), tn[i])], p)
+        for start, run in g._runs_from[i]:
+            target, count = (run[1], run[3]) if len(run) == 4 else (run[2], 1)
+            brackets.append((neg, start, count))
+            path, r = (i, start), (target,)
             x, y = (path, r), (r, path)
-            products += ((_mult_terms(x, y), neg), (_mult_terms(y, x), -neg))
-        _add_into(w, [(term, c) for term, c in products if term is not None], p)
-        _add_into(correction, _generator_terms(g, i, tn[i], -tn[i]).items(), p)
+            _add_into(w, [(_mult_terms(x, y), neg), (_mult_terms(y, x), -neg * count)], p)
+            _add_into(correction, [((path, path), -tn[i])], p)
 
     rhs = dict(correction)
     _add_into(rhs, ((((i,), (i,)), c) for i, c in enumerate(kn) if c), p)
     verified = w == rhs
-    if not p:
-        # one Fraction per distinct numerator, shared by the terms that carry it
-        numerators = {*w.values(), *correction.values(), *(c for c, _ in brackets)}
-        scalar = {n: Fraction(n, d) for n in numerators}
-        brackets = [(scalar[c], e) for c, e in brackets]
-        w, correction = ({term: scalar[c] for term, c in x.items()} for x in (w, correction))
-    elements = (CohnElement._of(g, field, x) for x in (w, correction))
-    return VertexWitness(tuple(brackets), *elements, verified)
+    # one scalar per distinct numerator (over Q a Fraction), shared by the terms that carry it
+    numerators = {*w.values(), *correction.values(), *(c for c, _, _ in brackets)}
+    scalar = {n: n if p else Fraction(n, d) for n in numerators}
+    first = {start: (g.edge(start), count) for _, start, count in brackets}
+    w, correction = (
+        {g.vertices[a[0]] if len(a) == 1 else first[a[1]]: scalar[c] for (a, _), c in x.items()}
+        for x in (w, correction)
+    )
+    runs = tuple((scalar[c], *first[start]) for c, start, _ in brackets)
+    return VertexWitness(runs, w, correction, verified)

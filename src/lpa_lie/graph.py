@@ -321,18 +321,13 @@ class Graph:
 
     @cached_property
     def _named_out(self) -> dict[int, tuple[EdgeId, ...]]:
-        # out_edges built so far: the witness and every printed Cohn element
+        # out_edges built so far: every caller and every printed Cohn element
         # of one graph share one EdgeId per edge
         return {}
 
     @cached_property
     def _edges(self) -> dict[int, EdgeId]:
         # every edge that out_edges or edge has named so far, by index
-        return {}
-
-    @cached_property
-    def _rendered(self) -> dict[tuple[int, ...], tuple]:
-        # Cohn path keys printed so far, for every printed element of one graph
         return {}
 
     def _name(self, start: int, run: tuple, indices: range) -> list[EdgeId]:

@@ -22,12 +22,14 @@ isomorphism test.  The Cohn algebra multiplies terms on integer path keys;
 the product on ``PathWord`` edge tuples (``reference_mult_terms``, with its
 own ``reference_strip_prefix``, sharing no composition code with the
 package) is the reference for it, and the printer that sorts ``CohnTerm`` views
-(``reference_str``) the reference for its printer on those keys.  The
-printer on keys with a cache per call (``reference_key_str``) is the
-reference for the printer that keeps each rendered key on its graph.  The
-witness runs on integer numerators over one common denominator; the bracket
-sum built with ``Fraction`` or residue arithmetic from the public
-``CohnElement`` operations (``reference_witness``) is the reference for it.
+(``reference_str``) the reference for its printer on those keys, as is the
+printer on keys with a cache per call (``reference_key_str``).  The
+witness runs on integer numerators over one common denominator and keeps
+one term per run of parallel edges; the per-edge bracket sum built with
+``Fraction`` or residue arithmetic from the public ``CohnElement``
+operations (``reference_witness``) is the reference for it, once its run
+terms are expanded edge by edge (``expand_witness`` and, for the report's
+text, ``expand_witness_text``).
 A search over the cokernel (``reference_p_divisible``) is the reference for
 its one-line p-divisibility test.  Three graph moves with known effects,
 written here on adjacency matrices (``move_permute``, ``move_out_split`` and
@@ -57,6 +59,9 @@ from lpa_lie import (
     Graph,
     GraphParseError,
     PathWord,
+    PreconditionError,
+    VertexId,
+    b_vectors,
     commutator,
     graph_from_adjacency,
     n_generator,
@@ -273,25 +278,90 @@ def reference_key_str(x: CohnElement) -> str:
 
 
 def reference_witness(g: Graph, k, t, field: FieldSpec) -> tuple[CohnElement, CohnElement, bool]:
-    """``(commutator_sum, correction, verified)`` of ``vertex_witness``, by element arithmetic.
+    """``(commutator_sum, correction, verified)`` of ``vertex_witness``, edge by edge.
 
-    Each bracket ``commutator(e, e*)`` is scaled by -t_i and each generator
-    ``n_generator(v_i)`` by t_i, in the field's own scalars; the check is
-    ``W == sum_i k_i v_i + correction`` on whole elements.
+    The hypotheses are checked first, with the package's messages: t must
+    vanish at every sink and ``sum_i t_i B_i`` must be k, in field
+    arithmetic.  Each bracket ``commutator(e, e*)`` is then scaled by -t_i
+    and each generator ``n_generator(v_i)`` by t_i, in the field's own
+    scalars; the check is ``W == sum_i k_i v_i + correction`` on whole
+    elements.
     """
+    k = [field.coerce(c) for c in k]
+    t = [field.coerce(c) for c in t]
+    for v, ti in zip(g.vertices, t):
+        if ti and g.is_sink(v):
+            raise PreconditionError(f"t must vanish at non-regular vertex {v.label!r}")
+    b = b_vectors(g)
+    combination = [field.coerce(sum(ti * row[j] for ti, row in zip(t, b))) for j in range(len(b))]
+    if combination != k:
+        raise PreconditionError("k is not the claimed combination of the B-vectors")
     w = correction = CohnElement.zero(g, field)
     for v, ti in zip(g.vertices, t):
-        if not field.coerce(ti):
+        if not ti:
             continue
         for e in all_edges(g):
             if e.source == v:
                 bracket = commutator(CohnElement.edge(g, field, e), CohnElement.ghost_edge(g, field, e))
-                w = w + bracket.scale(-field.coerce(ti))
+                w = w + bracket.scale(-ti)
         correction = correction + n_generator(g, field, v).scale(ti)
     rhs = correction
     for v, ki in zip(g.vertices, k):
         rhs = rhs + CohnElement.vertex(g, field, v).scale(ki)
     return w, correction, w == rhs
+
+
+def expand_witness(g: Graph, field: FieldSpec, terms: dict) -> CohnElement:
+    """A sum of ``VertexWitness`` as an element: each run term ``(e, m)`` becomes
+    the terms ``f f*`` of the m edges f from e on, named by ``all_edges``."""
+    edges = all_edges(g)
+    views = {}
+    for x, c in terms.items():
+        if isinstance(x, VertexId):
+            views[CohnTerm(PathWord(x), PathWord(x))] = c
+            continue
+        e, m = x
+        assert edges[e.index] == e and m >= 1
+        for f in edges[e.index : e.index + m]:
+            assert (f.source, f.target) == (e.source, e.target)
+            views[CohnTerm(PathWord.from_edges([f]), PathWord.from_edges([f]))] = c
+    return CohnElement(g, field, views)
+
+
+def expand_brackets(g: Graph, brackets) -> list[tuple]:
+    """``(coefficient, edge)`` for every edge of the runs in ``VertexWitness.brackets``."""
+    edges = all_edges(g)
+    return [(c, f) for c, e, m in brackets for f in edges[e.index : e.index + m]]
+
+
+_RUN_TERM = re.compile(r"sum\[k=(\d+)\.\.(\d+)\] (\S+)_k (\S+)_k\^\*")
+
+
+def expand_witness_text(text: str) -> str:
+    """A witness sum of the report with every run term written edge by edge.
+
+    ``c * sum[k=a..b] P_k P_k^*`` becomes ``c * P_a P_a^*`` up to
+    ``c * P_b P_b^*``; then terms are sorted as ``reference_str`` sorts
+    them: vertices by label, then the terms ``e e*`` by e's label.
+    """
+    if text == "0":
+        return text
+    rows = []
+    for row in text.split(" + "):
+        c, _, term = row.partition(" * ")
+        run = _RUN_TERM.fullmatch(term)
+        if run is None:
+            labels = [term.split()[0]]
+            edge = " " in term
+        else:
+            a, b, prefix, again = run.groups()
+            assert prefix == again and int(a) < int(b)
+            labels = [f"{prefix}_{k}" for k in range(int(a), int(b) + 1)]
+            edge = True
+        for label in labels:
+            rows.append(((edge, label), f"{c} * {label} {label}^*" if edge else f"{c} * {label}"))
+    rows.sort()
+    return " + ".join(text for _, text in rows)
 
 
 # -- reference linear algebra -------------------------------------------------

@@ -9,6 +9,7 @@ import shlex
 import subprocess
 import sys
 import tokenize
+from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from fractions import Fraction
@@ -21,6 +22,7 @@ from hypothesis import strategies as st
 from _gen import (
     all_edges,
     expand_runs,
+    expand_witness_text,
     random_graphs_where,
     random_labelled_graph,
     reference_rank,
@@ -34,8 +36,11 @@ from _gen import (
 import lpa_lie
 from lpa_lie import (
     CohnElement,
+    CohnTerm,
+    EdgeId,
     FieldSpec,
     Graph,
+    PathWord,
     b_vectors,
     family,
     is_trivial_lpa,
@@ -44,7 +49,6 @@ from lpa_lie import (
     simplicity_reports,
 )
 from lpa_lie.cli import VERTEX_LIMIT, build_parser, main
-from lpa_lie.cohn import WITNESS_EDGE_LIMIT
 
 
 def write_family(tmp_path, name, params=(), filename=None):
@@ -79,7 +83,7 @@ def test_analyze_json_is_complete_and_deterministic(tmp_path, capsys):
     code, out, _ = run(capsys, "analyze", path, "--char", "0,2,3,5,7", "--json")
     assert code == 0
     data = json.loads(out)
-    assert data["schema"] == "lpa-lie.report/2"
+    assert data["schema"] == "lpa-lie.report/3"
     assert data["b_vectors"][3] == [0, 0, 1, 6]
     statuses = {v["characteristic"]: v["span"]["status"] for v in data["verdicts"]}
     assert statuses == {
@@ -211,42 +215,82 @@ def test_witness_json(tmp_path, capsys):
     assert data["membership"] is True
     assert data["t"] == ["1"]
     assert data["verification"] == "VERIFIED"
-    assert len(data["commutators"]) == 4
+    # the four loops are one run, so one entry
+    assert data["commutators"] == [
+        {"coefficient": "1", "src": "v1", "dst": "v1", "first_k": 1, "count": 4}
+    ]
 
 
-def test_witness_edge_limit(tmp_path, capsys):
+def witness_report(capsys, path, coeffs, char, mode):
+    """``(exit code, t, verification)`` of a witness call, read from its text or JSON report."""
+    code, out, err = run(capsys, "witness", path, "--coeffs", coeffs, "--char", char, *mode)
+    assert err == ""
+    if mode:
+        data = json.loads(out)
+        return code, data["t"], data["verification"]
+    t = re.search(r"^t = \(([^)]*)\)", out, re.M).group(1).split(", ")
+    return code, t, out.rsplit(": ", 1)[1].strip()
+
+
+def test_witness_of_a_trillion_loops_verifies_at_once(tmp_path, capsys):
+    # one run of 10^12 loops is one bracket term, whatever its count
     path = tmp_path / "big.graph"
     path.write_text("vertex a\nedge a a 1000000000000\n", encoding="utf-8")
-    with time_limit(5):
-        code, out, err = run(capsys, "witness", str(path), "--coeffs", "999999999999")
-    assert code == 1 and out == ""
-    assert err == (
-        f"error: the witness would bracket 1000000000000 edges, more than the limit of {WITNESS_EDGE_LIMIT}\n"
-    )
+    for mode in ((), ("--json",)):
+        with time_limit(1):
+            assert witness_report(capsys, str(path), "1", "5", mode) == (0, ["4"], "VERIFIED")
+            assert witness_report(capsys, str(path), "999999999999", "0", mode) == (0, ["1"], "VERIFIED")
+    code, out, _ = run(capsys, "witness", str(path), "--coeffs", "1", "--char", "5")
+    assert out.splitlines()[1:3] == [
+        "t = (4) (mod 5)",
+        "commutator expression: 1 * sum[k=1..1000000000000] [a_a_k, a_a_k^*]",
+    ]
+    code, out, _ = run(capsys, "witness", str(path), "--coeffs", "999999999999", "--char", "0", "--json")
+    data = json.loads(out)
+    assert data["commutators"] == [
+        {"coefficient": "-1", "src": "a", "dst": "a", "first_k": 1, "count": 10**12}
+    ]
+    assert data["commutator_sum"] == "1000000000000 * a + -1 * sum[k=1..1000000000000] a_a_k a_a_k^*"
+    assert data["n_correction"] == "1 * a + -1 * sum[k=1..1000000000000] a_a_k a_a_k^*"
 
 
-def test_witness_edge_limit_counts_only_the_support_of_t(tmp_path, capsys):
-    # t = (1, 0): the two loops at a are expanded, the huge count at b is not
+def test_witness_of_two_vertices_with_a_trillion_loops(tmp_path, capsys):
+    # B = ((1, 0), (0, 10^12 - 1)): t is nonzero at a only, then at both
+    # vertices, over Q and at characteristic 5
     path = tmp_path / "two.graph"
-    path.write_text(
-        f"vertex a\nvertex b\nedge a a 2\nedge b b {10**12}\n", encoding="utf-8"
-    )
-    code, out, err = run(capsys, "witness", str(path), "--coeffs", "1,0")
-    assert code == 0 and err == ""
-    assert "t = (1, 0)" in out and "VERIFIED" in out
-    path = tmp_path / "rose.graph"
-    path.write_text(f"vertex a\nedge a a {WITNESS_EDGE_LIMIT + 1}\n", encoding="utf-8")
-    code, out, err = run(capsys, "witness", str(path), "--coeffs", str(WITNESS_EDGE_LIMIT))
-    assert code == 1 and f"bracket {WITNESS_EDGE_LIMIT + 1} edges" in err
+    path.write_text(f"vertex a\nvertex b\nedge a a 2\nedge b b {10**12}\n", encoding="utf-8")
+    cases = [
+        ("1,0", "0", ["1", "0"]),
+        ("1,1", "0", ["1", "1/999999999999"]),
+        ("3,999999999999", "0", ["3", "1"]),
+        ("2,3", "5", ["2", "2"]),
+    ]
+    for mode in ((), ("--json",)):
+        for coeffs, char, t in cases:
+            with time_limit(1):
+                assert witness_report(capsys, str(path), coeffs, char, mode) == (0, t, "VERIFIED")
+    code, out, _ = run(capsys, "witness", str(path), "--coeffs", "2,3", "--char", "5")
+    # W's b term, 2 * 10^12 * b, vanishes mod 5
+    assert out.splitlines()[2:5] == [
+        "commutator expression: 3 * sum[k=1..2] [a_a_k, a_a_k^*]"
+        " + 3 * sum[k=1..1000000000000] [b_b_k, b_b_k^*]",
+        "  = 4 * a + 3 * sum[k=1..2] a_a_k a_a_k^* + 3 * sum[k=1..1000000000000] b_b_k b_b_k^*",
+        "quotient correction (sum of t_i * y_i): 2 * a + 2 * b + 3 * sum[k=1..2] a_a_k a_a_k^*"
+        " + 3 * sum[k=1..1000000000000] b_b_k b_b_k^*",
+    ]
 
 
 def test_witness_of_rose_9999_verifies_in_seconds(tmp_path, capsys):
-    # 9,999 brackets, just under the limit; the cost is linear in that count
-    assert 9999 < WITNESS_EDGE_LIMIT
+    # 9,999 loops are one run: one bracket term and a report under 1 KB
     path = write_family(tmp_path, "rose", [9999])
-    with time_limit(3):
-        code, out, err = run(capsys, "witness", path, "--coeffs", "9998", "--char", "0")
-    assert (code, err) == (0, "")
+    for coeffs, char in (("9998", "0"), ("1", "3")):
+        for mode in ((), ("--json",)):
+            with time_limit(3):
+                code, out, err = run(capsys, "witness", path, "--coeffs", coeffs, "--char", char, *mode)
+            assert (code, err) == (0, "")
+            assert len(out.encode()) < 1024
+    assert out.endswith(', "verification": "VERIFIED"}\n')
+    code, out, _ = run(capsys, "witness", path, "--coeffs", "9998", "--char", "0")
     assert out.endswith("\nsymbolic verification: VERIFIED\n")
 
 
@@ -260,9 +304,9 @@ def test_witness_of_rose_9999_verifies_in_seconds(tmp_path, capsys):
     ],
 )
 def test_large_witness_reports_match_the_reference(tmp_path, capsys, name, params, coeffs):
-    # the golden witnesses have at most 12 brackets; here the edge labels run
-    # past k = 9, so their order differs from the index order, and every
-    # vertex of t is nonzero
+    # the edge labels run past k = 9, so label order differs from index
+    # order, and every vertex of t is nonzero; each run is one entry, and
+    # the two sums, written out edge by edge, are the per-edge reference's
     g = family(name, params)
     path = write_family(tmp_path, name, params)
     for p, text in coeffs.items():
@@ -273,15 +317,24 @@ def test_large_witness_reports_match_the_reference(tmp_path, capsys, name, param
         k = [field.parse(x) for x in text.split(",")]
         t = [field.parse(x) for x in data["t"]]
         assert all(t)
+        names = [v.label for v in g.vertices]
         assert data["commutators"] == [
-            {"coefficient": str(field.coerce(-t[e.source.index])), "edge": e.label} for e in all_edges(g)
+            {"coefficient": str(field.coerce(-t[s])), "src": names[s], "dst": names[d],
+             "first_k": first, "count": n}
+            for s, d, first, n in g.runs
         ]
+        per_edge = [
+            (b["coefficient"], f"{b['src']}_{b['dst']}_{k}")
+            for b in data["commutators"]
+            for k in range(b["first_k"], b["first_k"] + b["count"])
+        ]
+        assert per_edge == [(str(field.coerce(-t[e.source.index])), e.label) for e in all_edges(g)]
         if p == 0:
             assert all(x.denominator > 1 for x in t)
         w, correction, verified = reference_witness(g, k, t, field)
         assert verified
-        assert data["commutator_sum"] == reference_str(w)
-        assert data["n_correction"] == reference_str(correction)
+        assert expand_witness_text(data["commutator_sum"]) == reference_str(w)
+        assert expand_witness_text(data["n_correction"]) == reference_str(correction)
 
 
 def test_witness_wrong_count(tmp_path, capsys):
@@ -306,29 +359,26 @@ def test_witness_refuses_an_exponent_coefficient(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
-def test_witness_renders_each_cohn_element_once(tmp_path, capsys, monkeypatch):
-    # the text report reads the strings of the payload, in both modes
-    rendered = []
-    original = CohnElement.__str__
-    monkeypatch.setattr(CohnElement, "__str__", lambda x: rendered.append(x) or original(x))
-    path = write_family(tmp_path, "rose", [3])
-    for mode in ((), ("--json",)):
-        rendered.clear()
-        code, _, _ = run(capsys, "witness", path, "--coeffs", "1", *mode)
-        assert code == 0 and len(rendered) == 2
+def test_witness_of_rose_50_names_one_edge_per_run(tmp_path, capsys, monkeypatch):
+    # the witness and both reports work on runs: rose 50 is one run, so one
+    # EdgeId, at most one Graph.edge call, no path view and no printed element
+    built = Counter()
+    for cls in (PathWord, CohnTerm, EdgeId):
 
+        def counted(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
+            built[_name] += 1
+            _init(self, *args, **kwargs)
 
-def test_witness_names_each_bracketed_edge_once(tmp_path, capsys, monkeypatch):
-    # the bracket sum and the correction render their paths through one
-    # cache per graph (Graph._rendered), so rose 50 names each edge once
-    named = []
+        monkeypatch.setattr(cls, "__init__", counted)
     original = Graph.edge
-    monkeypatch.setattr(Graph, "edge", lambda g, i: named.append(i) or original(g, i))
+    monkeypatch.setattr(Graph, "edge", lambda g, i: built.update(["Graph.edge"]) or original(g, i))
+    monkeypatch.setattr(CohnElement, "__str__", lambda x: built.update(["CohnElement.__str__"]))
     path = write_family(tmp_path, "rose", [50])
     for mode in ((), ("--json",)):
-        named.clear()
-        code, _, _ = run(capsys, "witness", path, "--coeffs", "1", *mode)
-        assert code == 0 and sorted(named) == list(range(50))
+        built.clear()
+        code, out, _ = run(capsys, "witness", path, "--coeffs", "1", *mode)
+        assert code == 0 and "VERIFIED" in out and "sum[k=1..50] v1_v1_k v1_v1_k^*" in out
+        assert built == {"EdgeId": 1, "Graph.edge": 1}
 
 
 def test_json_mode_builds_no_text_report(tmp_path, capsys, monkeypatch):
@@ -1007,7 +1057,7 @@ def test_json_errors(tmp_path, capsys, monkeypatch, argv, message):
     code, out, err = run(capsys, *argv, "--json")
     assert (code, err) == (1, f"error: {message}\n")
     assert out.count("\n") == 1
-    assert json.loads(out) == {"schema": "lpa-lie.report/2", "command": argv[0], "error": message}
+    assert json.loads(out) == {"schema": "lpa-lie.report/3", "command": argv[0], "error": message}
 
 
 NAMES = ("a", "b", "a_b", "b_c", "c")
@@ -1073,5 +1123,5 @@ def test_analyze_loader_fuzz(tmp_path_factory, text):
             assert main(["analyze", str(path), "--json"]) == 1
         assert json_err.getvalue() == err.getvalue()
         report = json.loads(json_out.getvalue())
-        assert report == {"schema": "lpa-lie.report/2", "command": "analyze", "error": report["error"]}
+        assert report == {"schema": "lpa-lie.report/3", "command": "analyze", "error": report["error"]}
         assert err.getvalue() == f"error: {report['error']}\n"
