@@ -359,26 +359,52 @@ def test_witness_refuses_an_exponent_coefficient(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
-def test_witness_of_rose_50_names_one_edge_per_run(tmp_path, capsys, monkeypatch):
-    # the witness and both reports work on runs: rose 50 is one run, so one
-    # EdgeId, at most one Graph.edge call, no path view and no printed element
+def test_witness_renders_each_cohn_element_once(tmp_path, capsys, monkeypatch):
+    # the witness holds run terms, not CohnElements: neither report builds a
+    # path or renders an element, and the text prints the one run of rose 50
+    # once in the commutator expression and once in each sum
     built = Counter()
-    for cls in (PathWord, CohnTerm, EdgeId):
+    for cls in (PathWord, CohnTerm):
 
         def counted(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
             built[_name] += 1
             _init(self, *args, **kwargs)
 
         monkeypatch.setattr(cls, "__init__", counted)
-    original = Graph.edge
-    monkeypatch.setattr(Graph, "edge", lambda g, i: built.update(["Graph.edge"]) or original(g, i))
     monkeypatch.setattr(CohnElement, "__str__", lambda x: built.update(["CohnElement.__str__"]))
+    path = write_family(tmp_path, "rose", [50])
+    code, out, _ = run(capsys, "witness", path, "--coeffs", "1")
+    assert code == 0 and "VERIFIED" in out and built == {}
+    assert out.count("sum[k=1..50] v1_v1_k v1_v1_k^*") == 2
+    assert out.count("sum[k=1..50] [v1_v1_k, v1_v1_k^*]") == 1
+    code, out, _ = run(capsys, "witness", path, "--coeffs", "1", "--json")
+    report = json.loads(out)
+    assert code == 0 and report["verification"] == "VERIFIED" and built == {}
+    assert report["commutator_sum"].count("sum[k=1..50] v1_v1_k v1_v1_k^*") == 1
+    assert [c["count"] for c in report["commutators"]] == [50]
+
+
+def test_witness_names_each_bracketed_edge_once(tmp_path, capsys, monkeypatch):
+    # the witness and both reports work on runs: rose 50 is one run, so one
+    # EdgeId and one Graph.edge call, for its first edge, in either mode
+    built = Counter()
+    original_init = EdgeId.__init__
+
+    def counted(self, *args, **kwargs):
+        built["EdgeId"] += 1
+        original_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(EdgeId, "__init__", counted)
+    named = []
+    original = Graph.edge
+    monkeypatch.setattr(Graph, "edge", lambda g, i: named.append(i) or original(g, i))
     path = write_family(tmp_path, "rose", [50])
     for mode in ((), ("--json",)):
         built.clear()
+        named.clear()
         code, out, _ = run(capsys, "witness", path, "--coeffs", "1", *mode)
-        assert code == 0 and "VERIFIED" in out and "sum[k=1..50] v1_v1_k v1_v1_k^*" in out
-        assert built == {"EdgeId": 1, "Graph.edge": 1}
+        assert code == 0 and "VERIFIED" in out
+        assert built == {"EdgeId": 1} and named == [0]
 
 
 def test_json_mode_builds_no_text_report(tmp_path, capsys, monkeypatch):

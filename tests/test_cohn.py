@@ -433,6 +433,28 @@ def test_verify_witness_preconditions():
         vertex_witness(g, [1, 1], [1], F0)
 
 
+def test_vertex_witness_names_no_term_beyond_out_edges(monkeypatch):
+    # rose 50 is one run of out edges: the witness names its first edge once
+    # and builds no path, holding one bracket entry and one run term per sum
+    g = family("rose", [50])
+    built = Counter()
+    for cls in (PathWord, CohnTerm, EdgeId):
+
+        def counted(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
+            built[_name] += 1
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    wit = vertex_witness(g, [49], [1], F0)
+    assert built == {"EdgeId": 1}
+    assert wit.verified
+    (a,), first = g.vertices, g.edge(0)
+    assert first == next(iter(g.out_edges(a)))
+    assert wit.brackets == ((-1, first, 50),)
+    assert wit.commutator_sum == {a: 50, (first, 50): -1}
+    assert wit.correction == {a: 1, (first, 50): -1}
+
+
 def test_vertex_witness_of_a_trillion_loops_is_one_run_term():
     # B = (10^12 - 1) = (4) mod 5, so k = 1 has t = 4: W = sum of e e* over
     # the run (-4 = 1 mod 5) and 4 * 10^12 * a = 0, the correction 4 a + W
