@@ -39,6 +39,8 @@ from .graph import (
 from .linalg import (
     FieldSpec,
     K0Presentation,
+    _DIGIT_LIMIT,
+    _DigitLimitError,
     _p_divisible,
     _parse_integer,
     class_order,
@@ -65,6 +67,8 @@ VERTEX_LIMIT = 1_000
 
 
 class _Parser(argparse.ArgumentParser):
+    commands: dict  # {command: subparser} of the top-level parser, set by build_parser
+
     def error(self, message):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
@@ -87,6 +91,9 @@ def _load_graph(spec: str) -> Graph:
             data = json.loads(text)
         except (json.JSONDecodeError, RecursionError) as exc:
             raise ValueError(f"bad JSON graph: {exc}") from exc
+        except ValueError:
+            # int() refused a number of more than _DIGIT_LIMIT digits
+            raise ValueError(_long_number_error(text)) from None
         if not isinstance(data, dict) or "vertices" not in data or "adjacency" not in data:
             raise ValueError("JSON graph needs 'vertices' and 'adjacency' fields")
         labels = data["vertices"]
@@ -105,6 +112,29 @@ def _load_graph(spec: str) -> Graph:
     return g
 
 
+def _long_number_error(text: str) -> str:
+    """The error for a JSON graph with a number of more than ``_DIGIT_LIMIT`` digits.
+
+    It names the first adjacency entry that holds one.  Only this path pays
+    for a ``parse_int`` hook: valid input keeps the C integer parse.
+    """
+    too_long = object()
+
+    def mark(digits: str):
+        return too_long if len(digits.lstrip("-")) > _DIGIT_LIMIT else 0
+
+    try:
+        data = json.loads(text, parse_int=mark)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        return f"bad JSON graph: {exc}"
+    rows = data.get("adjacency")
+    for i, row in enumerate(rows if isinstance(rows, list) else ()):
+        for j, entry in enumerate(row if isinstance(row, list) else ()):
+            if entry is too_long:
+                return f"bad structured graph: adjacency entry ({i}, {j}) has more than {_DIGIT_LIMIT} digits"
+    return f"bad JSON graph: a number has more than {_DIGIT_LIMIT} digits"
+
+
 def _split_list(text: str) -> list[str]:
     """The pieces of a comma list, stripped, blanks skipped."""
     return [piece for piece in map(str.strip, text.split(",")) if piece]
@@ -117,6 +147,8 @@ def _parse_ints(text: str, what: str, make, rule: str) -> list:
     for piece in _split_list(text):
         try:
             n = _parse_integer(piece)
+        except _DigitLimitError as exc:
+            raise ValueError(f"{what} {exc}") from None
         except ValueError:
             raise ValueError(f"bad {what} {piece!r}") from None
         try:
@@ -546,13 +578,14 @@ def _cmd_selftest(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> _Parser:
     parser = _Parser(
         prog="lpa-lie",
         description="Simplicity of path algebras and their commutator Lie algebras.",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices
     chars = ",".join(map(str, DEFAULT_CHARS))
 
     p = sub.add_parser("analyze", help="full report for one graph")
@@ -594,13 +627,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
+def _parser() -> _Parser:
     # parsing leaves the parser as it was, so one per process serves every call
     return build_parser()
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    parser = _parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    if argv and argv[0] in parser.commands:
+        # what the full parser does with a command first, in one pass: it
+        # hands every later token to the subparser and refuses what is left
+        sub = parser.commands[argv[0]]
+        args, extra = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if extra:
+            parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    else:
+        args = parser.parse_args(argv)
     try:
         try:
             code = args.handler(args)

@@ -37,7 +37,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 
-from .linalg import _parse_integer
+from .linalg import _DIGIT_LIMIT, _DigitLimitError, _parse_integer
 
 __all__ = [
     "VertexId",
@@ -92,8 +92,8 @@ class EdgeId:
     target: VertexId
 
 
-# int() converts at most 4,300 digits, so no auto edge is numbered 10^4300 or past
-_AUTO_K_LIMIT = 10**4300
+# int() converts at most _DIGIT_LIMIT digits, so no auto edge is numbered 10^4300 or past
+_AUTO_K_LIMIT = 10**_DIGIT_LIMIT
 
 
 def _split_auto(label: str) -> tuple[str, int] | None:
@@ -206,7 +206,7 @@ class _RunBuilder:
                 out.append(run)
                 continue
             if k + n > _AUTO_K_LIMIT:
-                raise GraphError(f"edges from {names[s]!r} to {names[d]!r} would be numbered past 10^4300")
+                raise GraphError(f"edges from {names[s]!r} to {names[d]!r} would be numbered past 10^{_DIGIT_LIMIT}")
             self.claim_range(prefix, k, k + n - 1)
             degrees[s] += n
             last = out[-1] if out else ()
@@ -495,6 +495,8 @@ def parse_graph(text: str) -> Graph:
                 try:
                     mult = _parse_integer(tokens[3])
                     problem = None if mult >= 1 else f"multiplicity must be >= 1, got {mult}"
+                except _DigitLimitError as exc:
+                    problem = f"multiplicity {exc}"
                 except ValueError:
                     problem = f"multiplicity must be an integer, got {tokens[3]!r}"
                 if problem:

@@ -145,12 +145,25 @@ def _strong_lucas_probable_prime(n: int) -> bool:
 # An integer as a user types it: an optional sign, then ASCII digits.  int()
 # also takes underscores ("1_0") and any Unicode decimal digits.
 _INTEGER = re.compile(r"[+-]?[0-9]+")
+# int() converts at most this many digits (sys.set_int_max_str_digits' default)
+_DIGIT_LIMIT = 4300
+
+
+class _DigitLimitError(ValueError):
+    """A typed integer of more than ``_DIGIT_LIMIT`` digits; the message quotes its first 20 characters."""
 
 
 def _parse_integer(text: str) -> int:
-    """``text`` as an integer by the rule of ``_INTEGER``; ``ValueError`` otherwise."""
+    """``text`` as an integer by the rule of ``_INTEGER``; ``ValueError`` otherwise.
+
+    >>> _parse_integer("9" * 4301)
+    Traceback (most recent call last):
+    lpa_lie.linalg._DigitLimitError: '99999999999999999999...' has more than 4300 digits
+    """
     if not _INTEGER.fullmatch(text):
         raise ValueError(f"expected an integer, got {text!r}")
+    if len(text) - (text[0] in "+-") > _DIGIT_LIMIT:
+        raise _DigitLimitError(f"{repr(text[:20] + '...')} has more than {_DIGIT_LIMIT} digits")
     return int(text)
 
 

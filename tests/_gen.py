@@ -38,13 +38,18 @@ out-split keep the algebra, and M_d E has the d x d matrices over it.  Three
 more (``move_in_split``, ``move_cuntz_splice`` and ``move_add_source``) are
 oracles for K0: each keeps its group, and only the splice flips the sign of
 det(I - A^t).
+The CLI hands a call that starts with a command straight to that command's
+parser; parsing with the full parser, whose top-level pass hands the rest to
+the command's parser (``reference_main``), is the reference for it.
 """
 
 from __future__ import annotations
 
+import os
 import random
 import re
 import signal
+import sys
 from contextlib import contextmanager
 from fractions import Fraction
 from functools import cache
@@ -68,6 +73,7 @@ from lpa_lie import (
     parse_graph,
     simplicity_reports,
 )
+from lpa_lie.cli import _emit, build_parser
 from lpa_lie.verdict import _coprime_base, _valuation
 
 
@@ -907,16 +913,19 @@ def reference_parse(text: str) -> tuple[list[str], list[tuple[str, str, str]]]:
                     )
             mult = 1
             if len(tokens) == 4:
-                try:
-                    if not re.fullmatch(r"[+-]?[0-9]+", tokens[3]):
-                        raise ValueError
-                    mult = int(tokens[3])
-                except ValueError:
+                if not re.fullmatch(r"[+-]?[0-9]+", tokens[3]):
                     raise GraphParseError(
                         f"multiplicity must be an integer, got {tokens[3]!r}",
                         lineno,
                         _reference_token_column(raw, 3),
-                    ) from None
+                    )
+                if len(tokens[3].lstrip("+-")) > 4300:
+                    raise GraphParseError(
+                        f"multiplicity {tokens[3][:20] + '...'!r} has more than 4300 digits",
+                        lineno,
+                        _reference_token_column(raw, 3),
+                    )
+                mult = int(tokens[3])
                 if mult < 1:
                     raise GraphParseError(
                         f"multiplicity must be >= 1, got {mult}",
@@ -1014,3 +1023,21 @@ def reference_serialize(g: Graph) -> str:
             j = i + 1
         i = j
     return "\n".join(lines) + "\n"
+
+
+def reference_main(argv=None) -> int:
+    """``cli.main`` reading ``argv`` with the full parser, built per call, whose top-level pass hands the rest to the command's parser."""
+    args = build_parser().parse_args(argv)
+    try:
+        try:
+            code = args.handler(args)
+        except ValueError as exc:
+            if args.json:
+                _emit(args, {"error": str(exc)}, None)
+            print(f"error: {exc}", file=sys.stderr)
+            code = 1
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1

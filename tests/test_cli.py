@@ -25,6 +25,7 @@ from _gen import (
     expand_witness_text,
     random_graphs_where,
     random_labelled_graph,
+    reference_main,
     reference_rank,
     reference_serialize,
     reference_span,
@@ -130,6 +131,40 @@ def test_analyze_structured_json_input(tmp_path, capsys):
     code, out, _ = run(capsys, "analyze", str(path), "--char", "2")
     assert code == 0
     assert "simple" in out
+
+
+NINES = "9" * 5000
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"vertices": ["a", "b"], "adjacency": [[1, 1], [-%s, 2]]}' % NINES,
+     "bad structured graph: adjacency entry (1, 0) has more than 4300 digits"),
+    ('{"vertices": ["a"], "adjacency": [[1]], "note": %s}' % NINES,
+     "bad JSON graph: a number has more than 4300 digits"),
+    ('{"vertices": ["a"], "adjacency": [[%s]]} [' % NINES,
+     "bad JSON graph: Extra data: line 1 column 5040 (char 5039)"),
+])
+def test_an_overlong_json_number_is_named(tmp_path, capsys, text, message):
+    path = tmp_path / "graph.json"
+    path.write_text(text, encoding="utf-8")
+    assert run(capsys, "k0", str(path)) == (1, "", f"error: {message}\n")
+    code, out, err = run(capsys, "k0", str(path), "--json")
+    assert (code, json.loads(out)["error"], err) == (1, message, f"error: {message}\n")
+
+
+def test_valid_json_input_is_read_without_a_hook(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "graph.json"
+    path.write_text('{"vertices": ["a"], "adjacency": [[%s]]}' % NINES[:4300], encoding="utf-8")
+    calls = []
+    loads = json.loads
+
+    def counted(text, **kwargs):
+        calls.append(kwargs)
+        return loads(text, **kwargs)
+
+    monkeypatch.setattr(json, "loads", counted)
+    assert run(capsys, "k0", str(path))[0] == 0
+    assert calls == [{}]
 
 
 def test_analyze_missing_file(capsys):
@@ -861,6 +896,83 @@ def test_main_builds_the_parser_once_and_keeps_no_state(tmp_path, capsys, monkey
     assert after_error == fresh_family == (0, serialize_graph(family("rose", [2])), "")
 
 
+# G stands for a graph file; each call starts with a command unless noted
+DISPATCH_CALLS = [
+    ["analyze", "G", "--char", "0,3"],
+    ["analyze", "G", "--char=0,3", "--json"],
+    ["k0", "G", "--primes", "23"],
+    ["k0", "G", "--primes=23", "--json"],
+    ["witness", "G", "--coeffs", "1", "--char", "3"],
+    ["witness", "G", "--coeffs=1", "--char=3", "--json"],
+    ["witness", "G", "--co=1"],  # an abbreviated option
+    ["witness", "G", "--coeffs=-1"],
+    ["witness", "G", "--coeffs", "-1"],
+    ["witness", "G", "--c=1"],  # ambiguous: --coeffs or --char
+    ["family", "rose", "3"],
+    ["family", "rose", "3", "--json"],
+    ["family", "rose", "x"],
+    ["kp-check", "G", "G", "--char", "0,2"],
+    ["kp-check", "G", "G", "--char=0,2", "--json"],
+    ["selftest", "--json"],
+    ["analyze"],  # a missing positional
+    ["witness", "G"],  # a missing required option
+    ["analyze", "G", "--char"],  # an option without its value
+    ["analyze", "G", "extra", "--bogus"],  # unrecognized trailing tokens
+    ["k0", "G", "--version"],
+    ["k0", "-h"],
+    ["k0", "G", "-h", "--bogus"],
+    ["analyze", "--", "G"],
+    ["analyze", "G", "--json", "--", "more"],
+    [],
+    ["--version"],
+    ["-h"],
+    ["bogus"],
+    ["--json", "analyze", "G"],  # an option before the command
+    ["--", "analyze", "G"],
+]
+
+
+def outcome(entry, argv):
+    """``(exit code, stdout, stderr)`` of ``entry(argv)``, a usage exit included."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = entry(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv", DISPATCH_CALLS, ids=lambda argv: " ".join(argv) or "(no args)")
+def test_dispatch_matches_the_full_parser(tmp_path, argv):
+    path = write_family(tmp_path, "rose", [2])
+    argv = [path if a == "G" else a for a in argv]
+    assert outcome(main, argv) == outcome(reference_main, argv)
+
+
+def test_a_command_is_parsed_once(tmp_path, capsys, monkeypatch):
+    path = write_family(tmp_path, "rose", [2])
+    passes = []
+    parse_known_args = argparse.ArgumentParser.parse_known_args
+
+    def counted(self, *args, **kwargs):
+        passes.append(self.prog)
+        return parse_known_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+    for entry, expected in ((main, ["lpa-lie witness"]), (reference_main, ["lpa-lie", "lpa-lie witness"])):
+        passes.clear()
+        assert entry(["witness", path, "--coeffs", "1"]) == 0
+        assert passes == expected
+
+
+def test_main_reads_sys_argv_by_default(tmp_path, monkeypatch):
+    path = write_family(tmp_path, "rose", [2])
+    for argv in (["k0", path], ["k0", path, "--bogus"], ["nosuch"]):
+        monkeypatch.setattr(sys, "argv", ["lpa-lie", *argv])
+        assert outcome(lambda _: main(), None) == outcome(main, argv)
+
+
 def test_human_numbers_appear_in_machine_output(tmp_path, capsys):
     import re
 
@@ -1070,6 +1182,10 @@ JSON_ERROR_CALLS = (
     (["analyze", "rose.graph", "--char", ","], "no characteristics given"),
     (["witness", "rose.graph", "--coeffs", "1", "--char", "0,2"],
      "witness takes exactly one characteristic"),
+    (["analyze", "rose.graph", "--char", "9" * 5000],
+     "characteristic '99999999999999999999...' has more than 4300 digits"),
+    (["k0", "rose.graph", "--primes", "2,-" + "9" * 4301],
+     "prime '-9999999999999999999...' has more than 4300 digits"),
 )
 
 

@@ -130,6 +130,15 @@ def test_parse_bad_multiplicity():
         "vertex v10\nvertex v2\nedge v10 v2 0\n",
         "line 3, column 13: multiplicity must be >= 1, got 0",
     )
+    # past 4,300 digits int() converts nothing; the error quotes 20 characters
+    assert_parse_error(
+        f"vertex a\nedge a a {'9' * 5000}\n",
+        "line 2, column 10: multiplicity '99999999999999999999...' has more than 4300 digits",
+    )
+    assert_parse_error(
+        f"vertex a\nedge a a +0{'9' * 4300}\n",
+        "line 2, column 10: multiplicity '+0999999999999999999...' has more than 4300 digits",
+    )
 
 
 def test_parse_unknown_directive_reports_position():
@@ -200,10 +209,11 @@ def directive_scripts(draw):
     )
     lines = st.one_of(
         st.builds("edge {} {}".format, ends, ends),
-        # int() takes "1_0" and the Arabic-Indic three; the multiplicity rule refuses them
+        # int() takes "1_0" and the Arabic-Indic three, and no 4,301 digits; the
+        # multiplicity rule refuses all three
         st.builds(
             "edge {} {} {}".format, ends, ends,
-            st.one_of(st.integers(1, 4), st.sampled_from(("1_0", "\u0663"))),
+            st.one_of(st.integers(1, 4), st.sampled_from(("1_0", "\u0663", "1" * 4301))),
         ),
         st.builds("edge-label {} {} {}".format, names, ends, ends),
     )
