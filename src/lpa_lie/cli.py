@@ -158,6 +158,14 @@ def _parse_ints(text: str, what: str, make, rule: str) -> list:
     return values
 
 
+def _family_param(text: str) -> int:
+    """A ``family`` parameter; past ``_DIGIT_LIMIT`` digits, a usage error quoting 20 characters."""
+    try:
+        return _parse_integer(text)
+    except _DigitLimitError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _prime(n: int) -> int:
     if not is_prime(n):
         raise ValueError(n)
@@ -607,7 +615,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("family", help="emit a named family graph as text")
     # type=int keeps argparse's "invalid int value" message; the integer
     # rule of --char and --primes does the converting
-    p.register("type", int, _parse_integer)
+    p.register("type", int, _family_param)
     p.add_argument("name", help="one of: " + ", ".join(family_names()))
     p.add_argument("params", nargs="*", type=int)
     p.set_defaults(handler=_cmd_family)

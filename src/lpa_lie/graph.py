@@ -17,9 +17,10 @@ runs are built, and the counts and successor bitmasks that one loop over the
 runs derives, so a multiplicity costs O(1): building, parsing and every
 count-based invariant take O(V^2 + runs) time, and serialising O(V + runs),
 except for an auto run that starts past its pair's count (only ``Graph.build``
-can make a long one).  ``Graph._name`` alone builds ``EdgeId``s: all of a
-vertex's for ``Graph.out_edges``, or the one edge at an index for
-``Graph.edge``, which bisects the run starts in O(log runs).
+can make a long one).  ``Graph._name`` alone builds ``EdgeId``s, anew on
+every call and with no cache: all of a vertex's for ``Graph.out_edges``, or
+the one edge at an index for ``Graph.edge``, which bisects the run starts in
+O(log runs).
 
 The vertex- and edge-label rules (a label is a non-empty string free of
 whitespace, no vertex or edge label twice, an explicit label equal to its
@@ -228,7 +229,8 @@ class Graph:
     their edge sequences.  The out-degrees are summed as the runs are built,
     never from the V x V ``counts``; those and the per-vertex ``successor_masks``
     come from one loop over the runs.  Only ``_name`` names an edge as an
-    ``EdgeId``, for ``out_edges`` and for ``edge``, which looks one up by its index.
+    ``EdgeId``, on each call of ``out_edges`` and of ``edge``, which looks one
+    up by its index; no named edge is kept.
     """
 
     vertices: tuple[VertexId, ...]
@@ -319,17 +321,6 @@ class Graph:
                 return v
         raise GraphError(f"no vertex labeled {label!r}")
 
-    @cached_property
-    def _named_out(self) -> dict[int, tuple[EdgeId, ...]]:
-        # out_edges built so far: every caller and every printed Cohn element
-        # of one graph share one EdgeId per edge
-        return {}
-
-    @cached_property
-    def _edges(self) -> dict[int, EdgeId]:
-        # every edge that out_edges or edge has named so far, by index
-        return {}
-
     def _name(self, start: int, run: tuple, indices: range) -> list[EdgeId]:
         """The edges with these indices, all of ``run``, whose first edge has index ``start``."""
         if len(run) == 3:
@@ -341,27 +332,19 @@ class Graph:
         return [EdgeId(i, f"{prefix}{k + i}", src, dst) for i in indices]
 
     def out_edges(self, v: VertexId) -> tuple[EdgeId, ...]:
-        """The named edges leaving ``v``; O(out-degree of v) on the first call."""
-        named = self._named_out.get(v.index)
-        if named is None:
-            out: list[EdgeId] = []
-            for start, run in self._runs_from[v.index]:
-                n = run[3] if len(run) == 4 else 1
-                out += self._name(start, run, range(start, start + n))
-            named = self._named_out[v.index] = tuple(out)
-            self._edges.update((e.index, e) for e in named)
-        return named
+        """The named edges leaving ``v``, in O(out-degree of v)."""
+        out: list[EdgeId] = []
+        for start, run in self._runs_from[v.index]:
+            n = run[3] if len(run) == 4 else 1
+            out += self._name(start, run, range(start, start + n))
+        return tuple(out)
 
     def edge(self, index: int) -> EdgeId:
-        """The edge with this index; a first lookup bisects the run starts and names that edge alone."""
-        named = self._edges.get(index)
-        if named is None:
-            if not 0 <= index < self.num_edges:
-                raise GraphError(f"no edge with index {index!r}")
-            r = bisect_right(self._run_starts, index) - 1
-            named = self._name(self._run_starts[r], self.runs[r], range(index, index + 1))[0]
-            self._edges[index] = named
-        return named
+        """The edge with this index: bisect the run starts and name that edge alone."""
+        if not 0 <= index < self.num_edges:
+            raise GraphError(f"no edge with index {index!r}")
+        r = bisect_right(self._run_starts, index) - 1
+        return self._name(self._run_starts[r], self.runs[r], range(index, index + 1))[0]
 
     def out_degree(self, v: VertexId) -> int:
         return self._out_degrees[v.index]

@@ -205,11 +205,17 @@ class FieldSpec:
         raise TypeError(f"cannot coerce {type(value).__name__} into {self.name}")
 
     def parse(self, text: str):
-        """Parse ``a`` or ``a/b`` (an optional sign, ASCII digits) as an element of this field."""
+        """Parse ``a`` or ``a/b`` (an optional sign on a, ASCII digits) as an element of this field.
+
+        a and b are read by ``_parse_integer``, which quotes 20 characters of one that is too long.
+        """
+        a, _, b = text.strip().partition("/")
         try:
             if not re.fullmatch(rf"{_INTEGER.pattern}(/[0-9]+)?", text.strip()):
                 raise ValueError("expected an integer a or a fraction a/b")
-            return self.coerce(Fraction(text.strip()))
+            return self.coerce(Fraction(_parse_integer(a), _parse_integer(b or "1")))
+        except _DigitLimitError as exc:
+            raise ValueError(f"cannot parse an element of {self.name}: {exc}") from None
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"cannot parse {text!r} as an element of {self.name}: {exc}") from None
 

@@ -305,24 +305,23 @@ def _torsion_orbit_equal(alphas: list[int], x: list[int], y: list[int], g: int =
     T, Aut(T) and gT split into p-parts, so the primes are independent, and
     in a finite abelian p-group two elements lie in one orbit exactly when
     their height sequences coincide (Kaplansky, Infinite Abelian Groups,
-    1954).  So the question is whether some element of x + gT has the height
-    sequence H of y.  With a = v_p(g), coordinate i of x + gT keeps the
-    valuation s_i < a, and takes any v in [a, e_i] otherwise; g = 0 leaves no
-    choice.  A choice gives H only if each v satisfies v + len(H) >= e_i and
-    v + k >= H_k for k < e_i - v.  These conditions are closed upwards and
-    heights are pointwise minima, so the least admissible v per coordinate
-    gives the pointwise least sequence, which is H iff some choice gives H.
+    1954).  With a = v_p(g) (no cap when g = 0), coordinate i of x + gT keeps
+    the valuation s_i < a, and takes any v in [a, e_i] otherwise.
 
-    No prime is needed.  The test runs for each q of a coprime base of the
-    alpha_i and of the gcds of g, x_i and y_i with them, and skips q coprime
-    to g != 0, for which gT_q = T_q.  Every p divides exactly one q, and
-    with c = v_p(q) every p-exponent is c times the q-exponent: e_i, s_i,
-    and min(v_p(g), c e_i) = c min(v_q(g), e_i), as each gcd is a product
-    of powers of the base.  The p-sequence is ``k + c phi(k // c)`` where
-    the q-sequence is ``j + phi(j)``, so one is H iff the other is.  If
-    c u - r with 0 < r < c is an admissible p-valuation, so is c (u - 1),
-    so the least admissible p-valuations are c times the q-ones, and the
-    q-test answers as the p-test does for every p | q.
+    - Lowering a coordinate's valuation lowers every height, or makes one
+      finite, so the pointwise least height sequence over x + gT belongs to
+      the element whose coordinate i has valuation min(s_i, a).
+    - gT is characteristic and heights are Aut-invariant, so the least
+      sequences over x + gT and over y + gT agree exactly when some
+      automorphism carries x into y + gT: one carrying the least element of
+      x + gT to that of y + gT carries the whole coset.
+    - No prime is needed.  The test runs for each q of a coprime base of the
+      alpha_i and of the gcds of g, x_i and y_i with them, and skips q
+      coprime to g != 0, for which gT_q = T_q.  Every p divides exactly one
+      q, and with c = v_p(q) every p-exponent is c times the q-exponent
+      (each gcd is a product of powers of the base), so min(c s, c a) =
+      c min(s, a).  The p-sequence is ``k + c phi(k // c)`` where the
+      q-sequence is ``j + phi(j)``, so each q-test answers for every p | q.
     """
     gx = [gcd(t, m) for t, m in zip(x, alphas)]
     gy = [gcd(t, m) for t, m in zip(y, alphas)]
@@ -330,19 +329,9 @@ def _torsion_orbit_equal(alphas: list[int], x: list[int], y: list[int], g: int =
         if g % q:
             continue
         es = [_valuation(m, q) for m in alphas]
-        target = _height_sequence([(_valuation(d, q), e) for d, e in zip(gy, es)])
-        a = _valuation(g, q) if g else max(es) + 1
-        choice = []
-        for d, e in zip(gx, es):
-            s = _valuation(d, q)
-            if s >= a:
-                s = next(
-                    v
-                    for v in range(a, e + 1)
-                    if v + len(target) >= e and all(v + k >= target[k] for k in range(e - v))
-                )
-            choice.append((s, e))
-        if _height_sequence(choice) != target:
+        a = _valuation(g, q) if g else max(es)  # no s_i passes max(es): no cap
+        least_x = _height_sequence([(min(_valuation(d, q), a), e) for d, e in zip(gx, es)])
+        if least_x != _height_sequence([(min(_valuation(d, q), a), e) for d, e in zip(gy, es)]):
             return False
     return True
 

@@ -1186,6 +1186,8 @@ JSON_ERROR_CALLS = (
      "characteristic '99999999999999999999...' has more than 4300 digits"),
     (["k0", "rose.graph", "--primes", "2,-" + "9" * 4301],
      "prime '-9999999999999999999...' has more than 4300 digits"),
+    (["witness", "rose.graph", "--coeffs", "1/" + "9" * 5000],
+     "cannot parse an element of Q: '99999999999999999999...' has more than 4300 digits"),
 )
 
 
@@ -1200,6 +1202,19 @@ def test_json_errors(tmp_path, capsys, monkeypatch, argv, message):
     assert (code, err) == (1, f"error: {message}\n")
     assert out.count("\n") == 1
     assert json.loads(out) == {"schema": "lpa-lie.report/3", "command": argv[0], "error": message}
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["witness", "rose.graph", "--coeffs", "9" * 5000],
+     "error: cannot parse an element of Q: '99999999999999999999...' has more than 4300 digits\n"),
+    (["family", "rose", "9" * 5000],
+     "lpa-lie family: error: argument params: '99999999999999999999...' has more than 4300 digits\n"),
+])
+def test_a_long_integer_is_quoted_short(tmp_path, monkeypatch, argv, message):
+    monkeypatch.chdir(tmp_path)
+    write_family(tmp_path, "rose", [2], "rose.graph")
+    assert outcome(main, argv) == (1, "", message)
+    assert len(message.encode()) < 200
 
 
 NAMES = ("a", "b", "a_b", "b_c", "c")

@@ -492,8 +492,9 @@ def test_edge_lookup_names_one_edge_of_a_trillion_loops(monkeypatch):
         bracket = commutator(CohnElement.edge(g, F0, last), CohnElement.ghost_edge(g, F0, last))
         assert str(bracket) == "-1 * b + 1 * b_b_1000000000000 b_b_1000000000000^*"
         assert trace_vector(bracket) == [0, 0]
-    # the element and its printing look the edge up again, and name nothing new
-    assert built == {"EdgeId": 2}
+    # nothing is cached: each element checks its edge, and printing and the
+    # trace look it up, one EdgeId per lookup
+    assert built == {"EdgeId": 6}
 
 
 def test_verify_witness_from_solver_random():

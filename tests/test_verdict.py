@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _gen import (
+    _p_height_sequence,
     int_det,
     move_add_source,
     move_cuntz_splice,
@@ -492,8 +493,10 @@ def pointed_cases(draw):
 
 @settings(max_examples=600, deadline=None)
 @given(pointed_cases())
-# the least admissible valuation of a coordinate that could vanish is not
-# e_i - len(H) when the other class has larger heights
+# pointed-isomorphic pairs whose classes have different height sequences,
+# (2, 3) against (4,) and (2, 3, 5) against (4, 5): with a = v_p(g) = 1 every
+# coordinate, a vanishing one too, drops to valuation 1 in the least element
+# of its coset, and both cosets have one least sequence
 @example((K0Presentation((81, 243, 0), (36, 135, 3)), K0Presentation((81, 243, 0), (0, 162, 3))))
 @example((K0Presentation((2, 8, 16, 64, 0), (0, 0, 12, 40, 2)), K0Presentation((2, 8, 16, 64, 0), (0, 0, 0, 16, 2))))
 def test_pointed_iso_matches_shift_search(case):
@@ -511,6 +514,60 @@ def test_pointed_iso_decides_large_prime_power_cosets():
     with time_limit(1):
         assert pointed_iso_decision(K0Presentation(factors, (1, p, p**2)), K0Presentation(factors, (1, p**3, p**2))) == "none"
         assert pointed_iso_decision(K0Presentation(factors, (1, 0, p**2)), K0Presentation(factors, (1, p**2, p**2))) == "exists"
+
+
+# (p, exponents) of p-groups with at most 64 elements
+LEAST_COSET_SHAPES = (
+    (2, (1,)), (2, (2,)), (2, (3,)), (2, (6,)), (2, (1, 1)), (2, (1, 3)), (2, (2, 2)),
+    (2, (1, 4)), (2, (2, 3)), (2, (1, 1, 1)), (2, (1, 1, 3)), (2, (1, 2, 2)),
+    (2, (2, 2, 2)), (3, (1,)), (3, (3,)), (3, (1, 1)), (3, (1, 2)), (3, (1, 1, 1)),
+    (5, (2,)), (7, (1, 1)),
+)
+
+
+@pytest.mark.parametrize("p, exps", LEAST_COSET_SHAPES)
+def test_least_coset_sequence_is_at_valuations_capped_by_g(p, exps):
+    from math import gcd
+
+    from lpa_lie.verdict import _height_sequence, _valuation
+
+    # heights of every element of T = Z/p^e_1 + ..., read off residues alone;
+    # the shorter of two sequences is padded with infinite heights
+    moduli = [p**e for e in exps]
+    elements = list(product(*(range(m) for m in moduli)))
+    seqs = {t: _p_height_sequence(list(t), list(exps), p) for t in elements}
+    for a in range(max(exps) + 1):
+        g = p**a
+        shifts = {tuple(g * h % m for h, m in zip(t, moduli)) for t in elements}
+        for x in elements:
+            coset = [seqs[tuple((u + s) % m for u, s, m in zip(x, shift, moduli))] for shift in shifts]
+            length = max(map(len, coset))
+            least = tuple(min(c[k] if k < len(c) else float("inf") for c in coset) for k in range(length))
+            capped = [(min(_valuation(gcd(u, m), p), a), e) for u, m, e in zip(x, moduli, exps)]
+            # the least sequence is attained, at valuations min(s_i, a)
+            assert least in coset and _height_sequence(capped) == least, (p, exps, g, x)
+
+
+UNITS = (-1, 17, 19, 23, 29, 31, 1_000_003)
+
+
+# derandomized, 60 examples in about 0.3 s
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(pointed_cases(), st.sampled_from(UNITS), st.integers(1, 3))
+def test_pointed_iso_is_symmetric_and_unit_invariant(case, unit, power):
+    pa, pb = case
+    answer = pointed_iso_decision(pa, pb)
+    assert pointed_iso_decision(pb, pa) == answer
+    # u = unit**power is prime to every factor (their primes are at most
+    # 13), so t -> u t is an automorphism of the torsion part; it fixes gT
+    u = unit**power
+
+    def scaled(pres):
+        units = [u * y % a if a else y for a, y in zip(pres.invariant_factors, pres.unit_class)]
+        return K0Presentation(pres.invariant_factors, tuple(units))
+
+    assert pointed_iso_decision(scaled(pa), scaled(pb)) == answer
+    assert pointed_iso_decision(scaled(pa), pb) == answer
 
 
 # -- kp consistency ----------------------------------------------------------------
