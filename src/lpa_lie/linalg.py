@@ -13,10 +13,11 @@ no replay of either log.  Each step
 divides with the nearest-integer quotient, so a stage takes few Euclid
 rounds; column steps wait until the row steps have cleared the pivot's
 column, so U's multipliers stay small; and a round that leaves remainders
-takes its next pivot from the pivot's column or row, not the whole block:
-K0 of purely infinite simple graphs of 80, 120 and 160 vertices (edge
-density 0.3, multiplicities up to 6) took 0.12-0.16, 0.7-0.9 and 2.7-3.3 s
-on a 2-core host under Python 3.11.  It serves
+takes its next pivot from the pivot's column or row, not the whole block,
+and finds it in the same pass that writes those remainders: K0 of purely
+infinite simple graphs of 80, 120 and 160 vertices (edge density 0.3,
+multiplicities up to 6) took 0.075-0.088, 0.45-0.47 and 1.95-2.03 s on a
+2-core host under Python 3.11.7.  It serves
 
 * linear solving and rank over Q or GF(p), read off the certificate of the
   integer matrix (``SmithDecomposition.solve`` and ``rank``), and
@@ -425,8 +426,11 @@ def smith_normal_form(mat) -> SmithDecomposition:
     If they leave remainders, the next pivot is the first least of the
     pivot's column; once that column is clear the column steps run, each
     rewriting the pivot row alone, and if they leave remainders the next
-    pivot is the first least of that row.  Such a remainder is nonzero and
-    at most half the last pivot, and the block scan after a fold finds
+    pivot is the first least of that row.  Each round finds that pivot in
+    the pass that writes the remainders, keeping the first least |x| and
+    its line as it goes, so no round scans the column or row again.  Such a
+    remainder is nonzero and at most half the last pivot, so the pivot
+    itself is never the least, and the block scan after a fold finds
     nothing larger than the pivot, which it takes again on a tie and which
     then leaves a remainder in its row; so the pivots of a stage shrink
     until a round leaves no remainder and no entry the pivot does not
@@ -466,32 +470,39 @@ def smith_normal_form(mat) -> SmithDecomposition:
                 col_log.append((t, t + pj, None))
             w0 = w[0]
             pivot = w0[0]
-            dirty = False
+            twice = 2 * pivot
+            least = 0  # the first least |remainder| so far; its line is the next pivot's
             for i in range(1, len(w)):
                 wi = w[i]
-                if wi[0]:
-                    q = (2 * wi[0] + pivot) // (2 * pivot)
+                x = wi[0]
+                if x:
+                    q = (2 * x + pivot) // twice
                     if q:
-                        w[i] = wi = [x - q * y for x, y in zip(wi, w0)]
+                        w[i] = wi = [a - q * b for a, b in zip(wi, w0)]
                         row_log.append((t + i, t, q))
-                    if wi[0]:
-                        dirty = True
-            if dirty:
-                # the remainders sit in column t; the least of them is the next pivot
-                pi, pj = _first_least_abs([r[0] for r in w]), 0
+                        x = wi[0]
+                    if x:
+                        x = -x if x < 0 else x
+                        if not least or x < least:
+                            least, pi = x, i
+            if least:
+                pj = 0  # the remainders sit in column t
                 continue
             # column t is clear below the pivot, so a column step changes row t alone
             for j in range(1, len(w0)):
-                if w0[j]:
-                    q = (2 * w0[j] + pivot) // (2 * pivot)
+                x = w0[j]
+                if x:
+                    q = (2 * x + pivot) // twice
                     if q:
-                        w0[j] -= q * pivot
+                        w0[j] = x = x - q * pivot
                         col_log.append((t + j, t, q))
-                    if w0[j]:
-                        dirty = True
-            if not dirty:
+                    if x:
+                        x = -x if x < 0 else x
+                        if not least or x < least:
+                            least, pj = x, j
+            if not least:
                 break
-            pi, pj = 0, _first_least_abs(w0)
+            pi = 0
         # a unit pivot divides every entry, so only a larger one needs the scan
         offender = None if pivot in (1, -1) else next(
             (i for i in range(1, len(w)) if any(x % pivot for x in w[i])), None

@@ -2,11 +2,15 @@
 
 The package decides every span and rank question from one Smith normal form;
 the Gauss-Jordan elimination and Fraction determinant here are an independent
-reference for it.  The two-matrix elimination here, which writes each
-operation once on the matrix and once on its certificate, is the reference
+reference for it.  The two-matrix elimination here
+(``reference_two_matrix_smith``), which writes each operation once on the
+matrix and once on its certificate, is the reference
 for the certificates its Smith form replays from elimination logs, and the
 solve by dot products with the rows of those certificates is the reference
-for its solve by replay.  It reads cycle vertices and the
+for its solve by replay.  The package's elimination as it was before
+each round found its next pivot while writing the remainders, which
+rescans the pivot's column or row instead (``reference_smith_normal_form``),
+is the reference for its diagonal and logs.  It reads cycle vertices and the
 exitless cycle off the reachability closure; boolean powers of the adjacency
 matrix and a chase of the out-degree-1 subgraph are the references for those,
 and the list of every unreached (vertex, target) pair is the reference for
@@ -53,7 +57,7 @@ import sys
 from contextlib import contextmanager
 from fractions import Fraction
 from functools import cache
-from itertools import product
+from itertools import chain, product
 from math import gcd, lcm, prod
 
 from lpa_lie import (
@@ -65,6 +69,7 @@ from lpa_lie import (
     GraphParseError,
     PathWord,
     PreconditionError,
+    SmithDecomposition,
     VertexId,
     b_vectors,
     commutator,
@@ -456,7 +461,7 @@ def _reference_min_abs_position(a, rows, cols):
     return pos
 
 
-def reference_smith_normal_form(mat):
+def reference_two_matrix_smith(mat):
     """The Smith form ``(u, d, v)`` by the package's rules, rows first, on separate matrices.
 
     A stage's first pivot, and the one after a fold, is the least entry of
@@ -543,6 +548,106 @@ def reference_smith_normal_form(mat):
 
     freeze = lambda m: tuple(tuple(r) for r in m)
     return freeze(u), freeze(a), freeze(v)
+
+
+def _reference_first_least_abs(xs) -> int | None:
+    """The index of the first entry of least nonzero absolute value in ``xs``."""
+    best = pos = None
+    for k, x in enumerate(xs):
+        if x:
+            x = -x if x < 0 else x
+            if best is None or x < best:
+                if x == 1:
+                    return k  # nothing later can beat it
+                best, pos = x, k
+    return pos
+
+
+def reference_smith_normal_form(mat) -> SmithDecomposition:
+    """The logged Smith form as the package computed it before its rounds kept their pivot.
+
+    The elimination is the package's verbatim, but after a round's row
+    steps it scans column t once more for the first least remainder, and
+    after the column steps row t, where the package finds that pivot in the
+    pass that writes the remainders.  Both return the same diagonal and the
+    same two logs.
+    """
+    rows = len(mat)
+    if rows == 0 or len(mat[0]) == 0:
+        raise ValueError("smith_normal_form expects a non-empty matrix")
+    cols = len(mat[0])
+    w: list[list[int]] = []
+    for r in mat:
+        if len(r) != cols:
+            raise ValueError("matrix rows must all have the same length")
+        exact = set(map(type, r)) <= {int}  # a row of plain ints skips the entry rule
+        if not exact and not all(isinstance(x, int) and not isinstance(x, bool) for x in r):
+            raise ValueError("matrix entries must be integers")
+        w.append(list(r))
+    row_log: list[tuple[int, int, int | None]] = []
+    col_log: list[tuple[int, int, int | None]] = []
+    pivots: list[int] = []
+
+    # w is the block of M from row and column t on; its entry (i, j) is M's (t + i, t + j)
+    t = 0
+    while (k := _reference_first_least_abs(chain.from_iterable(w))) is not None:
+        pi, pj = divmod(k, len(w[0]))
+        while True:  # the Euclid rounds of stage t
+            if pi:
+                w[0], w[pi] = w[pi], w[0]
+                row_log.append((t, t + pi, None))
+            if pj:
+                for r in w:
+                    r[0], r[pj] = r[pj], r[0]
+                col_log.append((t, t + pj, None))
+            w0 = w[0]
+            pivot = w0[0]
+            dirty = False
+            for i in range(1, len(w)):
+                wi = w[i]
+                if wi[0]:
+                    q = (2 * wi[0] + pivot) // (2 * pivot)
+                    if q:
+                        w[i] = wi = [x - q * y for x, y in zip(wi, w0)]
+                        row_log.append((t + i, t, q))
+                    if wi[0]:
+                        dirty = True
+            if dirty:
+                # the remainders sit in column t; the least of them is the next pivot
+                pi, pj = _reference_first_least_abs([r[0] for r in w]), 0
+                continue
+            # column t is clear below the pivot, so a column step changes row t alone
+            for j in range(1, len(w0)):
+                if w0[j]:
+                    q = (2 * w0[j] + pivot) // (2 * pivot)
+                    if q:
+                        w0[j] -= q * pivot
+                        col_log.append((t + j, t, q))
+                    if w0[j]:
+                        dirty = True
+            if not dirty:
+                break
+            pi, pj = 0, _reference_first_least_abs(w0)
+        # a unit pivot divides every entry, so only a larger one needs the scan
+        offender = None if pivot in (1, -1) else next(
+            (i for i in range(1, len(w)) if any(x % pivot for x in w[i])), None
+        )
+        if offender is None:
+            pivots.append(pivot)
+            del w[0]
+            for r in w:
+                del r[0]
+            t += 1
+        else:
+            # fold the offending row into row t; the block is scanned afresh
+            w[0] = [x + y for x, y in zip(w0, w[offender])]
+            row_log.append((t, t + offender, -1))
+
+    for k, a in enumerate(pivots):
+        if a < 0:
+            col_log.append((k, k, 2))
+    diagonal = tuple(abs(a) for a in pivots) + (0,) * (min(rows, cols) - len(pivots))
+    return SmithDecomposition((rows, cols), diagonal, tuple(row_log), tuple(col_log))
 
 
 def reference_solve(smith, target, field: FieldSpec):

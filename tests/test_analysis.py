@@ -4,6 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _gen import (
+    _reference_paths,
     random_graph,
     reference_cycle_vertices,
     reference_cycle_without_exit,
@@ -21,12 +22,19 @@ from lpa_lie import (
     reachability,
     simplicity_reports,
 )
-from lpa_lie.analysis import _cycle_indices, _exitless_cycle
+from lpa_lie.analysis import _closure, _exitless_cycle
 
 
 def cycle_vertices(g):
-    """The vertices on a cycle, read off the reachability closure."""
-    return {g.vertices[i] for i in _cycle_indices(g, reachability(g))}
+    """The vertices on a cycle: the diagonal bits of the transitive closure."""
+    return {v for v, row in zip(g.vertices, _closure(g)) if row >> v.index & 1}
+
+
+def exitless_cycle(g):
+    """``_exitless_cycle`` on the closure and cycle mask that the reports read."""
+    closure = _closure(g)
+    cycle_mask = sum(1 << i for i, row in enumerate(closure) if row >> i & 1)
+    return _exitless_cycle(g, closure, cycle_mask)
 
 
 def no_exit_witness(g):
@@ -96,6 +104,18 @@ def test_reachability_reflexive_transitive():
                     assert r[j] & ~r[i] == 0
 
 
+def test_closure_matches_boolean_powers():
+    # bit j of row i exactly when a path of one or more edges leads from v_i
+    # to v_j; reachability is the same closure with each vertex's own bit added
+    rng = random.Random(12)
+    for _ in range(200):
+        g = random_graph(rng, max_vertices=10, density=(0.02, 0.5))
+        paths = _reference_paths(g)
+        closure = _closure(g)
+        assert closure == [sum(1 << j for j, p in enumerate(row) if p) for row in paths]
+        assert reachability(g) == [row | 1 << i for i, row in enumerate(closure)]
+
+
 # -- cycles ------------------------------------------------------------------
 
 
@@ -132,7 +152,7 @@ def test_exitless_cycle_matches_the_chase():
         if rng.random() < 0.5:
             g = random_functional_patch(rng, g)
         cycle = reference_cycle_without_exit(g)
-        assert _exitless_cycle(g, reachability(g)) == cycle
+        assert exitless_cycle(g) == cycle
         # the simplicity report names the same cycle, as its one NoExitCycle witness
         assert no_exit_witness(g) == cycle
         found += cycle is not None

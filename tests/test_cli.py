@@ -649,10 +649,10 @@ def test_random_simple_graphs_match_reference(tmp_path, capsys):
 def test_analyze_computes_each_invariant_once(tmp_path, capsys, monkeypatch):
     modules = [lpa_lie] + [getattr(lpa_lie, name) for name in ("analysis", "linalg", "verdict", "cli")]
     counts = {}
-    names = ("simplicity_reports", "smith_normal_form", "reachability")
+    names = ("simplicity_reports", "smith_normal_form", "_closure")
     smith_forms = []
     for name in names:
-        original = getattr(lpa_lie, name)
+        original = next(getattr(mod, name) for mod in modules if hasattr(mod, name))
         counts[name] = 0
 
         def counted(*args, _name=name, _original=original, **kwargs):
@@ -691,9 +691,9 @@ def test_analyze_computes_each_invariant_once(tmp_path, capsys, monkeypatch):
     code, out, _ = run(capsys, "analyze", path, "--char", twelve)
     assert code == 0
     assert out.count("-- AGREE") == 12
-    # both reports come from one reachability closure, computed once
+    # both reports come from one transitive closure, computed once
     assert counts["simplicity_reports"] == 1
-    assert counts["reachability"] == 1
+    assert counts["_closure"] == 1
     # no sink: both routes read the one Smith form of the B-matrix
     assert counts["smith_normal_form"] == 1
     # the unit class and the span solve at all 12 characteristics read one U (1, ..., 1)
@@ -1282,3 +1282,78 @@ def test_analyze_loader_fuzz(tmp_path_factory, text):
         report = json.loads(json_out.getvalue())
         assert report == {"schema": "lpa-lie.report/3", "command": "analyze", "error": report["error"]}
         assert err.getvalue() == f"error: {report['error']}\n"
+
+
+# JSON adjacency written as text, so that an entry can have more digits than
+# int() converts and a list can nest deeper than the decoder recurses
+NESTED = st.integers(1, 3000).map(lambda depth: "[" * depth + "]" * depth)
+# 10^k for k up to 5,000, on both sides of the 4,300 digits that int() converts
+HUGE_TEXT = (st.integers(1, 60) | st.integers(4200, 5000)).map(lambda k: "1" + "0" * k)
+ENTRY_TEXT = st.one_of(
+    st.integers(-1, 3).map(str),
+    st.integers(10**12, 10**30).map(str),
+    HUGE_TEXT,
+    st.floats().map(json.dumps),  # NaN and the infinities among them
+    st.booleans().map(json.dumps),
+    st.sampled_from(("null", '"1"', "{}")),
+    NESTED,
+)
+ROW_TEXT = st.lists(ENTRY_TEXT, max_size=4).map(lambda row: "[" + ", ".join(row) + "]")
+
+
+def _json_graph_text(parts):
+    labels, rows = parts
+    return f'{{"vertices": {json.dumps(labels)}, "adjacency": [{", ".join(rows)}]}}'
+
+
+# square graphs whose entries are mostly multiplicities, some of them past
+# 4,300 digits, reach the Smith form; the rest are ragged, hold bad entries,
+# or nest deeply
+MULTIPLICITY_TEXT = st.one_of(
+    st.integers(0, 3).map(str),
+    st.integers(0, 3).map(str),
+    HUGE_TEXT,
+    ENTRY_TEXT,
+)
+JSON_GRAPH_TEXT = st.one_of(
+    st.integers(1, 4).flatmap(lambda m: st.tuples(
+        st.lists(st.sampled_from(NAMES), min_size=m, max_size=m, unique=True),
+        st.lists(
+            st.lists(MULTIPLICITY_TEXT, min_size=m, max_size=m).map(lambda row: "[" + ", ".join(row) + "]"),
+            min_size=m, max_size=m,
+        ),
+    )),
+    st.tuples(st.lists(st.sampled_from(LABELS), max_size=4, unique=True), st.lists(ROW_TEXT, max_size=4)),
+    st.tuples(st.lists(st.sampled_from(LABELS), max_size=2, unique=True), NESTED.map(lambda text: [text])),
+).map(_json_graph_text)
+
+
+@given(JSON_GRAPH_TEXT, JSON_GRAPH_TEXT | DIRECTIVE_TEXT)
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_k0_and_kp_check_loader_fuzz(tmp_path_factory, text_a, text_b):
+    """``k0`` and ``kp-check`` on drawn JSON graphs, in text and ``--json`` mode.
+
+    The exit code is 0, 1 or 2, the same in both modes, and exit 1 is one
+    ``error:`` line on stderr, with the same error as one JSON object on
+    stdout in ``--json`` mode.  Derandomized, 300 examples of four calls
+    each: about 2 s.
+    """
+    base = tmp_path_factory.getbasetemp()
+    path_a, path_b = base / "fuzz-a.json", base / "fuzz-b.graph"
+    path_a.write_text(text_a, encoding="utf-8")
+    path_b.write_text(text_b, encoding="utf-8")
+    for argv in (["k0", str(path_a)], ["kp-check", str(path_a), str(path_b)]):
+        with time_limit(10):
+            code, out, err = outcome(main, argv)
+        with time_limit(10):
+            json_code, json_out, json_err = outcome(main, argv + ["--json"])
+        assert code in (0, 1, 2) and json_code == code
+        assert "Traceback" not in err + json_err
+        if code == 1:
+            assert err.startswith("error: ") and err.count("\n") == 1
+            report = json.loads(json_out)
+            assert report == {"schema": "lpa-lie.report/3", "command": argv[0], "error": report["error"]}
+            assert json_err == err == f"error: {report['error']}\n"
+        else:
+            assert err == json_err == ""
+            assert json.loads(json_out)["command"] == argv[0]
