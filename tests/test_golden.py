@@ -11,7 +11,9 @@ rounds over 40 stages).  It was written once from
 max_vertices=40)``, and ``inputs/pis_40_permuted.json`` declares its
 vertices in the order ``random.Random(55).sample(range(40), 40)``.
 Both are kept frozen: the calls on them pin the unit-class coordinates and
-span certificates that the elimination order chooses.
+span certificates that the elimination order chooses.  ``inputs/readme.graph``
+is the README's "Graph input" example, the one input with an ``edge-label``
+line.
 """
 
 import json
@@ -71,11 +73,17 @@ CALLS.update({
     "kp-check-pis_40-pis_40_permuted-json": [
         "kp-check", "pis_40.json", "pis_40_permuted.json", "--json",
     ],
+    # the README's graph: one auto run and the named edge f
+    "analyze-readme": ["analyze", "readme.graph"],
+    # t = (1, 2): the named edge's commutator has coefficient -2
+    "witness-readme-member": ["witness", "readme.graph", "--coeffs", "1,1", "--char", "0"],
 })
 # the JSON report of every other command
 CALLS.update({
     f"{name}-json": [*CALLS[name], "--json"]
     for name in (
+        "analyze-readme",
+        "witness-readme-member",
         "witness-rose_3-member",
         "witness-rose_3-non-member",
         "witness-rose_12-member",
@@ -91,7 +99,7 @@ CALLS.update({
 def write_graphs(directory: Path) -> None:
     for filename, (name, params) in GRAPHS.items():
         (directory / filename).write_text(serialize_graph(family(name, params)), encoding="utf-8")
-    for source in INPUTS.glob("*.json"):
+    for source in (*INPUTS.glob("*.json"), *INPUTS.glob("*.graph")):
         (directory / source.name).write_bytes(source.read_bytes())
 
 
