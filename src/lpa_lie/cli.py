@@ -9,8 +9,8 @@ is printed as one such line too, besides the ``error:`` line on stderr.
 
 Exit codes: 0 verdicts produced, 1 input or usage error or a standard output
 closed by its reader, 2 every requested verdict inapplicable (``analyze``) or
-non-membership (``witness``), 3 contradiction in ``kp-check`` (which would
-indicate a bug).
+non-membership (``witness``), 3 contradiction in ``kp-check`` or a
+``witness`` whose symbolic verification FAILED (either would indicate a bug).
 """
 
 from __future__ import annotations
@@ -207,12 +207,12 @@ def _graph_summary(g: Graph) -> dict:
         "vertices": names,
         "edge_count": g.num_edges,
         # one entry per run, so the summary never names an edge: an auto run
-        # (src, dst, first, count) or a named edge (label, src, dst)
+        # or a named edge, whose first is its label
         "runs": [
-            {"source": names[r[0]], "target": names[r[1]], "first": r[2], "count": r[3]}
-            if len(r) == 4
-            else {"label": r[0], "source": names[r[1]], "target": names[r[2]]}
-            for r in g.runs
+            {"label": first, "source": names[s], "target": names[d]}
+            if isinstance(first, str)
+            else {"source": names[s], "target": names[d], "first": first, "count": n}
+            for s, d, first, n in g.runs
         ],
         "sinks": [v.label for v in g.sinks()],
         "regular": [v.label for v in g.regular_vertices()],
@@ -442,9 +442,9 @@ def _cmd_witness(args) -> int:
             f"membership holds over {field.name}",
             f"t = {_fmt_vec(t)}{mod}",
             "commutator expression: "
-            + " + ".join(
+            + (" + ".join(
                 f"{b['coefficient']} * " + _run_text(b, lambda e: f"[{e}, {e}^*]") for b in brackets
-            ),
+            ) or "0"),
             f"  = {payload['commutator_sum']}",
             f"quotient correction (sum of t_i * y_i): {payload['n_correction']}",
             f"symbolic verification: {payload['verification']}",
@@ -608,7 +608,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("witness", help="symbolic bracket witness for a vertex combination")
     p.add_argument("graph")
-    p.add_argument("--coeffs", required=True, help="comma list of coefficients")
+    p.add_argument("--coeffs", required=True, help="comma list of coefficients; write -1,1 as --coeffs=-1,1")
     p.add_argument("--char", default="0", help="one characteristic")
     p.set_defaults(handler=_cmd_witness)
 

@@ -409,8 +409,7 @@ def vertex_witness(g: Graph, k_coeffs, t_coeffs, field: FieldSpec) -> VertexWitn
             continue
         neg = -tn[i] % p if p else -tn[i]
         _add_into(correction, [(((i,), (i,)), tn[i])], p)
-        for start, run in g._runs_from[i]:
-            target, count = (run[1], run[3]) if len(run) == 4 else (run[2], 1)
+        for start, (_, target, _, count) in g._runs_from[i]:
             brackets.append((neg, start, count))
             path, r = (i, start), (target,)
             x, y = (path, r), (r, path)

@@ -8,13 +8,14 @@ the two- and four-vertex families used throughout the test suite).
 Vertex declaration order is significant: it fixes the row/column order of
 every matrix and vector derived from a graph.
 
-A graph keeps its edges as runs in declaration order.  An auto run
-``(src, dst, first_k, multiplicity)`` stands for the parallel edges named
-``<src>_<dst>_<k>`` for ``k = first_k, ..., first_k + multiplicity - 1``; a
-labelled run ``(label, src, dst)`` is one individually named edge.  Every
-criterion the package decides depends only on the out-degrees, summed as the
-runs are built, and the counts and successor bitmasks that one loop over the
-runs derives, so a multiplicity costs O(1): building, parsing and every
+A graph keeps its edges as runs in declaration order, each in one layout
+``(src, dst, first, count)`` on vertex indices.  An auto run, ``first`` an
+int, stands for the ``count`` parallel edges named ``<src>_<dst>_<k>`` for
+``k = first, ..., first + count - 1``; a named run, ``first`` a str, is the
+one edge of that label and has count 1.  Every criterion the package
+decides depends only on the out-degrees, summed as the runs are built, and
+the counts and successor bitmasks that one loop over the runs derives, so a
+multiplicity costs O(1): building, parsing and every
 count-based invariant take O(V^2 + runs) time, and serialising O(V + runs),
 except for an auto run that starts past its pair's count (only ``Graph.build``
 can make a long one).  ``Graph._name`` alone builds ``EdgeId``s, anew on
@@ -119,7 +120,7 @@ class _RunBuilder:
     Every vertex- and edge-label rule lives here: each graph, built or
     parsed, declares its vertices through ``add_vertex`` (no label twice) and
     adds its runs (vertex indices) through ``extend``, which checks them all
-    in one loop.  A labelled run whose label is its own edge's auto label
+    in one loop.  A named run whose label is its own edge's auto label
     becomes an auto run, and an auto run continuing the previous run merges
     into it, so two graphs are equal exactly when their edge sequences are.
     No edge label may be claimed twice.  A label of the auto shape
@@ -168,50 +169,50 @@ class _RunBuilder:
         names, degrees, out = self.vertex_labels, self.out_degrees, self.runs
         m = len(names)
         for run in runs:
-            size = len(run) if isinstance(run, tuple) else 0
-            if size == 4:
-                label = None
-                s, d, k, n = run
-            elif size == 3:
-                label, s, d = run
-            else:
-                raise GraphError(f"bad edge run {run!r}")
+            try:
+                s, d, first, n = run if isinstance(run, tuple) else ()
+            except ValueError:
+                raise GraphError(f"bad edge run {run!r}") from None
+            named = isinstance(first, str)
             if not (type(s) is int and type(d) is int and 0 <= s < m and 0 <= d < m):
                 for end in (s, d):
                     if not isinstance(end, int) or isinstance(end, bool) or not 0 <= end < m:
-                        what = f"auto run {run!r}" if label is None else f"edge {label!r}"
+                        what = f"edge {first!r}" if named else f"auto run {run!r}"
                         raise GraphError(f"{what} references unknown vertex {end!r}")
             prefix = f"{names[s]}_{names[d]}"
-            if size == 3:
-                if _bad_label(label):
-                    raise GraphError(f"bad edge label {label!r}")
-                auto = _split_auto(label)
+            if named:
+                if type(n) is not int or n != 1:
+                    raise GraphError(f"named edge run {run!r} needs count 1")
+                if _bad_label(first):
+                    raise GraphError(f"bad edge label {first!r}")
+                auto = _split_auto(first)
                 if auto is None:
-                    if label in self.plain:
-                        raise GraphError(f"duplicate edge label {label!r}")
-                    self.plain.add(label)
+                    if first in self.plain:
+                        raise GraphError(f"duplicate edge label {first!r}")
+                    self.plain.add(first)
                 elif auto[0] == prefix:
-                    size, k, n = 4, auto[1], 1
-                    run = (s, d, k, n)
+                    named, first = False, auto[1]
+                    run = (s, d, first, n)
                 else:
                     self.claim_range(auto[0], auto[1], auto[1])
             # plain ints pass the first test; an int subclass other than bool passes the second
-            elif not (type(k) is int and type(n) is int and k >= 1 and n >= 1) and not all(
-                isinstance(x, int) and not isinstance(x, bool) and x >= 1 for x in (k, n)
+            elif not (type(first) is int and type(n) is int and first >= 1 and n >= 1) and not all(
+                isinstance(x, int) and not isinstance(x, bool) and x >= 1 for x in (first, n)
             ):
                 raise GraphError(
                     f"auto run {run!r} needs a positive integer first_k and multiplicity"
                 )
-            if size == 3:
+            if named:
                 degrees[s] += 1
                 out.append(run)
                 continue
-            if k + n > _AUTO_K_LIMIT:
+            if first + n > _AUTO_K_LIMIT:
                 raise GraphError(f"edges from {names[s]!r} to {names[d]!r} would be numbered past 10^{_DIGIT_LIMIT}")
-            self.claim_range(prefix, k, k + n - 1)
+            self.claim_range(prefix, first, first + n - 1)
             degrees[s] += n
             last = out[-1] if out else ()
-            if len(last) == 4 and last[0] == s and last[1] == d and last[2] + last[3] == k:
+            # a named last run never merges: its str first equals no int
+            if last and last[0] == s and last[1] == d and last[2] == first - last[3]:
                 out[-1] = (s, d, last[2], last[3] + n)
             else:
                 out.append(run)
@@ -223,12 +224,13 @@ class Graph:
 
     Vertices and edge runs are kept in declaration order; that order is the
     canonical index order used by every derived matrix and vector, and the
-    order of the edge indices.  ``runs`` holds vertex indices: ``(src, dst,
-    first_k, multiplicity)`` for auto-named parallel edges, ``(label, src,
-    dst)`` for one named edge.  It is canonical, so equality of graphs is equality of
-    their edge sequences.  The out-degrees are summed as the runs are built,
-    never from the V x V ``counts``; those and the per-vertex ``successor_masks``
-    come from one loop over the runs.  Only ``_name`` names an edge as an
+    order of the edge indices.  Every entry of ``runs`` is ``(src, dst,
+    first, count)`` on vertex indices: ``first`` is the first k of auto-named
+    parallel edges, or the label (a str) of one named edge, whose count is 1.
+    It is canonical, so equality of graphs is equality of their edge
+    sequences.  The out-degrees are summed as the runs are built, never from
+    the V x V ``counts``; those and the per-vertex ``successor_masks`` come
+    from one loop over the runs.  Only ``_name`` names an edge as an
     ``EdgeId``, on each call of ``out_edges`` and of ``edge``, which looks one
     up by its index; no named edge is kept.
     """
@@ -259,8 +261,9 @@ class Graph:
     ) -> "Graph":
         """Construct a graph from vertex labels and runs in the form ``Graph.runs`` holds.
 
-        ``(src, dst, first_k, multiplicity)`` is auto-named parallel edges and
-        ``(edge_label, src, dst)`` one named edge; src and dst are vertex indices.
+        Each run is ``(src, dst, first, count)``, src and dst vertex indices:
+        ``(s, d, k, n)`` is n auto-named parallel edges from k on, and
+        ``(s, d, label, 1)`` one named edge.
         """
         return cls(tuple(VertexId(i, lbl) for i, lbl in enumerate(vertex_labels)), tuple(runs))
 
@@ -270,12 +273,7 @@ class Graph:
         m = len(self.vertices)
         a = [[0] * m for _ in range(m)]
         masks = [0] * m
-        for run in self.runs:
-            if len(run) == 4:
-                s, d, _, n = run
-            else:
-                _, s, d = run
-                n = 1
+        for s, d, _, n in self.runs:
             a[s][d] += n
             masks[s] |= 1 << d
         return tuple(map(tuple, a)), tuple(masks)
@@ -296,7 +294,7 @@ class Graph:
         starts, start = [], 0
         for run in self.runs:
             starts.append(start)
-            start += run[3] if len(run) == 4 else 1
+            start += run[3]
         return tuple(starts)
 
     @cached_property
@@ -304,7 +302,7 @@ class Graph:
         """Per vertex index, ``(index of its first edge, run)`` for each run it emits."""
         out: list[list] = [[] for _ in self.vertices]
         for start, run in zip(self._run_starts, self.runs):
-            out[run[0] if len(run) == 4 else run[1]].append((start, run))
+            out[run[0]].append((start, run))
         return tuple(tuple(x) for x in out)
 
     @property
@@ -323,11 +321,10 @@ class Graph:
 
     def _name(self, start: int, run: tuple, indices: range) -> list[EdgeId]:
         """The edges with these indices, all of ``run``, whose first edge has index ``start``."""
-        if len(run) == 3:
-            label, s, d = run
-            return [EdgeId(start, label, self.vertices[s], self.vertices[d])]
         s, d, first, _ = run
         src, dst = self.vertices[s], self.vertices[d]
+        if isinstance(first, str):
+            return [EdgeId(start, first, src, dst)]
         prefix, k = f"{src.label}_{dst.label}_", first - start
         return [EdgeId(i, f"{prefix}{k + i}", src, dst) for i in indices]
 
@@ -335,8 +332,7 @@ class Graph:
         """The named edges leaving ``v``, in O(out-degree of v)."""
         out: list[EdgeId] = []
         for start, run in self._runs_from[v.index]:
-            n = run[3] if len(run) == 4 else 1
-            out += self._name(start, run, range(start, start + n))
+            out += self._name(start, run, range(start, start + run[3]))
         return tuple(out)
 
     def edge(self, index: int) -> EdgeId:
@@ -471,7 +467,7 @@ def parse_graph(text: str) -> Graph:
                 )
         s, d = index[tokens[src_at]], index[tokens[src_at + 1]]
         if src_at == 2:
-            run = (tokens[1], s, d)
+            run = (s, d, tokens[1], 1)
         else:
             mult = 1
             if len(tokens) == 4:
@@ -509,14 +505,11 @@ def serialize_graph(g: Graph) -> str:
     names = [v.label for v in g.vertices]
     lines = [f"vertex {name}" for name in names]
     counts: dict[tuple[int, int], int] = {}
-    for run in g.runs:
-        if len(run) == 3:
-            label, s, d = run
-            lines.append(f"edge-label {label} {names[s]} {names[d]}")
-            continue
-        s, d, first, n = run
+    for s, d, first, n in g.runs:
         src, dst = names[s], names[d]
-        if first == counts.get((s, d), 0) + 1:
+        if isinstance(first, str):
+            lines.append(f"edge-label {first} {src} {dst}")
+        elif first == counts.get((s, d), 0) + 1:
             lines.append(f"edge {src} {dst} {n}")
             counts[(s, d)] = first + n - 1
         else:

@@ -445,13 +445,13 @@ def smith_normal_form(mat) -> SmithDecomposition:
         raise ValueError("smith_normal_form expects a non-empty matrix")
     cols = len(mat[0])
     w: list[list[int]] = []
-    for r in mat:
-        if len(r) != cols:
+    for row in mat:
+        if len(row) != cols:
             raise ValueError("matrix rows must all have the same length")
-        exact = set(map(type, r)) <= {int}  # a row of plain ints skips the entry rule
-        if not exact and not all(isinstance(x, int) and not isinstance(x, bool) for x in r):
+        exact = set(map(type, row)) <= {int}  # a row of plain ints skips the entry rule
+        if not exact and not all(isinstance(x, int) and not isinstance(x, bool) for x in row):
             raise ValueError("matrix entries must be integers")
-        w.append(list(r))
+        w.append(list(row))
     row_log: list[tuple[int, int, int | None]] = []
     col_log: list[tuple[int, int, int | None]] = []
     pivots: list[int] = []

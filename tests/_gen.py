@@ -1073,15 +1073,14 @@ def reference_parse(text: str) -> tuple[list[str], list[tuple[str, str, str]]]:
 def all_edges(g: Graph) -> tuple[EdgeId, ...]:
     """Every edge of ``g``, named, in declaration order: ``g.runs`` expanded edge by edge."""
     edges: list[EdgeId] = []
-    for run in g.runs:
-        if len(run) == 3:
-            named = [run]
+    for s, d, first, n in g.runs:
+        src, dst = g.vertices[s], g.vertices[d]
+        if isinstance(first, str):
+            labels = [first]
         else:
-            s, d, k, n = run
-            prefix = f"{g.vertices[s].label}_{g.vertices[d].label}_"
-            named = [(f"{prefix}{k + i}", s, d) for i in range(n)]
-        for label, s, d in named:
-            edges.append(EdgeId(len(edges), label, g.vertices[s], g.vertices[d]))
+            labels = [f"{src.label}_{dst.label}_{first + i}" for i in range(n)]
+        for label in labels:
+            edges.append(EdgeId(len(edges), label, src, dst))
     return tuple(edges)
 
 

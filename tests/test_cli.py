@@ -573,6 +573,33 @@ def test_kp_check_reports_a_contradiction(tmp_path, capsys, monkeypatch):
     assert "char 3: " in out and "(DIFFER)" in out
 
 
+def test_witness_reports_a_failed_verification(tmp_path, capsys, monkeypatch):
+    # the symbolic check of a correct witness always holds, so only a faulty
+    # witness reaches exit 3
+    path = write_family(tmp_path, "rose", [3])
+    build = lpa_lie.cli.vertex_witness
+    monkeypatch.setattr(
+        lpa_lie.cli, "vertex_witness", lambda *a: replace(build(*a), verified=False)
+    )
+    code, out, _ = run(capsys, "witness", path, "--coeffs", "1")
+    assert code == 3
+    assert "symbolic verification: FAILED" in out.splitlines()
+    code, out, _ = run(capsys, "witness", path, "--coeffs", "1", "--json")
+    assert code == 3
+    assert json.loads(out)["verification"] == "FAILED"
+
+
+def test_witness_of_the_zero_combination_prints_zero(tmp_path, capsys):
+    path = write_family(tmp_path, "two_vertex", [2, 2, 2])
+    code, out, _ = run(capsys, "witness", path, "--coeffs", "0,0")
+    assert code == 0
+    assert "commutator expression: 0" in out.splitlines()
+    assert "  = 0" in out.splitlines()
+    code, out, _ = run(capsys, "witness", path, "--coeffs", "0,0", "--json")
+    assert code == 0
+    assert json.loads(out)["commutators"] == []
+
+
 def test_kp_check_rejects_reading_stdin_twice(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO(serialize_graph(family("rose", [2]))))
     code, _, err = run(capsys, "kp-check", "-", "-")
@@ -1007,9 +1034,10 @@ def test_readme_cli_synopsis_lists_each_subcommands_options():
     }
 
 
-def test_readme_run_shapes_are_the_example_graphs_runs(tmp_path, capsys):
-    path = tmp_path / "example.graph"
-    path.write_text(readme_block("Graph input", ""), encoding="utf-8")
+def test_readme_run_shapes_are_the_example_graphs_runs(capsys):
+    # the golden input readme.graph is the README's example graph
+    path = Path(__file__).resolve().parent / "golden" / "inputs" / "readme.graph"
+    assert path.read_text(encoding="utf-8") == readme_block("Graph input", "")
     code, out, _ = run(capsys, "k0", str(path), "--json")
     assert code == 0
     shapes = [json.loads(line) for line in readme_block("CLI", "json").splitlines()]

@@ -595,9 +595,9 @@ def test_run_witness_matches_the_per_edge_reference(seed, characteristic):
     # reference has one per edge, the witness one per run leaving the support
     edges = [e for v in g.vertices if t[v.index] for e in all_edges(g) if e.source == v]
     assert expand_brackets(g, wit.brackets) == [(field.coerce(-t[e.source.index]), e) for e in edges]
-    # the source of an auto run (s, d, first_k, m) or of a named edge (label, s, d)
-    runs = [r for v in g.vertices if t[v.index] for r in g.runs if v.index == r[4 - len(r)]]
-    assert [m for _, _, m in wit.brackets] == [r[3] if len(r) == 4 else 1 for r in runs]
+    # every run is (src, dst, first, count)
+    runs = [r for v in g.vertices if t[v.index] for r in g.runs if r[0] == v.index]
+    assert [m for _, _, m in wit.brackets] == [r[3] for r in runs]
 
 
 def test_vertex_witness_refuses_k_off_by_one_over_the_denominator():

@@ -158,21 +158,21 @@ def test_parse_duplicate_edge_label():
         (
             "vertex a\nedge-label f a a\nedge-label f a a\n",
             ["a"],
-            [("f", 0, 0), ("f", 0, 0)],
+            [(0, 0, "f", 1), (0, 0, "f", 1)],
             "line 3, column 12: duplicate edge label 'f'",
         ),
         # the label's column, not that of the "e" in "edge-label"
         (
             "vertex a\nvertex b\nedge-label e a b\nedge-label e a b\n",
             ["a", "b"],
-            [("e", 0, 1), ("e", 0, 1)],
+            [(0, 1, "e", 1), (0, 1, "e", 1)],
             "line 4, column 12: duplicate edge label 'e'",
         ),
         # an auto-generated label colliding with an explicit one is also rejected
         (
             "vertex a\nedge-label a_a_1 a a\nedge a a 1\n",
             ["a"],
-            [("a_a_1", 0, 0), (0, 0, 1, 1)],
+            [(0, 0, "a_a_1", 1), (0, 0, 1, 1)],
             "line 3: duplicate edge label 'a_a_1'",
         ),
         # auto labels of different vertex pairs can coincide: a_b -> c and a -> b_c
@@ -243,7 +243,8 @@ def test_runs_match_the_per_edge_reference(text):
     ]
     assert g.num_edges == len(specs)
     index = {label: i for i, label in enumerate(labels)}
-    assert g == Graph.build(labels, [(lbl, index[s], index[d]) for lbl, s, d in specs])
+    assert g == Graph.build(labels, [(index[s], index[d], lbl, 1) for lbl, s, d in specs])
+    assert all(n == 1 for _, _, first, n in g.runs if isinstance(first, str))
     assert serialize_graph(g) == reference_serialize(g)
     for v in g.vertices:
         out = tuple(e for e in all_edges(g) if e.source == v)
@@ -258,7 +259,7 @@ def test_explicit_auto_label_is_the_same_edge():
     g = parse_graph("vertex a\nvertex b\nedge a b 2\nedge-label a_b_3 a b\n")
     assert g == parse_graph("vertex a\nvertex b\nedge a b 3\n")
     assert g.runs == ((0, 1, 1, 3),)
-    assert Graph.build(["a", "b"], [("a_b_1", 0, 1)]) == Graph.build(["a", "b"], [(0, 1, 1, 1)])
+    assert Graph.build(["a", "b"], [(0, 1, "a_b_1", 1)]) == Graph.build(["a", "b"], [(0, 1, 1, 1)])
 
 
 def test_two_vertex_family_at_a_million_edges():
@@ -436,7 +437,7 @@ def test_serialize_idempotent_on_hand_written_text():
 
 
 def test_serialize_keeps_explicit_labels():
-    g = Graph.build(["a", "b"], [("f", 0, 1), ("g", 1, 0)])
+    g = Graph.build(["a", "b"], [(0, 1, "f", 1), (1, 0, "g", 1)])
     text = serialize_graph(g)
     assert "edge-label f a b" in text
     assert parse_graph(text) == g
@@ -525,7 +526,7 @@ def test_graph_validation():
     with pytest.raises(GraphError, match="^duplicate vertex label 'a'$"):
         Graph.build(["a", "a"], [])
     with pytest.raises(GraphError):
-        Graph.build(["a"], [("e", 0, 5)])
+        Graph.build(["a"], [(0, 5, "e", 1)])
     with pytest.raises(GraphError, match="^vertex 'a' has index 1, expected 0$"):
         Graph((VertexId(1, "a"),), ())
     with pytest.raises(GraphError, match="^no vertex labeled 'zz'$"):
@@ -562,7 +563,7 @@ def test_a_run_with_an_unknown_end_is_named_as_given():
     with pytest.raises(GraphError, match=r"^auto run \(0, 5, 1, 1\) references unknown vertex 5$"):
         Graph((a, b), ((0, 5, 1, 1),))
     with pytest.raises(GraphError, match="^edge 'e' references unknown vertex 5$"):
-        Graph((a, b), (("e", 0, 5),))
+        Graph((a, b), ((0, 5, "e", 1),))
 
 
 def test_a_vertex_that_is_not_a_vertex_id_is_refused():
@@ -603,10 +604,9 @@ def test_every_whitespace_code_point_in_a_label_is_refused():
             with pytest.raises(GraphError, match=f"^bad vertex label {re.escape(repr(label))}$"):
                 Graph.build(["a", label], [])
             with pytest.raises(GraphError, match=f"^bad edge label {re.escape(repr(label))}$"):
-                Graph.build(["a"], [(label, 0, 0)])
-    for label in ("", None, 1):
-        with pytest.raises(GraphError, match=f"^bad edge label {re.escape(repr(label))}$"):
-            Graph.build(["a"], [(label, 0, 0)])
+                Graph.build(["a"], [(0, 0, label, 1)])
+    with pytest.raises(GraphError, match="^bad edge label ''$"):
+        Graph.build(["a"], [(0, 0, "", 1)])
 
 
 def test_labels_free_of_whitespace_are_accepted():
@@ -614,7 +614,7 @@ def test_labels_free_of_whitespace_are_accepted():
     for c in (*range(1, 0x110000, 97), 0x200B, 0xFEFF):
         ch = chr(c)
         if not ch.isspace():
-            g = Graph.build(["a", f"x{ch}"], [(f"e{ch}", 0, 1)])
+            g = Graph.build(["a", f"x{ch}"], [(0, 1, f"e{ch}", 1)])
             assert g.vertices[1].label == f"x{ch}"
 
 
@@ -649,7 +649,7 @@ def test_auto_edges_are_numbered_below_10_4300():
     # a label of 4,301 digits is a plain label, not an auto edge
     text = f"vertex a\nvertex b\nedge-label a_b_1{'0' * 4300} a b\n"
     g = parse_graph(text)
-    assert g.runs == ((f"a_b_1{'0' * 4300}", 0, 1),)
+    assert g.runs == ((0, 1, f"a_b_1{'0' * 4300}", 1),)
     assert serialize_graph(g) == text and parse_graph(serialize_graph(g)) == g
 
 
@@ -668,30 +668,31 @@ run_ends = st.one_of(st.integers(-1, 5), st.booleans())
 builder_runs = st.one_of(
     st.tuples(run_ends, run_ends, st.one_of(st.integers(-1, 4), st.booleans()), st.integers(-1, 3)),
     st.tuples(
+        run_ends,
+        run_ends,
         st.one_of(
             st.builds("{}_{}_{}".format, st.sampled_from(BUILDER_LABELS),
                       st.sampled_from(BUILDER_LABELS), st.integers(1, 4)),
             st.sampled_from(["e", "f", "", "e f", None]),
         ),
-        run_ends,
-        run_ends,
+        st.sampled_from([1, 1, 1, 0, 2, True]),
     ),
-    st.sampled_from([(0, 1), [0, 1, 1, 1], "e"]),
+    st.sampled_from([(0, 1), [0, 1, 1, 1], "e", ("e", 0, 1)]),
 )
 BUILDER_CASES = [
     # the a_b -> c / a -> b_c prefix clash
     ([(3, 2, 1, 1), (0, 4, 1, 1)], "duplicate edge label 'a_b_c_1'"),
-    ([("a_b_c_2", 0, 4), (3, 2, 1, 2)], "duplicate edge label 'a_b_c_2'"),
+    ([(0, 4, "a_b_c_2", 1), (3, 2, 1, 2)], "duplicate edge label 'a_b_c_2'"),
     # an explicit label equal to its own auto label is that auto edge, and merges
-    ([(0, 1, 1, 1), ("a_b_2", 0, 1), (0, 1, 3, 2)], ((0, 1, 1, 4),)),
-    ([("a_b_1", 0, 1), (0, 1, 1, 1)], "duplicate edge label 'a_b_1'"),
+    ([(0, 1, 1, 1), (0, 1, "a_b_2", 1), (0, 1, 3, 2)], ((0, 1, 1, 4),)),
+    ([(0, 1, "a_b_1", 1), (0, 1, 1, 1)], "duplicate edge label 'a_b_1'"),
     # continuations merge; a gap or another pair in between does not
     ([(0, 1, 1, 2), (0, 1, 3, 1), (1, 0, 1, 1), (0, 1, 4, 1), (0, 1, 6, 1)],
      ((0, 1, 1, 3), (1, 0, 1, 1), (0, 1, 4, 1), (0, 1, 6, 1))),
     # bool, negative and out-of-range entries
     ([(True, 0, 1, 1)], "auto run (True, 0, 1, 1) references unknown vertex True"),
     ([(0, -1, 1, 1)], "auto run (0, -1, 1, 1) references unknown vertex -1"),
-    ([("e", 0, 5)], "edge 'e' references unknown vertex 5"),
+    ([(0, 5, "e", 1)], "edge 'e' references unknown vertex 5"),
     ([(0, 1, True, 1)], "auto run (0, 1, True, 1) needs a positive integer first_k and multiplicity"),
     ([(0, 1, 1, 0)], "auto run (0, 1, 1, 0) needs a positive integer first_k and multiplicity"),
     ([(0, 1, -1, 2)], "auto run (0, 1, -1, 2) needs a positive integer first_k and multiplicity"),
@@ -700,6 +701,12 @@ BUILDER_CASES = [
     ([(0, 1, 10**4300 - 1, 1)], ((0, 1, 10**4300 - 1, 1),)),
     ([(0, 1, 1, 10**4300 - 1), (0, 1, 10**4300, 1)], "edges from 'a' to 'b' would be numbered past 10^4300"),
     ([(0, 1, 2, 10**4300 - 1)], "edges from 'a' to 'b' would be numbered past 10^4300"),
+    # one layout: a named run is one edge, and the old (label, src, dst) is no run
+    ([(0, 1, "e", 2)], "named edge run (0, 1, 'e', 2) needs count 1"),
+    ([(0, 1, "e", True)], "named edge run (0, 1, 'e', True) needs count 1"),
+    ([("e", 0, 1)], "bad edge run ('e', 0, 1)"),
+    # a named run never merges with the auto run after it
+    ([(0, 1, "e", 1), (0, 1, 1, 1)], ((0, 1, "e", 1), (0, 1, 1, 1))),
 ]
 
 
