@@ -1,9 +1,9 @@
 """Command line interface.
 
-Subcommands: ``analyze``, ``k0``, ``witness``, ``family``, ``kp-check``, and
-``selftest``.  Graphs are read from a file path or ``-`` (standard input),
-either in the line-oriented text format or as a JSON object with ``vertices``
-and ``adjacency``.  ``--json`` switches every command to a stable,
+Subcommands: ``analyze``, ``k0``, ``witness``, ``family`` and ``kp-check``.
+Graphs are read from a file path or ``-`` (standard input), either in the
+line-oriented text format or as a JSON object with ``vertices`` and
+``adjacency``.  ``--json`` switches every command to a stable,
 schema-versioned machine-readable report on one line; an error in that mode
 is printed as one such line too, besides the ``error:`` line on stderr.
 
@@ -29,7 +29,6 @@ from .graph import (
     GraphError,
     VertexId,
     _split_auto,
-    b_vectors,
     family,
     family_names,
     graph_from_adjacency,
@@ -48,17 +47,14 @@ from .linalg import (
 )
 from .verdict import (
     INAPPLICABLE,
-    SIMPLE,
     GraphInvariants,
     kp_consistency,
-    leavitt_closed_form,
     lie_simplicity,
     lie_simplicity_via_k0,
-    matrix_lie_simplicity,
 )
 
 SCHEMA = "lpa-lie.report/3"
-DEFAULT_CHARS = (0, 2, 3, 5, 7)
+DEFAULT_CHARS = "0,2,3,5,7"
 SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19)
 # Counts and the Smith form are V x V and the reachability closure is V
 # bitmasks of V bits, so a graph with more vertices is refused before any of
@@ -221,10 +217,7 @@ def _graph_summary(g: Graph) -> dict:
 
 
 def _simplicity_dict(report) -> dict:
-    return {
-        "verdict": report.verdict,
-        "witnesses": [w.describe() for w in report.witnesses],
-    }
+    return {"verdict": report.verdict, "witnesses": [w.describe() for w in report.witnesses]}
 
 
 def _k0_dict(pres: K0Presentation) -> dict:
@@ -259,7 +252,6 @@ def _cmd_analyze(args) -> int:
     g = _load_graph(args.graph)
     fields = _parse_chars(args.char)
     inv = GraphInvariants(g)
-    simple = inv.simplicity
     pis = inv.pure_infinite_simplicity
     bvecs = inv.b_vectors
 
@@ -277,7 +269,7 @@ def _cmd_analyze(args) -> int:
     payload = {
         "graph": g,
         "b_vectors": bvecs,
-        "algebra_simple": _simplicity_dict(simple),
+        "algebra_simple": _simplicity_dict(inv.simplicity),
         "purely_infinite_simple": _simplicity_dict(pis),
         "k0": _k0_dict(inv.k0),
         "verdicts": rows,
@@ -456,7 +448,7 @@ def _cmd_witness(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# family / kp-check / selftest
+# family / kp-check
 # ---------------------------------------------------------------------------
 
 
@@ -514,73 +506,6 @@ def _cmd_kp_check(args) -> int:
     return 3 if report.contradiction else 0
 
 
-def _selftest_checks():
-    """The regression suite of worked examples; yields (name, ok) pairs."""
-    ex4 = family("example4")
-    yield (
-        "four-vertex example: B-vectors",
-        b_vectors(ex4)
-        == [[0, 1, 0, 0], [1, -1, 0, 1], [0, 1, 0, 0], [0, 0, 1, -1]],
-    )
-    yield (
-        "four-vertex example: simple at chars 0,2,3,5,7,11,13",
-        all(
-            lie_simplicity(ex4, FieldSpec(c)).status == SIMPLE
-            for c in (0, 2, 3, 5, 7, 11, 13)
-        ),
-    )
-    pq = family("prime_set", [6])
-    yield (
-        "prime-set graph with q=6: not simple exactly at 2 and 3",
-        [c for c in DEFAULT_CHARS if lie_simplicity(pq, FieldSpec(c)).status != SIMPLE]
-        == [2, 3],
-    )
-    tv = family("two_vertex", [2, 2, 2])
-    yield (
-        "two-vertex family (2,2,2): snf diagonal (2, 4)",
-        GraphInvariants(tv).k0.invariant_factors == (2, 4),
-    )
-    yield (
-        "two-vertex family (2,2,2): simple at char 2 on both routes",
-        lie_simplicity(tv, FieldSpec(2)).status == SIMPLE
-        and lie_simplicity_via_k0(tv, FieldSpec(2)).status == SIMPLE,
-    )
-    ok = True
-    for n in range(2, 6):
-        for d in range(1, 5):
-            for c in (0, 2, 3, 5):
-                field = FieldSpec(c)
-                expect = leavitt_closed_form(n, d, field).status
-                if matrix_lie_simplicity(family("rose", [n]), d, field).status != expect:
-                    ok = False
-                if d >= 2 and lie_simplicity(family("matrix_rose", [n, d]), field).status != expect:
-                    ok = False
-    yield ("rose/matrix closed-form coherence", ok)
-    field0 = FieldSpec(0)
-    rose3 = family("rose", [3])
-    t = GraphInvariants(rose3).b_smith.solve([1], field0)
-    yield (
-        "rose(3): identity witness verifies over Q",
-        t is not None and vertex_witness(rose3, [1], t, field0).verified,
-    )
-    rep = kp_consistency(family("rose", [2]), family("matrix_rose", [2, 3]), DEFAULT_CHARS)
-    yield (
-        "kp-check rose(2) vs matrix_rose(2,3): pointed iso, no contradiction",
-        rep.pointed_iso == "exists" and not rep.contradiction,
-    )
-
-
-def _cmd_selftest(args) -> int:
-    results = list(_selftest_checks())
-    passed = all(ok for _, ok in results)
-    payload = {
-        "checks": [{"name": name, "ok": ok} for name, ok in results],
-        "ok": passed,
-    }
-    _emit(args, payload, lambda: [f"{'PASS' if ok else 'FAIL'}  {n}" for n, ok in results])
-    return 0 if passed else 1
-
-
 # ---------------------------------------------------------------------------
 # entry point
 # ---------------------------------------------------------------------------
@@ -594,11 +519,10 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
     parser.commands = sub.choices
-    chars = ",".join(map(str, DEFAULT_CHARS))
 
     p = sub.add_parser("analyze", help="full report for one graph")
     p.add_argument("graph", help="graph file, or - for stdin")
-    p.add_argument("--char", default=chars, help="comma list of characteristics")
+    p.add_argument("--char", default=DEFAULT_CHARS, help="comma list of characteristics")
     p.set_defaults(handler=_cmd_analyze)
 
     p = sub.add_parser("k0", help="cokernel presentation and divisibility data")
@@ -623,11 +547,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("kp-check", help="pointed-K0 comparison of two graphs")
     p.add_argument("graph_a")
     p.add_argument("graph_b")
-    p.add_argument("--char", default=chars)
+    p.add_argument("--char", default=DEFAULT_CHARS)
     p.set_defaults(handler=_cmd_kp_check)
-
-    p = sub.add_parser("selftest", help="run the worked-example regression suite")
-    p.set_defaults(handler=_cmd_selftest)
 
     for p in sub.choices.values():
         p.add_argument("--json", action="store_true")

@@ -110,8 +110,14 @@ def _split_auto(label: str) -> tuple[str, int] | None:
 
 
 def _bad_label(x) -> bool:
-    """Whether ``x`` cannot label a vertex or an edge: not a non-empty string free of whitespace."""
-    return not isinstance(x, str) or x.split() != [x]
+    """Whether ``x`` cannot label a vertex or an edge: not a whitespace-free string that UTF-8 encodes."""
+    if not isinstance(x, str) or x.split() != [x]:
+        return True
+    try:
+        x.encode()
+    except UnicodeEncodeError:  # a lone surrogate
+        return True
+    return False
 
 
 class _RunBuilder:

@@ -214,10 +214,12 @@ class FieldSpec:
         try:
             if not re.fullmatch(rf"{_INTEGER.pattern}(/[0-9]+)?", text.strip()):
                 raise ValueError("expected an integer a or a fraction a/b")
+            if b and not b.strip("0"):
+                raise ValueError("the denominator is zero")
             return self.coerce(Fraction(_parse_integer(a), _parse_integer(b or "1")))
         except _DigitLimitError as exc:
             raise ValueError(f"cannot parse an element of {self.name}: {exc}") from None
-        except (ValueError, ZeroDivisionError) as exc:
+        except ValueError as exc:
             raise ValueError(f"cannot parse {text!r} as an element of {self.name}: {exc}") from None
 
 

@@ -42,6 +42,9 @@ out-split keep the algebra, and M_d E has the d x d matrices over it.  Three
 more (``move_in_split``, ``move_cuntz_splice`` and ``move_add_source``) are
 oracles for K0: each keeps its group, and only the splice flips the sign of
 det(I - A^t).
+For an acyclic graph whose one sink is w, L is the n x n matrices over K
+with n the number of paths that end at w; that number, counted in one pass
+in topological order (``paths_ending_at``), is an oracle for the Lie verdict.
 The CLI hands a call that starts with a command straight to that command's
 parser; parsing with the full parser, whose top-level pass hands the rest to
 the command's parser (``reference_main``), is the reference for it.
@@ -883,6 +886,28 @@ def reference_p_divisible(factors, unit_class, p: int) -> bool:
         all((p * x - y) % a == 0 if a else p * x == y for x, (a, y) in zip(xs, coordinates))
         for xs in product(*ranges)
     )
+
+
+def paths_ending_at(adj: list[list[int]], w: int) -> int:
+    """The number of paths of the acyclic graph ``adj`` that end at vertex ``w``, the trivial one included.
+
+    Kahn's order takes each vertex after every vertex with an edge into it,
+    so the count of paths ending at each vertex, 1 plus the sum over its
+    in-edges of the count at their source, is final when its turn comes.
+    """
+    n = len(adj)
+    into = [sum(1 for u in range(n) if adj[u][v]) for v in range(n)]
+    order = [v for v in range(n) if not into[v]]
+    ending = [1] * n
+    for u in order:  # order grows as vertices lose their last in-edge
+        for v, m in enumerate(adj[u]):
+            if m:
+                ending[v] += m * ending[u]
+                into[v] -= 1
+                if not into[v]:
+                    order.append(v)
+    assert len(order) == n, "the graph has a cycle"
+    return ending[w]
 
 
 # -- graph moves on adjacency matrices -------------------------------------------

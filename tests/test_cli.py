@@ -794,21 +794,22 @@ def test_each_characteristic_and_prime_is_tested_once_per_call(tmp_path, capsys,
             assert code in (0, 2) and tested == expected, argv
 
 
-# -- selftest and misc ----------------------------------------------------------------
+# -- misc ----------------------------------------------------------------
 
 
-def test_selftest(capsys):
-    code, out, _ = run(capsys, "selftest")
-    assert code == 0
-    assert "FAIL" not in out
-    assert out.count("PASS") >= 8
-
-
-def test_selftest_json(capsys):
-    code, out, _ = run(capsys, "selftest", "--json")
-    data = json.loads(out)
-    assert code == 0
-    assert data["ok"] is True
+@pytest.mark.parametrize("argv", [["analyze"], ["witness", "--coeffs", "1"]])
+@pytest.mark.parametrize("mode", [(), ("--json",)])
+def test_a_vertex_label_that_utf8_cannot_encode_is_refused(tmp_path, capsys, argv, mode):
+    # JSON can escape a lone surrogate, but no report could print it
+    path = tmp_path / "surrogate.json"
+    path.write_text('{"vertices": ["\\ud800"], "adjacency": [[2]]}', encoding="utf-8")
+    message = "bad structured graph: bad vertex label '\\ud800'"
+    code, out, err = run(capsys, argv[0], str(path), *argv[1:], *mode)
+    assert (code, err) == (1, f"error: {message}\n")
+    if mode:
+        assert json.loads(out) == {"schema": "lpa-lie.report/3", "command": argv[0], "error": message}
+    else:
+        assert out == ""
 
 
 def test_stdin_input(capsys, monkeypatch):
@@ -891,6 +892,12 @@ def test_usage_error_exit_code(capsys):
     assert exc.value.code == 1
 
 
+def test_the_deleted_selftest_command_is_refused():
+    code, out, err = outcome(main, ["selftest"])
+    assert (code, out) == (1, "")
+    assert err.startswith("lpa-lie: error: argument command: invalid choice: 'selftest'")
+
+
 def test_main_builds_the_parser_once_and_keeps_no_state(tmp_path, capsys, monkeypatch):
     path = write_family(tmp_path, "example4")
     cli = lpa_lie.cli
@@ -940,7 +947,7 @@ DISPATCH_CALLS = [
     ["family", "rose", "x"],
     ["kp-check", "G", "G", "--char", "0,2"],
     ["kp-check", "G", "G", "--char=0,2", "--json"],
-    ["selftest", "--json"],
+    ["selftest"],  # a command that no longer exists
     ["analyze"],  # a missing positional
     ["witness", "G"],  # a missing required option
     ["analyze", "G", "--char"],  # an option without its value
@@ -1216,6 +1223,11 @@ JSON_ERROR_CALLS = (
      "prime '-9999999999999999999...' has more than 4300 digits"),
     (["witness", "rose.graph", "--coeffs", "1/" + "9" * 5000],
      "cannot parse an element of Q: '99999999999999999999...' has more than 4300 digits"),
+    (["witness", "rose.graph", "--coeffs=1/0"], "cannot parse '1/0' as an element of Q: the denominator is zero"),
+    (["witness", "rose.graph", "--coeffs=0/0"], "cannot parse '0/0' as an element of Q: the denominator is zero"),
+    (["witness", "rose.graph", "--coeffs=1/00"], "cannot parse '1/00' as an element of Q: the denominator is zero"),
+    (["witness", "rose.graph", "--coeffs=1/0", "--char", "3"],
+     "cannot parse '1/0' as an element of GF(3): the denominator is zero"),
 )
 
 
@@ -1356,32 +1368,143 @@ JSON_GRAPH_TEXT = st.one_of(
 ).map(_json_graph_text)
 
 
+def assert_the_same_outcome_in_both_modes(argv) -> None:
+    """``main(argv)`` and ``main(argv + ["--json"])`` exit 0, 1 or 2, alike, each in 10 s.
+
+    Exit 1 is one ``error:`` line on stderr, with the same error as one JSON
+    object on stdout in ``--json`` mode; otherwise stderr is empty.  No call
+    prints a traceback, and every report encodes in UTF-8, as a real
+    standard output needs.
+    """
+    with time_limit(10):
+        code, out, err = outcome(main, argv)
+    with time_limit(10):
+        json_code, json_out, json_err = outcome(main, argv + ["--json"])
+    assert code in (0, 1, 2) and json_code == code
+    assert "Traceback" not in err + json_err
+    out.encode("utf-8")
+    json_out.encode("utf-8")
+    if code == 1:
+        assert err.startswith("error: ") and err.count("\n") == 1
+        report = json.loads(json_out)
+        assert report == {"schema": "lpa-lie.report/3", "command": argv[0], "error": report["error"]}
+        assert json_err == err == f"error: {report['error']}\n"
+    else:
+        assert err == json_err == ""
+        assert json.loads(json_out)["command"] == argv[0]
+
+
 @given(JSON_GRAPH_TEXT, JSON_GRAPH_TEXT | DIRECTIVE_TEXT)
 @settings(max_examples=300, deadline=None, derandomize=True)
 def test_k0_and_kp_check_loader_fuzz(tmp_path_factory, text_a, text_b):
     """``k0`` and ``kp-check`` on drawn JSON graphs, in text and ``--json`` mode.
 
-    The exit code is 0, 1 or 2, the same in both modes, and exit 1 is one
-    ``error:`` line on stderr, with the same error as one JSON object on
-    stdout in ``--json`` mode.  Derandomized, 300 examples of four calls
-    each: about 2 s.
+    Each call keeps ``assert_the_same_outcome_in_both_modes``.
+    Derandomized, 300 examples of four calls each: about 2 s.
     """
     base = tmp_path_factory.getbasetemp()
     path_a, path_b = base / "fuzz-a.json", base / "fuzz-b.graph"
     path_a.write_text(text_a, encoding="utf-8")
     path_b.write_text(text_b, encoding="utf-8")
     for argv in (["k0", str(path_a)], ["kp-check", str(path_a), str(path_b)]):
-        with time_limit(10):
-            code, out, err = outcome(main, argv)
-        with time_limit(10):
-            json_code, json_out, json_err = outcome(main, argv + ["--json"])
-        assert code in (0, 1, 2) and json_code == code
-        assert "Traceback" not in err + json_err
-        if code == 1:
-            assert err.startswith("error: ") and err.count("\n") == 1
-            report = json.loads(json_out)
-            assert report == {"schema": "lpa-lie.report/3", "command": argv[0], "error": report["error"]}
-            assert json_err == err == f"error: {report['error']}\n"
-        else:
-            assert err == json_err == ""
-            assert json.loads(json_out)["command"] == argv[0]
+        assert_the_same_outcome_in_both_modes(argv)
+
+
+# the graphs of the --coeffs and --char fuzz, of one to four vertices, one
+# of them with a sink
+FUZZ_GRAPHS = {"rose_3": ("rose", [3]), "line_2": ("line", [2]),
+               "two_vertex": ("two_vertex", [2, 2, 3]), "example4": ("example4", [])}
+# a coefficient: an integer, a fraction (zero denominators among them), a
+# number past 4,300 digits, a near miss of the syntax, or any short text
+COEFF_TEXT = st.one_of(
+    st.integers(-(10**6), 10**6).map(str),
+    st.builds("{}/{}".format, st.integers(-50, 50), st.integers(0, 50) | st.sampled_from(("00", "007"))),
+    HUGE_TEXT,
+    st.sampled_from(("", "x", "1/", "/2", "1e5", "1.5", "--1", "1/-2", " 3 ", "1_0", "\u0663", "1/2/3")),
+    st.text(max_size=6),
+)
+# a characteristic up to 10^30: mostly composite, with primes of up to 27
+# digits, Carmichael numbers, strong pseudoprimes to small bases and squares
+# of primes drawn too
+CHAR_TEXT = st.one_of(
+    st.integers(-5, 10**30),
+    st.integers(0, 100),
+    st.sampled_from((2, 3, 5, 7, 10**9 + 7, 2**31 - 1, 2**61 - 1, 2**89 - 1, 561, 41041,
+                     3215031751, 3825123056546413051, (2**31 - 1) ** 2, 2**89 + 1)),
+).map(str)
+
+
+def write_fuzz_graphs(base) -> dict:
+    """The ``FUZZ_GRAPHS`` written once under ``base``, as {name: (path, vertex count)}."""
+    paths = {}
+    for name, (family_name, params) in FUZZ_GRAPHS.items():
+        g = family(family_name, params)
+        path = base / f"fuzz-{name}.graph"
+        if not path.exists():
+            path.write_text(serialize_graph(g), encoding="utf-8")
+        paths[name] = (str(path), g.num_vertices)
+    return paths
+
+
+@given(st.sampled_from(sorted(FUZZ_GRAPHS)), st.lists(COEFF_TEXT, max_size=5),
+       st.sampled_from(("0", "2", "3", "5", "1000000007")))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_witness_coefficient_fuzz(tmp_path_factory, name, coeffs, char):
+    """``witness --coeffs`` on drawn lists, in text and ``--json`` mode.
+
+    Each call keeps ``assert_the_same_outcome_in_both_modes``.
+    Derandomized, 300 examples of two calls each: about 1 s.
+    """
+    path, _ = write_fuzz_graphs(tmp_path_factory.getbasetemp())[name]
+    assert_the_same_outcome_in_both_modes(["witness", path, "--coeffs=" + ",".join(coeffs), f"--char={char}"])
+
+
+@given(st.sampled_from(sorted(FUZZ_GRAPHS)), st.lists(CHAR_TEXT, max_size=3))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_characteristic_fuzz(tmp_path_factory, name, chars):
+    """``analyze --char`` and ``witness --char`` at drawn characteristics up to 10^30.
+
+    Each call keeps ``assert_the_same_outcome_in_both_modes``.
+    Derandomized, 300 examples of four calls each: about 1 s.
+    """
+    path, m = write_fuzz_graphs(tmp_path_factory.getbasetemp())[name]
+    text = ",".join(chars)
+    for argv in (["analyze", path, f"--char={text}"],
+                 ["witness", path, "--coeffs=" + ",".join(["1"] * m), f"--char={text}"]):
+        assert_the_same_outcome_in_both_modes(argv)
+
+
+# a label of any code points, with whitespace, controls, the byte-order
+# mark, the last code point and, in JSON input only, lone surrogates drawn
+# often; a text file holds no surrogate
+ODD_CODE_POINTS = ("a", " ", "\t", "\x00", "\x1c", "\x85", "\u2028", "\u200b", "\ufeff", "\U0010ffff")
+TEXT_LABELS = st.text(st.sampled_from(ODD_CODE_POINTS) | st.characters(blacklist_categories=("Cs",)), max_size=4)
+JSON_LABELS = st.text(st.sampled_from(ODD_CODE_POINTS + ("\ud800", "\udfff")) | st.characters(), max_size=4)
+
+
+@given(st.integers(1, 3).flatmap(lambda m: st.tuples(
+    st.lists(JSON_LABELS, min_size=m, max_size=m),
+    st.lists(st.lists(st.integers(0, 2), min_size=m, max_size=m), min_size=m, max_size=m),
+    st.lists(TEXT_LABELS, min_size=m, max_size=m),
+)))
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_vertex_label_fuzz(tmp_path_factory, case):
+    """``analyze`` and ``witness`` on graphs with drawn vertex labels, as JSON and as text.
+
+    Each call keeps ``assert_the_same_outcome_in_both_modes``.  Derandomized,
+    150 examples of eight calls each: about 1 s.
+    """
+    json_labels, adjacency, text_labels = case
+    base = tmp_path_factory.getbasetemp()
+    json_path, text_path = base / "labels.json", base / "labels.graph"
+    json_path.write_text(json.dumps({"vertices": json_labels, "adjacency": adjacency}), encoding="utf-8")
+    text_path.write_text(
+        "".join(f"vertex {label}\n" for label in text_labels)
+        + "".join(f"edge {text_labels[i]} {text_labels[j]} {n}\n"
+                  for i, row in enumerate(adjacency) for j, n in enumerate(row) if n),
+        encoding="utf-8",
+    )
+    coeffs = "--coeffs=" + ",".join(["1"] * len(adjacency))
+    for path in (json_path, text_path):
+        assert_the_same_outcome_in_both_modes(["analyze", str(path)])
+        assert_the_same_outcome_in_both_modes(["witness", str(path), coeffs])

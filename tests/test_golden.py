@@ -66,7 +66,6 @@ CALLS.update({
     ],
     "kp-check-rose_2-matrix_rose_2_3": ["kp-check", "rose_2.graph", "matrix_rose_2_3.graph"],
     "family-example4": ["family", "example4"],
-    "selftest": ["selftest"],
     "analyze-composite-char": ["analyze", "rose_3.graph", "--char", "0,4"],
     "k0-pis_40-json": ["k0", "pis_40.json", "--json"],
     "analyze-pis_40-json": ["analyze", "pis_40.json", "--json"],
@@ -91,7 +90,6 @@ CALLS.update({
         "witness-example4-member",
         "kp-check-rose_2-matrix_rose_2_3",
         "family-example4",
-        "selftest",
     )
 })
 

@@ -610,12 +610,33 @@ def test_every_whitespace_code_point_in_a_label_is_refused():
 
 
 def test_labels_free_of_whitespace_are_accepted():
-    # every 97th code point, surrogates among them, the zero-width space and the byte-order mark
+    # every 97th code point, the zero-width space and the byte-order mark;
+    # the surrogates among them are refused, as UTF-8 cannot encode them
     for c in (*range(1, 0x110000, 97), 0x200B, 0xFEFF):
         ch = chr(c)
-        if not ch.isspace():
+        if ch.isspace():
+            continue
+        if 0xD800 <= c <= 0xDFFF:
+            with pytest.raises(GraphError, match=f"^bad vertex label {re.escape(repr(f'x{ch}'))}$"):
+                Graph.build(["a", f"x{ch}"], [])
+        else:
             g = Graph.build(["a", f"x{ch}"], [(0, 1, f"e{ch}", 1)])
             assert g.vertices[1].label == f"x{ch}"
+
+
+def test_a_label_that_utf8_cannot_encode_is_refused():
+    # a lone surrogate reaches a label through a JSON escape, or through
+    # standard input read with the surrogateescape handler
+    for label in ("\ud800", "a\udfffb", "\udc80"):
+        message = f"bad vertex label {re.escape(repr(label))}$"
+        with pytest.raises(GraphError, match=f"^{message}"):
+            graph_from_adjacency([label], [[2]])
+        with pytest.raises(GraphError, match=f"^line 2, column 8: {message}"):
+            parse_graph(f"vertex a\nvertex {label}\n")
+        with pytest.raises(GraphError, match=f"^bad edge label {re.escape(repr(label))}$"):
+            Graph.build(["a"], [(0, 0, label, 1)])
+        with pytest.raises(GraphError, match=f"^line 2, column 12: bad edge label {re.escape(repr(label))}$"):
+            parse_graph(f"vertex a\nedge-label {label} a a\n")
 
 
 @given(st.integers(0, 2**32 - 1))

@@ -1,4 +1,5 @@
 import random
+import re
 from enum import IntEnum
 from fractions import Fraction
 from itertools import product
@@ -164,6 +165,14 @@ def test_field_parse_accepts_exactly_integers_and_fractions():
     for text in ("1e5", "1.5", "1_0", "\u0663", "3/-4", "1/", "1e50000000"):
         with pytest.raises(ValueError, match=f"cannot parse {text!r} as an element of Q"):
             f0.parse(text)
+
+
+def test_field_parse_names_a_zero_denominator():
+    for c, text in ((0, "1/0"), (0, "0/0"), (0, "1/00"), (3, "1/0")):
+        field = FieldSpec(c)
+        message = f"cannot parse {text!r} as an element of {field.name}: the denominator is zero"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            field.parse(text)
 
 
 # -- span membership -----------------------------------------------------------

@@ -16,6 +16,7 @@ from _gen import (
     move_matrix_head,
     move_out_split,
     move_permute,
+    paths_ending_at,
     random_graph,
     random_graphs_where,
     random_pis_graphs,
@@ -94,6 +95,79 @@ def test_lie_simplicity_trivial_graph():
 def test_lie_simplicity_disconnected_sinks():
     g = graph_from_adjacency(["a", "b"], [[0, 0], [0, 0]])
     assert lie_simplicity(g, FieldSpec(3)).status == INAPPLICABLE
+
+
+# -- acyclic graphs with one sink -------------------------------------------------
+#
+# If w is the only sink of an acyclic graph, L is the n x n matrices over K,
+# n = n(w) the number of paths that end at w, so [L, L] is sl_n(K): simple
+# exactly when n >= 2 and the characteristic does not divide n.
+
+ONE_SINK_CHARS = (0, 2, 3, 5, 7, 1_000_000_007)
+
+
+def sl_verdict(n: int, c: int) -> str:
+    return SIMPLE if n >= 2 and (c == 0 or n % c) else NOT_SIMPLE
+
+
+def assert_one_sink_verdicts(adj, w, chars=ONE_SINK_CHARS) -> None:
+    """The span route's verdict at each of ``chars`` is sl_n(w)'s, and each
+    ``not-simple`` certificate x has sum_v x_v B_v = (1, ..., 1) in the field."""
+    m = len(adj)
+    n = paths_ending_at(adj, w)
+    inv = GraphInvariants(graph_from_adjacency([f"v{i}" for i in range(m)], adj))
+    # B_v is row v of the adjacency matrix less e_v, or zero at the sink
+    rows = [[a - (i == j) for j, a in enumerate(row)] if any(row) else [0] * m for i, row in enumerate(adj)]
+    for c in chars:
+        verdict = lie_simplicity(inv, FieldSpec(c))
+        assert verdict.status == sl_verdict(n, c), (adj, w, n, c)
+        if verdict.certificate is not None:
+            sums = [sum(x * row[j] for x, row in zip(verdict.certificate, rows)) for j in range(m)]
+            assert all(s == 1 if c == 0 else s % c == 1 for s in sums), (adj, c, verdict.certificate)
+
+
+@st.composite
+def one_sink_dags(draw):
+    """``(adjacency, w)``: an acyclic graph of 1-7 vertices, multiplicities up
+    to 3, whose only sink is w.  Its vertices are taken in a drawn order, and
+    each but the last, w, has an edge to a later one."""
+    m = draw(st.integers(1, 7))
+    order = draw(st.permutations(range(m)))
+    adj = [[0] * m for _ in range(m)]
+    for i, u in enumerate(order[:-1]):
+        later = order[i + 1:]
+        counts = draw(st.lists(st.integers(0, 3), min_size=len(later), max_size=len(later)).filter(any))
+        for v, k in zip(later, counts):
+            adj[u][v] = k
+    return adj, order[-1]
+
+
+@given(one_sink_dags())
+@settings(max_examples=250, deadline=None, derandomize=True)
+def test_one_sink_acyclic_graphs_get_the_verdict_of_sl_n(case):
+    """Derandomized, 250 graphs at six characteristics each: about 1 s."""
+    assert_one_sink_verdicts(*case)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 1_000_000_007])
+def test_a_sink_with_p_minus_1_edges_into_it_is_not_simple_at_p(p):
+    # u -> w with multiplicity p - 1: n(w) = p, and of the characteristics
+    # here only p divides it
+    adj = [[0, p - 1], [0, 0]]
+    assert paths_ending_at(adj, 1) == p
+    assert_one_sink_verdicts(adj, 1, ONE_SINK_CHARS + (1_000_000_009,))
+
+
+# (3, 2) is a ->2 b ->3 w, so n(w) = 10: not simple at 2 and 5
+@pytest.mark.parametrize("mults", [(1,), (2,), (3, 2), (2, 3, 4), (5, 1, 1, 2), (1, 1, 1, 1, 1)])
+def test_chains_have_n_the_sum_of_the_partial_products(mults):
+    # v_k -> ... -> v_1 -> v_0 = w, m_i edges from v_i to v_(i-1): n(w) = 1 + m_1 + m_1 m_2 + ...
+    k = len(mults)
+    adj = [[0] * (k + 1) for _ in range(k + 1)]
+    for i, m in enumerate(mults, 1):
+        adj[i][i - 1] = m
+    assert paths_ending_at(adj, 0) == sum(accumulate((1, *mults), operator.mul))
+    assert_one_sink_verdicts(adj, 0)
 
 
 # -- matrices and the closed form ------------------------------------------------
