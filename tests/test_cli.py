@@ -211,6 +211,10 @@ def test_k0_extra_primes(tmp_path, capsys):
     # 23 x = 1 has no solution in Z_23, while any p coprime to 23 divides
     assert "p = 23: no" in out
     assert "p = 2: yes" in out
+    code, out, _ = run(capsys, "k0", path, "--primes", "23,1000000007", "--json")
+    assert code == 0
+    divisible = json.loads(out)["p_divisibility"]
+    assert (divisible["23"], divisible["1000000007"]) == (False, True)
     code, _, err = run(capsys, "k0", path, "--primes", "21")
     assert code == 1
     assert "prime" in err
@@ -257,9 +261,13 @@ def test_witness_json(tmp_path, capsys):
 
 
 def witness_report(capsys, path, coeffs, char, mode):
-    """``(exit code, t, verification)`` of a witness call, read from its text or JSON report."""
+    """``(exit code, t, verification)`` of a witness call, read from its text or JSON report.
+
+    Each run of parallel edges is one bracket term, so the report stays under 1 KB.
+    """
     code, out, err = run(capsys, "witness", path, "--coeffs", coeffs, "--char", char, *mode)
     assert err == ""
+    assert len(out.encode()) < 1024
     if mode:
         data = json.loads(out)
         return code, data["t"], data["verification"]
@@ -316,17 +324,13 @@ def test_witness_of_two_vertices_with_a_trillion_loops(tmp_path, capsys):
 
 
 def test_witness_of_rose_9999_verifies_in_seconds(tmp_path, capsys):
-    # 9,999 loops are one run: one bracket term and a report under 1 KB
+    # 9,999 loops are one run: one bracket term and a report under 1 KB;
+    # B = (9998), so t = 1 over Q and t = 2 mod 3
     path = write_family(tmp_path, "rose", [9999])
-    for coeffs, char in (("9998", "0"), ("1", "3")):
+    for coeffs, char, t in (("9998", "0", ["1"]), ("1", "3", ["2"])):
         for mode in ((), ("--json",)):
             with time_limit(3):
-                code, out, err = run(capsys, "witness", path, "--coeffs", coeffs, "--char", char, *mode)
-            assert (code, err) == (0, "")
-            assert len(out.encode()) < 1024
-    assert out.endswith(', "verification": "VERIFIED"}\n')
-    code, out, _ = run(capsys, "witness", path, "--coeffs", "9998", "--char", "0")
-    assert out.endswith("\nsymbolic verification: VERIFIED\n")
+                assert witness_report(capsys, path, coeffs, char, mode) == (0, t, "VERIFIED")
 
 
 @pytest.mark.parametrize(
@@ -886,6 +890,35 @@ def test_a_closed_stdout_ends_without_a_traceback(mode):
     assert (proc.returncode, proc.stderr) == (1, b"")
 
 
+def test_a_graph_piped_to_stdin_after_a_byte_order_mark(tmp_path, capsys):
+    # a real pipe, not a patched sys.stdin: the process decodes its own standard input
+    graph = json.dumps({"vertices": ["a", "b"], "adjacency": [[1, 1], [1, 1]]})
+    path = tmp_path / "graph.json"
+    path.write_text(graph, encoding="utf-8")
+    code, out, _ = run(capsys, "analyze", str(path), "--json")
+    assert code == 0 and json.loads(out)["graph"]["adjacency"] == [[1, 1], [1, 1]]
+    src = str(Path(lpa_lie.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "lpa_lie.cli", "analyze", "--json", "-"],
+        input=b"\xef\xbb\xbf" + graph.encode("utf-8"),
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stdout.decode("utf-8"), proc.stderr) == (0, out, b"")
+
+
+def test_the_usage_and_version_lines_name_the_program(tmp_path):
+    path = write_family(tmp_path, "rose", [2])
+    code, out, err = outcome(main, ["k0", "-h"])
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0].startswith("usage: lpa-lie k0 ")
+    assert outcome(main, ["--version"]) == (0, f"lpa-lie {lpa_lie.__version__}\n", "")
+    assert lpa_lie.__version__ == "0.1.0"
+    bogus = (1, "", "lpa-lie: error: unrecognized arguments: --bogus\n")
+    assert outcome(main, ["analyze", path, "--bogus"]) == bogus
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["analyze"])  # missing required positional
@@ -1228,13 +1261,22 @@ JSON_ERROR_CALLS = (
     (["witness", "rose.graph", "--coeffs=1/00"], "cannot parse '1/00' as an element of Q: the denominator is zero"),
     (["witness", "rose.graph", "--coeffs=1/0", "--char", "3"],
      "cannot parse '1/0' as an element of GF(3): the denominator is zero"),
+    (["analyze", "true-entry.json"], "bad structured graph: adjacency entry (0, 1) must be a non-negative integer"),
+    (["analyze", "vertex-twice.graph"], "line 2, column 8: duplicate vertex label 'e'"),
 )
+# the input files of JSON_ERROR_CALLS besides rose.graph
+JSON_ERROR_INPUTS = {
+    "true-entry.json": '{"vertices": ["a", "b"], "adjacency": [[1, true], [1, 1]]}',
+    "vertex-twice.graph": "vertex e\nvertex e\n",
+}
 
 
 @pytest.mark.parametrize("argv, message", JSON_ERROR_CALLS)
 def test_json_errors(tmp_path, capsys, monkeypatch, argv, message):
     monkeypatch.chdir(tmp_path)
     write_family(tmp_path, "rose", [2], "rose.graph")
+    for name, text in JSON_ERROR_INPUTS.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (1, "", f"error: {message}\n")
     # with --json the same error is also one JSON object on stdout

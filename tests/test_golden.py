@@ -4,6 +4,16 @@ The expected output of each call in ``CALLS`` is kept in
 ``tests/golden/<name>.json``.  After an intended change to a report, rewrite
 them with ``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
 
+The tests below run each call in this process.  ``replay`` runs each one as
+a process of its own, ``command + argv``, and compares its exit code, stdout
+and stderr with the golden file byte for byte.  CI replays every call both
+ways: through the installed ``lpa-lie`` script, and as
+``python -S -X dev -W error -m lpa_lie.cli`` at another hash seed, so an
+import from outside the standard library or a warning fails the call.
+Locally, from ``tests/``::
+
+    python -c 'import test_golden; test_golden.replay(["lpa-lie"])'
+
 The 40-vertex purely infinite simple graph ``inputs/pis_40.json`` is large
 enough for the Smith elimination to take many Euclid rounds per stage (195
 rounds over 40 stages).  It was written once from
@@ -18,6 +28,8 @@ line.
 
 import json
 import os
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
@@ -140,6 +152,25 @@ def regenerate() -> None:
     for name, result in results.items():
         text = json.dumps(result, indent=1, ensure_ascii=False) + "\n"
         (GOLDEN / f"{name}.json").write_text(text, encoding="utf-8")
+
+
+def replay(command) -> None:
+    """Run every call as ``command + argv`` in a process; exit 1 naming each that differs from its golden file."""
+    failed = []
+    with tempfile.TemporaryDirectory() as tmp:
+        write_graphs(Path(tmp))
+        for name, argv in CALLS.items():
+            golden = json.loads((GOLDEN / f"{name}.json").read_text(encoding="utf-8"))
+            want = (golden["exit"], *("".join(golden[key]).encode("utf-8") for key in ("stdout", "stderr")))
+            proc = subprocess.run([*command, *argv], cwd=tmp, capture_output=True, timeout=300)
+            got = (proc.returncode, proc.stdout, proc.stderr)
+            differ = [key for key, a, b in zip(("exit code", "stdout", "stderr"), got, want) if a != b]
+            if differ:
+                failed.append(name)
+                print(f"{name}: differs from its golden file in {', '.join(differ)}")
+    print(f"{len(CALLS) - len(failed)} of {len(CALLS)} golden reports match, run as {' '.join(command)}")
+    if failed:
+        sys.exit(1)
 
 
 if __name__ == "__main__":

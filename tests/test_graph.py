@@ -260,6 +260,12 @@ def test_explicit_auto_label_is_the_same_edge():
     assert g == parse_graph("vertex a\nvertex b\nedge a b 3\n")
     assert g.runs == ((0, 1, 1, 3),)
     assert Graph.build(["a", "b"], [(0, 1, "a_b_1", 1)]) == Graph.build(["a", "b"], [(0, 1, 1, 1)])
+    # an auto run that starts past its pair's count comes from text too, and
+    # is written back as the lines it was read from
+    text = "vertex a\nvertex b\nedge-label a_b_5 a b\nedge-label a_b_6 a b\n"
+    g = parse_graph(text)
+    assert g.runs == ((0, 1, 5, 2),)
+    assert serialize_graph(g) == text
 
 
 def test_two_vertex_family_at_a_million_edges():
