@@ -117,6 +117,28 @@ def random_graph(
     return graph_from_adjacency([f"v{i + 1}" for i in range(m)], adj)
 
 
+def random_sparse_graph(rng: random.Random) -> Graph:
+    """A graph of 10 to 40 vertices at edge density 0.02 to 0.2, multiplicities up to 3.
+
+    Half of them are random, sinks and all.  The other half are acyclic, and
+    their only sink is the last vertex of a shuffled order: each other vertex
+    has an edge to each later one with the drawn probability, and to one
+    later vertex if it drew none.  The order is not that of the vertex
+    indices, so I - A^t is not triangular as written.
+    """
+    if rng.random() < 0.5:
+        return random_graph(rng, min_vertices=10, max_vertices=40, density=(0.02, 0.2))
+    m = rng.randint(10, 40)
+    density = rng.uniform(0.02, 0.2)
+    order = rng.sample(range(m), m)
+    adj = [[0] * m for _ in range(m)]
+    for i, u in enumerate(order[:-1]):
+        later = order[i + 1:]
+        for v in [v for v in later if rng.random() < density] or [rng.choice(later)]:
+            adj[u][v] = rng.randint(1, 3)
+    return graph_from_adjacency([f"v{i + 1}" for i in range(m)], adj)
+
+
 def random_labelled_graph(rng: random.Random, max_vertices: int = 4, max_lines: int = 8) -> Graph:
     """A parsed graph mixing ``edge`` lines with multiplicities and ``edge-label`` lines.
 

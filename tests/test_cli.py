@@ -25,9 +25,11 @@ from _gen import (
     expand_witness_text,
     random_graphs_where,
     random_labelled_graph,
+    random_sparse_graph,
     reference_main,
     reference_rank,
     reference_serialize,
+    reference_smith_normal_form,
     reference_span,
     reference_str,
     reference_witness,
@@ -1237,6 +1239,45 @@ def test_report_runs_expand_to_the_edges(tmp_path_factory, rng):
         with redirect_stdout(io.StringIO()) as out:
             main([command, str(path), "--json"])
         assert expand_runs(json.loads(out.getvalue())["graph"]["runs"]) == edges
+
+
+@given(st.integers(0, 2**32))
+@settings(max_examples=30, deadline=None, derandomize=True)
+def test_reports_match_those_of_the_rescanning_engine(tmp_path_factory, seed):
+    """``analyze``, ``k0`` and ``kp-check`` JSON reports on sparse graphs, half
+    of them acyclic with one sink, are byte for byte those made with the
+    rescanning elimination in place of the package's.
+
+    Derandomized, 30 pairs of graphs of 10 to 40 vertices, 4 calls each way: about 0.5 s.
+    """
+    rng, paths = random.Random(seed), []
+    for name in ("sparse-a.graph", "sparse-b.graph"):
+        path = tmp_path_factory.getbasetemp() / name
+        path.write_text(serialize_graph(random_sparse_graph(rng)), encoding="utf-8")
+        paths.append(str(path))
+    calls = [["analyze", paths[0], "--json"], ["k0", paths[0], "--json"],
+             ["k0", paths[1], "--json"], ["kp-check", *paths, "--json"]]
+
+    def reports():
+        made = []
+        for argv in calls:
+            with redirect_stdout(io.StringIO()) as out:
+                made.append((main(argv), out.getvalue()))
+        return made
+
+    used = []
+
+    def reference(mat):
+        used.append(mat)
+        return reference_smith_normal_form(mat)
+
+    ours = reports()
+    with pytest.MonkeyPatch.context() as patch:
+        # the B-matrix form is read through verdict, the cokernel through linalg
+        patch.setattr(lpa_lie.verdict, "smith_normal_form", reference)
+        patch.setattr(lpa_lie.linalg, "smith_normal_form", reference)
+        assert reports() == ours
+    assert used
 
 
 JSON_ERROR_CALLS = (

@@ -294,8 +294,8 @@ def test_one_smith_form_serves_both_routes_without_a_sink():
 
 
 def test_k0_of_a_thousand_isolated_vertices():
-    # I - A^t is the identity: every pivot is a unit, which divides every
-    # entry, so no stage scans the rest of the matrix for one it does not
+    # I - A^t is the identity: every pivot is a unit, whose stage is one pass
+    # that drops column t from each row and scans for no entry it does not divide
     g = graph_from_adjacency([f"v{i}" for i in range(1000)], [[0] * 1000 for _ in range(1000)])
     with time_limit(5):
         assert GraphInvariants(g).k0.invariant_factors == (1,) * 1000
