@@ -12,9 +12,8 @@ cycle vertices are its diagonal bits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .graph import EdgeId, Graph, VertexId
+from .linalg import _frozen
 
 __all__ = [
     "Unreached",
@@ -27,7 +26,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@_frozen
 class Unreached:
     """Witness: ``source`` has no path to ``target`` (a sink or cycle vertex)."""
 
@@ -39,7 +38,7 @@ class Unreached:
         return f"vertex {self.source.label} does not reach {self.target_kind} {self.target.label}"
 
 
-@dataclass(frozen=True)
+@_frozen
 class NoExitCycle:
     """Witness: a cycle each of whose vertices emits only its cycle edge."""
 
@@ -51,7 +50,7 @@ class NoExitCycle:
         return f"cycle without exit: {loop} -> {self.vertices[0].label}"
 
 
-@dataclass(frozen=True)
+@_frozen
 class NoCycle:
     """Witness: the graph is acyclic."""
 
@@ -59,7 +58,7 @@ class NoCycle:
         return "the graph has no cycle"
 
 
-@dataclass(frozen=True)
+@_frozen
 class SimplicityReport:
     verdict: bool
     witnesses: tuple = ()

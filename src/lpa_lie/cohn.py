@@ -22,14 +22,13 @@ edges, so its size does not depend on the edge count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import lcm
 from operator import itemgetter
 
 from .graph import EdgeId, Graph, VertexId, b_vectors
-from .linalg import FieldSpec
+from .linalg import FieldSpec, _frozen
 
 __all__ = [
     "PreconditionError",
@@ -48,7 +47,7 @@ class PreconditionError(ValueError):
     """An operation was called outside its stated hypotheses."""
 
 
-@dataclass(frozen=True)
+@_frozen
 class PathWord:
     """A path: its source vertex s(p) followed by zero or more composable edges."""
 
@@ -81,7 +80,7 @@ class PathWord:
         return len(self.edges)
 
 
-@dataclass(frozen=True)
+@_frozen
 class CohnTerm:
     """A basis term ``p q*``; p and q must share their range vertex."""
 
@@ -342,7 +341,7 @@ def n_generator(g: Graph, field: FieldSpec, v: VertexId) -> CohnElement:
     return CohnElement._of(g, field, {((i,), (i,)): field.coerce(1), **ees})
 
 
-@dataclass(frozen=True)
+@_frozen
 class VertexWitness:
     """The bracket sum for a vertex combination and its exact check, one term per edge run.
 

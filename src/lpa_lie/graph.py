@@ -36,10 +36,9 @@ the offending token.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from functools import cached_property
 
-from .linalg import _DIGIT_LIMIT, _DigitLimitError, _parse_integer
+from .linalg import _DIGIT_LIMIT, _DigitLimitError, _frozen, _parse_integer
 
 __all__ = [
     "VertexId",
@@ -76,7 +75,7 @@ class GraphParseError(GraphError):
         self.column = column
 
 
-@dataclass(frozen=True)
+@_frozen
 class VertexId:
     """A vertex: 0-based position plus a label unique within its graph."""
 
@@ -84,7 +83,7 @@ class VertexId:
     label: str
 
 
-@dataclass(frozen=True)
+@_frozen
 class EdgeId:
     """A directed edge with its own label; loops and parallels are fine."""
 
@@ -224,7 +223,7 @@ class _RunBuilder:
                 out.append(run)
 
 
-@dataclass(frozen=True)
+@_frozen
 class Graph:
     """A finite directed multigraph.
 

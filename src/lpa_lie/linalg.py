@@ -30,11 +30,11 @@ graph with one sink 0.010 s, on a 2-core host under Python 3.11.7.  It serves
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, repeat
 from math import gcd, isqrt, lcm
+from operator import attrgetter
 
 __all__ = [
     "is_prime",
@@ -46,6 +46,55 @@ __all__ = [
     "class_order",
     "is_p_divisible",
 ]
+
+
+def _frozen(cls):
+    """Make ``cls`` an immutable record of the fields its body annotates.
+
+    As a frozen data class: construction by position or keyword, trailing
+    defaults, ``__post_init__``, ``==`` within the class, hash and ``repr`` of
+    the fields, ``AttributeError`` on assignment or deletion; body methods are
+    kept.  A CLI process is mostly start-up, so this installs closures, no ``exec``.
+    """
+    names = tuple(cls.__annotations__)
+    defaults = tuple(cls.__dict__[name] for name in names if name in cls.__dict__)
+    size, required = len(names), len(names) - len(defaults)
+    fill = (None,) * required + defaults  # per field, its default; None where it has none
+    post_init = cls.__dict__.get("__post_init__")
+    set_field = object.__setattr__
+    values = attrgetter(*names) if size > 1 else lambda self: tuple(getattr(self, n) for n in names)
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != size:
+            k = len(args)  # then each required field by keyword, and no keyword left over
+            bad = k > size or k < required and not all(map(kwargs.__contains__, names[k:required]))
+            args += tuple(map(kwargs.pop, names[k:], fill[k:])) if kwargs else fill[k:]
+            if bad or kwargs:
+                raise TypeError(f"{cls.__qualname__}() takes {required} to {size} of {', '.join(names)}")
+        i = 0
+        for value in args:  # unlike a __dict__ update, this keeps reads fast
+            set_field(self, names[i], value)
+            i += 1
+        if post_init is not None:
+            post_init(self)
+
+    def __eq__(self, other):
+        return values(self) == values(other) if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(values(self))
+
+    def __repr__(self):
+        return f"{self.__class__.__qualname__}({', '.join(map('{}={!r}'.format, names, values(self)))})"
+
+    def refuse(self, name, *value):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    methods = {"__init__": __init__, "__eq__": __eq__, "__hash__": __hash__, "__repr__": __repr__}
+    for name, method in {**methods, "__setattr__": refuse, "__delattr__": refuse}.items():
+        if name not in cls.__dict__:
+            setattr(cls, name, method)
+    return cls
 
 
 # Strong probable-prime tests to these bases decide primality of every n
@@ -170,7 +219,7 @@ def _parse_integer(text: str) -> int:
     return int(text)
 
 
-@dataclass(frozen=True)
+@_frozen
 class FieldSpec:
     """The prime subfield to compute over: Q for 0, GF(p) for a prime p.
 
@@ -250,7 +299,7 @@ def _replay_units(log, n: int):
     return (_replay_rows(log, [int(i == j) for i in range(n)]) for j in range(n))
 
 
-@dataclass(frozen=True)
+@_frozen
 class SmithDecomposition:
     """Certificate ``u @ original @ v == d`` with ``u``, ``v`` unimodular.
 
@@ -279,8 +328,10 @@ class SmithDecomposition:
     diagonal: tuple[int, ...]
     row_log: tuple[tuple[int, int, int | None], ...]
     col_log: tuple[tuple[int, int, int | None], ...]
-    _images: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _back_images: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):  # the kept images, outside ==, hash and repr
+        object.__setattr__(self, "_images", {})
+        object.__setattr__(self, "_back_images", {})
 
     def _image(self, b: tuple[int, ...]) -> tuple[int, ...]:
         """``u @ b`` over Z, replayed on the first call for ``b`` and kept."""
@@ -555,7 +606,7 @@ def smith_normal_form(mat) -> SmithDecomposition:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@_frozen
 class K0Presentation:
     """Cokernel of a square integer matrix, with the class of (1, ..., 1).
 

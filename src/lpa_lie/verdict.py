@@ -16,7 +16,6 @@ inapplicable rather than extrapolated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from functools import cached_property
 from math import gcd
 
@@ -26,6 +25,7 @@ from .linalg import (
     FieldSpec,
     K0Presentation,
     SmithDecomposition,
+    _frozen,
     _p_divisible,
     class_order,
     cokernel,
@@ -52,7 +52,7 @@ NOT_SIMPLE = "not-simple"
 INAPPLICABLE = "inapplicable"
 
 
-@dataclass(frozen=True)
+@_frozen
 class GraphInvariants:
     """The per-graph data every verdict reads, each computed at most once.
 
@@ -111,7 +111,7 @@ def _invariants(g: Graph | GraphInvariants) -> GraphInvariants:
     return g if isinstance(g, GraphInvariants) else GraphInvariants(g)
 
 
-@dataclass(frozen=True)
+@_frozen
 class LieVerdict:
     """Outcome of one simplicity decision.
 
@@ -134,7 +134,7 @@ def _inapplicable(route: str, witness) -> LieVerdict:
         None,
         f"the path algebra is not {'purely infinite ' if route == 'k0' else ''}simple: "
         + witness.describe(),
-        certificate=witness,
+        witness,
     )
 
 
@@ -164,7 +164,7 @@ def lie_simplicity(g: Graph | GraphInvariants, field: FieldSpec) -> LieVerdict:
         "span",
         field.characteristic,
         "(1, ..., 1) is a combination of the B-vectors over " + field.name,
-        certificate=tuple(coeffs),
+        tuple(coeffs),
     )
 
 
@@ -194,7 +194,7 @@ def matrix_lie_simplicity(g: Graph | GraphInvariants, d: int, field: FieldSpec) 
         return LieVerdict(
             NOT_SIMPLE, "span", p, f"the characteristic {p} divides the matrix size {d}"
         )
-    return replace(verdict, reason=f"{verdict.reason}, and the characteristic does not divide {d}")
+    return LieVerdict(SIMPLE, "span", p, f"{verdict.reason}, and the characteristic does not divide {d}")
 
 
 def leavitt_closed_form(n: int, d: int, field: FieldSpec) -> LieVerdict:
@@ -239,7 +239,7 @@ def lie_simplicity_via_k0(g: Graph | GraphInvariants, field: FieldSpec) -> LieVe
             "k0",
             0,
             f"the unit class has finite order {order} in the cokernel",
-            certificate=order,
+            order,
         )
     # the field's characteristic is prime, tested when the field was made
     if _p_divisible(pres, p):
@@ -365,7 +365,7 @@ def pointed_iso_decision(pa: K0Presentation, pb: K0Presentation) -> str:
     return "exists" if _torsion_orbit_equal(alphas_a, sa, sb, g) else "none"
 
 
-@dataclass(frozen=True)
+@_frozen
 class KpReport:
     """Pointed-K0 comparison of two graphs plus per-characteristic verdicts.
 

@@ -11,7 +11,6 @@ import sys
 import tokenize
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -43,7 +42,9 @@ from lpa_lie import (
     EdgeId,
     FieldSpec,
     Graph,
+    LieVerdict,
     PathWord,
+    VertexWitness,
     b_vectors,
     family,
     is_trivial_lpa,
@@ -563,7 +564,8 @@ def test_kp_check_reports_a_contradiction(tmp_path, capsys, monkeypatch):
     def faulty(inv, field):
         v = decide(inv, field)
         if inv.graph.num_vertices == 2 and field.characteristic == 3:
-            return replace(v, status="not-simple" if v.status == "simple" else "simple")
+            status = "not-simple" if v.status == "simple" else "simple"
+            return LieVerdict(status, v.route, v.characteristic, v.reason, v.certificate)
         return v
 
     monkeypatch.setattr(lpa_lie.verdict, "lie_simplicity", faulty)
@@ -584,9 +586,12 @@ def test_witness_reports_a_failed_verification(tmp_path, capsys, monkeypatch):
     # witness reaches exit 3
     path = write_family(tmp_path, "rose", [3])
     build = lpa_lie.cli.vertex_witness
-    monkeypatch.setattr(
-        lpa_lie.cli, "vertex_witness", lambda *a: replace(build(*a), verified=False)
-    )
+
+    def faulty(*args):
+        w = build(*args)
+        return VertexWitness(w.brackets, w.commutator_sum, w.correction, False)
+
+    monkeypatch.setattr(lpa_lie.cli, "vertex_witness", faulty)
     code, out, _ = run(capsys, "witness", path, "--coeffs", "1")
     assert code == 3
     assert "symbolic verification: FAILED" in out.splitlines()

@@ -28,9 +28,11 @@ line.
 
 import json
 import os
+import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
 from pathlib import Path
@@ -155,20 +157,29 @@ def regenerate() -> None:
 
 
 def replay(command) -> None:
-    """Run every call as ``command + argv`` in a process; exit 1 naming each that differs from its golden file."""
-    failed = []
+    """Run every call as ``command + argv`` in a process; exit 1 naming each that differs from its golden file.
+
+    The summary line also gives the median wall time of those processes,
+    which is mostly the CLI's start-up.
+    """
+    failed, seconds = [], []
     with tempfile.TemporaryDirectory() as tmp:
         write_graphs(Path(tmp))
         for name, argv in CALLS.items():
             golden = json.loads((GOLDEN / f"{name}.json").read_text(encoding="utf-8"))
             want = (golden["exit"], *("".join(golden[key]).encode("utf-8") for key in ("stdout", "stderr")))
+            start = time.perf_counter()
             proc = subprocess.run([*command, *argv], cwd=tmp, capture_output=True, timeout=300)
+            seconds.append(time.perf_counter() - start)
             got = (proc.returncode, proc.stdout, proc.stderr)
             differ = [key for key, a, b in zip(("exit code", "stdout", "stderr"), got, want) if a != b]
             if differ:
                 failed.append(name)
                 print(f"{name}: differs from its golden file in {', '.join(differ)}")
-    print(f"{len(CALLS) - len(failed)} of {len(CALLS)} golden reports match, run as {' '.join(command)}")
+    print(
+        f"{len(CALLS) - len(failed)} of {len(CALLS)} golden reports match, run as {' '.join(command)}, "
+        f"in a median {statistics.median(seconds) * 1000:.0f} ms per process"
+    )
     if failed:
         sys.exit(1)
 
