@@ -69,12 +69,19 @@ def _closure(g: Graph) -> list[int]:
 
     Bit j of entry i is set when a path of one or more edges leads from v_i
     to v_j, so v_i lies on a cycle exactly when bit i of its own entry is
-    set.  Warshall's closure on the row masks: V passes of V word-parallel
-    ORs.
+    set.  Warshall's closure on the row masks: at most V passes of V
+    word-parallel ORs.  Rows only grow, so the passes stop once every row
+    is full, every vertex reaching every vertex; the full rows are counted
+    only at a pass whose own row is full, so a closure that never fills
+    pays one compare per pass.
     """
     reach = list(g.successor_masks)
-    for k in range(len(reach)):
+    m = len(reach)
+    full = (1 << m) - 1
+    for k in range(m):
         rk = reach[k]
+        if rk == full and reach.count(full) == m:
+            break  # rows only grow, so no later pass changes a full closure
         reach = [r | rk if r >> k & 1 else r for r in reach]
     return reach
 

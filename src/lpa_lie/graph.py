@@ -27,7 +27,11 @@ The vertex- and edge-label rules (a label is a non-empty string free of
 whitespace, no vertex or edge label twice, an explicit label equal to its
 edge's auto label is that auto edge) live in one place, ``_RunBuilder``.
 Every graph's vertices and runs, on vertex indices, pass through it in
-``Graph.__post_init__``.  ``parse_graph`` also extends its own builder by one
+``Graph.__post_init__``.  Its one loop passes a well-formed auto run of
+plain ints on one combined test and takes any other run, and so every
+error, through the rules in their order; ``graph_from_adjacency`` likewise
+checks all its matrix entries in one pass and walks the rows only to name
+the first bad one.  ``parse_graph`` also extends its own builder by one
 run per line, so a clash is reported at its line, and hands that builder's
 labels and canonical runs to ``Graph.build``.  A parse error's column names
 the offending token.
@@ -37,6 +41,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from functools import cached_property
+from itertools import chain, compress
 
 from .linalg import _DIGIT_LIMIT, _DigitLimitError, _frozen, _parse_integer
 
@@ -141,7 +146,7 @@ class _RunBuilder:
         self.out_degrees: list[int] = []
         self.runs: list[tuple] = []
         self.plain: set[str] = set()
-        self.ranges: dict[str, tuple[list[int], list[int]]] = {}
+        self.ranges: dict[str, tuple] = {}
 
     def add_vertex(self, label) -> None:
         """Declare the next vertex; vertices may be declared between runs."""
@@ -154,12 +159,18 @@ class _RunBuilder:
         self.out_degrees.append(0)
 
     def claim_range(self, prefix: str, lo: int, hi: int) -> None:
-        """Claim ``<prefix>_<k>`` for ``lo <= k <= hi``; a clash names the smallest such k taken."""
+        """Claim ``<prefix>_<k>`` for ``lo <= k <= hi``; a clash names the smallest such k taken.
+
+        A prefix's one range is kept as the pair ``(lo, hi)``, and its
+        ranges as sorted lists of starts and ends once it has two.
+        """
         claimed = self.ranges.get(prefix)
         if claimed is None:
-            self.ranges[prefix] = ([lo], [hi])
+            self.ranges[prefix] = lo, hi
             return
         starts, ends = claimed
+        if isinstance(starts, int):
+            starts, ends = self.ranges[prefix] = [starts], [ends]
         i = bisect_left(ends, lo)
         if i < len(ends) and starts[i] <= hi:
             raise GraphError(f"duplicate edge label {f'{prefix}_{max(starts[i], lo)}'!r}")
@@ -170,50 +181,65 @@ class _RunBuilder:
             ends.insert(i, hi)
 
     def extend(self, runs) -> None:
-        """Check each of ``runs`` in turn, claim its labels and merge it into ``runs``."""
-        names, degrees, out = self.vertex_labels, self.out_degrees, self.runs
+        """Check each of ``runs`` in turn, claim its labels and merge it into ``runs``.
+
+        A well-formed auto run of plain ints passes one combined test; every
+        other run, and so every error, goes through the rules one by one.
+        """
+        names, degrees, out, ranges = self.vertex_labels, self.out_degrees, self.runs, self.ranges
         m = len(names)
         for run in runs:
             try:
                 s, d, first, n = run if isinstance(run, tuple) else ()
             except ValueError:
                 raise GraphError(f"bad edge run {run!r}") from None
-            named = isinstance(first, str)
-            if not (type(s) is int and type(d) is int and 0 <= s < m and 0 <= d < m):
-                for end in (s, d):
-                    if not isinstance(end, int) or isinstance(end, bool) or not 0 <= end < m:
-                        what = f"edge {first!r}" if named else f"auto run {run!r}"
-                        raise GraphError(f"{what} references unknown vertex {end!r}")
-            prefix = f"{names[s]}_{names[d]}"
-            if named:
-                if type(n) is not int or n != 1:
-                    raise GraphError(f"named edge run {run!r} needs count 1")
-                if _bad_label(first):
-                    raise GraphError(f"bad edge label {first!r}")
-                auto = _split_auto(first)
-                if auto is None:
-                    if first in self.plain:
-                        raise GraphError(f"duplicate edge label {first!r}")
-                    self.plain.add(first)
-                elif auto[0] == prefix:
-                    named, first = False, auto[1]
-                    run = (s, d, first, n)
-                else:
-                    self.claim_range(auto[0], auto[1], auto[1])
-            # plain ints pass the first test; an int subclass other than bool passes the second
-            elif not (type(first) is int and type(n) is int and first >= 1 and n >= 1) and not all(
-                isinstance(x, int) and not isinstance(x, bool) and x >= 1 for x in (first, n)
+            if not (
+                type(s) is type(d) is type(first) is type(n) is int
+                and 0 <= s < m
+                and 0 <= d < m
+                and first >= 1
+                and n >= 1
+                and first + n <= _AUTO_K_LIMIT
             ):
-                raise GraphError(
-                    f"auto run {run!r} needs a positive integer first_k and multiplicity"
-                )
-            if named:
-                degrees[s] += 1
-                out.append(run)
-                continue
-            if first + n > _AUTO_K_LIMIT:
-                raise GraphError(f"edges from {names[s]!r} to {names[d]!r} would be numbered past 10^{_DIGIT_LIMIT}")
-            self.claim_range(prefix, first, first + n - 1)
+                named = isinstance(first, str)
+                if not (type(s) is int and type(d) is int and 0 <= s < m and 0 <= d < m):
+                    for end in (s, d):
+                        if not isinstance(end, int) or isinstance(end, bool) or not 0 <= end < m:
+                            what = f"edge {first!r}" if named else f"auto run {run!r}"
+                            raise GraphError(f"{what} references unknown vertex {end!r}")
+                if named:
+                    if type(n) is not int or n != 1:
+                        raise GraphError(f"named edge run {run!r} needs count 1")
+                    if _bad_label(first):
+                        raise GraphError(f"bad edge label {first!r}")
+                    auto = _split_auto(first)
+                    if auto is None:
+                        if first in self.plain:
+                            raise GraphError(f"duplicate edge label {first!r}")
+                        self.plain.add(first)
+                    elif auto[0] == f"{names[s]}_{names[d]}":
+                        named, first = False, auto[1]
+                        run = (s, d, first, n)
+                    else:
+                        self.claim_range(auto[0], auto[1], auto[1])
+                    if named:
+                        degrees[s] += 1
+                        out.append(run)
+                        continue
+                # an int subclass other than bool passes
+                elif not all(isinstance(x, int) and not isinstance(x, bool) and x >= 1 for x in (first, n)):
+                    raise GraphError(
+                        f"auto run {run!r} needs a positive integer first_k and multiplicity"
+                    )
+                if first + n > _AUTO_K_LIMIT:
+                    raise GraphError(
+                        f"edges from {names[s]!r} to {names[d]!r} would be numbered past 10^{_DIGIT_LIMIT}"
+                    )
+            prefix = f"{names[s]}_{names[d]}"
+            if prefix in ranges:
+                self.claim_range(prefix, first, first + n - 1)
+            else:
+                ranges[prefix] = first, first + n - 1
             degrees[s] += n
             last = out[-1] if out else ()
             # a named last run never merges: its str first equals no int
@@ -403,14 +429,16 @@ def graph_from_adjacency(labels: list[str], adjacency: list[list[int]]) -> Graph
         or any(not isinstance(row, (list, tuple)) or len(row) != m for row in adjacency)
     ):
         raise GraphError("adjacency matrix must be square and match the vertex count")
-    runs: list[tuple] = []
-    for i, row in enumerate(adjacency):
-        # a row of plain non-negative ints skips the entry rule, which names a bad entry
-        if not (set(map(type, row)) <= {int} and min(row) >= 0):
+    # a matrix of plain non-negative ints skips the entry rule, which names the first bad entry
+    if not (
+        set(map(type, chain.from_iterable(adjacency))) <= {int}
+        and min(chain.from_iterable(adjacency), default=0) >= 0
+    ):
+        for i, row in enumerate(adjacency):
             for j, count in enumerate(row):
                 if not isinstance(count, int) or isinstance(count, bool) or count < 0:
                     raise GraphError(f"adjacency entry ({i}, {j}) must be a non-negative integer")
-        runs += [(i, j, 1, count) for j, count in enumerate(row) if count]
+    runs = [(i, j, 1, row[j]) for i, row in enumerate(adjacency) for j in compress(range(m), row)]
     return Graph.build(labels, runs)
 
 

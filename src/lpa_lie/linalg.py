@@ -506,14 +506,18 @@ def smith_normal_form(mat) -> SmithDecomposition:
     if rows == 0 or len(mat[0]) == 0:
         raise ValueError("smith_normal_form expects a non-empty matrix")
     cols = len(mat[0])
-    w: list[list[int]] = []
-    for row in mat:
-        if len(row) != cols:
-            raise ValueError("matrix rows must all have the same length")
-        exact = set(map(type, row)) <= {int}  # a row of plain ints skips the entry rule
-        if not exact and not all(isinstance(x, int) and not isinstance(x, bool) for x in row):
-            raise ValueError("matrix entries must be integers")
-        w.append(list(row))
+    # a matrix of plain ints in rows of one length skips the rules, which walk the rows in order
+    try:
+        plain = set(map(len, mat)) == {cols} and set(map(type, chain.from_iterable(mat))) <= {int}
+    except TypeError:  # a row without a length: the walk raises where the rules meet it
+        plain = False
+    if not plain:
+        for row in mat:
+            if len(row) != cols:
+                raise ValueError("matrix rows must all have the same length")
+            if not all(isinstance(x, int) and not isinstance(x, bool) for x in row):
+                raise ValueError("matrix entries must be integers")
+    w: list[list[int]] = list(map(list, mat))
     row_log: list[tuple[int, int, int | None]] = []
     col_log: list[tuple[int, int, int | None]] = []
     pivots: list[int] = []

@@ -92,7 +92,7 @@ class GraphInvariants:
         is no sum of brackets.  A sink's B-vector is a zero column, which
         the Smith form never mixes into another, so t is zero at a sink.
         """
-        return smith_normal_form([list(col) for col in zip(*self.b_vectors)])
+        return smith_normal_form(list(zip(*self.b_vectors)))
 
     @cached_property
     def k0(self) -> K0Presentation:

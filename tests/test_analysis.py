@@ -107,9 +107,19 @@ def test_reachability_reflexive_transitive():
 def test_closure_matches_boolean_powers():
     # bit j of row i exactly when a path of one or more edges leads from v_i
     # to v_j; reachability is the same closure with each vertex's own bit added
+    # the closure stops once every row is full: the complete digraphs fill at
+    # or before the first pass, a directed 6-cycle only at the last, and a
+    # line or a matrix rose never
+    labels = ["a", "b", "c", "d", "e", "f"]
+    fixed = [
+        graph_from_adjacency(labels[:5], [[1] * 5 for _ in range(5)]),
+        graph_from_adjacency(labels[:5], [[int(i != j) for j in range(5)] for i in range(5)]),
+        graph_from_adjacency(labels, [[int(j == (i + 1) % 6) for j in range(6)] for i in range(6)]),
+        family("line", [4]),
+        family("matrix_rose", [3, 2]),
+    ]
     rng = random.Random(12)
-    for _ in range(200):
-        g = random_graph(rng, max_vertices=10, density=(0.02, 0.5))
+    for g in fixed + [random_graph(rng, max_vertices=10, density=(0.02, 0.5)) for _ in range(200)]:
         paths = _reference_paths(g)
         closure = _closure(g)
         assert closure == [sum(1 << j for j, p in enumerate(row) if p) for row in paths]

@@ -550,9 +550,10 @@ class Count(IntEnum):
 def test_adjacency_entries_follow_the_integer_rule():
     # an int subclass other than bool is a count, and a row holding one
     # still has its other entries checked; an error names the first bad entry
+    # in row-major order, also when it is falsy and so would make no run
     g = graph_from_adjacency(["a", "b"], [[0, Count.TWO], [1, 0]])
     assert g.counts == ((0, 2), (1, 0))
-    for bad in (True, 1.0, -1):
+    for bad in (True, 1.0, -1, 0.0, False):
         for adj, at in (
             ([[1, 0, 0], [0, bad, -1], [2, 0, 0]], "(1, 1)"),
             ([[Count.TWO, 0, bad], [0, 0, 0], [0, 0, 0]], "(0, 2)"),

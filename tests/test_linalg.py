@@ -331,6 +331,12 @@ def test_snf_entries_follow_the_integer_rule():
         for mat in ([[2, 0], [0, bad]], [[Entry.TWO, bad], [0, 1]]):
             with pytest.raises(ValueError, match="^matrix entries must be integers$"):
                 smith_normal_form(mat)
+    # rows are checked in order, each for its length and then its entries
+    with pytest.raises(ValueError, match="^matrix entries must be integers$"):
+        smith_normal_form([[1, 2.5], [1]])
+    for mat in ([[1], [1, 2.5]], [[1, 2], [True]]):
+        with pytest.raises(ValueError, match="^matrix rows must all have the same length$"):
+            smith_normal_form(mat)
 
 
 @given(int_matrices)
