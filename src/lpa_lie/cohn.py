@@ -1,114 +1,30 @@
-"""Exact symbolic arithmetic in the Cohn path algebra of a graph.
+"""Symbolic bracket witnesses in the Cohn path algebra of a graph.
 
-Elements are finite linear combinations of basis terms ``p q*`` where p and q
-are paths with a common range vertex.  Inside an element a path is the integer
-key ``(source vertex index, edge index, ...)`` and a term the pair of keys
-``(p, q)``, and elements print straight from those keys; ``PathWord`` and
-``CohnTerm`` are views of them, built only to take terms from callers (a view
-of another graph is refused) and hand terms back.
-An edge index is named, for printing, views and the range of a path, by
-``Graph.edge``.
-Multiplication only ever uses the path-composition and ghost-cancellation
-relations, under which the stated terms really are a basis, so equality of
-elements is just equality of coefficient maps.  The quotient relation at a
-regular vertex v is represented explicitly by the generator
-``y_v = v - sum of e e*`` over the edges leaving v; identities in the path
-algebra itself are certified by exhibiting the exact combination of such
+The Cohn path algebra has the basis terms ``p q*``, where p and q are paths
+with a common range vertex; multiplying them uses only path composition and
+ghost cancellation.  Here a path is the integer key ``(source vertex index,
+edge index, ...)`` and a term the pair of keys ``(p, q)``.  The quotient
+relation at a regular vertex v is the generator ``y_v = v - sum of e e*``
+over the edges leaving v.  ``vertex_witness`` certifies that a vertex
+combination is a sum of brackets by exhibiting the exact combination of such
 generators that accounts for the difference, on integer numerators over one
-common denominator.  The bracket witness of a vertex combination
-(``vertex_witness``) is kept on vertex terms and one term per run of parallel
+common denominator.  It keeps vertex terms and one term per run of parallel
 edges, so its size does not depend on the edge count.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
 from math import lcm
-from operator import itemgetter
 
 from .graph import EdgeId, Graph, VertexId, b_vectors
 from .linalg import FieldSpec, _frozen
 
-__all__ = [
-    "PreconditionError",
-    "PathWord",
-    "CohnTerm",
-    "CohnElement",
-    "commutator",
-    "trace_vector",
-    "n_generator",
-    "VertexWitness",
-    "vertex_witness",
-]
+__all__ = ["PreconditionError", "VertexWitness", "vertex_witness"]
 
 
 class PreconditionError(ValueError):
     """An operation was called outside its stated hypotheses."""
-
-
-@_frozen
-class PathWord:
-    """A path: its source vertex s(p) followed by zero or more composable edges."""
-
-    source: VertexId
-    edges: tuple[EdgeId, ...] = ()
-
-    def __post_init__(self):
-        prev = self.source
-        for e in self.edges:
-            if e.source != prev:
-                raise ValueError(
-                    f"edges do not compose: {e.label!r} starts at {e.source.label!r}, "
-                    f"expected {prev.label!r}"
-                )
-            prev = e.target
-
-    @classmethod
-    def from_edges(cls, edges) -> "PathWord":
-        edges = tuple(edges)
-        if not edges:
-            raise ValueError("from_edges needs at least one edge; use PathWord(vertex)")
-        return cls(edges[0].source, edges)
-
-    @property
-    def range(self) -> VertexId:
-        return self.edges[-1].target if self.edges else self.source
-
-    @property
-    def length(self) -> int:
-        return len(self.edges)
-
-
-@_frozen
-class CohnTerm:
-    """A basis term ``p q*``; p and q must share their range vertex."""
-
-    p: PathWord
-    q: PathWord
-
-    def __post_init__(self):
-        if self.p.range != self.q.range:
-            raise ValueError(
-                f"ranges differ: {self.p.range.label!r} vs {self.q.range.label!r}"
-            )
-
-
-def _own_vertex(g: Graph, v: VertexId) -> int:
-    """The index of ``v``; a vertex of another graph raises ``ValueError``."""
-    if 0 <= v.index < g.num_vertices and g.vertices[v.index] == v:
-        return v.index
-    raise ValueError(f"vertex {v.label!r} is not a vertex of this graph")
-
-
-def _term_key(g: Graph, t: CohnTerm) -> tuple:
-    """The key pair of ``t``; a vertex or edge of another graph raises ``ValueError``."""
-    for w in (t.p, t.q):
-        _own_vertex(g, w.source)
-        for e in w.edges:
-            if not 0 <= e.index < g.num_edges or g.edge(e.index) != e:
-                raise ValueError(f"edge {e.label!r} is not an edge of this graph")
-    return tuple((w.source.index, *(e.index for e in w.edges)) for w in (t.p, t.q))
 
 
 def _mult_terms(a: tuple, b: tuple) -> tuple | None:
@@ -141,204 +57,6 @@ def _add_into(out: dict, items, p: int) -> None:
             out[t] = total
         elif acc is not None:
             del out[t]
-
-
-class CohnElement:
-    """A formal linear combination of basis terms over a prime subfield.
-
-    ``terms`` maps each ``CohnTerm`` to its coefficient, a scalar of the
-    field; the element itself keeps that map on integer term keys.  The
-    bracket ``[e, e*] = e e* - r(e)`` of a loop on the rose with two petals:
-
-    >>> from lpa_lie import family
-    >>> g = family("rose", [2])
-    >>> e = g.out_edges(g.vertices[0])[0]
-    >>> F = FieldSpec(0)
-    >>> print(commutator(CohnElement.edge(g, F, e), CohnElement.ghost_edge(g, F, e)))
-    -1 * v1 + 1 * v1_v1_1 v1_v1_1^*
-    """
-
-    __slots__ = ("graph", "field", "_terms")
-
-    def __init__(self, graph: Graph, field: FieldSpec, terms: dict | None = None):
-        self.graph = graph
-        self.field = field
-        coerced = ((_term_key(graph, t), field.coerce(c)) for t, c in dict(terms or {}).items())
-        self._terms = {t: c for t, c in coerced if c}
-
-    @classmethod
-    def _of(cls, graph: Graph, field: FieldSpec, keyed: dict) -> "CohnElement":
-        """The element with coefficient map ``keyed`` on term keys, taken as is."""
-        x = cls.__new__(cls)
-        x.graph, x.field, x._terms = graph, field, keyed
-        return x
-
-    @property
-    def terms(self) -> dict:
-        g = self.graph
-        path = cache(lambda key: PathWord(g.vertices[key[0]], tuple(map(g.edge, key[1:]))))
-        return {CohnTerm(path(p), path(q)): c for (p, q), c in self._terms.items()}
-
-    # -- constructors -------------------------------------------------------
-
-    @classmethod
-    def zero(cls, graph: Graph, field: FieldSpec) -> "CohnElement":
-        return cls(graph, field)
-
-    @classmethod
-    def term(cls, graph: Graph, field: FieldSpec, p: PathWord, q: PathWord, coeff=1) -> "CohnElement":
-        return cls(graph, field, {CohnTerm(p, q): coeff})
-
-    @classmethod
-    def vertex(cls, graph: Graph, field: FieldSpec, v: VertexId) -> "CohnElement":
-        w = PathWord(v)
-        return cls.term(graph, field, w, w)
-
-    @classmethod
-    def path(cls, graph: Graph, field: FieldSpec, p: PathWord) -> "CohnElement":
-        return cls.term(graph, field, p, PathWord(p.range))
-
-    @classmethod
-    def ghost(cls, graph: Graph, field: FieldSpec, q: PathWord) -> "CohnElement":
-        return cls.term(graph, field, PathWord(q.range), q)
-
-    @classmethod
-    def edge(cls, graph: Graph, field: FieldSpec, e: EdgeId) -> "CohnElement":
-        return cls.path(graph, field, PathWord.from_edges([e]))
-
-    @classmethod
-    def ghost_edge(cls, graph: Graph, field: FieldSpec, e: EdgeId) -> "CohnElement":
-        return cls.ghost(graph, field, PathWord.from_edges([e]))
-
-    # -- ring operations ----------------------------------------------------
-
-    def _check_compatible(self, other: "CohnElement"):
-        if self.field != other.field:
-            raise ValueError(f"field mismatch: {self.field.name} vs {other.field.name}")
-        if self.graph is not other.graph and self.graph != other.graph:
-            raise ValueError("elements live over different graphs")
-
-    def __add__(self, other):
-        if not isinstance(other, CohnElement):
-            return NotImplemented
-        self._check_compatible(other)
-        out = dict(self._terms)
-        _add_into(out, other._terms.items(), self.field.characteristic)
-        return CohnElement._of(self.graph, self.field, out)
-
-    def __neg__(self):
-        return self.scale(-1)
-
-    def __sub__(self, other):
-        if not isinstance(other, CohnElement):
-            return NotImplemented
-        return self + (-other)
-
-    def scale(self, coeff) -> "CohnElement":
-        c = self.field.coerce(coeff)
-        if not c:
-            return CohnElement.zero(self.graph, self.field)
-        p = self.field.characteristic
-        if p:
-            # a product of nonzero residues mod a prime is nonzero
-            terms = {t: c * v % p for t, v in self._terms.items()}
-        else:
-            terms = {t: c * v for t, v in self._terms.items()}
-        return CohnElement._of(self.graph, self.field, terms)
-
-    def __rmul__(self, coeff):
-        if isinstance(coeff, (int, Fraction)):
-            return self.scale(coeff)
-        return NotImplemented
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        if not isinstance(other, CohnElement):
-            return NotImplemented
-        self._check_compatible(other)
-        out: dict = {}
-        products = (
-            (t, c1 * c2)
-            for t1, c1 in self._terms.items()
-            for t2, c2 in other._terms.items()
-            if (t := _mult_terms(t1, t2)) is not None
-        )
-        _add_into(out, products, self.field.characteristic)
-        return CohnElement._of(self.graph, self.field, out)
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def __eq__(self, other):
-        if not isinstance(other, CohnElement):
-            return NotImplemented
-        # term keys are indices, so equal keys name the same terms only within one graph
-        same_graph = self.graph is other.graph or self.graph == other.graph
-        return self.field == other.field and same_graph and self._terms == other._terms
-
-    def __hash__(self):
-        return hash((self.field, frozenset(self._terms.items())))
-
-    def __str__(self) -> str:
-        """Each term ``p q*``: p's edge labels, then q's reversed and starred,
-        or the vertex when p and q are vertices.  Terms are ordered by total
-        edge count, then by p's ``(edge count, labels)``, then by q's; a
-        vertex path counts as ``(0, (vertex label,))``.
-        """
-        if not self._terms:
-            return "0"
-        g = self.graph
-
-        def path(key: tuple[int, ...]) -> tuple:
-            labels = tuple([g.edge(i).label for i in key[1:]])
-            return (len(labels), labels or (g.vertices[key[0]].label,)), labels
-
-        rows = []
-        for (p, q), c in self._terms.items():
-            wp, a = path(p)
-            wq, b = (wp, a) if q == p else path(q)
-            text = " ".join([*a, *[f"{x}^*" for x in reversed(b)]]) or wp[1][0]
-            rows.append(((wp[0] + wq[0], wp, wq), f"{c} * {text}"))
-        rows.sort(key=itemgetter(0))
-        return " + ".join([text for _, text in rows])
-
-    __repr__ = __str__
-
-
-def commutator(x: CohnElement, y: CohnElement) -> CohnElement:
-    """The bracket ``x y - y x``."""
-    return x * y - y * x
-
-
-def trace_vector(x: CohnElement) -> list:
-    """Coefficient vector of the diagonal trace map.
-
-    A basis term ``p q*`` contributes its coefficient at the index of the
-    common range vertex when p equals q, and nothing otherwise.  The trace of
-    any product is symmetric in its factors, so commutators trace to zero.
-    """
-    out = [x.field.zero()] * x.graph.num_vertices
-    for (p, q), c in x._terms.items():
-        if p == q:
-            # the range of p: its last edge's target
-            i = x.graph.edge(p[-1]).target.index if len(p) > 1 else p[0]
-            out[i] = out[i] + c
-    p = x.field.characteristic
-    return [c % p for c in out] if p else out
-
-
-def n_generator(g: Graph, field: FieldSpec, v: VertexId) -> CohnElement:
-    """The quotient-ideal generator ``v - sum of e e*`` at a regular vertex."""
-    i = _own_vertex(g, v)
-    if g.is_sink(v):
-        raise PreconditionError(f"vertex {v.label!r} is a sink; no generator there")
-    # distinct edges e give distinct basis terms e e*
-    ees = {((i, e.index),) * 2: field.coerce(-1) for e in g.out_edges(v)}
-    return CohnElement._of(g, field, {((i,), (i,)): field.coerce(1), **ees})
 
 
 @_frozen

@@ -238,9 +238,6 @@ class FieldSpec:
     def name(self) -> str:
         return "Q" if self.characteristic == 0 else f"GF({self.characteristic})"
 
-    def zero(self):
-        return self.coerce(0)
-
     def coerce(self, value):
         """Map an int or Fraction into this field; a residue maps to itself."""
         p = self.characteristic

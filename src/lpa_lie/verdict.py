@@ -39,8 +39,6 @@ __all__ = [
     "GraphInvariants",
     "LieVerdict",
     "lie_simplicity",
-    "matrix_lie_simplicity",
-    "leavitt_closed_form",
     "lie_simplicity_via_k0",
     "pointed_iso_decision",
     "KpReport",
@@ -166,58 +164,6 @@ def lie_simplicity(g: Graph | GraphInvariants, field: FieldSpec) -> LieVerdict:
         "(1, ..., 1) is a combination of the B-vectors over " + field.name,
         tuple(coeffs),
     )
-
-
-def matrix_lie_simplicity(g: Graph | GraphInvariants, d: int, field: FieldSpec) -> LieVerdict:
-    """Verdict for d x d matrices over the path algebra of ``g``.
-
-    The span verdict for ``g`` itself, except that a trivial graph is outside
-    the matrix criterion and a characteristic dividing d makes it not simple.
-    """
-    if d < 1:
-        raise ValueError(f"matrix size d must be >= 1, got {d}")
-    inv = _invariants(g)
-    verdict = lie_simplicity(inv, field)
-    if d == 1 or verdict.status == INAPPLICABLE:
-        return verdict
-    if analysis.is_trivial_lpa(inv.graph):
-        return LieVerdict(
-            INAPPLICABLE,
-            "span",
-            None,
-            "the matrix criterion requires a nontrivial simple path algebra",
-        )
-    if verdict.status != SIMPLE:
-        return verdict
-    p = field.characteristic
-    if p != 0 and d % p == 0:
-        return LieVerdict(
-            NOT_SIMPLE, "span", p, f"the characteristic {p} divides the matrix size {d}"
-        )
-    return LieVerdict(SIMPLE, "span", p, f"{verdict.reason}, and the characteristic does not divide {d}")
-
-
-def leavitt_closed_form(n: int, d: int, field: FieldSpec) -> LieVerdict:
-    """Closed form for d x d matrices over the classical degree-n algebra.
-
-    Simple exactly when the characteristic divides n - 1 but not d.
-    """
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
-    if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
-    p = field.characteristic
-    if p != 0 and (n - 1) % p == 0 and d % p != 0:
-        return LieVerdict(
-            SIMPLE, "closed-form", p, f"{p} divides n - 1 = {n - 1} and does not divide d = {d}"
-        )
-    if p == 0:
-        reason = "characteristic 0 never divides n - 1"
-    elif (n - 1) % p != 0:
-        reason = f"{p} does not divide n - 1 = {n - 1}"
-    else:
-        reason = f"{p} divides d = {d}"
-    return LieVerdict(NOT_SIMPLE, "closed-form", p, reason)
 
 
 def lie_simplicity_via_k0(g: Graph | GraphInvariants, field: FieldSpec) -> LieVerdict:

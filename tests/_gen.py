@@ -22,18 +22,17 @@ runs edge by edge (``all_edges``) is the reference for the edges that
 reference for its Miller-Rabin primality test, the prime-by-prime orbit
 test is the reference for its factoring-free one, and a search over the
 shifts of the unit class is the reference for its search-free pointed
-isomorphism test.  The Cohn algebra multiplies terms on integer path keys;
-the product on ``PathWord`` edge tuples (``reference_mult_terms``, with its
-own ``reference_strip_prefix``, sharing no composition code with the
-package) is the reference for it, and the printer that sorts ``CohnTerm`` views
-(``reference_str``) the reference for its printer on those keys, as is the
-printer on keys with a cache per call (``reference_key_str``).  The
-witness runs on integer numerators over one common denominator and keeps
-one term per run of parallel edges; the per-edge bracket sum built with
-``Fraction`` or residue arithmetic from the public ``CohnElement``
-operations (``reference_witness``) is the reference for it, once its run
-terms are expanded edge by edge (``expand_witness`` and, for the report's
-text, ``expand_witness_text``).
+isomorphism test.  The reference Cohn algebra (``CohnRef``, with its
+``commutator``, ``trace_vector`` and ``n_generator``) keeps elements on the
+package's integer path keys but multiplies them with its own product
+(``reference_mult_terms`` and ``reference_strip_prefix``, which compare a
+path's source and edges apart) and adds them with ``FieldSpec.coerce``, so it
+shares no arithmetic with the package.  It is the reference for the
+package's product on term keys, and the per-edge bracket sum built from it
+(``reference_witness``) is the reference for the witness, which runs on
+integer numerators over one common denominator and keeps one term per run
+of parallel edges, once its run terms are expanded edge by edge
+(``expand_witness`` and, for the report's text, ``expand_witness_text``).
 A search over the cokernel (``reference_p_divisible``) is the reference for
 its one-line p-divisibility test.  Three graph moves with known effects,
 written here on adjacency matrices (``move_permute``, ``move_out_split`` and
@@ -59,25 +58,19 @@ import signal
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
-from functools import cache
 from itertools import chain, product
 from math import gcd, lcm, prod
 
 from lpa_lie import (
-    CohnElement,
-    CohnTerm,
     EdgeId,
     FieldSpec,
     Graph,
     GraphParseError,
-    PathWord,
     PreconditionError,
     SmithDecomposition,
     VertexId,
     b_vectors,
-    commutator,
     graph_from_adjacency,
-    n_generator,
     parse_graph,
     simplicity_reports,
 )
@@ -188,132 +181,200 @@ def random_int_matrix(rng: random.Random, max_size: int = 6, lo: int = -9, hi: i
     return [[rng.randint(lo, hi) for _ in range(n)] for _ in range(n)]
 
 
-def random_path(rng: random.Random, g: Graph, max_len: int = 4) -> PathWord:
-    """A random path of length 0..max_len starting anywhere."""
+def key_range(g: Graph, key: tuple[int, ...]) -> int:
+    """The index of the range vertex of the path with key ``key``."""
+    return g.edge(key[-1]).target.index if len(key) > 1 else key[0]
+
+
+def path_key(*edges: EdgeId) -> tuple[int, ...]:
+    """The key of the path along ``edges``: the first one's source index, then each edge index."""
+    return (edges[0].source.index, *(e.index for e in edges))
+
+
+def random_path(rng: random.Random, g: Graph, max_len: int = 4) -> tuple[int, ...]:
+    """The key of a random path of length 0..max_len starting anywhere."""
     v = rng.choice(g.vertices)
-    edges = []
+    key = [v.index]
     for _ in range(rng.randint(0, max_len)):
         out = g.out_edges(v)
         if not out:
             break
         e = rng.choice(out)
-        edges.append(e)
+        key.append(e.index)
         v = e.target
-    if not edges:
-        return PathWord(v)
-    return PathWord.from_edges(edges)
+    return tuple(key)
 
 
-def _random_path_into(rng: random.Random, g: Graph, target, max_len: int = 4) -> PathWord:
-    """A random path of length 0..max_len ending at ``target`` (walks in-edges)."""
+def _random_path_into(rng: random.Random, g: Graph, target: int, max_len: int = 4) -> tuple[int, ...]:
+    """The key of a random path of length 0..max_len ending at vertex ``target`` (walks in-edges)."""
     edges = []
     v = target
     named = all_edges(g)
     for _ in range(rng.randint(0, max_len)):
-        incoming = [e for e in named if e.target == v]
+        incoming = [e for e in named if e.target.index == v]
         if not incoming:
             break
         e = rng.choice(incoming)
-        edges.append(e)
-        v = e.source
-    if not edges:
-        return PathWord(target)
-    return PathWord.from_edges(tuple(reversed(edges)))
+        edges.append(e.index)
+        v = e.source.index
+    return (v, *reversed(edges))
 
 
-def random_basis_term(rng: random.Random, g: Graph, max_len: int = 4) -> CohnTerm:
+def random_basis_term(rng: random.Random, g: Graph, max_len: int = 4) -> tuple:
+    """The key pair ``(p, q)`` of a random basis term ``p q*``."""
     p = random_path(rng, g, max_len)
-    q = _random_path_into(rng, g, p.range, max_len)
-    return CohnTerm(p, q)
+    return p, _random_path_into(rng, g, key_range(g, p), max_len)
 
 
 def random_cohn_element(
     rng: random.Random, g: Graph, field: FieldSpec, terms: int = 2, max_len: int = 4
-) -> CohnElement:
-    acc = CohnElement.zero(g, field)
+) -> CohnRef:
+    acc = CohnRef(g, field)
     for _ in range(rng.randint(1, terms)):
-        t = random_basis_term(rng, g, max_len)
-        coeff = rng.randint(-4, 4)
-        acc = acc + CohnElement.term(g, field, t.p, t.q, coeff)
+        p, q = random_basis_term(rng, g, max_len)
+        acc = acc + CohnRef.term(g, field, p, q, rng.randint(-4, 4))
     return acc
 
 
-def reference_strip_prefix(w: PathWord, prefix: PathWord) -> PathWord | None:
-    """The path h with ``w`` = ``prefix`` followed by h, or None, read off the ``edges`` tuples."""
-    n = len(prefix.edges)
-    if w.source != prefix.source or w.edges[:n] != prefix.edges:
-        return None
-    return PathWord(prefix.range, w.edges[n:])
+def reference_strip_prefix(g: Graph, w: tuple, prefix: tuple) -> tuple | None:
+    """The key of the path h with ``w`` = ``prefix`` followed by h, or None.
 
-
-def reference_mult_terms(a: CohnTerm, b: CohnTerm) -> CohnTerm | None:
-    """Product of basis terms on ``PathWord`` edge tuples: ``(p q*)(t z*)`` collapses or dies.
-
-    Nonzero only when one of q, t extends the other; the leftover path h is
-    absorbed into p (if t = q.h) or into z (if q = t.h).
+    The sources and the edge indices are compared apart, and h starts at
+    the range of ``prefix``.
     """
-    h = reference_strip_prefix(b.p, a.q)
+    n = len(prefix)
+    if w[0] != prefix[0] or w[1:n] != prefix[1:]:
+        return None
+    return (key_range(g, prefix), *w[n:])
+
+
+def reference_mult_terms(g: Graph, a: tuple, b: tuple) -> tuple | None:
+    """Product of basis terms on key pairs: ``(p q*)(t z*)`` collapses or dies.
+
+    Nonzero only when one of q, t extends the other; the edges of the
+    leftover path h are absorbed into p (if t = q.h) or into z (if q = t.h).
+    """
+    (p, q), (t, z) = a, b
+    h = reference_strip_prefix(g, t, q)
     if h is not None:
-        return CohnTerm(PathWord(a.p.source, a.p.edges + h.edges), b.q)
-    h = reference_strip_prefix(a.q, b.p)
+        return p + h[1:], z
+    h = reference_strip_prefix(g, q, t)
     if h is not None:
-        return CohnTerm(a.p, PathWord(b.q.source, b.q.edges + h.edges))
+        return p, z + h[1:]
     return None
 
 
-def _reference_path_key(w: PathWord) -> tuple:
-    if w.edges:
-        return (len(w.edges), tuple([e.label for e in w.edges]))
-    return (0, (w.source.label,))
+class CohnRef:
+    """An element of the Cohn path algebra of ``graph`` over ``field``, for reference.
 
-
-def _reference_term_key(t: CohnTerm) -> tuple:
-    return (len(t.p.edges) + len(t.q.edges), _reference_path_key(t.p), _reference_path_key(t.q))
-
-
-def _reference_term_str(t: CohnTerm) -> str:
-    parts = [e.label for e in t.p.edges]
-    parts += [f"{e.label}^*" for e in reversed(t.q.edges)]
-    if not parts:
-        return t.p.range.label
-    return " ".join(parts)
-
-
-def reference_str(x: CohnElement) -> str:
-    """``str(x)`` from ``CohnTerm`` views: each term printed and sorted by its labels."""
-    if x.is_zero():
-        return "0"
-    views = sorted(x.terms.items(), key=lambda tc: _reference_term_key(tc[0]))
-    return " + ".join(f"{c} * {_reference_term_str(t)}" for t, c in views)
-
-
-def reference_key_str(x: CohnElement) -> str:
-    """``str(x)`` from the integer term keys, each path rendered once per call.
-
-    A path key is ``(source vertex index, edge index, ...)``; its labels come
-    from ``all_edges``, its sort key is ``(edge count, labels)`` with a vertex
-    path as ``(0, (vertex label,))``, and terms sort by total edge count, then
-    by p's sort key, then by q's.
+    ``terms`` maps each term key pair ``(p, q)`` to its nonzero field
+    scalar.  Products take ``reference_mult_terms`` and sums
+    ``FieldSpec.coerce``, so no arithmetic is shared with the package.
     """
-    if x.is_zero():
-        return "0"
-    g, named = x.graph, all_edges(x.graph)
 
-    @cache
-    def path(key: tuple[int, ...]) -> tuple:
-        labels = tuple([named[i].label for i in key[1:]])
-        return (len(labels), labels or (g.vertices[key[0]].label,))
+    def __init__(self, graph: Graph, field: FieldSpec, terms: dict | None = None):
+        self.graph, self.field, self.terms = graph, field, terms or {}
 
-    rows = []
-    for (p, q), c in x._terms.items():
-        (m, a), (n, b) = wp, wq = path(p), path(q)
-        text = " ".join([*a[:m], *[f"{y}^*" for y in reversed(b[:n])]]) or a[0]
-        rows.append(((m + n, wp, wq), f"{c} * {text}"))
-    rows.sort(key=lambda row: row[0])
-    return " + ".join(text for _, text in rows)
+    @classmethod
+    def term(cls, g: Graph, field: FieldSpec, p: tuple, q: tuple, coeff=1) -> CohnRef:
+        return cls(g, field).add_terms([((p, q), coeff)])
+
+    @classmethod
+    def vertex(cls, g: Graph, field: FieldSpec, v: VertexId) -> CohnRef:
+        return cls.term(g, field, (v.index,), (v.index,))
+
+    @classmethod
+    def path(cls, g: Graph, field: FieldSpec, p: tuple) -> CohnRef:
+        return cls.term(g, field, p, (key_range(g, p),))
+
+    @classmethod
+    def ghost(cls, g: Graph, field: FieldSpec, q: tuple) -> CohnRef:
+        return cls.term(g, field, (key_range(g, q),), q)
+
+    def add_terms(self, pairs) -> CohnRef:
+        """This element plus the ``(term, coefficient)`` pairs, zeros dropped."""
+        out = dict(self.terms)
+        for t, c in pairs:
+            c = self.field.coerce(out.pop(t, 0) + c)
+            if c:
+                out[t] = c
+        return CohnRef(self.graph, self.field, out)
+
+    def scale(self, c) -> CohnRef:
+        return CohnRef(self.graph, self.field).add_terms((t, c * a) for t, a in self.terms.items())
+
+    __rmul__ = scale
+
+    def __mul__(self, other):
+        if not isinstance(other, CohnRef):
+            return self.scale(other)
+        g = self.graph
+        products = (
+            (reference_mult_terms(g, s, u), a * b)
+            for s, a in self.terms.items()
+            for u, b in other.terms.items()
+        )
+        return CohnRef(g, self.field).add_terms((t, c) for t, c in products if t is not None)
+
+    def __add__(self, other):
+        return self.add_terms(other.terms.items())
+
+    def __neg__(self):
+        return self.scale(-1)
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __eq__(self, other):
+        return (self.graph, self.field, self.terms) == (other.graph, other.field, other.terms)
+
+    def __str__(self) -> str:
+        """Each term ``p q*``: p's edge labels, then q's reversed and starred,
+        or the vertex when p and q are vertices.  Terms are ordered by total
+        edge count, then by p's ``(edge count, labels)``, then by q's; a
+        vertex path counts as ``(0, (vertex label,))``.
+        """
+        g = self.graph
+
+        def path(key: tuple[int, ...]) -> tuple:
+            labels = tuple([g.edge(i).label for i in key[1:]])
+            return (len(labels), labels or (g.vertices[key[0]].label,)), labels
+
+        rows = []
+        for (p, q), c in self.terms.items():
+            (wp, a), (wq, b) = path(p), path(q)
+            text = " ".join([*a, *[f"{x}^*" for x in reversed(b)]]) or wp[1][0]
+            rows.append(((wp[0] + wq[0], wp, wq), f"{c} * {text}"))
+        return " + ".join([text for _, text in sorted(rows)]) or "0"
 
 
-def reference_witness(g: Graph, k, t, field: FieldSpec) -> tuple[CohnElement, CohnElement, bool]:
+def commutator(x: CohnRef, y: CohnRef) -> CohnRef:
+    """The bracket ``x y - y x``."""
+    return x * y - y * x
+
+
+def trace_vector(x: CohnRef) -> list:
+    """The diagonal trace: each term ``p p*`` adds its coefficient at the range vertex of p."""
+    out = [x.field.coerce(0)] * x.graph.num_vertices
+    for (p, q), c in x.terms.items():
+        if p == q:
+            i = key_range(x.graph, p)
+            out[i] = x.field.coerce(out[i] + c)
+    return out
+
+
+def n_generator(g: Graph, field: FieldSpec, v: VertexId) -> CohnRef:
+    """The quotient-ideal generator ``v - sum of e e*`` at a regular vertex."""
+    if g.is_sink(v):
+        raise PreconditionError(f"vertex {v.label!r} is a sink; no generator there")
+    ees = [((k, k), -1) for k in map(path_key, g.out_edges(v))]
+    return CohnRef.vertex(g, field, v).add_terms(ees)
+
+
+def reference_witness(g: Graph, k, t, field: FieldSpec) -> tuple[CohnRef, CohnRef, bool]:
     """``(commutator_sum, correction, verified)`` of ``vertex_witness``, edge by edge.
 
     The hypotheses are checked first, with the package's messages: t must
@@ -321,7 +382,7 @@ def reference_witness(g: Graph, k, t, field: FieldSpec) -> tuple[CohnElement, Co
     arithmetic.  Each bracket ``commutator(e, e*)`` is then scaled by -t_i
     and each generator ``n_generator(v_i)`` by t_i, in the field's own
     scalars; the check is ``W == sum_i k_i v_i + correction`` on whole
-    elements.
+    elements of the reference algebra.
     """
     k = [field.coerce(c) for c in k]
     t = [field.coerce(c) for c in t]
@@ -332,36 +393,37 @@ def reference_witness(g: Graph, k, t, field: FieldSpec) -> tuple[CohnElement, Co
     combination = [field.coerce(sum(ti * row[j] for ti, row in zip(t, b))) for j in range(len(b))]
     if combination != k:
         raise PreconditionError("k is not the claimed combination of the B-vectors")
-    w = correction = CohnElement.zero(g, field)
+    w = correction = CohnRef(g, field)
     for v, ti in zip(g.vertices, t):
         if not ti:
             continue
         for e in all_edges(g):
             if e.source == v:
-                bracket = commutator(CohnElement.edge(g, field, e), CohnElement.ghost_edge(g, field, e))
+                key = path_key(e)
+                bracket = commutator(CohnRef.path(g, field, key), CohnRef.ghost(g, field, key))
                 w = w + bracket.scale(-ti)
         correction = correction + n_generator(g, field, v).scale(ti)
     rhs = correction
     for v, ki in zip(g.vertices, k):
-        rhs = rhs + CohnElement.vertex(g, field, v).scale(ki)
+        rhs = rhs + CohnRef.vertex(g, field, v).scale(ki)
     return w, correction, w == rhs
 
 
-def expand_witness(g: Graph, field: FieldSpec, terms: dict) -> CohnElement:
+def expand_witness(g: Graph, field: FieldSpec, terms: dict) -> CohnRef:
     """A sum of ``VertexWitness`` as an element: each run term ``(e, m)`` becomes
     the terms ``f f*`` of the m edges f from e on, named by ``all_edges``."""
     edges = all_edges(g)
-    views = {}
+    pairs = []
     for x, c in terms.items():
         if isinstance(x, VertexId):
-            views[CohnTerm(PathWord(x), PathWord(x))] = c
+            pairs.append((((x.index,),) * 2, c))
             continue
         e, m = x
         assert edges[e.index] == e and m >= 1
         for f in edges[e.index : e.index + m]:
             assert (f.source, f.target) == (e.source, e.target)
-            views[CohnTerm(PathWord.from_edges([f]), PathWord.from_edges([f]))] = c
-    return CohnElement(g, field, views)
+            pairs.append(((path_key(f),) * 2, c))
+    return CohnRef(g, field).add_terms(pairs)
 
 
 def expand_brackets(g: Graph, brackets) -> list[tuple]:
@@ -377,7 +439,7 @@ def expand_witness_text(text: str) -> str:
     """A witness sum of the report with every run term written edge by edge.
 
     ``c * sum[k=a..b] P_k P_k^*`` becomes ``c * P_a P_a^*`` up to
-    ``c * P_b P_b^*``; then terms are sorted as ``reference_str`` sorts
+    ``c * P_b P_b^*``; then terms are sorted as ``CohnRef`` prints
     them: vertices by label, then the terms ``e e*`` by e's label.
     """
     if text == "0":
@@ -742,7 +804,7 @@ def reference_span(vectors, target, field: FieldSpec):
     reduced, pivots = gauss_jordan(aug, field)
     if n in pivots:
         return None
-    solution = [field.zero()] * n
+    solution = [field.coerce(0)] * n
     for r, c in enumerate(pivots):
         solution[c] = reduced[r][n]
     return solution

@@ -146,7 +146,7 @@ def test_field_parse_and_coerce():
     assert f3.parse("5") == 2 and type(f3.parse("5")) is int
     assert f3.coerce(Fraction(1, 2)) == 2  # 1 * 2^{-1} = 2
     assert f3.coerce(-7) == 2 and f3.coerce(2) == 2
-    assert f3.zero() == 0 and type(f3.zero()) is int
+    assert f3.coerce(0) == 0 and type(f3.coerce(0)) is int
     f5 = FieldSpec(5)
     assert [f5.coerce(Fraction(a, b)) for a, b in ((3, 7), (-1, 2), (10, 3))] == [4, 2, 0]
     with pytest.raises(ValueError):
@@ -218,7 +218,7 @@ def test_span_solution_is_exact():
             if sol is None:
                 continue
             for j in range(m):
-                total = field.zero()
+                total = field.coerce(0)
                 for i in range(n):
                     total = total + sol[i] * field.coerce(vectors[i][j])
                 assert field.coerce(total) == field.coerce(target[j])

@@ -17,12 +17,9 @@ PINNED = (
     "FieldSpec", "K0Presentation", "SmithDecomposition",
     "smith_normal_form", "cokernel",
     "class_order", "is_p_divisible", "is_prime",
-    "PathWord", "CohnTerm", "CohnElement", "PreconditionError",
-    "commutator", "trace_vector", "n_generator",
-    "VertexWitness", "vertex_witness",
+    "PreconditionError", "VertexWitness", "vertex_witness",
     "SIMPLE", "NOT_SIMPLE", "INAPPLICABLE", "GraphInvariants", "LieVerdict", "KpReport",
-    "lie_simplicity", "matrix_lie_simplicity", "leavitt_closed_form",
-    "lie_simplicity_via_k0",
+    "lie_simplicity", "lie_simplicity_via_k0",
     "pointed_iso_decision", "kp_consistency",
 )
 

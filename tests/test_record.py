@@ -18,11 +18,10 @@ from pathlib import Path
 
 import pytest
 
-from _gen import random_basis_term, random_graph, random_labelled_graph, random_path
+from _gen import random_graph, random_labelled_graph
 
 import lpa_lie
 from lpa_lie import (
-    CohnTerm,
     EdgeId,
     FieldSpec,
     Graph,
@@ -33,7 +32,6 @@ from lpa_lie import (
     LieVerdict,
     NoCycle,
     NoExitCycle,
-    PathWord,
     SimplicityReport,
     SmithDecomposition,
     Unreached,
@@ -52,7 +50,7 @@ RECORDS = (
     VertexId, EdgeId, Graph,
     FieldSpec, SmithDecomposition, K0Presentation,
     Unreached, NoExitCycle, NoCycle, SimplicityReport,
-    PathWord, CohnTerm, VertexWitness,
+    VertexWitness,
     GraphInvariants, LieVerdict, KpReport,
 )
 
@@ -84,7 +82,6 @@ def outcome(f, *args, **kwargs):
 
 def samples() -> list:
     """Instances of every record class, most of them read off seeded random graphs."""
-    rng = random.Random(39)
     graphs = [
         family("rose", [2]),
         family("line", [3]),
@@ -99,7 +96,6 @@ def samples() -> list:
         reports = (inv.simplicity, inv.pure_infinite_simplicity)
         out += [g, inv, inv.b_smith, inv.k0, *reports, *(w for r in reports for w in r.witnesses)]
         out += [*g.vertices[:3], *map(g.edge, range(min(g.num_edges, 3)))]
-        out += [random_path(rng, g), random_basis_term(rng, g)]
         for p in (0, 2, 3):
             field = FieldSpec(p)
             out += [lie_simplicity(inv, field), lie_simplicity_via_k0(inv, field)]
@@ -197,10 +193,8 @@ def check_against_twin(cls, instances):
 
 
 def test_post_init_checks_raise_as_in_the_twin():
-    e = family("line", [2]).edge(0)
     cases = [
         (FieldSpec, (4,), "characteristic must be 0 or a prime, got 4"),
-        (PathWord, (e.target, (e,)), "edges do not compose"),
         (Graph, ((VertexId(1, "a"),), ()), "vertex 'a' has index 1, expected 0"),
     ]
     for cls, args, message in cases:

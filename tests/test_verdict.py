@@ -39,11 +39,9 @@ from lpa_lie import (
     family,
     graph_from_adjacency,
     kp_consistency,
-    leavitt_closed_form,
     lie_simplicity,
     lie_simplicity_via_k0,
     m_matrix,
-    matrix_lie_simplicity,
     pointed_iso_decision,
     simplicity_reports,
     smith_normal_form,
@@ -174,44 +172,42 @@ def test_chains_have_n_the_sum_of_the_partial_products(mults):
 
 
 def test_matrix_lie_simplicity_examples():
-    rose3 = family("rose", [3])
-    assert matrix_lie_simplicity(rose3, 2, FieldSpec(2)).status == NOT_SIMPLE
-    assert matrix_lie_simplicity(rose3, 3, FieldSpec(2)).status == SIMPLE
+    # M_d of rose 3 over GF(2): 2 divides n - 1, so the verdict turns on d
+    for d, status in ((2, NOT_SIMPLE), (3, SIMPLE)):
+        for g in (family("matrix_rose", [3, d]), _from_adjacency(move_matrix_head([[3]], d))):
+            assert lie_simplicity(g, FieldSpec(2)).status == status
     ex4 = family("example4")
-    assert matrix_lie_simplicity(ex4, 1, FieldSpec(7)).status == SIMPLE
-    assert matrix_lie_simplicity(ex4, 1, FieldSpec(7)) == lie_simplicity(ex4, FieldSpec(7))
-    with pytest.raises(ValueError):
-        matrix_lie_simplicity(rose3, 0, FieldSpec(2))
+    same = _from_adjacency(move_matrix_head([list(row) for row in ex4.counts], 1))
+    assert lie_simplicity(same, FieldSpec(7)) == lie_simplicity(ex4, FieldSpec(7))
+    assert lie_simplicity(ex4, FieldSpec(7)).status == SIMPLE
 
 
 def test_matrix_lie_simplicity_gates():
-    assert matrix_lie_simplicity(family("rose", [1]), 3, FieldSpec(2)).status == INAPPLICABLE
-    trivial = graph_from_adjacency(["v"], [[0]])
-    assert matrix_lie_simplicity(trivial, 1, FieldSpec(2)).status == NOT_SIMPLE
-    assert matrix_lie_simplicity(trivial, 2, FieldSpec(2)).status == INAPPLICABLE
+    # M_3 of rose 1 is M_3(K[x, 1/x]), not a simple algebra: no verdict
+    assert lie_simplicity(_from_adjacency(move_matrix_head([[1]], 3)), FieldSpec(2)).status == INAPPLICABLE
+    # the trivial graph is K itself, and its M_2 is M_2(K), whose sl_2 is not simple over GF(2)
+    assert lie_simplicity(graph_from_adjacency(["v"], [[0]]), FieldSpec(2)).status == NOT_SIMPLE
+    assert lie_simplicity(_from_adjacency(move_matrix_head([[0]], 2)), FieldSpec(2)).status == NOT_SIMPLE
 
 
 def test_leavitt_closed_form_examples():
-    for c in (0, 2, 3, 5, 7):
-        assert leavitt_closed_form(2, 1, FieldSpec(c)).status == NOT_SIMPLE
-    assert leavitt_closed_form(7, 1, FieldSpec(2)).status == SIMPLE
-    assert leavitt_closed_form(7, 1, FieldSpec(3)).status == SIMPLE
-    assert leavitt_closed_form(7, 1, FieldSpec(5)).status == NOT_SIMPLE
-    assert leavitt_closed_form(3, 4, FieldSpec(2)).status == NOT_SIMPLE
-    with pytest.raises(ValueError):
-        leavitt_closed_form(1, 1, FieldSpec(0))
-    with pytest.raises(ValueError):
-        leavitt_closed_form(2, 0, FieldSpec(0))
+    # d x d matrices over L(1, n): simple exactly when p divides n - 1 but not d
+    for c in CHARS:
+        assert lie_simplicity(family("rose", [2]), FieldSpec(c)).status == NOT_SIMPLE
+    for c, status in ((2, SIMPLE), (3, SIMPLE), (5, NOT_SIMPLE)):
+        assert lie_simplicity(family("rose", [7]), FieldSpec(c)).status == status
+    assert lie_simplicity(family("matrix_rose", [3, 4]), FieldSpec(2)).status == NOT_SIMPLE
 
 
 def test_reduction_coherence():
+    # two graphs of M_d(L(1, n)): d - 1 edges from one source, or d - 1 sources
     for n in range(2, 7):
         for d in range(2, 6):
+            head = _from_adjacency(move_matrix_head([[n]], d))
             for c in CHARS:
                 field = FieldSpec(c)
-                closed = leavitt_closed_form(n, d, field).status
-                assert matrix_lie_simplicity(family("rose", [n]), d, field).status == closed
-                assert lie_simplicity(family("matrix_rose", [n, d]), field).status == closed
+                status = lie_simplicity(family("matrix_rose", [n, d]), field).status
+                assert lie_simplicity(head, field).status == status
 
 
 # -- the K-theory route -----------------------------------------------------------
@@ -368,7 +364,7 @@ def test_vertex_combination_zero():
         g = family(name, params)
         field = FieldSpec(2)
         t = GraphInvariants(g).b_smith.solve([0] * g.num_vertices, field)
-        assert t == [field.zero()] * g.num_vertices
+        assert t == [field.coerce(0)] * g.num_vertices
 
 
 def test_vertex_combination_vanishes_at_sinks():
@@ -377,7 +373,7 @@ def test_vertex_combination_vanishes_at_sinks():
     # k = B_1 is realizable with t supported on regular vertices
     t = GraphInvariants(g).b_smith.solve([-1, 1, 0], field)
     assert t is not None
-    assert t[2] == field.zero()
+    assert t[2] == field.coerce(0)
 
 
 def test_vertex_combination_dimension_check():
@@ -732,12 +728,20 @@ def test_an_out_split_keeps_the_pointed_k0_and_every_verdict(seed):
 @given(st.integers(0, 2**32 - 1), st.integers(2, 4))
 @settings(max_examples=60, deadline=None)
 def test_the_matrix_graph_gets_the_matrix_verdict(seed, d):
-    # L(M_d E) is the d x d matrices over L(E) (Abrams-Tomforde 2011)
+    # L(M_d E) is the d x d matrices over L(E) (Abrams-Tomforde 2011): its
+    # commutator is not simple when p divides d, and has E's verdict otherwise;
+    # over the trivial graph, as over line d, it is M_d(K), whose sl_d is
+    # not simple exactly when p divides d
     _, g, adj = _moved_pis_graph(seed)
     head = _from_adjacency(move_matrix_head(adj, d))
+    trivial = (_from_adjacency(move_matrix_head([[0]], d)), family("line", [d]))
     for c in MOVE_CHARS:
         field = FieldSpec(c)
-        assert lie_simplicity(head, field).status == matrix_lie_simplicity(g, d, field).status
+        divides = c != 0 and d % c == 0
+        expected = NOT_SIMPLE if divides else lie_simplicity(g, field).status
+        assert lie_simplicity(head, field).status == expected
+        for m in trivial:
+            assert lie_simplicity(m, field).status == (NOT_SIMPLE if divides else SIMPLE)
 
 
 def _k0_and_sign(adj):
